@@ -1262,43 +1262,40 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    backoff = None
-    if (
-        args.backoff_base is not None
-        or args.backoff_max is not None
-        or args.backoff_seed is not None
-    ):
-        overrides: Dict[str, Any] = {}
-        if args.backoff_base is not None:
-            overrides["base"] = args.backoff_base
-            if args.backoff_max is None:
-                overrides["maximum"] = max(
-                    args.backoff_base, RetryPolicy().maximum
-                )
-        if args.backoff_max is not None:
-            overrides["maximum"] = args.backoff_max
-        if args.backoff_seed is not None:
-            overrides["seed"] = args.backoff_seed
-        try:
-            backoff = RetryPolicy(**overrides)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    knobs = {
+        "base": args.backoff_base,
+        "maximum": args.backoff_max,
+        "seed": args.backoff_seed,
+    }
+    knobs = {key: value for key, value in knobs.items() if value is not None}
+    if "base" in knobs:  # a base above the default ceiling lifts it
+        knobs.setdefault("maximum", max(knobs["base"], RetryPolicy().maximum))
+    try:
+        backoff = RetryPolicy(**knobs) if knobs else None
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+    # An unset flag (None) falls back to the journal header on --resume and
+    # to the service default otherwise.
+    flags = {
+        "processes": args.processes,
+        "retries": args.retries,
+        "timeout": args.timeout,
+        "deadline": args.deadline,
+        "deadline_grace": args.grace,
+        "checkpoint_interval": args.checkpoint_interval,
+        "backoff": backoff,
+        "cache_verify": args.cache_verify or None,
+    }
     try:
         if args.resume:
+            if args.cache_dir:
+                flags["cache_dir"] = args.cache_dir
             rows, stats = resume_campaign(
                 os.path.join(args.resume, "journal.jsonl"),
-                processes=args.processes,
-                retries=args.retries,
-                timeout=args.timeout,
-                deadline=args.deadline,
-                deadline_grace=args.grace,
-                checkpoint_interval=args.checkpoint_interval,
-                backoff=backoff,
-                cache_dir=args.cache_dir,
                 no_cache=args.no_cache,
-                cache_verify=True if args.cache_verify else None,
+                **flags,
             )
         else:
             try:
@@ -1308,57 +1305,23 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             except (OSError, ValueError, KeyError, TypeError) as exc:
                 print(f"error: {args.spec}: {exc}", file=sys.stderr)
                 return 2
-            journal_path = checkpoint_dir = cache_dir = None
+            journal_path = None
             if args.dir:
                 os.makedirs(args.dir, exist_ok=True)
-                journal_path = os.path.abspath(
-                    os.path.join(args.dir, "journal.jsonl")
-                )
-                checkpoint_dir = os.path.abspath(
-                    os.path.join(args.dir, "checkpoints")
-                )
-                cache_dir = os.path.abspath(os.path.join(args.dir, "cache"))
+                state_dir = os.path.abspath(args.dir)
+                journal_path = os.path.join(state_dir, "journal.jsonl")
+                flags["checkpoint_dir"] = os.path.join(state_dir, "checkpoints")
+                flags["cache_dir"] = os.path.join(state_dir, "cache")
             if args.cache_dir:
-                cache_dir = os.path.abspath(args.cache_dir)
+                flags["cache_dir"] = os.path.abspath(args.cache_dir)
             if args.no_cache:
-                cache_dir = None
-            processes = args.processes if args.processes is not None else 1
-            retries = args.retries if args.retries is not None else 0
-            grace = args.grace if args.grace is not None else 2.0
-            interval = (
-                args.checkpoint_interval
-                if args.checkpoint_interval is not None
-                else 500
-            )
-            meta: Dict[str, Any] = {
-                "processes": processes,
-                "retries": retries,
-                "timeout": args.timeout,
-                "deadline": args.deadline,
-                "deadline_grace": grace,
-                "checkpoint_dir": checkpoint_dir,
-                "checkpoint_interval": interval,
-                "cache_dir": cache_dir,
-                "cache_verify": args.cache_verify,
-            }
-            if backoff is not None:
-                meta["backoff"] = backoff.to_dict()
+                flags.pop("cache_dir", None)
             rows, stats = run_campaign(
                 variants,
-                processes=processes,
                 lint=not args.no_lint,
-                retries=retries,
-                timeout=args.timeout,
-                deadline=args.deadline,
-                deadline_grace=grace,
-                checkpoint_dir=checkpoint_dir,
-                checkpoint_interval=interval,
-                backoff=backoff,
                 journal_path=journal_path,
-                journal_meta=meta,
-                cache_dir=cache_dir,
-                cache_verify=args.cache_verify,
                 return_stats=True,
+                **flags,
             )
     except CampaignLintError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,6 @@ recovery counters.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -278,23 +277,8 @@ def run_simulation(
     pattern: Optional[TrafficPattern] = None,
     injection: Optional[InjectionProcess] = None,
     energy_model: Optional[EnergyModel] = None,
-    **deprecated: Any,
 ) -> SimulationResult:
-    """One-call convenience wrapper used by examples and benchmarks.
-
-    The keyword surface is explicit (pattern, injection, energy_model);
-    unknown keywords are ignored with a :class:`DeprecationWarning` for
-    callers of the old ``**kwargs`` passthrough.
-    """
-    if deprecated:
-        warnings.warn(
-            "run_simulation() no longer forwards arbitrary keyword "
-            f"arguments; ignoring {sorted(deprecated)} (pass pattern=, "
-            "injection= or energy_model=, or construct a Simulator "
-            "directly)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
+    """One-call convenience wrapper used by examples and benchmarks."""
     return Simulator(
         config,
         pattern=pattern,

@@ -1,24 +1,26 @@
 """The campaign service layer: durable, cache-aware fleet execution.
 
-``repro.service`` turns :func:`repro.campaign.run_campaign`'s supervised
-worker pool into a long-lived, crash-survivable execution service (ROADMAP
-item 2(b)).  Four pieces compose (docs/CAMPAIGNS.md is the reference):
+``repro.service`` is the one campaign runner: every
+:func:`repro.campaign.run_campaign` call, journaled or not, runs here.
+Five pieces compose (docs/CAMPAIGNS.md is the reference):
 
-* :mod:`repro.service.journal` — an append-only JSONL journal
-  (``CAMPAIGN-JOURNAL`` header, atomic fsynced appends) recording every
-  variant state transition (queued → leased → attempt-N → done/failed/
-  timeout), so a campaign whose *supervisor* is SIGKILLed resumes by
-  re-enqueueing only unfinished variants.
-* :mod:`repro.service.policy` — :class:`RetryPolicy`: exponential backoff
-  with deterministic seeded jitter between attempts.
+* :mod:`repro.service.machine` — the state machine: pure ``decide``
+  (state × event → records + actions) and pure ``apply`` (the only place
+  job state changes), which the live supervisor and resume both go through.
+* :mod:`repro.service.journal` — the file format of the append-only JSONL
+  journal (``CAMPAIGN-JOURNAL`` header, atomic fsynced appends) recording
+  every transition (queued → leased → attempt-N → done/failed/timeout),
+  so a campaign whose *supervisor* is SIGKILLed resumes from it.
+* :mod:`repro.service.policy` — :class:`RetryPolicy` (exponential backoff,
+  deterministic seeded jitter) and :class:`CampaignSettings` (the
+  validated supervision knobs the journal header records).
 * :mod:`repro.service.cache` — :class:`ResultCache`: results stored as
   ``repro/v1`` envelopes keyed by the SHA-256 of the variant's canonical
   config JSON, so duplicate variants within and across campaigns are
   served from cache instead of re-simulated.
-* :mod:`repro.service.runner` — the supervisor itself: watchdogged worker
-  processes, backoff-scheduled retries, a whole-campaign deadline with
-  graceful degradation, checkpoint-resume on retry (corrupt checkpoints
-  are discarded, not fatal), journal and cache integration.
+* :mod:`repro.service.runner` — the driver around the machine: watchdogged
+  worker processes, the ready heap and its clocks, checkpoint-resume on
+  retry (corrupt or foreign checkpoints are discarded), journal/cache I/O.
 
 ``tools/chaos_campaign.py`` is the standing proof: it SIGKILLs workers,
 corrupts checkpoints, stalls a worker past its watchdog and SIGKILLs the
@@ -42,17 +44,14 @@ from repro.service.journal import (
     JournalState,
     read_journal,
 )
-from repro.service.policy import RetryPolicy
-from repro.service.runner import (
-    CampaignOutcome,
-    resume_campaign,
-    run_service_campaign,
-)
+from repro.service.machine import replay
+from repro.service.policy import CampaignSettings, RetryPolicy
+from repro.service.runner import resume_campaign, run_service_campaign
 
 __all__ = [
     "CACHE_ENVELOPE_COMMAND",
     "CampaignJournal",
-    "CampaignOutcome",
+    "CampaignSettings",
     "JOURNAL_MAGIC",
     "JOURNAL_VERSION",
     "JournalError",
@@ -63,6 +62,7 @@ __all__ = [
     "cache_key",
     "canonical_envelope",
     "read_journal",
+    "replay",
     "result_core",
     "resume_campaign",
     "run_service_campaign",

@@ -63,9 +63,6 @@ JOURNAL_MAGIC = "CAMPAIGN-JOURNAL"
 #: Bumped whenever the record vocabulary changes incompatibly.
 JOURNAL_VERSION = 1
 
-#: Record types that end a variant's lifecycle (they carry its final row).
-TERMINAL_TYPES = frozenset({"done", "failed", "timeout"})
-
 
 class JournalError(RuntimeError):
     """The journal file is missing, not a journal, or corrupt mid-file."""
@@ -151,35 +148,18 @@ class CampaignJournal:
 
 @dataclass
 class JournalState:
-    """Everything a replay of the journal establishes."""
+    """The file's content: the header and the ordered records.  What the
+    records *mean* is :func:`repro.service.machine.replay`'s business."""
 
     meta: Dict[str, Any]
-    #: Ordered ``queued`` payloads: ``{"variant", "name", "config", ...}``.
-    variants: List[Dict[str, Any]] = field(default_factory=list)
-    #: Final rows of variants that reached a terminal record.
-    rows: Dict[int, Dict[str, Any]] = field(default_factory=dict)
-    #: Attempts already consumed per variant (counted from ``leased``).
-    attempts: Dict[int, int] = field(default_factory=dict)
-    #: Failed-attempt error strings per variant, in order (``attempt``
-    #: records) — carried into a resumed supervisor so a variant's full
-    #: attempt history survives a crash.
-    attempt_errors: Dict[int, List[str]] = field(default_factory=dict)
-    #: Checkpoint-discard provenance per variant (the latest
-    #: ``checkpoint_discarded`` record's error).
-    discards: Dict[int, str] = field(default_factory=dict)
     #: Every fully-written record, in order.
     records: List[Dict[str, Any]] = field(default_factory=list)
     #: Whether the final line was torn (a crashed append) and ignored.
     torn_tail: bool = False
 
-    @property
-    def unfinished(self) -> List[Dict[str, Any]]:
-        """Queued variants without a terminal record, in queue order."""
-        return [v for v in self.variants if v["variant"] not in self.rows]
-
 
 def read_journal(path: Union[str, Path]) -> JournalState:
-    """Replay a journal into a :class:`JournalState`.
+    """Read a journal's header and records into a :class:`JournalState`.
 
     Tolerates exactly the damage a SIGKILL can cause — a torn *final*
     line — and raises :class:`JournalError` for anything else (bad magic,
@@ -220,21 +200,7 @@ def read_journal(path: Union[str, Path]) -> JournalState:
                 f"{path}: corrupt record at line {lineno} (not a torn "
                 "tail — the file was damaged after it was written)"
             ) from exc
+        if not isinstance(record, dict):
+            raise JournalError(f"{path}: record at line {lineno} is not an object")
         state.records.append(record)
-        kind = record.get("type")
-        variant = record.get("variant")
-        if kind == "queued":
-            state.variants.append(record)
-        elif kind == "leased":
-            state.attempts[variant] = max(
-                state.attempts.get(variant, 0), int(record.get("attempt", 0))
-            )
-        elif kind == "attempt":
-            state.attempt_errors.setdefault(variant, []).append(
-                record.get("error", "")
-            )
-        elif kind == "checkpoint_discarded":
-            state.discards[variant] = record.get("error", "")
-        elif kind in TERMINAL_TYPES and "row" in record:
-            state.rows[variant] = record["row"]
     return state

@@ -1,11 +1,12 @@
-"""The durable campaign supervisor.
+"""The durable campaign supervisor: a thin driver around the state machine.
 
-Builds the fleet-scale execution loop on top of the primitives next door:
-watchdogged worker processes (one per attempt, SIGKILL on wall-clock
-overrun), retry scheduling through :class:`~repro.service.policy.RetryPolicy`
-backoff, the :mod:`~repro.service.journal` for durability across a
-supervisor SIGKILL, the :mod:`~repro.service.cache` for content-addressed
-result reuse, and a whole-campaign deadline with graceful degradation.
+Every decision — what to journal, whether to retry, what the final row
+says — is :func:`repro.service.machine.decide`'s, and every change of job
+state is :func:`repro.service.machine.apply`'s.  Left here is what touches
+the world: watchdogged worker processes (one per attempt, SIGKILL on
+wall-clock overrun), their sentinels and result files, the ready heap and
+its clocks, and the journal, cache and checkpoint I/O.  Resume applies the
+journal's records through the same ``apply`` and carries on.
 
 Supervision is event-driven: the loop blocks in
 :func:`multiprocessing.connection.wait` on the worker process sentinels
@@ -23,20 +24,32 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from contextlib import suppress
 from heapq import heappop, heappush
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.service.cache import ResultCache, cache_key, canonical_envelope
-from repro.service.journal import (
-    CampaignJournal,
-    JournalError,
-    JournalState,
-    read_journal,
+from repro.service.journal import CampaignJournal, JournalError, read_journal
+from repro.service.machine import (
+    CacheHit,
+    Campaign,
+    Died,
+    Enqueue,
+    Expired,
+    Finished,
+    IllegalTransition,
+    Job,
+    JobState,
+    Launch,
+    TimedOut,
+    apply,
+    decide,
+    failed_row,
+    replay,
 )
-from repro.service.policy import RetryPolicy
+from repro.service.policy import CampaignSettings
 
-__all__ = ["CampaignOutcome", "resume_campaign", "run_service_campaign"]
+__all__ = ["resume_campaign", "run_service_campaign"]
 
 
 def _worker(
@@ -54,12 +67,13 @@ def _worker(
     the file exists and is complete, or the attempt is treated as crashed.
 
     Resumes from ``ckpt_path`` when a previous attempt left one behind; a
-    checkpoint that turns out corrupt or truncated is *discarded* — the
-    attempt restarts from cycle 0 and reports the discard on
-    ``row["checkpoint_discarded"]`` — instead of failing the variant on an
-    artifact of its own crash.
+    checkpoint that turns out corrupt or truncated — or written for a
+    *different* config (another campaign's file under this variant's
+    name) — is *discarded*: the attempt restarts from cycle 0 and reports
+    the discard on ``row["checkpoint_discarded"]``, instead of failing the
+    variant on an artifact of a crash or returning another experiment's
+    result.
     """
-    from repro.campaign import _failed_row, _ok_row
     from repro.noc.simulator import Simulator
     from repro.serialization import config_from_dict
 
@@ -68,17 +82,27 @@ def _worker(
     sim = None
     try:
         if ckpt_path is not None and os.path.exists(ckpt_path):
-            from repro.checkpoint import CheckpointError, load_checkpoint
+            from repro.checkpoint import (
+                CheckpointError,
+                load_checkpoint,
+                read_checkpoint_header,
+            )
 
             try:
+                recorded = read_checkpoint_header(ckpt_path).get("config")
+                if not isinstance(recorded, dict) or cache_key(
+                    recorded
+                ) != cache_key(config_dict):
+                    raise CheckpointError(
+                        f"{ckpt_path}: checkpoint was written for a "
+                        "different config"
+                    )
                 sim = load_checkpoint(ckpt_path)
                 resumed = sim.resumed_from_cycle
             except CheckpointError as exc:
                 discarded = str(exc)
-                try:
+                with suppress(OSError):
                     os.unlink(ckpt_path)
-                except OSError:
-                    pass
         if sim is None:
             config = config_from_dict(config_dict)
             if ckpt_path is not None:
@@ -88,9 +112,20 @@ def _worker(
                 )
             sim = Simulator(config)
         result = sim.run()
-        row = _ok_row(name, config_dict, result)
+        row = {
+            "name": name,
+            "config": config_dict,
+            "avg_latency": result.avg_latency,
+            "avg_hops": result.avg_hops,
+            "energy_per_packet_nj": result.energy_per_packet_nj,
+            "throughput": result.throughput_flits_per_node_cycle,
+            "packets_delivered": result.packets_delivered,
+            "packets_lost": result.packets_lost,
+            "counters": dict(result.counters),
+            "error": None,
+        }
     except Exception as exc:  # noqa: BLE001 — the row carries the error
-        row = _failed_row(name, config_dict, f"{type(exc).__name__}: {exc}")
+        row = failed_row(name, config_dict, f"{type(exc).__name__}: {exc}")
     row["resumed_from_cycle"] = resumed
     if discarded is not None:
         row["checkpoint_discarded"] = discarded
@@ -102,489 +137,263 @@ def _worker(
     os.replace(tmp, result_path)
 
 
-class _Job:
-    """Supervisor-side bookkeeping for one campaign variant."""
+class _Supervisor:
+    """The driver's working set: the machine's campaign, the processes in
+    flight, the ready heap, and the counters no record carries."""
 
-    __slots__ = (
-        "index",
-        "name",
-        "config_dict",
-        "key",
-        "attempts",
-        "attempt_errors",
-        "checkpoint_discarded",
-        "ckpt_path",
-        "result_path",
-        "row",
-    )
+    def __init__(
+        self,
+        campaign: Campaign,
+        settings: CampaignSettings,
+        journal: Optional[CampaignJournal],
+    ):
+        self.campaign = campaign
+        self.settings = settings
+        self.journal = journal
+        self.cache = ResultCache(settings.cache_dir) if settings.cache_dir else None
+        if settings.checkpoint_dir is not None:
+            os.makedirs(settings.checkpoint_dir, exist_ok=True)
+        self.workdir = ""
+        #: (ready_time, index) — ready_time moves forward on backoff.
+        self.ready: List[Tuple[float, int]] = []
+        #: (job, process, kill_at) — kill_at is the watchdog (or grace) edge.
+        self.running: List[Tuple[Job, Any, Optional[float]]] = []
+        self.local = {"cache_stores": 0, "cache_verified": 0, "max_queue_depth": 0}
 
-    def __init__(self, index: int, name: str, config_dict: Dict[str, Any]):
-        self.index = index
-        self.name = name
-        self.config_dict = config_dict
-        self.key = cache_key(config_dict)
-        self.attempts = 0
-        self.attempt_errors: List[str] = []
-        self.checkpoint_discarded: Optional[str] = None
-        self.ckpt_path: Optional[str] = None
-        self.result_path: Optional[str] = None
-        self.row: Optional[Dict[str, Any]] = None
+    def commit(self, record: Dict[str, Any]) -> None:
+        """Journal one record, then — and only then — let it take effect."""
+        if self.journal is not None:
+            fields = dict(record)
+            self.journal.append(fields.pop("type"), **fields)
+        apply(self.campaign, record)
 
+    def feed(self, job: Job, event: Any) -> None:
+        """One turn of the machine: decide, commit, act."""
+        records, actions = decide(job, event, self.settings)
+        for record in records:
+            self.commit(record)
+        for kind, *args in actions:
+            if kind == "spawn":
+                self.spawn(job)
+            elif kind == "requeue":
+                ready_at = time.monotonic() + args[0]  # det: ok — backoff
+                heappush(self.ready, (ready_at, job.index))
+            elif kind == "drop_checkpoint" and self.settings.checkpoint_dir:
+                # The run completed; its checkpoint is stale state now.
+                with suppress(OSError):
+                    os.unlink(self.settings.checkpoint_path(job.index))
 
-@dataclass
-class CampaignOutcome:
-    """Raw rows (dict form, variant order) plus the service counters."""
+    def result_path(self, job: Job) -> str:
+        return os.path.join(self.workdir, f"result_{job.index:04d}.json")
 
-    rows: List[Dict[str, Any]]
-    stats: Dict[str, Any] = field(default_factory=dict)
+    def spawn(self, job: Job) -> None:
+        import multiprocessing  # here, not at import: most runs never spawn
+
+        result_path = self.result_path(job)
+        if os.path.exists(result_path):
+            os.unlink(result_path)
+        proc = multiprocessing.Process(
+            target=_worker,
+            args=(
+                job.name,
+                job.config,
+                self.settings.checkpoint_path(job.index),
+                self.settings.checkpoint_interval,
+                result_path,
+            ),
+            daemon=True,
+        )
+        proc.start()
+        timeout = self.settings.timeout
+        watchdog = None if timeout is None else time.monotonic() + timeout  # det: ok
+        self.running.append((job, proc, watchdog))
+
+    def reap(self, job: Job, proc: Any) -> Any:
+        """Collect an exited worker — or kill an overdue one — and name
+        what happened.  A complete result file wins even over a kill: the
+        worker finished inside the kill window and its result is good."""
+        killed = proc.is_alive()
+        if killed:
+            proc.kill()
+        proc.join()
+        result_path = self.result_path(job)
+        if os.path.exists(result_path):
+            with open(result_path) as fh:
+                row = json.load(fh)
+            return Finished(row, self.cache_result(job, row))
+        if not killed:
+            return Died(proc.exitcode)
+        if self.campaign.counters["deadline_expired"]:
+            return Expired()
+        return TimedOut(self.last_checkpoint_cycle(job))
+
+    def cache_result(self, job: Job, row: Dict[str, Any]) -> Optional[bool]:
+        """Store a successful row in the cache (or, under ``cache_verify``,
+        byte-compare it with the stored entry and return the verdict)."""
+        if self.cache is None or row["error"] is not None:
+            return None
+        fresh = canonical_envelope(job.config, row)
+        stored = self.cache.get_bytes(job.key)
+        if self.settings.cache_verify and stored is not None:
+            if stored == fresh:
+                self.local["cache_verified"] += 1
+                return True
+            self.cache.put(job.key, fresh)
+            return False
+        if stored != fresh:
+            self.cache.put(job.key, fresh)
+            self.local["cache_stores"] += 1
+        return None
+
+    def last_checkpoint_cycle(self, job: Job) -> Optional[int]:
+        """How far a timed-out variant's checkpoints got, so the campaign
+        table shows its last durable cycle (best-effort provenance)."""
+        from repro.checkpoint import CheckpointError, read_checkpoint_header
+
+        ckpt_path = self.settings.checkpoint_path(job.index)
+        if ckpt_path is None:
+            return None
+        try:
+            return read_checkpoint_header(ckpt_path)["cycle"]
+        except (CheckpointError, OSError, KeyError):
+            return None
+
+    def run(self) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
+        with tempfile.TemporaryDirectory(prefix="repro-campaign-") as self.workdir:
+            return self.supervise()
+
+    def supervise(self) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
+        from multiprocessing.connection import wait as sentinel_wait
+
+        settings, campaign = self.settings, self.campaign
+        counters = campaign.counters
+        consult_cache = self.cache is not None and not settings.cache_verify
+        start = time.monotonic()  # det: ok — supervisor wall clock
+        deadline_at = None if settings.deadline is None else start + settings.deadline
+        for job in campaign.in_state(JobState.QUEUED):
+            heappush(self.ready, (0.0, job.index))
+        while self.ready or self.running:
+            now = time.monotonic()  # det: ok — supervisor wall clock
+            past_deadline = deadline_at is not None and now >= deadline_at
+            if past_deadline and not counters["deadline_expired"]:
+                self.commit(
+                    {
+                        "type": "deadline",
+                        "in_flight": [job.index for job, _, _ in self.running],
+                        "queued": [index for _, index in self.ready],
+                    }
+                )
+                # Graceful degradation: in-flight workers get a grace
+                # period to finish on their own, then SIGKILL.
+                grace_end = now + max(settings.deadline_grace, 0.0)
+                self.running = [
+                    (job, proc, grace_end) for job, proc, _ in self.running
+                ]
+            if counters["deadline_expired"]:
+                # Nothing launches any more; everything still queued comes
+                # back as a partial row with error="campaign_deadline".
+                while self.ready:
+                    self.feed(campaign.jobs[heappop(self.ready)[1]], Expired())
+            # Launch every ready job a process slot can take.
+            while (
+                self.ready
+                and len(self.running) < settings.processes
+                and self.ready[0][0] <= now
+            ):
+                job = campaign.jobs[heappop(self.ready)[1]]
+                cached = None
+                if consult_cache and job.attempts == 0:  # before attempt 1 only
+                    cached = self.cache.get(job.key)
+                self.feed(job, Launch() if cached is None else CacheHit(cached))
+            depth = len(self.ready) + len(self.running)
+            self.local["max_queue_depth"] = max(self.local["max_queue_depth"], depth)
+            # Sleep until the nearest edge: a worker exiting (its sentinel
+            # wakes us immediately), a watchdog or grace expiry, a
+            # backoff-delayed job coming ready, or the campaign deadline.
+            now = time.monotonic()  # det: ok — supervisor wall clock
+            edges = [0.5]
+            if deadline_at is not None and not counters["deadline_expired"]:
+                edges.append(deadline_at - now)
+            for _, _, kill_at in self.running:
+                if kill_at is not None:
+                    edges.append(kill_at - now)
+            if self.ready and len(self.running) < settings.processes:
+                edges.append(self.ready[0][0] - now)
+            pause = max(0.0, min(edges))
+            if self.running:
+                sentinel_wait(
+                    [proc.sentinel for _, proc, _ in self.running], timeout=pause
+                )
+            elif self.ready and pause > 0.0:
+                # Nothing running and every queued job is backing off:
+                # sleep until the earliest comes ready.
+                time.sleep(pause)
+            # Reap exits and enforce the watchdog / grace edges.
+            now = time.monotonic()  # det: ok — supervisor wall clock
+            running, self.running = self.running, []
+            for job, proc, kill_at in running:
+                overdue = kill_at is not None and now >= kill_at
+                if proc.is_alive() and not overdue:
+                    self.running.append((job, proc, kill_at))
+                else:
+                    self.feed(job, self.reap(job, proc))
+
+        stats: Dict[str, Any] = {"variants": len(campaign.jobs)}
+        stats.update(counters)
+        stats.update(self.local)
+        stats["backoff_total_s"] = round(stats["backoff_total_s"], 6)
+        stats["wall_s"] = round(time.monotonic() - start, 6)  # det: ok
+        self.commit({"type": "summary", "stats": stats})
+        if self.journal is not None:
+            self.journal.close()
+        return campaign.rows, stats
 
 
 def run_service_campaign(
     items: Sequence[Tuple[str, Dict[str, Any]]],
-    *,
-    processes: int = 1,
-    retries: int = 0,
-    timeout: Optional[float] = None,
-    deadline: Optional[float] = None,
-    deadline_grace: float = 2.0,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_interval: int = 500,
-    backoff: Optional[RetryPolicy] = None,
+    settings: CampaignSettings,
     journal_path: Optional[str] = None,
-    journal_meta: Optional[Dict[str, Any]] = None,
-    cache_dir: Optional[str] = None,
-    cache_verify: bool = False,
-    resume_state: Optional[JournalState] = None,
-) -> CampaignOutcome:
-    """Run ``(name, config_dict)`` variants under full supervision.
+) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
+    """Run ``(name, config_dict)`` variants under supervision; returns the
+    raw rows (dict form, variant order) and the service counters.
 
-    This is the low-level engine behind :func:`repro.campaign.run_campaign`
-    (which adds linting and typed rows) and ``repro campaign``.  Configs
-    travel as serialized dicts for picklability.  See docs/CAMPAIGNS.md
+    This is the engine behind :func:`repro.campaign.run_campaign` (which
+    adds linting and typed rows) and ``repro campaign``.  Configs travel
+    as serialized dicts for picklability.  The journal header records the
+    settings, so a resume continues under them.  See docs/CAMPAIGNS.md
     for the state machine and failure semantics.
     """
-    import multiprocessing
-    from multiprocessing.connection import wait as sentinel_wait
-
-    policy = backoff if backoff is not None else RetryPolicy()
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-    if checkpoint_dir is not None:
-        os.makedirs(checkpoint_dir, exist_ok=True)
-
-    stats: Dict[str, Any] = {
-        "variants": len(items),
-        "completed": 0,
-        "failed": 0,
-        "attempts": 0,
-        "retries": 0,
-        "timeouts": 0,
-        "cache_hits": 0,
-        "cache_stores": 0,
-        "cache_verified": 0,
-        "cache_mismatches": 0,
-        "checkpoints_discarded": 0,
-        "deadline_expired": False,
-        "deadline_failed": 0,
-        "max_queue_depth": 0,
-        "backoff_total_s": 0.0,
-    }
-
-    journal: Optional[CampaignJournal] = None
+    campaign = Campaign(
+        (name, config, cache_key(config)) for name, config in items
+    )
+    journal = None
     if journal_path is not None:
-        if resume_state is not None:
-            journal = CampaignJournal.append_to(journal_path)
-        else:
-            # The header carries the expected variant count so a resume
-            # can detect a journal whose enqueue phase was cut short (a
-            # supervisor crash mid-enqueue commits only a prefix of the
-            # queued records).
-            header = dict(journal_meta or {})
-            header.setdefault("variants", len(items))
-            journal = CampaignJournal.create(journal_path, header)
-
-    def record(type_: str, **fields: Any) -> None:
-        if journal is not None:
-            journal.append(type_, **fields)
-
-    start = time.monotonic()  # det: ok — supervisor wall clock
-    deadline_at = start + deadline if deadline is not None else None
-
-    with tempfile.TemporaryDirectory(prefix="repro-campaign-") as workdir:
-        jobs: List[_Job] = []
-        for i, (name, config_dict) in enumerate(items):
-            job = _Job(i, name, config_dict)
-            if checkpoint_dir is not None:
-                job.ckpt_path = os.path.join(
-                    checkpoint_dir, f"variant_{i:04d}.ckpt"
-                )
-            job.result_path = os.path.join(workdir, f"result_{i:04d}.json")
-            jobs.append(job)
-
-        if resume_state is not None:
-            for job in jobs:
-                job.attempts = resume_state.attempts.get(job.index, 0)
-                stats["attempts"] += job.attempts
-                # Carry the pre-crash attempt history so the final row's
-                # metadata covers the whole lifecycle, not just the
-                # resumed supervisor's share of it.
-                job.attempt_errors = list(
-                    resume_state.attempt_errors.get(job.index, [])
-                )
-                job.checkpoint_discarded = resume_state.discards.get(
-                    job.index
-                )
-                if job.index in resume_state.rows:
-                    job.row = resume_state.rows[job.index]
-                    # Pre-crash results count toward the service totals,
-                    # so the summary record and --json stats cover the
-                    # whole campaign, not just the resumed share.
-                    if job.row.get("error") is None:
-                        stats["completed"] += 1
-                    else:
-                        stats["failed"] += 1
-            record(
-                "resumed",
-                finished=len(resume_state.rows),
-                pending=len(jobs) - len(resume_state.rows),
-            )
-        else:
-            for job in jobs:
-                record(
-                    "queued",
-                    variant=job.index,
-                    name=job.name,
-                    config=job.config_dict,
-                    config_sha256=job.key,
-                )
-
-        # (ready_time, index) — ready_time moves forward on backoff.
-        ready: List[Tuple[float, int]] = []
-        for job in jobs:
-            if job.row is None:
-                heappush(ready, (0.0, job.index))
-        by_index = {job.index: job for job in jobs}
-        running: List[Tuple[_Job, Any, Optional[float]]] = []
-
-        def finish(job: _Job, row: Dict[str, Any], terminal: str) -> None:
-            """Commit a variant's final row and journal the transition."""
-            row.setdefault("attempts", job.attempts)
-            if job.attempt_errors:
-                row["attempt_errors"] = list(job.attempt_errors)
-            if (
-                job.checkpoint_discarded is not None
-                and "checkpoint_discarded" not in row
-            ):
-                row["checkpoint_discarded"] = job.checkpoint_discarded
-            job.row = row
-            if row["error"] is None:
-                stats["completed"] += 1
-            else:
-                stats["failed"] += 1
-            if row["error"] == "timeout" and job.ckpt_path is not None:
-                # Report how far the checkpoints got so the campaign table
-                # shows the variant's last durable cycle.
-                try:
-                    from repro.checkpoint import read_checkpoint_header
-
-                    row["last_checkpoint_cycle"] = read_checkpoint_header(
-                        job.ckpt_path
-                    )["cycle"]
-                except Exception:  # noqa: BLE001 — best-effort provenance
-                    pass
-            record(terminal, variant=job.index, row=row)
-            if job.ckpt_path is not None and row["error"] is None:
-                # The run completed; its checkpoint is stale state now.
-                try:
-                    os.unlink(job.ckpt_path)
-                except OSError:
-                    pass
-
-        def note_discard(job: _Job, row: Dict[str, Any]) -> None:
-            discarded = row.get("checkpoint_discarded")
-            if discarded is not None:
-                job.checkpoint_discarded = discarded
-                stats["checkpoints_discarded"] += 1
-                record(
-                    "checkpoint_discarded",
-                    variant=job.index,
-                    attempt=job.attempts,
-                    error=discarded,
-                )
-
-        def attempt_failed(job: _Job, row: Dict[str, Any]) -> None:
-            """One attempt failed: back off and requeue, or finalize."""
-            error = row["error"]
-            job.attempt_errors.append(error)
-            note_discard(job, row)
-            if error == "timeout":
-                stats["timeouts"] += 1
-            if job.attempts <= retries:
-                pause = policy.delay(job.index, job.attempts)
-                stats["retries"] += 1
-                stats["backoff_total_s"] += pause
-                record(
-                    "attempt",
-                    variant=job.index,
-                    attempt=job.attempts,
-                    error=error,
-                    retry_in=round(pause, 6),
-                )
-                heappush(
-                    ready,
-                    (time.monotonic() + pause, job.index),  # det: ok
-                )
-            else:
-                finish(
-                    job, row, "timeout" if error == "timeout" else "failed"
-                )
-
-        def complete_attempt(job: _Job, row: Dict[str, Any]) -> None:
-            """A worker produced a result file — success or failure."""
-            if row["error"] is not None:
-                attempt_failed(job, row)
-                return
-            note_discard(job, row)
-            if cache is not None:
-                fresh = canonical_envelope(job.config_dict, row)
-                stored = cache.get_bytes(job.key)
-                if cache_verify and stored is not None:
-                    if stored == fresh:
-                        row["cache_verified"] = True
-                        stats["cache_verified"] += 1
-                    else:
-                        row["cache_verified"] = False
-                        stats["cache_mismatches"] += 1
-                        record(
-                            "cache_mismatch",
-                            variant=job.index,
-                            key=job.key,
-                        )
-                        cache.put(job.key, fresh)
-                elif stored != fresh:
-                    cache.put(job.key, fresh)
-                    stats["cache_stores"] += 1
-            finish(job, row, "done")
-
-        def reap(job: _Job, proc: Any) -> None:
-            """Collect a finished (or killed) worker's outcome."""
-            proc.join()
-            if os.path.exists(job.result_path):
-                with open(job.result_path) as fh:
-                    complete_attempt(job, json.load(fh))
-            else:
-                from repro.campaign import _failed_row
-
-                attempt_failed(
-                    job,
-                    dict(
-                        _failed_row(
-                            job.name,
-                            job.config_dict,
-                            f"worker died without a result "
-                            f"(exit code {proc.exitcode})",
-                        ),
-                        resumed_from_cycle=None,
-                    ),
-                )
-
-        deadline_expired = False
-        while ready or running:
-            now = time.monotonic()  # det: ok — supervisor wall clock
-            if deadline_at is not None and now >= deadline_at:
-                deadline_expired = True
-                break
-            # Launch every ready job a process slot can take.
-            while ready and len(running) < processes and ready[0][0] <= now:
-                _, index = heappop(ready)
-                job = by_index[index]
-                if (
-                    cache is not None
-                    and not cache_verify
-                    and job.attempts == 0
-                ):
-                    cached = cache.get(job.key)
-                    if cached is not None:
-                        stats["cache_hits"] += 1
-                        record("cache_hit", variant=job.index, key=job.key)
-                        row = dict(
-                            cached,
-                            name=job.name,
-                            config=job.config_dict,
-                            cache_hit=True,
-                            attempts=0,
-                        )
-                        finish(job, row, "done")
-                        continue
-                job.attempts += 1
-                stats["attempts"] += 1
-                if os.path.exists(job.result_path):
-                    os.unlink(job.result_path)
-                record("leased", variant=job.index, attempt=job.attempts)
-                proc = multiprocessing.Process(
-                    target=_worker,
-                    args=(
-                        job.name,
-                        job.config_dict,
-                        job.ckpt_path,
-                        checkpoint_interval,
-                        job.result_path,
-                    ),
-                    daemon=True,
-                )
-                proc.start()
-                kill_at = (
-                    time.monotonic() + timeout  # det: ok — watchdog
-                    if timeout is not None
-                    else None
-                )
-                running.append((job, proc, kill_at))
-            depth = len(ready) + len(running)
-            if depth > stats["max_queue_depth"]:
-                stats["max_queue_depth"] = depth
-            # Sleep until the nearest edge: a worker exiting (its sentinel
-            # wakes us immediately), a watchdog expiry, a backoff-delayed
-            # job coming ready, or the campaign deadline.
-            now = time.monotonic()  # det: ok — supervisor wall clock
-            edges = [0.5]
-            if deadline_at is not None:
-                edges.append(deadline_at - now)
-            for _, _, kill_at in running:
-                if kill_at is not None:
-                    edges.append(kill_at - now)
-            if ready and len(running) < processes:
-                edges.append(ready[0][0] - now)
-            pause = max(0.0, min(edges))
-            if running:
-                sentinel_wait(
-                    [proc.sentinel for _, proc, _ in running], timeout=pause
-                )
-            elif ready and pause > 0.0:
-                # Nothing running and every queued job is backing off:
-                # sleep until the earliest comes ready.
-                time.sleep(pause)
-            # Reap exits and enforce per-attempt watchdogs.
-            now = time.monotonic()  # det: ok — supervisor wall clock
-            still_running = []
-            for job, proc, kill_at in running:
-                if proc.is_alive():
-                    if kill_at is not None and now >= kill_at:
-                        proc.kill()
-                        proc.join()
-                        from repro.campaign import _failed_row
-
-                        attempt_failed(
-                            job,
-                            dict(
-                                _failed_row(
-                                    job.name, job.config_dict, "timeout"
-                                ),
-                                resumed_from_cycle=None,
-                            ),
-                        )
-                    else:
-                        still_running.append((job, proc, kill_at))
-                    continue
-                reap(job, proc)
-            running = still_running
-
-        if deadline_expired:
-            stats["deadline_expired"] = True
-            record(
-                "deadline",
-                in_flight=[job.index for job, _, _ in running],
-                queued=[index for _, index in ready],
-            )
-            # Graceful degradation: in-flight workers get a grace period
-            # to finish on their own, then SIGKILL; everything unfinished
-            # comes back as a partial row with error="campaign_deadline".
-            grace_end = time.monotonic() + max(deadline_grace, 0.0)  # det: ok
-            while running:
-                remaining = grace_end - time.monotonic()  # det: ok
-                if remaining <= 0:
-                    break
-                sentinel_wait(
-                    [proc.sentinel for _, proc, _ in running],
-                    timeout=remaining,
-                )
-                still_running = []
-                for job, proc, kill_at in running:
-                    if proc.is_alive():
-                        still_running.append((job, proc, kill_at))
-                    else:
-                        reap(job, proc)
-                running = still_running
-            from repro.campaign import _failed_row
-
-            for job, proc, _ in running:
-                proc.kill()
-                proc.join()
-                if os.path.exists(job.result_path):
-                    # The worker finished during the kill window; its
-                    # result is complete — keep it.
-                    with open(job.result_path) as fh:
-                        complete_attempt(job, json.load(fh))
-                    continue
-                stats["deadline_failed"] += 1
-                finish(
-                    job,
-                    dict(
-                        _failed_row(
-                            job.name, job.config_dict, "campaign_deadline"
-                        ),
-                        resumed_from_cycle=None,
-                    ),
-                    "failed",
-                )
-            while ready:
-                _, index = heappop(ready)
-                job = by_index[index]
-                if job.row is not None:
-                    continue
-                stats["deadline_failed"] += 1
-                finish(
-                    job,
-                    dict(
-                        _failed_row(
-                            job.name, job.config_dict, "campaign_deadline"
-                        ),
-                        resumed_from_cycle=None,
-                    ),
-                    "failed",
-                )
-
-        stats["backoff_total_s"] = round(stats["backoff_total_s"], 6)
-        stats["wall_s"] = round(time.monotonic() - start, 6)  # det: ok
-        record("summary", stats=stats)
-        if journal is not None:
-            journal.close()
-        return CampaignOutcome(rows=[job.row for job in jobs], stats=stats)
+        # The header carries the expected variant count so a resume can
+        # detect a journal whose enqueue phase was cut short (a supervisor
+        # crash mid-enqueue commits only a prefix of the queued records).
+        journal = CampaignJournal.create(
+            journal_path, dict(settings.to_dict(), variants=len(campaign.jobs))
+        )
+    supervisor = _Supervisor(campaign, settings, journal)
+    for job in campaign.jobs:
+        supervisor.feed(job, Enqueue())
+    return supervisor.run()
 
 
 def resume_campaign(
-    journal_path: str,
-    *,
-    processes: Optional[int] = None,
-    retries: Optional[int] = None,
-    timeout: Optional[float] = None,
-    deadline: Optional[float] = None,
-    deadline_grace: Optional[float] = None,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_interval: Optional[int] = None,
-    backoff: Optional[RetryPolicy] = None,
-    cache_dir: Optional[str] = None,
-    no_cache: bool = False,
-    cache_verify: Optional[bool] = None,
+    journal_path: str, *, no_cache: bool = False, **overrides: Any
 ) -> Tuple[List[Any], Dict[str, Any]]:
     """Resume a journaled campaign after a supervisor crash.
 
-    Replays the journal, re-enqueues only variants without a terminal
-    record (completed variants keep their recorded rows and are never
-    re-run), and continues under the same settings the journal's header
-    recorded — any keyword given here overrides the recorded value, and
-    ``no_cache=True`` disables the result cache even when the header
-    recorded a ``cache_dir``.  Returns ``(rows, stats)`` with rows as
-    typed :class:`~repro.campaign.CampaignRow` in the original queue
-    order.
+    Replays the journal (completed variants keep their recorded rows and
+    are never re-run; pending ones keep their attempt history) and
+    continues under the settings its header recorded — any
+    :class:`~repro.service.policy.CampaignSettings` field given here
+    overrides the recorded value, and ``no_cache=True`` disables the
+    result cache even when the header recorded a ``cache_dir``.  The
+    merged settings are validated (:class:`ValueError`) before the journal
+    is touched.  Returns ``(rows, stats)`` with rows as typed
+    :class:`~repro.campaign.CampaignRow` in the original queue order.
 
     Raises :class:`JournalError` when the journal holds fewer ``queued``
     records than the header's expected variant count: the supervisor
@@ -595,41 +404,33 @@ def resume_campaign(
     from repro.campaign import rows_from_raw
 
     state = read_journal(journal_path)
-    meta = state.meta
+    meta = dict(state.meta)
+    if no_cache:
+        meta.pop("cache_dir", None)
+        overrides.pop("cache_dir", None)
+    settings = CampaignSettings.from_dict(meta, **overrides)
+    try:
+        campaign = replay(state.records)
+    except (IllegalTransition, KeyError, TypeError) as exc:
+        raise JournalError(f"{journal_path}: unusable record ({exc!r})") from exc
     expected = meta.get("variants")
-    if expected is not None and len(state.variants) < expected:
+    if isinstance(expected, int) and len(campaign.jobs) < expected:
         raise JournalError(
-            f"{journal_path}: journal holds {len(state.variants)} of "
+            f"{journal_path}: journal holds {len(campaign.jobs)} of "
             f"{expected} queued variants — the supervisor crashed before "
             "the work list was fully journaled, so the missing variants "
             "cannot be resumed; restart the campaign from its spec"
         )
-
-    def setting(override: Any, key: str, default: Any) -> Any:
-        if override is not None:
-            return override
-        value = meta.get(key)
-        return default if value is None else value
-
-    recorded_backoff = meta.get("backoff")
-    if backoff is None and recorded_backoff is not None:
-        backoff = RetryPolicy.from_dict(recorded_backoff)
-    items = [(v["name"], v["config"]) for v in state.variants]
-    outcome = run_service_campaign(
-        items,
-        processes=setting(processes, "processes", 1),
-        retries=setting(retries, "retries", 0),
-        timeout=setting(timeout, "timeout", None),
-        deadline=setting(deadline, "deadline", None),
-        deadline_grace=setting(deadline_grace, "deadline_grace", 2.0),
-        checkpoint_dir=setting(checkpoint_dir, "checkpoint_dir", None),
-        checkpoint_interval=setting(
-            checkpoint_interval, "checkpoint_interval", 500
-        ),
-        backoff=backoff,
-        journal_path=journal_path,
-        cache_dir=None if no_cache else setting(cache_dir, "cache_dir", None),
-        cache_verify=bool(setting(cache_verify, "cache_verify", False)),
-        resume_state=state,
+    supervisor = _Supervisor(
+        campaign, settings, CampaignJournal.append_to(journal_path)
     )
-    return rows_from_raw(outcome.rows), outcome.stats
+    finished = len(campaign.in_state(JobState.FINISHED))
+    supervisor.commit(
+        {
+            "type": "resumed",
+            "finished": finished,
+            "pending": len(campaign.jobs) - finished,
+        }
+    )
+    rows, stats = supervisor.run()
+    return rows_from_raw(rows), stats

@@ -107,19 +107,12 @@ class TestSweepLintDegrade:
 
 
 class TestDeprecatedKwargs:
-    def test_run_simulation_warns_on_unknown_keywords(self):
+    def test_run_simulation_rejects_unknown_keywords(self):
         from repro.noc.simulator import run_simulation
 
         config = api.load_config(width=3, height=3, messages=30, warmup=5)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = run_simulation(config, legacy_knob=1)
-        assert result.packets_delivered == 30
-        assert any(
-            issubclass(w.category, DeprecationWarning)
-            and "legacy_knob" in str(w.message)
-            for w in caught
-        )
+        with pytest.raises(TypeError, match="legacy_knob"):
+            run_simulation(config, legacy_knob=1)
 
     def test_explicit_keywords_do_not_warn(self):
         from repro.noc.simulator import run_simulation

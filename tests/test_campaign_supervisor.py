@@ -1,4 +1,4 @@
-"""The supervised campaign runner: timeouts, crash isolation, resume.
+"""The campaign runner's supervision: timeouts, crash isolation, resume.
 
 These tests use real worker processes (the supervisor's whole point is
 that SIGKILL-level failures cannot wedge it), so hang detection is
@@ -57,13 +57,13 @@ def _crashing():
 class TestSupervisedBasics:
     def test_clean_run_matches_in_process_runner(self):
         config = _small()
-        [legacy] = run_campaign([("v", config)])
-        [supervised] = run_campaign([("v", config)], timeout=120.0)
-        assert supervised.error is None
-        assert supervised.avg_latency == legacy.avg_latency
-        assert supervised.counters == legacy.counters
-        assert supervised.metadata["attempts"] == 1
-        assert supervised.metadata["resumed_from_cycle"] is None
+        direct = Simulator(config).run()
+        [row] = run_campaign([("v", config)])
+        assert row.error is None
+        assert row.avg_latency == direct.avg_latency
+        assert row.counters == direct.counters
+        assert row.metadata["attempts"] == 1
+        assert row.metadata["resumed_from_cycle"] is None
 
     def test_crashing_variant_isolated(self):
         rows = run_campaign(
@@ -198,27 +198,16 @@ class TestLegacyRetriesFix:
 
 
 class TestAttemptErrors:
-    def test_failed_attempts_recorded_in_order_legacy(self):
+    def test_failed_attempts_recorded_in_order_supervised(self):
         [row] = run_campaign([("bad", _crashing())], retries=2, lint=False)
         errors = row.metadata["attempt_errors"]
         assert len(errors) == 3
         assert all("no_such_pattern" in e for e in errors)
         assert row.error == errors[-1]
 
-    def test_failed_attempts_recorded_in_order_supervised(self):
-        [row] = run_campaign(
-            [("bad", _crashing())], retries=2, timeout=120.0, lint=False
-        )
-        errors = row.metadata["attempt_errors"]
-        assert len(errors) == 3
-        assert all("no_such_pattern" in e for e in errors)
-        assert row.error == errors[-1]
-
     def test_clean_rows_omit_the_key(self):
-        [legacy] = run_campaign([("v", _small())], retries=3)
-        [supervised] = run_campaign([("v", _small())], timeout=120.0)
-        assert "attempt_errors" not in legacy.metadata
-        assert "attempt_errors" not in supervised.metadata
+        [row] = run_campaign([("v", _small())], retries=3)
+        assert "attempt_errors" not in row.metadata
 
 
 class TestCheckpointDiscard:
@@ -262,3 +251,39 @@ class TestCheckpointDiscard:
         assert row.error is None
         assert row.metadata["checkpoint_discarded"]
         assert row.metadata["resumed_from_cycle"] is None
+
+    def test_another_configs_checkpoint_is_not_resumed(self, tmp_path):
+        """Two campaigns, one checkpoint directory: campaign A times out
+        and leaves variant_0000.ckpt behind; campaign B's variant 0 is a
+        different config and must not pick A's state up under its name."""
+        [a] = run_campaign(
+            [("a", _endless())],
+            timeout=1.5,
+            checkpoint_dir=str(tmp_path),
+            checkpoint_interval=25,
+            lint=False,
+        )
+        assert a.error == "timeout"
+        assert (tmp_path / "variant_0000.ckpt").exists()
+        config = _small()
+        golden = Simulator(config).run()
+        cache_dir = tmp_path / "cache"
+        rows, stats = run_campaign(
+            [("b", config)],
+            timeout=30.0,  # resuming A's endless run would never return
+            checkpoint_dir=str(tmp_path),
+            checkpoint_interval=50,
+            cache_dir=str(cache_dir),
+            return_stats=True,
+        )
+        [b] = rows
+        assert b.error is None
+        assert "different config" in b.metadata["checkpoint_discarded"]
+        assert b.metadata["resumed_from_cycle"] is None
+        assert b.packets_delivered == golden.packets_delivered
+        assert b.avg_latency == golden.avg_latency
+        assert stats["checkpoints_discarded"] == 1
+        # ... and what went into the cache under B's key is B's result.
+        [warm] = run_campaign([("b", config)], cache_dir=str(cache_dir))
+        assert warm.metadata["cache_hit"] is True
+        assert warm.packets_delivered == golden.packets_delivered

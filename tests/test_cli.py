@@ -526,7 +526,7 @@ class TestCampaignCommand:
         # Queue a third variant duplicating the (now cached) config, then
         # resume with --no-cache: it must re-run, not hit the cache.
         jpath = os.path.join(camp, "journal.jsonl")
-        config = read_journal(jpath).variants[0]["config"]
+        config = read_journal(jpath).records[0]["config"]  # a's "queued"
         with CampaignJournal.append_to(jpath) as journal:
             journal.append("queued", variant=2, name="c", config=config)
         rc = main(["campaign", "--resume", camp, "--no-cache", "--json"])
@@ -535,7 +535,18 @@ class TestCampaignCommand:
         fresh = env["result"]["rows"][2]
         assert fresh["error"] is None
         assert "cache_hit" not in fresh["metadata"]
-        assert env["result"]["stats"]["cache_hits"] == 0
+        # Stats cover the whole campaign: b's pre-resume hit, none since.
+        assert env["result"]["stats"]["cache_hits"] == 1
+        assert env["result"]["stats"]["attempts"] == 2
+
+    def test_resume_with_zero_processes_exits_2(self, capsys, tmp_path):
+        """--processes 0 used to reach the supervisor unvalidated on the
+        resume path and spin forever waiting for a slot."""
+        camp = str(tmp_path / "camp")
+        assert main(["campaign", self._spec(tmp_path), "--dir", camp]) == 0
+        capsys.readouterr()
+        assert main(["campaign", "--resume", camp, "--processes", "0"]) == 2
+        assert "processes" in capsys.readouterr().err
 
     def test_resume_missing_dir_exits_2(self, capsys, tmp_path):
         rc = main(["campaign", "--resume", str(tmp_path / "nope")])

@@ -8,7 +8,9 @@ inputs are torn, duplicated, corrupted or late.
 """
 
 import json
+import shutil
 import time
+from pathlib import Path
 
 import pytest
 
@@ -24,9 +26,11 @@ from repro.service import (
     cache_key,
     canonical_envelope,
     read_journal,
+    replay,
     result_core,
     resume_campaign,
 )
+from repro.service.machine import JobState
 
 
 def _small(**workload_kw):
@@ -35,6 +39,20 @@ def _small(**workload_kw):
     return SimulationConfig(
         noc=NoCConfig(shape=(3, 3)), workload=WorkloadConfig(**kw)
     )
+
+
+def _crashing():
+    return _small(pattern="no_such_pattern")
+
+
+def _cut_journal(source, target, after):
+    """Copy ``source`` up to and including the first record ``after``
+    accepts — what a supervisor killed at that boundary leaves behind."""
+    lines = Path(source).read_text().splitlines(keepends=True)
+    end = next(
+        i for i, line in enumerate(lines[2:], start=3) if after(json.loads(line))
+    )
+    Path(target).write_text("".join(lines[:end]))
 
 
 def _endless():
@@ -73,10 +91,11 @@ class TestJournal:
         state = read_journal(path)
         assert state.meta["processes"] == 2
         assert not state.torn_tail
-        assert [v["name"] for v in state.variants] == ["v", "w"]
-        assert state.rows == {0: {"error": None}}
-        assert state.attempts == {0: 1}
-        assert [v["variant"] for v in state.unfinished] == [1]
+        campaign = replay(state.records)
+        assert [job.name for job in campaign.jobs] == ["v", "w"]
+        assert campaign.rows == [{"error": None}, None]
+        assert [job.attempts for job in campaign.jobs] == [1, 0]
+        assert [j.index for j in campaign.in_state(JobState.QUEUED)] == [1]
 
     def test_refuses_to_clobber_existing(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -99,7 +118,7 @@ class TestJournal:
         state = read_journal(path)
         assert state.torn_tail
         assert len(state.records) == 1  # the torn record never happened
-        assert state.rows == {}
+        assert replay(state.records).rows == [None]
 
     def test_append_to_repairs_torn_tail(self, tmp_path):
         """Appending after a SIGKILL-torn tail must truncate the torn
@@ -147,12 +166,16 @@ class TestJournal:
         path = tmp_path / "journal.jsonl"
         with CampaignJournal.create(path) as journal:
             journal.append("queued", variant=0, name="v", config={})
+            journal.append("leased", variant=0, attempt=1)
             journal.append("attempt", variant=0, attempt=1, error="timeout")
+            journal.append("leased", variant=0, attempt=2)
             journal.append("attempt", variant=0, attempt=2, error="crash")
+            journal.append("leased", variant=0, attempt=3)
             journal.append("checkpoint_discarded", variant=0, error="torn")
-        state = read_journal(path)
-        assert state.attempt_errors == {0: ["timeout", "crash"]}
-        assert state.discards == {0: "torn"}
+        [job] = replay(read_journal(path).records).jobs
+        assert job.attempt_errors == ["timeout", "crash"]
+        assert job.checkpoint_discarded == "torn"
+        assert (job.attempts, job.state) == (3, JobState.LEASED)
 
 
 class TestCache:
@@ -400,7 +423,7 @@ class TestJournalResume:
         # cleanly and a second resume is a no-op replay.
         state = read_journal(journal_path)
         assert not state.torn_tail
-        assert not state.unfinished
+        assert all(replay(state.records).rows)
         rows, stats = resume_campaign(journal_path)
         assert all(r.error is None for r in rows)
         assert stats["completed"] == 2
@@ -452,11 +475,10 @@ class TestJournalResume:
         rows = run_campaign(
             [("v", _small()), ("w", _small(seed=5))],
             journal_path=journal_path,
-            journal_meta={"operator": "tests"},
         )
         assert all(r.error is None for r in rows)
         state = read_journal(journal_path)
-        assert state.meta["operator"] == "tests"
+        assert state.meta["variants"] == 2
         kinds = [r["type"] for r in state.records]
         assert kinds.count("queued") == 2
         assert kinds.count("leased") == 2
@@ -465,4 +487,127 @@ class TestJournalResume:
         assert state.records[0]["config_sha256"] == cache_key(
             state.records[0]["config"]
         )
-        assert not state.unfinished
+        assert all(replay(state.records).rows)
+
+
+class TestSettings:
+    """One validated settings value for both entry points, recorded in
+    the journal header by the runner itself."""
+
+    def test_resume_validates_overrides(self, tmp_path):
+        journal_path = str(tmp_path / "journal.jsonl")
+        run_campaign([("v", _small())], journal_path=journal_path)
+        before = Path(journal_path).read_bytes()
+        with pytest.raises(ValueError, match="processes"):
+            resume_campaign(journal_path, processes=0)  # used to spin forever
+        with pytest.raises(ValueError, match="retries"):
+            resume_campaign(journal_path, retries=-1)
+        with pytest.raises(TypeError, match="procceses"):
+            resume_campaign(journal_path, procceses=2)
+        assert Path(journal_path).read_bytes() == before  # not even "resumed"
+
+    @pytest.mark.parametrize(
+        "doctored, message",
+        [
+            ({"processes": 0}, "processes"),
+            ({"processes": "many"}, "processes"),
+            ({"timeout": -1.0}, "timeout"),
+            ({"checkpoint_interval": 0}, "checkpoint_interval"),
+            ({"backoff": {"base": -1.0}}, "base"),
+            ({"backoff": {"no_such_knob": 1}}, "backoff"),
+        ],
+    )
+    def test_resume_validates_the_header(self, tmp_path, doctored, message):
+        path = tmp_path / "journal.jsonl"
+        with CampaignJournal.create(path, dict(doctored, variants=1)) as journal:
+            journal.append(
+                "queued", variant=0, name="v", config=config_to_dict(_small())
+            )
+        with pytest.raises(ValueError, match=message):
+            resume_campaign(str(path))
+
+    def test_unusable_records_are_a_journal_error(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        with CampaignJournal.create(path) as journal:
+            journal.append("queued", variant=0, name="v", config={})
+            journal.append("done", variant=0, row={"error": None})
+            journal.append("leased", variant=0, attempt=2)  # after done?
+        with pytest.raises(JournalError, match="unusable record"):
+            resume_campaign(str(path))
+
+    def test_api_journal_resumes_under_its_own_settings_and_whole_stats(
+        self, tmp_path
+    ):
+        """An API-started journal used to record no settings (only the CLI
+        did), so this resume silently ran with retries=0 and no
+        checkpoints — and its stats forgot the pre-cut retry."""
+        from repro import api
+
+        journal_path = tmp_path / "journal.jsonl"
+        policy = RetryPolicy(base=0.01, maximum=0.01, jitter=0.0, seed=5)
+        api.campaign(
+            [("bad", _crashing())],
+            lint=False,
+            retries=2,
+            timeout=60.0,
+            backoff=policy,
+            checkpoint_dir=str(tmp_path / "ckpt"),
+            checkpoint_interval=40,
+            journal_path=str(journal_path),
+        )
+        meta = read_journal(journal_path).meta
+        assert (meta["retries"], meta["timeout"]) == (2, 60.0)
+        assert meta["checkpoint_dir"] == str(tmp_path / "ckpt")
+        assert meta["checkpoint_interval"] == 40
+        assert RetryPolicy.from_dict(meta["backoff"]) == policy
+
+        cut = tmp_path / "cut.jsonl"
+        _cut_journal(journal_path, cut, lambda r: r["type"] == "attempt")
+        [row], stats = resume_campaign(str(cut))  # no keywords at all
+        assert row.failed
+        assert row.metadata["attempts"] == 3  # retries=2 was honoured
+        assert len(row.metadata["attempt_errors"]) == 3
+        # Every counter covers the whole campaign, pre-cut share included.
+        assert (stats["attempts"], stats["retries"]) == (3, 2)
+        assert stats["backoff_total_s"] == pytest.approx(0.02)
+        summary = read_journal(cut).records[-1]
+        assert summary["type"] == "summary" and summary["stats"] == stats
+
+
+class TestParentJournalCompat:
+    FIXTURE = (
+        Path(__file__).parent / "fixtures" / "journals" / "parent_f345f68_cut.jsonl"
+    )
+
+    def test_journal_cut_at_the_parent_commit_resumes_to_golden_rows(
+        self, tmp_path
+    ):
+        """Written by commit f345f68's runner and cut mid-campaign: v0 done,
+        ``bad`` in its retry backoff, v2 leased (orphaned), v3 only queued."""
+        journal_path = tmp_path / "journal.jsonl"
+        shutil.copy(self.FIXTURE, journal_path)
+        campaign = replay(read_journal(journal_path).records)
+        assert [job.state for job in campaign.jobs] == [
+            JobState.FINISHED, JobState.QUEUED, JobState.LEASED, JobState.QUEUED,
+        ]
+        variants = [(job.name, job.config) for job in campaign.jobs]
+
+        rows, stats = resume_campaign(
+            str(journal_path), retries=1, backoff=RetryPolicy.none()
+        )
+        from repro.campaign import campaign_row_to_dict
+        from repro.serialization import config_from_dict
+
+        golden = run_campaign(
+            [(name, config_from_dict(config)) for name, config in variants],
+            lint=False,
+            retries=1,
+            backoff=RetryPolicy.none(),
+        )
+        assert [r.name for r in rows] == ["v0", "bad", "v2", "v3"]
+        assert [result_core(campaign_row_to_dict(r)) for r in rows] == [
+            result_core(campaign_row_to_dict(r)) for r in golden
+        ]
+        assert [r.metadata["attempts"] for r in rows] == [1, 2, 2, 1]
+        assert stats["attempts"] == 6 and stats["retries"] == 1
+        assert (stats["completed"], stats["failed"]) == (3, 1)

@@ -62,14 +62,14 @@ class TestDeprecationWarnings:
             noc = NoCConfig(shape=(6, 4))
             assert (noc.width, noc.height) == (6, 4)
 
-    def test_run_simulation_unknown_kwargs_warn(self):
+    def test_run_simulation_unknown_kwargs_raise(self):
         config = SimulationConfig(
             noc=NoCConfig(shape=(4, 4)),
             workload=WorkloadConfig(
                 injection_rate=0.05, num_messages=20, warmup_messages=5
             ),
         )
-        with pytest.warns(DeprecationWarning, match="no longer forwards"):
+        with pytest.raises(TypeError, match="width"):
             run_simulation(config, width=4)
 
 

@@ -48,6 +48,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.service.cache import canonical_envelope  # noqa: E402
 from repro.service.journal import JournalError, read_journal  # noqa: E402
+from repro.service.machine import JobState, replay  # noqa: E402
 
 #: ~2-3s of simulation per variant locally (several x that on CI runners):
 #: long enough that every injection lands mid-run, short enough for CI.
@@ -272,8 +273,10 @@ def main() -> int:
                       "the drill's workload is too short")
             os.kill(supervisor.pid, signal.SIGKILL)
             supervisor.wait(timeout=30)
-            state = read_journal(journal)
-            done_before = set(state.rows)
+            finished = replay(read_journal(journal).records).in_state(
+                JobState.FINISHED
+            )
+            done_before = {job.index for job in finished}
             if not done_before or len(done_before) >= len(RATES):
                 _fail(
                     f"supervisor killed at the wrong moment: "
