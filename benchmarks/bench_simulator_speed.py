@@ -29,7 +29,7 @@ def test_simulation_idle_mesh_cycles_per_second(benchmark):
 
     The activity-driven loop's best case: nothing is queued, so each step
     only checks the empty active sets.  Compare against the same point with
-    ``activity_driven=False`` (``tools/bench_record.py`` records both) to
+    the reference polling loop (``tools/bench_record.py`` records both) to
     see the fast path's headline speedup.
     """
 

@@ -29,17 +29,12 @@ from repro.config import NoCConfig, SimulationConfig, WorkloadConfig
 from repro.noc.network import Network
 from repro.noc.packet import Packet
 from repro.noc.simulator import Simulator
+from tests.conftest import reference_loop
 
 
-def build_idle_network(
-    activity_driven: bool = True, backend: str = "object"
-) -> Network:
+def build_idle_network(backend: str = "object") -> Network:
     """An 8x8 mesh with no traffic at all."""
-    return Network(
-        SimulationConfig(
-            noc=NoCConfig(), activity_driven=activity_driven, backend=backend
-        )
-    )
+    return Network(SimulationConfig(noc=NoCConfig(), backend=backend))
 
 
 def _enqueue_uniform(net: Network, packets_per_node: int, seed: int = 1) -> None:
@@ -54,25 +49,21 @@ def _enqueue_uniform(net: Network, packets_per_node: int, seed: int = 1) -> None
             pid += 1
 
 
-def build_loaded_network(
-    activity_driven: bool = True, backend: str = "object"
-) -> Network:
+def build_loaded_network(backend: str = "object") -> Network:
     """An 8x8 mesh with two uniform-random packets queued per node."""
-    net = build_idle_network(activity_driven, backend)
+    net = build_idle_network(backend)
     _enqueue_uniform(net, packets_per_node=2)
     return net
 
 
-def build_saturation_network(
-    activity_driven: bool = True, backend: str = "object"
-) -> Network:
+def build_saturation_network(backend: str = "object") -> Network:
     """An 8x8 mesh with deep per-node queues: every router busy throughout.
 
     Twenty 4-flit packets per node keep injection queues non-empty for far
     longer than the measured window, so the activity-driven loop's active
     sets hold all 64 nodes every cycle — its worst case.
     """
-    net = build_idle_network(activity_driven, backend)
+    net = build_idle_network(backend)
     _enqueue_uniform(net, packets_per_node=20)
     return net
 
@@ -103,21 +94,24 @@ def measure_cycles_per_second(
     """Best-of-``rounds`` cycles/second for one (workload, loop, backend)
     point.
 
-    Each round builds a fresh network (measurements start from the same
-    state) and times ``cycles`` steps; best-of defends against scheduler
-    noise the same way pytest-benchmark's ``min`` column does.  These
-    workloads are fault-free, so ``backend="batched"`` runs the
-    struct-of-arrays kernel (``repro.noc.kernel``) rather than falling
-    back.
+    ``activity_driven=False`` times the reference polling loop, swapped in
+    by the same ``reference_loop`` helper the equivalence suites use (the
+    package has no switch for it).  Each round builds a fresh network
+    (measurements start from the same state) and times ``cycles`` steps;
+    best-of defends against scheduler noise the same way
+    pytest-benchmark's ``min`` column does.  These workloads are
+    fault-free, so ``backend="batched"`` runs the struct-of-arrays kernel
+    (``repro.noc.kernel``) rather than falling back.
     """
     n = cycles if cycles is not None else DEFAULT_CYCLES[workload]
     builder = WORKLOADS[workload]
     best = float("inf")
     for _ in range(rounds):
-        net = builder(activity_driven, backend)
-        t0 = time.perf_counter()
-        run_cycles(net, n)
-        best = min(best, time.perf_counter() - t0)
+        net = builder(backend)
+        with reference_loop(not activity_driven):
+            t0 = time.perf_counter()
+            run_cycles(net, n)
+            best = min(best, time.perf_counter() - t0)
     return n / best
 
 

@@ -17,7 +17,7 @@ from repro.types import Corruption
 
 
 def main() -> None:
-    net = Network(SimulationConfig(noc=NoCConfig(width=4, height=2, num_vcs=1)))
+    net = Network(SimulationConfig(noc=NoCConfig(shape=(4, 2), num_vcs=1)))
 
     # Deterministically corrupt the 3rd inter-router flit traversal (the
     # header's second hop).

@@ -12,7 +12,7 @@ Quickstart — the :mod:`repro.api` facade is the stable entry point::
 
     from repro import api
 
-    result = api.run(api.load_config(width=4, height=4, messages=500))
+    result = api.run(api.load_config(shape="4x4", messages=500))
     print(result.summary_lines())
 
 See ``DESIGN.md`` for the architecture and ``EXPERIMENTS.md`` for the

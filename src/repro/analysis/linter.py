@@ -28,7 +28,11 @@ from repro.analysis.rules import LintContext, run_rules
 from repro.config import SimulationConfig
 from repro.noc.routing import resolve_routing_function
 from repro.noc.topology import make_topology
-from repro.serialization import config_from_dict, config_to_dict
+from repro.serialization import (
+    config_from_dict,
+    config_to_dict,
+    upgrade_config_dict,
+)
 from repro.types import RoutingAlgorithm
 
 #: (topology name, shape, routing value, permanent schedule) -> verdict.
@@ -124,7 +128,8 @@ def lint_dict(
             # Construction-time advisories (e.g. the Eq. 1 warning) would be
             # duplicates here: the rules report them with ids and hints.
             warnings.simplefilter("ignore")
-            config = config_from_dict(dict(data))
+            data = upgrade_config_dict(data)
+            config = config_from_dict(data)
     except (ValueError, TypeError, KeyError) as exc:
         failure = Diagnostic(
             rule_id="NOC000",

@@ -316,10 +316,12 @@ def _noc008_torus_xy(ctx: LintContext) -> Iterable[Diagnostic]:
         return
     if ctx.noc("routing") != "xy":
         return
-    shape = ctx.noc("shape")
-    if not isinstance(shape, (list, tuple)):
-        shape = (ctx.noc("width", 8), ctx.noc("height", 8))
-    if all(isinstance(d, int) for d in shape) and max(shape) < 4:
+    shape = ctx.noc("shape", (8, 8))
+    if (
+        isinstance(shape, (list, tuple))
+        and all(isinstance(d, int) for d in shape)
+        and max(shape) < 4
+    ):
         # Rings of 3 route every hop directly to a neighbour (shortest-path
         # wraparound), so no same-direction channel chain — hence no wrap
         # cycle — can form; the CDG pass confirms this is deadlock-free.

@@ -70,6 +70,7 @@ from repro.noc.topology import (
     TorusTopology,
     make_topology,
 )
+from repro.serialization import config_to_dict
 from repro.types import Direction, FlitType, RoutingAlgorithm
 
 #: An ordered (src, dst) pair of node ids.
@@ -727,24 +728,15 @@ def certify_config(
         num_vcs=noc.num_vcs,
         expected_pairs=expected,
     )
+    noc_dict = config_to_dict(config)["noc"]
     platform: Dict[str, object] = {
         "topology": noc.topology,
+        "shape": noc_dict["shape"],
+        "link_latency": noc_dict["link_latency"],
         "routing": noc.routing.value,
         "num_vcs": noc.num_vcs,
         "permanent_faults": config.faults.permanent.to_dicts(),
     }
-    # Same normalization as the config serializer: plain 2D unit-latency
-    # platforms keep the historical width/height keys (so the committed
-    # CERT artifact stays byte-stable); generalized platforms carry shape
-    # (and link_latency).
-    if noc.ndim == 2 and noc.max_link_latency == 1:
-        platform["width"], platform["height"] = noc.shape
-    else:
-        platform["shape"] = list(noc.shape)
-        latency = noc.link_latency
-        platform["link_latency"] = (
-            latency if isinstance(latency, int) else list(latency)
-        )
     entry: Dict[str, object] = {
         "platform": platform,
         "routing": cert.to_dict(),

@@ -25,7 +25,7 @@ type-annotate and introspect without reaching into internal modules::
 
     from repro import api
 
-    config = api.load_config(width=4, height=4, telemetry=True)
+    config = api.load_config(shape="4x4", telemetry=True)
     result = api.run(config)
     print(result.telemetry.summary())
 
@@ -88,6 +88,7 @@ from repro.serialization import (
     envelope,
     result_from_dict,
     result_to_dict,
+    upgrade_config_dict,
 )
 from repro.service import (
     ResultCache,
@@ -165,19 +166,18 @@ def load_config(source: Optional[ConfigLike] = None, **overrides: Any) -> Simula
     ``source`` may be an existing config (returned as-is unless overridden),
     a serialized dict, a path to a JSON config file, or a JSON string.
     Keyword overrides use the flat names scripts actually vary:
-    ``shape, width, height, link_latency, vcs, routing, scheme, rate,
-    messages, warmup, seed, max_cycles, pattern, link_error_rate,
-    telemetry, metrics_interval`` — any :class:`NoCConfig`/
-    :class:`WorkloadConfig` field name also works.  ``shape`` accepts a
-    tuple or the CLI's ``"4x4x4"`` grammar and selects the topology axis
-    count; ``link_latency`` accepts an int, a per-axis tuple, or
-    ``"1,1,2"``.
+    ``shape, link_latency, vcs, routing, scheme, rate, messages, warmup,
+    seed, max_cycles, pattern, link_error_rate, telemetry,
+    metrics_interval`` — any :class:`NoCConfig`/:class:`WorkloadConfig`
+    field name also works.  ``shape`` accepts a tuple or the CLI's
+    ``"4x4x4"`` grammar; ``link_latency`` accepts an int, a per-axis
+    tuple, or ``"1,1,2"``.
 
     ``telemetry`` accepts a :class:`TelemetryConfig`, a dict, or ``True``
     (enable with defaults); ``faults`` accepts a :class:`FaultConfig` or a
     serialized faults dict.
     """
-    data = _source_to_dict(source)
+    data = upgrade_config_dict(_source_to_dict(source))
     _apply_overrides(data, overrides)
     return config_from_dict(data)
 
@@ -239,28 +239,15 @@ def _apply_overrides(data: Dict[str, Any], overrides: Dict[str, Any]) -> None:
             section, name = _ALIASES[key]
             data.setdefault(section, {})[name] = value
         elif key == "shape":
-            # Accepts a tuple/list or the CLI's "4x4x4" grammar; wins over
-            # any width/height keys already in the serialized form.
-            data.setdefault("noc", {})["shape"] = list(parse_shape(value))
+            data.setdefault("noc", {})["shape"] = parse_shape(value)
         elif key == "link_latency":
-            latency = parse_link_latency(value)
-            data.setdefault("noc", {})["link_latency"] = (
-                latency if isinstance(latency, int) else list(latency)
-            )
-        elif key in ("width", "height"):
-            # Legacy per-axis overrides (still the common 2D spelling).
-            noc = data.setdefault("noc", {})
-            if "shape" in noc:
-                noc["shape"][0 if key == "width" else 1] = value
-            else:
-                noc[key] = value
+            data.setdefault("noc", {})["link_latency"] = parse_link_latency(value)
         elif key in _NOC_FIELDS:
             data.setdefault("noc", {})[key] = value
         elif key in _WORKLOAD_FIELDS:
             data.setdefault("workload", {})[key] = value
         elif key in (
             "invariant_checks",
-            "activity_driven",
             "backend",
             "collect_power",
             "collect_utilization",
@@ -270,13 +257,10 @@ def _apply_overrides(data: Dict[str, Any], overrides: Dict[str, Any]) -> None:
         ):
             data[key] = value
         else:
-            raise TypeError(f"load_config() got an unknown override {key!r}")
-    if "shape" in overrides and "topology" not in overrides:
-        # Match the CLI grammar: the axis count selects the topology family
-        # unless the caller pinned one explicitly.
-        noc = data.setdefault("noc", {})
-        base = noc.get("topology", "mesh").replace("3d", "")
-        noc["topology"] = base + ("3d" if len(noc["shape"]) == 3 else "")
+            raise TypeError(
+                f"load_config() got an unknown override {key!r} (mesh "
+                "extents are shape=; the docstring lists the other names)"
+            )
 
 
 def run(
@@ -398,8 +382,8 @@ def verify(
 def degrade(**kwargs: Any) -> List[DegradationPoint]:
     """Run the graceful-degradation campaign (progressive random link
     kills); see :func:`repro.experiments.degradation.run_degradation` for
-    the keyword surface (width, height, max_kills, injection_rate,
-    routing, ...)."""
+    the keyword surface (shape, max_kills, injection_rate, routing,
+    ...)."""
     return run_degradation(**kwargs)
 
 

@@ -51,37 +51,29 @@ def _add_shape_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--shape",
         metavar="WxH[xD]",
+        default="8x8",
         help="mesh extents, e.g. 8x8 or 4x4x4 (a third axis selects the "
         "3D topology with vertical TSV links)",
     )
     parser.add_argument(
-        "--width", type=int, default=8, help="deprecated alias: use --shape"
-    )
-    parser.add_argument(
-        "--height", type=int, default=8, help="deprecated alias: use --shape"
-    )
-    parser.add_argument(
         "--link-latency",
         metavar="L[,L,L]",
+        default="1",
         help="cycles per link traversal, uniform (e.g. 1) or per axis "
         "(e.g. 1,1,2 for 2-cycle vertical TSVs)",
     )
 
 
-def _parse_shape_args(
-    args: argparse.Namespace,
-) -> "tuple[Optional[tuple], Optional[Any]]":
-    """Resolve ``--shape``/``--link-latency``, exiting 2 on bad grammar."""
-    shape = latency = None
+def _parse_shape_args(args: argparse.Namespace) -> "tuple[List[int], Any]":
+    """Resolve ``--shape``/``--link-latency`` into their serialized forms
+    (a list; an int or a per-axis list), exiting 2 on bad grammar."""
     try:
-        if getattr(args, "shape", None):
-            shape = parse_shape(args.shape)
-        if getattr(args, "link_latency", None):
-            latency = parse_link_latency(args.link_latency)
+        shape = parse_shape(args.shape)
+        latency = parse_link_latency(args.link_latency)
     except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
-    return shape, latency
+    return list(shape), latency if isinstance(latency, int) else list(latency)
 
 
 def _add_platform_flags(parser: argparse.ArgumentParser) -> None:
@@ -254,23 +246,11 @@ def _platform_dict(args: argparse.Namespace) -> Dict[str, Any]:
         if value:
             rates[site.value] = value
     shape, link_latency = _parse_shape_args(args)
-    topology = "torus" if args.torus else "mesh"
-    if shape is not None:
-        geometry: Dict[str, Any] = {"shape": list(shape)}
-        if len(shape) == 3:
-            topology += "3d"
-    else:
-        geometry = {"width": args.width, "height": args.height}
-    if link_latency is not None:
-        geometry["link_latency"] = (
-            link_latency
-            if isinstance(link_latency, int)
-            else list(link_latency)
-        )
     out: Dict[str, Any] = {
         "noc": {
-            **geometry,
-            "topology": topology,
+            "shape": shape,
+            "link_latency": link_latency,
+            "topology": "torus" if args.torus else "mesh",
             "num_vcs": args.vcs,
             "vc_buffer_depth": args.buffer_depth,
             "flits_per_packet": args.flits,
@@ -798,10 +778,7 @@ def _print_verify_entry(entry: Dict[str, Any]) -> None:
     routing = entry["routing"]
     faults = len(platform["permanent_faults"])
     degraded = f", {faults} permanent faults applied" if faults else ""
-    if "shape" in platform:
-        dims = "x".join(str(d) for d in platform["shape"])
-    else:
-        dims = f"{platform['width']}x{platform['height']}"
+    dims = "x".join(str(d) for d in platform["shape"])
     print(
         f"{entry.get('name', '<config>')}: {dims} "
         f"{platform['topology']}, "
@@ -1019,7 +996,7 @@ def _cmd_degrade(args: argparse.Namespace) -> int:
     if args.burst:
         return _cmd_degrade_burst(args)
     shape, link_latency = _parse_shape_args(args)
-    if args.kill_pillars and (shape is None or len(shape) != 3):
+    if args.kill_pillars and len(shape) != 3:
         print(
             "error: --kill-pillars needs a 3-axis --shape (e.g. 4x4x4)",
             file=sys.stderr,
@@ -1027,16 +1004,14 @@ def _cmd_degrade(args: argparse.Namespace) -> int:
         return 2
     try:
         points = run_degradation(
-            width=args.width,
-            height=args.height,
+            shape=shape,
+            link_latency=link_latency,
             max_kills=args.kills,
             injection_rate=args.rate,
             inject_cycles=args.inject_cycles,
             seed=args.seed,
             invariant_checks=args.invariant_checks,
             routing=RoutingAlgorithm(args.routing),
-            shape=shape,
-            link_latency=link_latency if link_latency is not None else 1,
             kill_pillars=args.kill_pillars,
         )
     except ValueError as exc:
@@ -1046,24 +1021,15 @@ def _cmd_degrade(args: argparse.Namespace) -> int:
         from repro.serialization import envelope
 
         campaign = {
-            "width": args.width,
-            "height": args.height,
+            "shape": shape,
+            "link_latency": link_latency,
+            "kill_pillars": args.kill_pillars,
             "max_kills": args.kills,
             "injection_rate": args.rate,
             "inject_cycles": args.inject_cycles,
             "seed": args.seed,
             "routing": args.routing,
         }
-        if shape is not None:
-            campaign["shape"] = list(shape)
-            campaign["width"], campaign["height"] = shape[0], shape[1]
-            campaign["kill_pillars"] = args.kill_pillars
-        if link_latency is not None:
-            campaign["link_latency"] = (
-                link_latency
-                if isinstance(link_latency, int)
-                else list(link_latency)
-            )
         print(
             json.dumps(
                 envelope(
@@ -1086,11 +1052,7 @@ def _cmd_degrade(args: argparse.Namespace) -> int:
         ]
         for p in points
     ]
-    dims = (
-        "x".join(str(d) for d in shape)
-        if shape is not None
-        else f"{args.width}x{args.height}"
-    )
+    dims = "x".join(str(d) for d in shape)
     unit = "dead pillars" if args.kill_pillars else "dead links"
     print(
         render_comparison_table(
@@ -1133,8 +1095,6 @@ def _cmd_degrade_burst(args: argparse.Namespace) -> int:
     wear_thresholds.extend(args.wear_thresholds)
     shape, _ = _parse_shape_args(args)
     points = run_burst_degradation(
-        width=args.width,
-        height=args.height,
         shape=shape,
         burst_rates=args.burst_rates,
         wear_thresholds=wear_thresholds,
@@ -1149,14 +1109,8 @@ def _cmd_degrade_burst(args: argparse.Namespace) -> int:
         from repro.serialization import envelope
 
         campaign = {
-            "width": args.width,
-            "height": args.height,
+            "shape": shape,
             "burst_rates": list(args.burst_rates),
-        }
-        if shape is not None:
-            campaign["shape"] = list(shape)
-            campaign["width"], campaign["height"] = shape[0], shape[1]
-        campaign |= {
             "wear_thresholds": wear_thresholds,
             "burst_sites": args.burst_sites,
             "injection_rate": args.rate,
@@ -1176,11 +1130,7 @@ def _cmd_degrade_burst(args: argparse.Namespace) -> int:
             )
         )
         return 0
-    dims = (
-        "x".join(str(d) for d in shape)
-        if shape is not None
-        else f"{args.width}x{args.height}"
-    )
+    dims = "x".join(str(d) for d in shape)
     rows = [
         [
             f"{p.burst_rate:.2f}",
@@ -1231,17 +1181,25 @@ def _campaign_variants(data: Dict[str, Any]) -> List[Any]:
     :class:`SimulationConfig`, so a spec only states what it varies.
     """
     from repro.campaign import grid
-    from repro.serialization import config_from_dict, config_to_dict
+    from repro.serialization import (
+        config_from_dict,
+        config_to_dict,
+        upgrade_config_dict,
+    )
 
     defaults = config_to_dict(SimulationConfig())
+
+    def overlay(fragment: Dict[str, Any]) -> SimulationConfig:
+        # Upgraded before the merge: a legacy-spelled fragment laid over
+        # the canonical defaults would otherwise read as both spellings.
+        return config_from_dict(
+            _deep_merge(defaults, upgrade_config_dict(fragment))
+        )
+
     if "variants" in data:
-        return [
-            (v["name"], config_from_dict(_deep_merge(defaults, v["config"])))
-            for v in data["variants"]
-        ]
+        return [(v["name"], overlay(v["config"])) for v in data["variants"]]
     if "axes" in data:
-        base = config_from_dict(_deep_merge(defaults, data.get("base", {})))
-        return grid(data["axes"], base)
+        return grid(data["axes"], overlay(data.get("base", {})))
     raise ValueError("campaign spec needs an 'axes' or 'variants' key")
 
 
@@ -1368,24 +1326,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.noc.simulator import run_simulation
 
     shape, link_latency = _parse_shape_args(args)
-    noc_kwargs: Dict[str, Any] = {}
-    if shape is not None:
-        noc_kwargs["shape"] = shape
-        if len(shape) == 3:
-            noc_kwargs["topology"] = "mesh3d"
-    if link_latency is not None:
-        noc_kwargs["link_latency"] = link_latency
-        max_latency = (
-            link_latency
-            if isinstance(link_latency, int)
-            else max(link_latency)
-        )
-        noc_kwargs["retx_buffer_depth"] = max(3, 2 * max_latency + 1)
+    max_latency = link_latency if isinstance(link_latency, int) else max(link_latency)
+    noc = NoCConfig(
+        shape=shape,
+        link_latency=link_latency,
+        retx_buffer_depth=max(3, 2 * max_latency + 1),
+        routing=RoutingAlgorithm(args.routing),
+    )
     latencies = []
     points: List[Dict[str, Any]] = []
     for rate in args.rates:
         config = SimulationConfig(
-            noc=NoCConfig(routing=RoutingAlgorithm(args.routing), **noc_kwargs),
+            noc=noc,
             workload=WorkloadConfig(
                 injection_rate=rate,
                 num_messages=args.messages,
@@ -1408,15 +1360,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "routing": args.routing,
             "messages": args.messages,
             "rates": list(args.rates),
+            "shape": shape,
+            "link_latency": link_latency,
         }
-        if shape is not None:
-            sweep_config["shape"] = list(shape)
-        if link_latency is not None:
-            sweep_config["link_latency"] = (
-                link_latency
-                if isinstance(link_latency, int)
-                else list(link_latency)
-            )
         print(
             json.dumps(
                 envelope("sweep", points, config=sweep_config),

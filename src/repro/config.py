@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from repro.faults.intermittent import IntermittentFaultSchedule, WearOutConfig
@@ -77,24 +77,6 @@ def parse_link_latency(value: Union[str, int, Sequence[int]]) -> LatencySpec:
     raise TypeError(f"cannot interpret {value!r} as a link latency")
 
 
-def _deprecated_dims_to_shape(
-    shape: Sequence[int], width: Optional[int], height: Optional[int]
-) -> Tuple[int, ...]:
-    """Fold deprecated ``width=``/``height=`` kwargs into a shape tuple."""
-    warnings.warn(
-        "width=/height= are deprecated; pass shape=(width, height) "
-        "(docs/TOPOLOGY.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    dims = list(shape)
-    if width is not None:
-        dims[0] = int(width)
-    if height is not None:
-        dims[1] = int(height)
-    return tuple(dims)
-
-
 @dataclass(frozen=True)
 class NoCConfig:
     """Static parameters of the simulated network.
@@ -103,19 +85,19 @@ class NoCConfig:
     ----------
     shape:
         Mesh dimensions per axis, x first (the paper uses ``(8, 8)``; a 3D
-        many-core stack is e.g. ``(4, 4, 4)``).  The deprecated ``width=``/
-        ``height=`` keyword aliases still work and override the matching
-        axis.
+        many-core stack is e.g. ``(4, 4, 4)``).
     topology:
         ``"mesh"`` (the paper's platform) or ``"torus"`` (extension: adds
         wraparound links; dimension-ordered routing then has cyclic channel
         dependencies across the wrap links, so pair it with
         ``deadlock_recovery_enabled`` — the recovery scheme substitutes for
-        dateline VC classes).  ``"mesh3d"``/``"torus3d"`` name the same
-        structures with a required 3-axis shape.
+        dateline VC classes).  A 3-axis shape is stored under the
+        ``"mesh3d"``/``"torus3d"`` name whichever of the two was passed;
+        the ``3d`` names with a 2-axis shape are rejected.
     link_latency:
         Cycles per link traversal: an int applies uniformly, a per-axis
-        tuple models slower vertical TSV hops (e.g. ``(1, 1, 2)``).
+        tuple models slower vertical TSV hops (e.g. ``(1, 1, 2)``).  A
+        uniform tuple is stored as its int.
     num_vcs:
         Virtual channels per physical channel (paper: 3).
     vc_buffer_depth:
@@ -174,15 +156,11 @@ class NoCConfig:
     max_nack_retries: int = 8
     flit_width_bits: int = 64
     link_latency: LatencySpec = 1
-    width: InitVar[Optional[int]] = None
-    height: InitVar[Optional[int]] = None
 
-    def __post_init__(
-        self, width: Optional[int] = None, height: Optional[int] = None
-    ) -> None:
+    def __post_init__(self) -> None:
+        # Equal platforms are equal objects: shape and latency tuples, the
+        # topology name and a uniform latency each have one stored form.
         shape = tuple(int(d) for d in self.shape)
-        if width is not None or height is not None:
-            shape = _deprecated_dims_to_shape(shape, width, height)
         object.__setattr__(self, "shape", shape)
         if len(shape) not in (2, 3):
             raise ValueError(
@@ -198,6 +176,8 @@ class NoCConfig:
             raise ValueError(
                 f"topology '{self.topology}' needs a 3-axis shape, got {shape}"
             )
+        if len(shape) == 3 and not self.topology.endswith("3d"):
+            object.__setattr__(self, "topology", self.topology + "3d")
         if self.is_torus and any(d < 3 for d in shape):
             raise ValueError(
                 "a torus needs at least 3 nodes per dimension (smaller wrap "
@@ -206,12 +186,14 @@ class NoCConfig:
         latency = self.link_latency
         if not isinstance(latency, int):
             latency = tuple(int(v) for v in latency)
-            object.__setattr__(self, "link_latency", latency)
             if len(latency) != len(shape):
                 raise ValueError(
                     f"link_latency needs one entry per axis ({len(shape)}), "
                     f"got {len(latency)}"
                 )
+            if len(set(latency)) == 1:
+                latency = latency[0]
+            object.__setattr__(self, "link_latency", latency)
         latencies = (latency,) * len(shape) if isinstance(latency, int) else latency
         if any(v < 1 for v in latencies):
             raise ValueError("link latencies must be >= 1 cycle")
@@ -242,8 +224,6 @@ class NoCConfig:
             # than a rejection so ablations can still model the broken
             # configuration deliberately; `repro lint` reports the same
             # condition as the hard error NOC001.
-            import warnings
-
             warnings.warn(
                 "NOC001: deadlock recovery is enabled but the Eq. 1 buffer "
                 f"bound is violated (T={self.vc_buffer_depth}, "
@@ -310,30 +290,6 @@ class NoCConfig:
             transmission_depths=[self.vc_buffer_depth] * n,
             retransmission_depths=[self.retx_buffer_depth] * n,
         )
-
-
-def _finalize_dim_accessors(cls: type) -> None:
-    """Turn the deprecated ``width``/``height`` InitVars into read-only
-    accessors derived from ``shape``.
-
-    The InitVar entries are dropped from ``__dataclass_fields__`` so
-    :func:`dataclasses.replace` never re-feeds them through the
-    constructor (which would re-trigger the deprecation path on every
-    ``config.replace(...)``); reading ``noc.width`` stays supported —
-    only the constructor *kwargs* are deprecated.
-    """
-    fields_map = dict(cls.__dataclass_fields__)
-    fields_map.pop("width", None)
-    fields_map.pop("height", None)
-    cls.__dataclass_fields__ = fields_map  # type: ignore[attr-defined]
-    cls.width = property(lambda self: self.shape[0])  # type: ignore[attr-defined]
-    cls.height = property(lambda self: self.shape[1])  # type: ignore[attr-defined]
-    cls.depth = property(  # type: ignore[attr-defined]
-        lambda self: self.shape[2] if len(self.shape) > 2 else 1
-    )
-
-
-_finalize_dim_accessors(NoCConfig)
 
 
 @dataclass(frozen=True)
@@ -480,15 +436,6 @@ class SimulationConfig:
     ``metrics_interval`` cycles.  Disabled (the default) the network carries
     no bus at all and the cycle loops pay a single ``None`` check per cycle.
 
-    ``activity_driven`` selects the activity-driven cycle loop: the network
-    maintains explicit active sets (routers with buffered flits or pending
-    output, links with in-flight traffic, interfaces with queued packets)
-    and skips idle components instead of polling all of them every cycle.
-    The two loops are bit-for-bit equivalent (see
-    ``docs/PERFORMANCE.md`` and ``tests/noc/test_fast_path_equivalence.py``);
-    the flag exists so equivalence can be re-validated after changes to the
-    hot path and so regressions can be bisected to the scheduling layer.
-
     ``backend`` selects the state representation the cycle loop runs on.
     ``"object"`` (the default) is the per-flit object model described in
     ``docs/ARCHITECTURE.md``; ``"batched"`` requests the struct-of-arrays
@@ -498,11 +445,9 @@ class SimulationConfig:
     fault-free common case; configurations outside its domain (transient
     fault rates, permanent schedules, E2E protection, source routing,
     deadlock recovery, payload ECC, invariant checks) silently fall back to
-    the object model selected by ``activity_driven``, so results are always
-    bit-for-bit identical across backends (``docs/KERNEL.md``,
-    ``tests/noc/test_fast_path_equivalence.py``).  ``backend`` is
-    orthogonal to ``activity_driven``: the latter only chooses *which
-    object loop* runs when the kernel is not engaged.
+    the object model, so results are always bit-for-bit identical across
+    backends (``docs/KERNEL.md``,
+    ``tests/noc/test_fast_path_equivalence.py``).
 
     ``checkpoint_interval`` / ``checkpoint_path`` enable periodic crash-safe
     checkpointing (:mod:`repro.checkpoint`): every ``checkpoint_interval``
@@ -521,42 +466,12 @@ class SimulationConfig:
     collect_utilization: bool = False
     payload_ecc_check: bool = False
     invariant_checks: bool = False
-    activity_driven: bool = True
     backend: str = "object"
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
     checkpoint_interval: Optional[int] = None
     checkpoint_path: Optional[str] = None
-    #: Platform conveniences: ``SimulationConfig(shape=(4, 4, 4),
-    #: topology="mesh3d")`` rewrites the nested ``noc`` block without the
-    #: caller spelling out a NoCConfig.  ``width=``/``height=`` are the
-    #: deprecated 2D aliases.
-    shape: InitVar[Optional[Tuple[int, ...]]] = None
-    topology: InitVar[Optional[str]] = None
-    link_latency: InitVar[Optional[LatencySpec]] = None
-    width: InitVar[Optional[int]] = None
-    height: InitVar[Optional[int]] = None
 
-    def __post_init__(
-        self,
-        shape: Optional[Tuple[int, ...]] = None,
-        topology: Optional[str] = None,
-        link_latency: Optional[LatencySpec] = None,
-        width: Optional[int] = None,
-        height: Optional[int] = None,
-    ) -> None:
-        if width is not None or height is not None:
-            shape = _deprecated_dims_to_shape(
-                shape if shape is not None else self.noc.shape, width, height
-            )
-        changes: dict = {}
-        if shape is not None:
-            changes["shape"] = tuple(shape)
-        if topology is not None:
-            changes["topology"] = topology
-        if link_latency is not None:
-            changes["link_latency"] = link_latency
-        if changes:
-            object.__setattr__(self, "noc", self.noc.replace(**changes))
+    def __post_init__(self) -> None:
         if self.backend not in ("object", "batched"):
             raise ValueError("backend must be 'object' or 'batched'")
         if self.checkpoint_interval is not None and self.checkpoint_interval < 1:
@@ -568,21 +483,6 @@ class SimulationConfig:
 
     def replace(self, **changes: object) -> "SimulationConfig":
         return dataclasses.replace(self, **changes)  # type: ignore[arg-type]
-
-
-def _drop_initvars(cls: type, *names: str) -> None:
-    """Remove convenience InitVars from ``__dataclass_fields__`` so
-    :func:`dataclasses.replace` does not re-feed them (they are pure
-    constructor sugar; ``replace`` operates on the stored ``noc`` block)."""
-    fields_map = dict(cls.__dataclass_fields__)
-    for name in names:
-        fields_map.pop(name, None)
-    cls.__dataclass_fields__ = fields_map  # type: ignore[attr-defined]
-
-
-_drop_initvars(
-    SimulationConfig, "shape", "topology", "link_latency", "width", "height"
-)
 
 
 #: Paper's published synthesis results for the generic 5-port router with 4

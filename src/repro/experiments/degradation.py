@@ -35,7 +35,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.config import (
     FaultConfig,
@@ -74,18 +74,9 @@ class DegradationPoint:
     hit_cycle_limit: bool
 
 
-def mesh_links(
-    width: Optional[int] = None,
-    height: Optional[int] = None,
-    *,
-    shape: Optional[Sequence[int]] = None,
-) -> List[Tuple[int, Direction]]:
+def mesh_links(shape: Sequence[int]) -> List[Tuple[int, Direction]]:
     """Every unidirectional inter-router link of a mesh (any dimension)."""
-    topology = (
-        MeshTopology(shape=tuple(shape))
-        if shape is not None
-        else MeshTopology(width, height)
-    )
+    topology = MeshTopology(shape=tuple(shape))
     return [
         (node, direction)
         for node in topology.nodes()
@@ -186,8 +177,7 @@ def _run_level(
 
 
 def run_degradation(
-    width: int = 8,
-    height: int = 8,
+    shape: Union[str, Sequence[int]] = (8, 8),
     max_kills: int = 8,
     injection_rate: float = 0.1,
     inject_cycles: int = 1500,
@@ -195,7 +185,6 @@ def run_degradation(
     seed: int = 17,
     invariant_checks: bool = False,
     routing: RoutingAlgorithm = RoutingAlgorithm.FT_TABLE,
-    shape: Optional[Sequence[int]] = None,
     link_latency: LatencySpec = 1,
     kill_pillars: bool = False,
 ) -> List[DegradationPoint]:
@@ -207,24 +196,23 @@ def run_degradation(
     reconfiguration, and ``reachable_fraction`` reports 1.0 since no
     tables exist to consult.
 
-    ``shape`` generalizes the platform beyond ``width x height`` (pass
-    e.g. ``(4, 4, 4)`` or ``"4x4x4"`` for a 3D stack); ``link_latency``
-    slows chosen axes (``(1, 1, 2)`` models 2-cycle TSVs — the
-    retransmission depth is deepened automatically to keep the HBH NACK
-    window sound).  ``kill_pillars`` switches the kill unit from single
+    ``shape`` is the mesh (``(4, 4, 4)`` or ``"4x4x4"`` is a 3D stack);
+    ``link_latency`` slows chosen axes (``(1, 1, 2)`` models 2-cycle TSVs
+    — the retransmission depth is deepened automatically to keep the HBH
+    NACK window sound).  ``kill_pillars`` switches the kill unit from single
     links to whole TSV pillars: each level severs every vertical link of
     one more ``(x, y)`` column (3D shapes only).
     """
     if max_kills < 0:
         raise ValueError("max_kills must be non-negative")
-    resolved = parse_shape(shape) if shape is not None else (width, height)
+    resolved = parse_shape(shape)
     latency = parse_link_latency(link_latency)
     max_latency = latency if isinstance(latency, int) else max(latency)
     if kill_pillars:
         kill_order = pillar_groups(resolved)
         unit = "pillars"
     else:
-        kill_order = [[link] for link in mesh_links(shape=resolved)]
+        kill_order = [[link] for link in mesh_links(resolved)]
         unit = "links"
     random.Random(seed).shuffle(kill_order)
     if max_kills > len(kill_order):
@@ -240,7 +228,6 @@ def run_degradation(
         config = SimulationConfig(
             noc=NoCConfig(
                 shape=resolved,
-                topology="mesh" if len(resolved) == 2 else "mesh3d",
                 routing=routing,
                 link_latency=latency,
                 retx_buffer_depth=max(3, 2 * max_latency + 1),
@@ -310,16 +297,11 @@ class BurstDegradationPoint:
 
 
 def burst_sites(
-    width: Optional[int] = None,
-    height: Optional[int] = None,
-    num_sites: int = 6,
-    seed: int = 17,
-    *,
-    shape: Optional[Sequence[int]] = None,
+    shape: Sequence[int], num_sites: int = 6, seed: int = 17
 ) -> List[Tuple[int, Direction]]:
     """The seeded set of links a burst sweep stresses (fixed across cells
     so the sweep varies intensity, not geography)."""
-    links = mesh_links(width, height, shape=shape)
+    links = mesh_links(shape)
     if num_sites > len(links):
         raise ValueError(
             f"cannot stress {num_sites} sites; the mesh only has {len(links)}"
@@ -329,8 +311,7 @@ def burst_sites(
 
 
 def run_burst_degradation(
-    width: int = 8,
-    height: int = 8,
+    shape: Union[str, Sequence[int]] = (8, 8),
     burst_rates: Sequence[float] = (0.0, 0.1, 0.3, 0.6),
     wear_thresholds: Sequence[Optional[float]] = (None, 200.0, 50.0),
     num_sites: int = 6,
@@ -342,7 +323,6 @@ def run_burst_degradation(
     seed: int = 17,
     invariant_checks: bool = False,
     routing: RoutingAlgorithm = RoutingAlgorithm.FT_TABLE,
-    shape: Optional[Sequence[int]] = None,
 ) -> List[BurstDegradationPoint]:
     """Sweep burst intensity x wear rate over a fixed set of stressed links.
 
@@ -352,8 +332,8 @@ def run_burst_degradation(
     ``burst_rate == 0`` column is the healthy baseline the latency
     inflation normalizes against.
     """
-    resolved = parse_shape(shape) if shape is not None else (width, height)
-    sites = burst_sites(num_sites=num_sites, seed=seed, shape=resolved)
+    resolved = parse_shape(shape)
+    sites = burst_sites(resolved, num_sites, seed)
     points: List[BurstDegradationPoint] = []
     healthy_latency: Optional[float] = None
     for threshold in wear_thresholds:
@@ -370,11 +350,7 @@ def run_burst_degradation(
                 else None
             )
             config = SimulationConfig(
-                noc=NoCConfig(
-                    shape=resolved,
-                    topology="mesh" if len(resolved) == 2 else "mesh3d",
-                    routing=routing,
-                ),
+                noc=NoCConfig(shape=resolved, routing=routing),
                 faults=dataclasses.replace(
                     FaultConfig.fault_free(seed=seed),
                     intermittent=schedule,

@@ -18,14 +18,15 @@ Because every channel is a fixed-latency delay line (1 cycle for planar
 links; TSV links in a 3D stack may take longer), the order of routers
 within a phase cannot change outcomes.
 
-Two implementations of the cycle loop exist.  The *full* loop polls every
-component every cycle.  The *activity-driven* loop (the default, selected
-by ``SimulationConfig.activity_driven``) maintains explicit active sets —
-routers holding flits or pending output, interfaces with queued packets,
-and per-cycle wake sets fed by the links — and only visits components that
-have work.  The two are bit-for-bit equivalent; the scheduling invariants
-that make the skip sound are documented in ``docs/PERFORMANCE.md`` and
-enforced by :meth:`Network.verify_activity_invariants`.
+The object model's cycle loop is *activity-driven*: it maintains explicit
+active sets — routers holding flits or pending output, interfaces with
+queued packets, and per-cycle wake sets fed by the links — and only visits
+components that have work.  :meth:`Network._step_full`, which polls every
+component every cycle, is kept as the reference the equivalence suites
+compare it against; nothing in the package selects it.  The two are
+bit-for-bit equivalent; the scheduling invariants that make the skip sound
+are documented in ``docs/PERFORMANCE.md`` and enforced by
+:meth:`Network.verify_activity_invariants`.
 """
 
 from __future__ import annotations
@@ -405,9 +406,8 @@ class Network:
         # the consumer here for cycle t+1, matching the 1-cycle channel
         # latency exactly); the two *active* sets are sticky membership by
         # state (a member stays until it is observed drained).  They are
-        # maintained unconditionally — cheap set adds — so a network can be
-        # switched between the loops and tests can assert the invariants
-        # even when running the full loop.
+        # maintained whichever loop runs — cheap set adds — so tests can
+        # assert the invariants under the reference loop too.
         self._ni_rx_pending: Set[int] = set()
         self._router_rx_pending: Set[int] = set()
         self._ni_tx_active: Set[int] = set()
@@ -417,7 +417,6 @@ class Network:
         #: discards the current cycle's bucket before dispatching.  Always
         #: empty on all-unit-latency platforms (every historical config).
         self._deferred_wakes: Dict[int, List[Tuple[Set[int], int]]] = {}
-        self._activity_driven = config.activity_driven
 
         self.interfaces: List[NetworkInterface] = [
             NetworkInterface(node, self) for node in self.topology.nodes()
@@ -837,11 +836,7 @@ class Network:
     # -- the cycle loop ---------------------------------------------------------
 
     def step(self) -> None:
-        """Advance the whole system by one cycle.
-
-        Dispatches to the activity-driven loop (default) or the full
-        polling loop; both produce bit-for-bit identical runs.
-        """
+        """Advance the whole system by one cycle."""
         next_fault = self._next_fault_cycle
         if next_fault is not None and next_fault <= self.cycle:
             self._apply_due_faults()
@@ -858,13 +853,14 @@ class Network:
         kernel = self.kernel
         if kernel is not None:
             kernel.step()
-        elif self._activity_driven:
-            self._step_active()
         else:
-            self._step_full()
+            self._step_active()
 
     def _step_full(self) -> None:
-        """The reference loop: poll every component every cycle."""
+        """The reference loop: poll every component every cycle.
+
+        Never called from ``src/``: the equivalence suites rebind
+        ``_step_active`` to it (``tests/conftest.py``)."""
         cycle = self.cycle
         for ni in self.interfaces:
             ni.receive(cycle)

@@ -22,6 +22,7 @@ outcome class) — never the injector's ground truth.
 
 from __future__ import annotations
 
+from copy import copy
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.config import NoCConfig
@@ -1120,17 +1121,11 @@ class Router:
                 link = self.out_links[out_port]
                 if channel.credits > 0 and link is not None and out_port not in ports_link_busy:
                     channel.credits -= 1
-                    if out_port == int(Direction.LOCAL):
-                        # Ejection: NI sinks it next cycle.
-                        self._transmit(
-                            cycle, link, channel, flit, channel.take_seq(),
-                            extra_corruption=corruption,
-                        )
-                    else:
-                        self._transmit(
-                            cycle, link, channel, flit, channel.take_seq(),
-                            extra_corruption=corruption,
-                        )
+                    # (LOCAL is ejection: the NI sinks it next cycle.)
+                    self._transmit(
+                        cycle, link, channel, flit, channel.take_seq(),
+                        extra_corruption=corruption,
+                    )
                     sends += 1
                 elif in_recovery and channel.absorption_capacity > 0:
                     channel.absorb(flit)
@@ -1156,9 +1151,7 @@ class Router:
                     if requester_entry is not None:
                         # Multicast copy: duplicate the flit object so the
                         # real stream's copy is not aliased.
-                        from copy import copy as _copy
-
-                        stray = _copy(flit)
+                        stray = copy(flit)
                     link.send_flit(cycle, min(flit.seq, self.config.num_vcs - 1), -1, stray, corruption)
                     sends += 1
                 self.stats.count("sa_misdirected_flits")

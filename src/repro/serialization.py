@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Dict
+from typing import Any, Dict, Mapping
 
 from repro.config import (
     FaultConfig,
@@ -26,27 +26,47 @@ from repro.telemetry.export import SCHEMA_VERSION
 from repro.types import FaultSite, LinkProtection, RoutingAlgorithm
 
 
+def upgrade_config_dict(data: Mapping[str, Any]) -> Dict[str, Any]:
+    """Rewrite a config dict serialized by an earlier version into the one
+    canonical spelling (a copy; already-canonical dicts pass through).
+
+    The only place that knows the legacy keys, so stored journals,
+    envelopes, config files and NDJSON headers keep loading:
+
+    * ``noc.width``/``noc.height`` fold into ``noc.shape`` (a missing one
+      defaults to 8); giving them *and* ``noc.shape`` is a ``ValueError``
+      rather than a silent win for either;
+    * ``activity_driven`` is dropped whatever its value (the loops are
+      bit-for-bit equivalent, so it never changed a result).
+    """
+    out = {key: value for key, value in data.items() if key != "activity_driven"}
+    noc = out.get("noc")
+    if isinstance(noc, Mapping):
+        legacy = [key for key in ("width", "height") if key in noc]
+        if legacy:
+            if "shape" in noc:
+                raise ValueError(
+                    f"noc.shape and noc.{'/noc.'.join(legacy)} are two "
+                    "spellings of one platform; give noc.shape only"
+                )
+            noc = dict(noc)
+            noc["shape"] = [noc.pop("width", 8), noc.pop("height", 8)]
+            out["noc"] = noc
+    return out
+
+
 def config_to_dict(config: SimulationConfig) -> Dict[str, Any]:
     """A JSON-safe dict capturing every field of a simulation config.
 
-    The topology block is normalized: plain 2D platforms with 1-cycle
-    links keep the historical ``width``/``height`` keys (so every
-    serialized 2D config — NDJSON headers, checkpoint headers, envelopes
-    — is byte-for-byte what it always was); anything dimension- or
-    latency-generalized carries ``shape`` (and ``link_latency``) instead.
+    Equal configs give equal dicts: ``noc.shape`` is always a list and
+    ``noc.link_latency`` an int (uniform) or a per-axis list.
     """
     noc = dataclasses.asdict(config.noc)
     noc["routing"] = config.noc.routing.value
     noc["link_protection"] = config.noc.link_protection.value
-    shape = noc.pop("shape")
-    latency = noc.pop("link_latency")
-    if len(shape) == 2 and latency == 1:
-        noc["width"], noc["height"] = shape
-    else:
-        noc["shape"] = list(shape)
-        noc["link_latency"] = (
-            latency if isinstance(latency, int) else list(latency)
-        )
+    noc["shape"] = list(noc["shape"])
+    if not isinstance(noc["link_latency"], int):
+        noc["link_latency"] = list(noc["link_latency"])
     faults = {
         "rates": {site.value: rate for site, rate in config.faults.rates.items()},
         "link_multi_bit_fraction": config.faults.link_multi_bit_fraction,
@@ -67,7 +87,6 @@ def config_to_dict(config: SimulationConfig) -> Dict[str, Any]:
         "collect_utilization": config.collect_utilization,
         "payload_ecc_check": config.payload_ecc_check,
         "invariant_checks": config.invariant_checks,
-        "activity_driven": config.activity_driven,
         "backend": config.backend,
         "telemetry": config.telemetry.to_dict(),
         "checkpoint_interval": config.checkpoint_interval,
@@ -76,24 +95,12 @@ def config_to_dict(config: SimulationConfig) -> Dict[str, Any]:
 
 
 def config_from_dict(data: Dict[str, Any]) -> SimulationConfig:
-    """Inverse of :func:`config_to_dict`."""
+    """Inverse of :func:`config_to_dict` (also loads every earlier
+    serialized form, through :func:`upgrade_config_dict`)."""
+    data = upgrade_config_dict(data)
     noc_data = dict(data["noc"])
     noc_data["routing"] = RoutingAlgorithm(noc_data["routing"])
     noc_data["link_protection"] = LinkProtection(noc_data["link_protection"])
-    # Both serialized forms load: legacy ``width``/``height`` and the
-    # generalized ``shape`` (which wins when both appear).  Neither path
-    # goes through the deprecated constructor kwargs.
-    width = noc_data.pop("width", None)
-    height = noc_data.pop("height", None)
-    if "shape" in noc_data:
-        noc_data["shape"] = tuple(noc_data["shape"])
-    elif width is not None or height is not None:
-        noc_data["shape"] = (
-            width if width is not None else 8,
-            height if height is not None else 8,
-        )
-    if isinstance(noc_data.get("link_latency"), list):
-        noc_data["link_latency"] = tuple(noc_data["link_latency"])
     faults_data = data["faults"]
     faults = FaultConfig(
         rates={
@@ -117,7 +124,6 @@ def config_from_dict(data: Dict[str, Any]) -> SimulationConfig:
         collect_utilization=data.get("collect_utilization", False),
         payload_ecc_check=data.get("payload_ecc_check", False),
         invariant_checks=data.get("invariant_checks", False),
-        activity_driven=data.get("activity_driven", True),
         backend=data.get("backend", "object"),
         telemetry=TelemetryConfig.from_dict(data.get("telemetry")),
         checkpoint_interval=data.get("checkpoint_interval"),

@@ -245,8 +245,6 @@ class TelemetryBus:
     def build_report(self, network: Any) -> TelemetryReport:
         """Freeze the collected telemetry into a :class:`TelemetryReport`."""
         return TelemetryReport(
-            width=network.topology.width,
-            height=network.topology.height,
             shape=tuple(network.topology.shape),
             metrics_interval=self._interval,
             events=list(self.events),

@@ -20,11 +20,9 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 class TelemetryReport:
     """Events + time-series collected over one run (see module docstring)."""
 
-    width: int
-    height: int
+    #: Mesh extents per axis, x first.
+    shape: Tuple[int, ...]
     metrics_interval: int
-    #: Full mesh extents; defaults to ``(width, height)`` for 2D reports.
-    shape: Tuple[int, ...] = ()
     events: List["TelemetryEvent"] = field(default_factory=list)
     dropped_events: int = 0
     #: ``(metric, component) -> [(cycle, value), ...]`` (cycle-ordered).
@@ -36,9 +34,13 @@ class TelemetryReport:
         default_factory=list
     )
 
-    def __post_init__(self) -> None:
-        if not self.shape:
-            self.shape = (self.width, self.height)
+    @property
+    def width(self) -> int:
+        return self.shape[0]
+
+    @property
+    def height(self) -> int:
+        return self.shape[1]
 
     @property
     def depth(self) -> int:

@@ -125,7 +125,7 @@ class TestRunCLIInvariantChecks:
         rc = main(
             [
                 "run",
-                "--width", "3", "--height", "3",
+                "--shape", "3x3",
                 "--messages", "80", "--warmup", "10",
                 "--invariant-checks",
             ]

@@ -221,7 +221,7 @@ class TestNOC008TorusXY:
         from repro.noc.network import Network
 
         with pytest.warns(UserWarning, match="NOC008"):
-            Network(make_config(noc=dict(topology="torus", width=4, height=4)))
+            Network(make_config(noc=dict(topology="torus", shape=(4, 4))))
 
     def test_network_construction_quiet_with_recovery(self):
         from repro.noc.network import Network
@@ -232,8 +232,7 @@ class TestNOC008TorusXY:
                 make_config(
                     noc=dict(
                         topology="torus",
-                        width=4,
-                        height=4,
+                        shape=(4, 4),
                         deadlock_recovery_enabled=True,
                     )
                 )
@@ -400,7 +399,7 @@ class TestNOC014PartitionAtCycleZero:
         # node 0 survives but can talk to nobody.
         report = lint_config(
             make_config(
-                noc=dict(width=3, height=3),
+                noc=dict(shape=(3, 3)),
                 faults=self._faults(
                     PermanentFault("link", 0, Direction.EAST),
                     PermanentFault("link", 1, Direction.WEST),
@@ -424,11 +423,11 @@ class TestNOC014PartitionAtCycleZero:
             PermanentFault("vc", 1, Direction.WEST, vc=0),
         )
         single_vc = lint_config(
-            make_config(noc=dict(width=2, height=1, num_vcs=1), faults=faults)
+            make_config(noc=dict(shape=(2, 1), num_vcs=1), faults=faults)
         )
         assert single_vc.by_rule("NOC014")
         multi_vc = lint_config(
-            make_config(noc=dict(width=2, height=1, num_vcs=3), faults=faults)
+            make_config(noc=dict(shape=(2, 1), num_vcs=3), faults=faults)
         )
         assert not multi_vc.by_rule("NOC014")
 
@@ -439,7 +438,7 @@ class TestNOC014PartitionAtCycleZero:
         # of a 3x3 minus the center stay connected around the rim.
         report = lint_config(
             make_config(
-                noc=dict(width=3, height=3),
+                noc=dict(shape=(3, 3)),
                 faults=self._faults(PermanentFault("router", 4)),
             )
         )
@@ -453,7 +452,7 @@ class TestNOC014PartitionAtCycleZero:
         # platform definition: NOC014 only judges cycle 0.
         report = lint_config(
             make_config(
-                noc=dict(width=2, height=1),
+                noc=dict(shape=(2, 1)),
                 faults=self._faults(
                     PermanentFault("link", 0, Direction.EAST, cycle=500),
                     PermanentFault("link", 1, Direction.WEST, cycle=500),
@@ -468,7 +467,7 @@ class TestNOC014PartitionAtCycleZero:
 
         report = lint_config(
             make_config(
-                noc=dict(width=3, height=3),
+                noc=dict(shape=(3, 3)),
                 faults=self._faults(PermanentFault("link", 0, Direction.EAST)),
             )
         )

@@ -21,7 +21,7 @@ from repro.types import FaultSite, RoutingAlgorithm, VCState
 
 def make_sim(noc=None, faults=None, rate=0.25, messages=300, seed=7):
     config = SimulationConfig(
-        noc=NoCConfig(width=4, height=4, **(noc or {})),
+        noc=NoCConfig(shape=(4, 4), **(noc or {})),
         faults=faults or FaultConfig.fault_free(),
         workload=WorkloadConfig(
             injection_rate=rate,

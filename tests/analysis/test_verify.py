@@ -226,7 +226,7 @@ def single_packet_network(schedule):
     """A quiet 3x3 ft_table network with ``schedule`` applied at cycle 0."""
     config = SimulationConfig(
         noc=NoCConfig(
-            width=3, height=3, routing=RoutingAlgorithm.FT_TABLE, num_vcs=2
+            shape=(3, 3), routing=RoutingAlgorithm.FT_TABLE, num_vcs=2
         ),
         faults=FaultConfig(rates={}, permanent=schedule, seed=1),
         workload=WorkloadConfig(
@@ -330,7 +330,7 @@ class TestConfigCertification:
             PermanentFault("link", 5, Direction.EAST)
         )
         config = SimulationConfig(
-            noc=NoCConfig(width=4, height=4, routing=RoutingAlgorithm.XY),
+            noc=NoCConfig(shape=(4, 4), routing=RoutingAlgorithm.XY),
             faults=FaultConfig(rates={}, permanent=schedule, seed=1),
         )
         entry = certify_config(config)
@@ -339,7 +339,7 @@ class TestConfigCertification:
 
     def test_sweeps_attach_when_requested(self):
         config = SimulationConfig(
-            noc=NoCConfig(width=3, height=3, routing=RoutingAlgorithm.FT_TABLE)
+            noc=NoCConfig(shape=(3, 3), routing=RoutingAlgorithm.FT_TABLE)
         )
         entry = certify_config(
             config, single_link_kills=True, multi_kills=(2,), samples=4
@@ -351,7 +351,7 @@ class TestConfigCertification:
         assert multi["seed"] == STANDARD_SWEEP_SEED
 
     def test_entry_is_json_round_trippable(self):
-        config = SimulationConfig(noc=NoCConfig(width=3, height=3))
+        config = SimulationConfig(noc=NoCConfig(shape=(3, 3)))
         entry = certify_config(config)
         assert json.loads(json.dumps(entry)) == entry
 

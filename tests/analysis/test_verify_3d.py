@@ -43,11 +43,11 @@ class TestDOR3DCertification:
         assert platform["link_latency"] == [1, 1, 2]
         assert "width" not in platform and "height" not in platform
 
-    def test_2d_platform_block_keeps_legacy_keys(self):
+    def test_2d_platform_block_uses_the_same_keys(self):
         config = SimulationConfig(noc=NoCConfig(shape=(5, 5)))
         platform = certify_config(config, name="mesh5x5")["platform"]
-        assert platform["width"] == 5 and platform["height"] == 5
-        assert "shape" not in platform
+        assert platform["shape"] == [5, 5] and platform["link_latency"] == 1
+        assert "width" not in platform and "height" not in platform
 
 
 class TestExhaustiveSingleLinkKills3D:

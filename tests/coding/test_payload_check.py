@@ -106,7 +106,7 @@ class TestEndToEndCrossValidation:
         from repro.types import LinkProtection
 
         config = SimulationConfig(
-            noc=NoCConfig(width=4, height=4, link_protection=LinkProtection(scheme)),
+            noc=NoCConfig(shape=(4, 4), link_protection=LinkProtection(scheme)),
             faults=FaultConfig.link_only(0.05, multi_bit_fraction=0.4, seed=2),
             workload=WorkloadConfig(
                 injection_rate=0.2,

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Iterator, List, Optional, Tuple
 
 import pytest
 
@@ -12,9 +13,39 @@ from repro.noc.packet import Packet
 from repro.types import Direction, RoutingAlgorithm
 
 
+@contextmanager
+def reference_loop(enabled: bool = True) -> Iterator[None]:
+    """Inside the block every object-model :class:`Network` steps with
+    ``Network._step_full`` (poll every component every cycle) instead of
+    the activity-driven loop.
+
+    The package has no switch for the reference loop — this rebinding is
+    the one way to run it, shared by the equivalence suites and
+    ``benchmarks/workloads.py``.  ``enabled=False`` leaves the default loop
+    in place, so a ``[True, False]`` parametrisation can wrap both cases.
+    """
+    if not enabled:
+        yield
+        return
+    active = Network._step_active
+    Network._step_active = Network._step_full
+    try:
+        yield
+    finally:
+        Network._step_active = active
+
+
+@pytest.fixture(params=[True, False])
+def activity_driven(request) -> Iterator[bool]:
+    """Run the test once per object-model cycle loop: the activity-driven
+    one (``True``) and, via :func:`reference_loop`, the reference."""
+    with reference_loop(not request.param):
+        yield request.param
+
+
 def small_noc(**overrides) -> NoCConfig:
     """A 4x4 mesh with the paper's router parameters (fast for tests)."""
-    defaults = dict(width=4, height=4)
+    defaults = dict(shape=(4, 4))
     defaults.update(overrides)
     return NoCConfig(**defaults)
 
@@ -91,8 +122,7 @@ def net2_source() -> Network:
     """2x2 single-VC source-routed network for scripted scenarios."""
     return build_network(
         small_noc(
-            width=2,
-            height=2,
+            shape=(2, 2),
             num_vcs=1,
             routing=RoutingAlgorithm.SOURCE,
         )

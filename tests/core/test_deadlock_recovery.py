@@ -56,8 +56,7 @@ class TestNoFalsePositives:
         # the Eq. 1 guarantee — but the construction-time advisory fires.
         with pytest.warns(UserWarning, match="NOC001"):
             noc = NoCConfig(
-                width=4,
-                height=1,
+                shape=(4, 1),
                 num_vcs=1,
                 vc_buffer_depth=2,
                 flits_per_packet=8,
@@ -98,8 +97,7 @@ class TestRecoveryUnderLoad:
         progress.  (This is the paper's motivating use case: recovery
         instead of restricted routing.)"""
         noc = NoCConfig(
-            width=4,
-            height=4,
+            shape=(4, 4),
             num_vcs=2,
             routing=RoutingAlgorithm.FULLY_ADAPTIVE,
             deadlock_recovery_enabled=True,

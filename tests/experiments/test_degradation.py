@@ -12,22 +12,22 @@ from repro.types import Direction
 class TestMeshLinks:
     def test_directed_link_count(self):
         # 2*(2*w*h - w - h) directed mesh links.
-        assert len(mesh_links(4, 4)) == 48
-        assert len(mesh_links(8, 8)) == 224
+        assert len(mesh_links((4, 4))) == 48
+        assert len(mesh_links((8, 8))) == 224
 
     def test_no_local_or_dangling_links(self):
-        links = mesh_links(3, 3)
+        links = mesh_links((3, 3))
         assert len(set(links)) == len(links)
         assert all(d is not Direction.LOCAL for _, d in links)
 
 
 class TestScheduleForLevel:
     def test_level_zero_is_empty(self):
-        order = [[link] for link in mesh_links(4, 4)]
+        order = [[link] for link in mesh_links((4, 4))]
         assert not _schedule_for_level(order, 0, 500)
 
     def test_last_kill_lands_late(self):
-        order = [[link] for link in mesh_links(4, 4)]
+        order = [[link] for link in mesh_links((4, 4))]
         schedule = _schedule_for_level(order, 3, late_cycle=500)
         cycles = [f.cycle for f in schedule.sorted_by_cycle()]
         assert cycles == [0, 0, 500]
@@ -45,8 +45,7 @@ class TestScheduleForLevel:
 class TestRunDegradation:
     def test_curve_structure(self):
         points = run_degradation(
-            width=4,
-            height=4,
+            shape=(4, 4),
             max_kills=3,
             injection_rate=0.1,
             inject_cycles=300,

@@ -32,6 +32,7 @@ from repro.serialization import (
     result_to_dict,
 )
 from repro.types import Corruption, Direction, FaultSite, RoutingAlgorithm
+from tests.conftest import reference_loop
 
 
 class TestSiteStreamSeed:
@@ -223,8 +224,7 @@ def _config(**kw):
     from repro.telemetry import TelemetryConfig
 
     noc = NoCConfig(
-        width=4,
-        height=4,
+        shape=(4, 4),
         routing=kw.get("routing", RoutingAlgorithm.FT_TABLE),
     )
     return SimulationConfig(
@@ -243,7 +243,6 @@ def _config(**kw):
             max_cycles=50_000,
         ),
         telemetry=kw.get("telemetry", TelemetryConfig(enabled=False)),
-        activity_driven=kw.get("activity_driven", False),
     )
 
 
@@ -336,12 +335,10 @@ class TestWearOutEscalation:
         cycles = []
         for activity_driven in (False, True):
             sim = Simulator(
-                self._escalating_config(
-                    telemetry=TelemetryConfig(enabled=True),
-                    activity_driven=activity_driven,
-                )
+                self._escalating_config(telemetry=TelemetryConfig(enabled=True))
             )
-            result = sim.run()
+            with reference_loop(not activity_driven):
+                result = sim.run()
             (event,) = result.telemetry.events_of("wear_out_escalation")
             cycles.append(event.cycle)
         assert cycles[0] == cycles[1]

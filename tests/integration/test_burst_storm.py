@@ -24,6 +24,7 @@ from repro.faults.intermittent import (
 from repro.noc.simulator import Simulator, run_simulation
 from repro.serialization import result_to_dict
 from repro.types import Direction, FaultSite, RoutingAlgorithm
+from tests.conftest import reference_loop
 
 BURST_SITES = IntermittentFaultSchedule.of(
     IntermittentFault(1, Direction.EAST, 0.7, 60.0, 30.0),
@@ -45,7 +46,7 @@ def storm_config(**overrides) -> SimulationConfig:
         wear_out=WearOutConfig(threshold=60.0, strike_weight=1.0),
     )
     config = SimulationConfig(
-        noc=NoCConfig(width=4, height=4, routing=RoutingAlgorithm.FT_TABLE),
+        noc=NoCConfig(shape=(4, 4), routing=RoutingAlgorithm.FT_TABLE),
         faults=faults,
         workload=WorkloadConfig(
             pattern="uniform",
@@ -66,10 +67,10 @@ def _observables(result):
     return out
 
 
-@pytest.mark.parametrize("activity_driven", [True, False])
 def test_burst_storm_survives_with_invariants(activity_driven):
-    """Bursts + escalations + transients at saturation: clean termination."""
-    result = run_simulation(storm_config(activity_driven=activity_driven))
+    """Bursts + escalations + transients at saturation: clean termination
+    (on both cycle loops: the ``activity_driven`` fixture)."""
+    result = run_simulation(storm_config())
     assert not result.hit_cycle_limit
     assert result.packets_delivered + result.packets_lost >= 1200
     assert result.packets_delivered > result.packets_lost
@@ -85,12 +86,12 @@ def test_burst_storm_survives_with_invariants(activity_driven):
 
 def test_burst_storm_loops_bit_identical():
     """The storm replays identically on the fast and polling loops."""
-    fast = run_simulation(storm_config(activity_driven=True))
-    full = run_simulation(storm_config(activity_driven=False))
+    fast = run_simulation(storm_config())
+    with reference_loop():
+        full = run_simulation(storm_config())
     assert _observables(fast) == _observables(full)
 
 
-@pytest.mark.parametrize("activity_driven", [True, False])
 def test_checkpoint_mid_burst_resumes_bit_for_bit(activity_driven, tmp_path):
     """Interrupting inside an open burst window loses nothing.
 
@@ -98,7 +99,7 @@ def test_checkpoint_mid_burst_resumes_bit_for_bit(activity_driven, tmp_path):
     cycle and stress tally; the resumed run finishes identical to the
     uninterrupted one.
     """
-    config = storm_config(activity_driven=activity_driven)
+    config = storm_config()
     golden = Simulator(config).run()
     assert not golden.hit_cycle_limit
 

@@ -47,7 +47,7 @@ class RecordingNetwork(Network):
 
 def run_with_faults(seed: int, link_rate: float, rt_rate: float, sa_rate: float):
     config = SimulationConfig(
-        noc=NoCConfig(width=4, height=4),
+        noc=NoCConfig(shape=(4, 4)),
         faults=FaultConfig(
             rates={
                 FaultSite.LINK: link_rate,

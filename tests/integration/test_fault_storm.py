@@ -18,6 +18,7 @@ from repro.config import FaultConfig, NoCConfig, SimulationConfig, WorkloadConfi
 from repro.faults.permanent import PermanentFault, PermanentFaultSchedule
 from repro.noc.simulator import run_simulation
 from repro.types import Direction, FaultSite, RoutingAlgorithm
+from tests.conftest import reference_loop
 
 STORM_SCHEDULE = PermanentFaultSchedule.of(
     PermanentFault("link", 5, Direction.EAST),  # dead on arrival
@@ -38,7 +39,7 @@ def storm_config(**overrides) -> SimulationConfig:
         seed=5,
     )
     config = SimulationConfig(
-        noc=NoCConfig(width=4, height=4, routing=RoutingAlgorithm.XY),
+        noc=NoCConfig(shape=(4, 4), routing=RoutingAlgorithm.XY),
         faults=dataclasses.replace(faults, permanent=STORM_SCHEDULE),
         workload=WorkloadConfig(
             pattern="uniform",
@@ -53,10 +54,10 @@ def storm_config(**overrides) -> SimulationConfig:
     return config.replace(**overrides) if overrides else config
 
 
-@pytest.mark.parametrize("activity_driven", [True, False])
 def test_fault_storm_survives_with_invariants(activity_driven):
-    """Saturation + transients + permanent deaths: clean termination."""
-    result = run_simulation(storm_config(activity_driven=activity_driven))
+    """Saturation + transients + permanent deaths: clean termination
+    (on both cycle loops: the ``activity_driven`` fixture)."""
+    result = run_simulation(storm_config())
     assert not result.hit_cycle_limit
     assert result.packets_delivered + result.packets_lost >= 1400
     assert result.packets_delivered > result.packets_lost
@@ -66,8 +67,9 @@ def test_fault_storm_survives_with_invariants(activity_driven):
 
 def test_fault_storm_loops_bit_identical():
     """The storm replays identically on the fast and polling loops."""
-    fast = run_simulation(storm_config(activity_driven=True))
-    full = run_simulation(storm_config(activity_driven=False))
+    fast = run_simulation(storm_config())
+    with reference_loop():
+        full = run_simulation(storm_config())
     assert fast.cycles == full.cycles
     assert fast.packets_delivered == full.packets_delivered
     assert fast.packets_lost == full.packets_lost

@@ -24,7 +24,7 @@ from repro.types import Corruption
 
 
 def run_trace(corrupt_nth_traversal=None):
-    net = Network(SimulationConfig(noc=NoCConfig(width=2, height=1, num_vcs=1)))
+    net = Network(SimulationConfig(noc=NoCConfig(shape=(2, 1), num_vcs=1)))
     if corrupt_nth_traversal is not None:
         counter = {"n": 0}
 
@@ -90,7 +90,7 @@ class TestFigure4Trace:
         net = run_trace(corrupt_nth_traversal=None)
         # Corrupt the first transmission *and* its replay: the replay is
         # protected by the same machinery (the clean copy stays buffered).
-        net2 = Network(SimulationConfig(noc=NoCConfig(width=2, height=1, num_vcs=1)))
+        net2 = Network(SimulationConfig(noc=NoCConfig(shape=(2, 1), num_vcs=1)))
         counter = {"n": 0}
 
         def link_upset(cycle, node, direction=None):

@@ -13,8 +13,7 @@ from repro.types import Direction, FlitType
 
 def torus_config(**overrides):
     defaults = dict(
-        width=4,
-        height=4,
+        shape=(4, 4),
         topology="torus",
         deadlock_recovery_enabled=True,
         deadlock_threshold=24,
@@ -26,7 +25,7 @@ def torus_config(**overrides):
 class TestConfigValidation:
     def test_rejects_small_torus(self):
         with pytest.raises(ValueError):
-            NoCConfig(width=2, height=4, topology="torus")
+            NoCConfig(shape=(2, 4), topology="torus")
 
     def test_rejects_unknown_topology(self):
         with pytest.raises(ValueError):
@@ -97,7 +96,7 @@ class TestEndToEnd:
             SimulationConfig(noc=torus_config(), workload=workload)
         )
         mesh = run_simulation(
-            SimulationConfig(noc=NoCConfig(width=4, height=4), workload=workload)
+            SimulationConfig(noc=NoCConfig(shape=(4, 4)), workload=workload)
         )
         assert torus.avg_hops < mesh.avg_hops
 

@@ -32,6 +32,12 @@ from repro.types import FaultSite
 
 from tests.noc.test_fast_path_equivalence import SCENARIOS, _config
 
+#: Both object-model cycle loops, through the ``activity_driven`` fixture
+#: (``False`` swaps in the reference polling loop for the whole test).
+both_loops = pytest.mark.parametrize(
+    "activity_driven", [False, True], ids=["full", "active"], indirect=True
+)
+
 #: The stress catalogue, minus the fault-free warmups (they exercise
 #: nothing the faulted ones don't).
 RESUME_SCENARIOS = [
@@ -65,9 +71,9 @@ def _interrupted_run(config, checkpoint_path, at_cycle):
 
 class TestResumeEquivalence:
     @pytest.mark.parametrize("name", RESUME_SCENARIOS)
-    @pytest.mark.parametrize("activity", [False, True], ids=["full", "active"])
-    def test_midpoint_resume_is_bit_for_bit(self, name, activity, tmp_path):
-        config = _config(activity, **SCENARIOS[name])
+    @both_loops
+    def test_midpoint_resume_is_bit_for_bit(self, name, activity_driven, tmp_path):
+        config = _config(**SCENARIOS[name])
         golden = Simulator(config).run()
         midpoint = max(1, golden.cycles // 2)
         resumed = _interrupted_run(
@@ -75,11 +81,11 @@ class TestResumeEquivalence:
         )
         assert _observables(resumed) == _observables(golden)
 
-    @pytest.mark.parametrize("activity", [False, True], ids=["full", "active"])
-    def test_double_interruption(self, activity, tmp_path):
+    @both_loops
+    def test_double_interruption(self, activity_driven, tmp_path):
         """Crashing a run that was itself resumed still converges to the
         golden result — checkpoints chain."""
-        config = _config(activity, **SCENARIOS["xy_link_faults"])
+        config = _config(**SCENARIOS["xy_link_faults"])
         golden = Simulator(config).run()
         first, second = golden.cycles // 3, 2 * golden.cycles // 3
         sim = Simulator(config)
@@ -94,12 +100,11 @@ class TestResumeEquivalence:
         assert resumed.resumed_from_cycle == second
         assert _observables(resumed.run()) == _observables(golden)
 
-    @pytest.mark.parametrize("activity", [False, True], ids=["full", "active"])
-    def test_resume_with_invariant_checks(self, activity, tmp_path):
+    @both_loops
+    def test_resume_with_invariant_checks(self, activity_driven, tmp_path):
         """The sanitizer rides along in the snapshot and keeps auditing
         every cycle after the resume."""
         config = _config(
-            activity,
             invariant_checks=True,
             **{
                 k: v
@@ -113,7 +118,7 @@ class TestResumeEquivalence:
         assert _observables(resumed) == _observables(golden)
 
     def test_resume_preserves_hit_cycle_limit(self, tmp_path):
-        config = _config(True, **SCENARIOS["xy_link_faults"]).replace(
+        config = _config(**SCENARIOS["xy_link_faults"]).replace(
             workload=WorkloadConfig(
                 injection_rate=0.05,
                 num_messages=100_000,
@@ -129,10 +134,10 @@ class TestResumeEquivalence:
 
 
 class TestTelemetryByteEquality:
-    @pytest.mark.parametrize("activity", [False, True], ids=["full", "active"])
-    def test_ndjson_stream_is_byte_identical(self, activity, tmp_path):
+    @both_loops
+    def test_ndjson_stream_is_byte_identical(self, activity_driven, tmp_path):
         config = _config(
-            activity, **SCENARIOS["permanent_router_kill_with_transients"]
+            **SCENARIOS["permanent_router_kill_with_transients"]
         ).replace(telemetry=TelemetryConfig(enabled=True, metrics_interval=25))
         golden = Simulator(config).run()
         golden_path = tmp_path / "golden.ndjson"
@@ -150,8 +155,8 @@ class TestTelemetryByteEquality:
 
 
 class TestAutoCheckpointing:
-    def _auto_config(self, tmp_path, activity=True):
-        return _config(activity, **SCENARIOS["xy_link_faults"]).replace(
+    def _auto_config(self, tmp_path):
+        return _config(**SCENARIOS["xy_link_faults"]).replace(
             checkpoint_interval=100,
             checkpoint_path=str(tmp_path / "auto.ckpt"),
         )
@@ -164,13 +169,13 @@ class TestAutoCheckpointing:
         header = read_checkpoint_header(tmp_path / "auto.ckpt")
         assert header["cycle"] == (result.cycles // 100) * 100
 
-    @pytest.mark.parametrize("activity", [False, True], ids=["full", "active"])
-    def test_kill_and_resume_matches_uninterrupted(self, activity, tmp_path):
+    @both_loops
+    def test_kill_and_resume_matches_uninterrupted(self, activity_driven, tmp_path):
         """The whole point: run with auto-checkpointing, 'crash' between
         checkpoints, resume from the file — counters included
         (``checkpoints_written`` agrees because the cycle-based schedule
         makes the resumed run rewrite the same remaining checkpoints)."""
-        config = self._auto_config(tmp_path, activity)
+        config = self._auto_config(tmp_path)
         golden = Simulator(config).run()
         assert golden.counter("checkpoints_written") > 1
         sim = Simulator(config)
@@ -190,14 +195,14 @@ class TestAutoCheckpointing:
             SimulationConfig(checkpoint_interval=0, checkpoint_path="x.ckpt")
 
     def test_write_checkpoint_without_path_rejected(self):
-        sim = Simulator(_config(True, **SCENARIOS["xy_fault_free"]))
+        sim = Simulator(_config(**SCENARIOS["xy_fault_free"]))
         with pytest.raises(ValueError, match="no checkpoint path"):
             sim.write_checkpoint()
 
 
 class TestContainerFormat:
     def _snapshot(self, tmp_path):
-        sim = Simulator(_config(True, **SCENARIOS["xy_link_faults"]))
+        sim = Simulator(_config(**SCENARIOS["xy_link_faults"]))
         sim.run_to_cycle(50)
         path = tmp_path / "snap.ckpt"
         save_checkpoint(sim, path)
@@ -209,11 +214,11 @@ class TestContainerFormat:
         assert header["checkpoint_version"] == CHECKPOINT_VERSION
         assert header["schema"] == "repro/v1"
         assert header["cycle"] == 50
-        assert header["config"]["noc"]["width"] == 4
+        assert header["config"]["noc"]["shape"] == [4, 4]
         assert header["payload_bytes"] > 0
 
     def test_fresh_simulator_has_no_resume_marker(self):
-        assert Simulator(_config(True)).resumed_from_cycle is None
+        assert Simulator(_config()).resumed_from_cycle is None
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="no such checkpoint"):
@@ -269,6 +274,29 @@ class TestContainerFormat:
         with pytest.raises(CheckpointError, match="not a Simulator"):
             load_checkpoint(path)
 
+    def test_v1_checkpoint_is_refused_before_unpickling(self, tmp_path):
+        """A file written before the config became canonical (version 1,
+        legacy config in the header) is a typed error — raised from the
+        header, so its stale object graph is never unpickled."""
+        import hashlib
+
+        assert CHECKPOINT_VERSION == 2
+        payload = b"\x80\x04 a version-1 Simulator graph; must never be loaded"
+        header = {
+            "schema": "repro/v1",
+            "checkpoint_version": 1,
+            "cycle": 50,
+            "config": {"noc": {"width": 4, "height": 4}, "activity_driven": True},
+            "payload_bytes": len(payload),
+            "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        }
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(MAGIC + json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(CheckpointError, match="version 1 is not supported"):
+            load_checkpoint(path)
+        with pytest.raises(CheckpointError, match="version 1 is not supported"):
+            read_checkpoint_header(path)
+
     def test_overwrite_is_atomic_no_tmp_left_behind(self, tmp_path):
         path = self._snapshot(tmp_path)
         sim = load_checkpoint(path)
@@ -282,7 +310,7 @@ class TestContainerFormat:
         from repro.serialization import config_from_dict
 
         config = SimulationConfig(
-            noc=NoCConfig(width=3, height=3),
+            noc=NoCConfig(shape=(3, 3)),
             faults=FaultConfig(rates={FaultSite.LINK: 0.01}),
             checkpoint_interval=250,
             checkpoint_path=str(tmp_path / "rt.ckpt"),
@@ -299,7 +327,7 @@ class TestHeaderTruncation:
     supervisor calls it on whatever the dead worker left behind)."""
 
     def _snapshot(self, tmp_path):
-        sim = Simulator(_config(True, **SCENARIOS["xy_link_faults"]))
+        sim = Simulator(_config(**SCENARIOS["xy_link_faults"]))
         sim.run_to_cycle(30)
         path = tmp_path / "snap.ckpt"
         save_checkpoint(sim, path)

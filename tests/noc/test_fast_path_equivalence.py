@@ -1,16 +1,19 @@
 """Bit-for-bit equivalence of the activity-driven cycle loop.
 
-The activity-driven fast path (``SimulationConfig.activity_driven``) must be
-a pure scheduling optimization: skipping idle components may never change
+The activity-driven fast path (``Network._step_active``) must be a pure
+scheduling optimization relative to the reference polling loop
+(``Network._step_full``, swapped in by ``tests.conftest.reference_loop``): skipping idle components may never change
 *any* observable of a run.  Because the fault injector draws from one shared
 RNG stream, even a single extra or missing draw diverges every subsequent
 fault — so these tests compare full :class:`SimulationResult` serializations
 (every counter, latency, hop, energy event) between the two loops across
 routing algorithms, fault sites, deadlock recovery and protection schemes.
 
-They are the guard the flag exists for: any change to the hot path must keep
+They are the guard the reference loop exists for: any change to the hot path must keep
 this module green (see docs/PERFORMANCE.md).
 """
+
+import dataclasses
 
 import pytest
 
@@ -27,14 +30,14 @@ from repro.noc.simulator import run_simulation
 from repro.noc.trace import PacketTracer
 from repro.serialization import result_to_dict
 from repro.types import Direction, FaultSite, LinkProtection, RoutingAlgorithm
+from tests.conftest import reference_loop
 
 ALL_SITES = {site: 0.002 for site in FaultSite}
 
 
-def _config(activity_driven, **kw):
+def _config(**kw):
     noc = NoCConfig(
-        width=4,
-        height=4,
+        shape=(4, 4),
         routing=kw.get("routing", RoutingAlgorithm.XY),
         link_protection=kw.get("protection", LinkProtection.HBH),
         deadlock_recovery_enabled=kw.get("deadlock_recovery", False),
@@ -58,22 +61,21 @@ def _config(activity_driven, **kw):
             warmup_messages=20,
             max_cycles=50_000,
         ),
-        activity_driven=activity_driven,
         invariant_checks=kw.get("invariant_checks", False),
     )
 
 
-def _observables(config):
+def _observables(config, activity_driven=True):
     """Everything a run reports, minus the config echo."""
-    result = result_to_dict(run_simulation(config))
+    with reference_loop(not activity_driven):
+        result = result_to_dict(run_simulation(config))
     result.pop("config")
     return result
 
 
 def assert_equivalent(**kw):
-    fast = _observables(_config(True, **kw))
-    full = _observables(_config(False, **kw))
-    assert fast == full
+    config = _config(**kw)
+    assert _observables(config, True) == _observables(config, False)
 
 
 SCENARIOS = {
@@ -179,25 +181,23 @@ def test_idle_components_are_actually_skipped(monkeypatch):
     monkeypatch.setattr(router_mod.Router, "compute", counting_compute)
     monkeypatch.setattr(router_mod.Router, "receive", counting_receive)
 
-    net = Network(SimulationConfig(noc=NoCConfig(width=4, height=4)))
+    net = Network(SimulationConfig(noc=NoCConfig(shape=(4, 4))))
     for _ in range(100):
         net.step()
     assert calls == {"compute": 0, "receive": 0}
 
     # The full loop polls every router every cycle — the baseline the fast
     # path removes.
-    net_full = Network(
-        SimulationConfig(noc=NoCConfig(width=4, height=4), activity_driven=False)
-    )
-    for _ in range(100):
-        net_full.step()
+    net_full = Network(SimulationConfig(noc=NoCConfig(shape=(4, 4))))
+    with reference_loop():
+        for _ in range(100):
+            net_full.step()
     assert calls["compute"] == 100 * 16
 
 
 def test_activity_invariants_hold_every_cycle():
     """Active sets always cover live work, even under heavy faults."""
     config = _config(
-        True,
         routing=RoutingAlgorithm.FULLY_ADAPTIVE,
         deadlock_recovery=True,
         deadlock_threshold=16,
@@ -226,16 +226,12 @@ def test_packet_tracer_sees_identical_itineraries():
     """PacketTracer rides on ``network.step()`` unchanged on both loops."""
 
     def traced_itinerary(activity_driven):
-        net = Network(
-            SimulationConfig(
-                noc=NoCConfig(width=4, height=4),
-                activity_driven=activity_driven,
-            )
-        )
+        net = Network(SimulationConfig(noc=NoCConfig(shape=(4, 4))))
         net.interfaces[0].enqueue(Packet(0, 0, 15, 4, 0))
         net.interfaces[5].enqueue(Packet(1, 5, 2, 4, 0))
         tracer = PacketTracer(net, watch=[0, 1])
-        assert tracer.run_until_delivered(2) is not None
+        with reference_loop(not activity_driven):
+            assert tracer.run_until_delivered(2) is not None
         return [
             [
                 (s.cycle, s.flit_seq, s.location)
@@ -245,14 +241,6 @@ def test_packet_tracer_sees_identical_itineraries():
         ]
 
     assert traced_itinerary(True) == traced_itinerary(False)
-
-
-def test_serialization_round_trips_the_flag():
-    from repro.serialization import config_from_dict, config_to_dict
-
-    for flag in (True, False):
-        config = SimulationConfig(activity_driven=flag)
-        assert config_from_dict(config_to_dict(config)).activity_driven is flag
 
 
 # -- telemetry equivalence ---------------------------------------------------
@@ -273,20 +261,16 @@ TELEMETRY_SCENARIOS = [
 ]
 
 
-def _telemetry_config(activity_driven, **kw):
-    config = _config(activity_driven, **kw)
-    return SimulationConfig(
-        noc=config.noc,
-        faults=config.faults,
-        workload=config.workload,
-        activity_driven=activity_driven,
-        invariant_checks=config.invariant_checks,
+def _telemetry_config(**kw):
+    return dataclasses.replace(
+        _config(**kw),
         telemetry=TelemetryConfig(enabled=True, metrics_interval=50),
     )
 
 
-def _telemetry_streams(config):
-    result = run_simulation(config)
+def _telemetry_streams(config, activity_driven=True):
+    with reference_loop(not activity_driven):
+        result = run_simulation(config)
     report = result.telemetry
     observables = result_to_dict(result)
     observables.pop("config")
@@ -301,8 +285,8 @@ def _telemetry_streams(config):
 @pytest.mark.parametrize("scenario", TELEMETRY_SCENARIOS)
 def test_telemetry_streams_are_loop_invariant(scenario):
     kw = SCENARIOS[scenario]
-    fast = _telemetry_streams(_telemetry_config(True, **kw))
-    full = _telemetry_streams(_telemetry_config(False, **kw))
+    fast = _telemetry_streams(_telemetry_config(**kw), True)
+    full = _telemetry_streams(_telemetry_config(**kw), False)
     assert fast[0] == full[0]  # observables
     assert fast[1] == full[1]  # event stream
     assert fast[2] == full[2]  # sampled series
@@ -312,8 +296,8 @@ def test_telemetry_streams_are_loop_invariant(scenario):
 def test_telemetry_does_not_perturb_observables(activity_driven):
     """Telemetry on vs off: identical results on either loop."""
     kw = SCENARIOS["xy_all_sites_alt_seed"]
-    with_tel = _telemetry_streams(_telemetry_config(activity_driven, **kw))[0]
-    without = _observables(_config(activity_driven, **kw))
+    with_tel = _telemetry_streams(_telemetry_config(**kw), activity_driven)[0]
+    without = _observables(_config(**kw), activity_driven)
     assert with_tel == without
 
 
@@ -324,8 +308,6 @@ def test_telemetry_does_not_perturb_observables(activity_driven):
 # equivalent — every counter, latency, hop, energy tally, telemetry event and
 # series sample.  Outside its domain the network silently falls back to the
 # object loop, so the flag must *never* change results on any config.
-
-import dataclasses  # noqa: E402
 
 from repro import api  # noqa: E402
 from repro.noc.kernel import kernel_supports  # noqa: E402
@@ -355,7 +337,7 @@ BATCHED_SCENARIOS = {
 
 
 def _backend_observables(backend, **kw):
-    base = dict(width=4, height=4, rate=0.05, messages=120, warmup=20, seed=11)
+    base = dict(shape=(4, 4), rate=0.05, messages=120, warmup=20, seed=11)
     base.update(kw)
     result = result_to_dict(api.run(api.load_config(backend=backend, **base)))
     assert result.pop("config")["backend"] == backend
@@ -377,22 +359,22 @@ def test_batched_flag_never_changes_results(scenario):
     fault/recovery scenario above, all outside the batchable domain — must
     leave results untouched (the out-of-domain path falls back silently)."""
     kw = SCENARIOS[scenario]
-    batched = dataclasses.replace(_config(True, **kw), backend="batched")
-    assert _observables(batched) == _observables(_config(True, **kw))
+    batched = dataclasses.replace(_config(**kw), backend="batched")
+    assert _observables(batched) == _observables(_config(**kw))
 
 
 def test_out_of_domain_configs_fall_back_to_the_object_loop():
     config = dataclasses.replace(
-        _config(True, rates={FaultSite.LINK: 0.01}), backend="batched"
+        _config(rates={FaultSite.LINK: 0.01}), backend="batched"
     )
     net = Network(config)
     assert net.kernel is None  # fell back
-    in_domain = dataclasses.replace(_config(True), backend="batched")
+    in_domain = dataclasses.replace(_config(), backend="batched")
     assert Network(in_domain).kernel is not None
 
 
 def test_kernel_supports_names_each_unsupported_feature():
-    assert kernel_supports(_config(True)) is None
+    assert kernel_supports(_config()) is None
     cases = [
         (dict(rates={FaultSite.LINK: 0.01}), "transient"),
         (
@@ -416,9 +398,9 @@ def test_kernel_supports_names_each_unsupported_feature():
         (dict(invariant_checks=True), "sanitizer"),
     ]
     for kw, needle in cases:
-        reason = kernel_supports(_config(True, **kw))
+        reason = kernel_supports(_config(**kw))
         assert reason is not None and needle in reason
-    ecc = dataclasses.replace(_config(True), payload_ecc_check=True)
+    ecc = dataclasses.replace(_config(), payload_ecc_check=True)
     assert "ECC" in kernel_supports(ecc)
 
 
@@ -431,8 +413,7 @@ def test_batched_telemetry_is_byte_identical(scenario, tmp_path):
     from repro.telemetry import write_ndjson
 
     base = dict(
-        width=4,
-        height=4,
+        shape=(4, 4),
         rate=0.1,
         messages=150,
         warmup=20,
@@ -451,7 +432,7 @@ def test_batched_telemetry_is_byte_identical(scenario, tmp_path):
 
 
 def test_packet_tracer_refuses_a_batched_network():
-    config = dataclasses.replace(_config(True), backend="batched")
+    config = dataclasses.replace(_config(), backend="batched")
     net = Network(config)
     assert net.kernel is not None
     with pytest.raises(ValueError, match="backend='object'"):

@@ -11,7 +11,7 @@ from tests.conftest import inject_packet, run_until_delivered
 
 
 def build(**noc_overrides):
-    defaults = dict(width=3, height=1, num_vcs=1)
+    defaults = dict(shape=(3, 1), num_vcs=1)
     defaults.update(noc_overrides)
     return Network(SimulationConfig(noc=NoCConfig(**defaults)))
 
@@ -93,7 +93,7 @@ class TestE2EStaleSignals:
 
 class TestNIWormholeInterleaving:
     def test_ni_serializes_one_flit_per_cycle(self):
-        net = build(width=2, num_vcs=3)
+        net = build(shape=(2, 1), num_vcs=3)
         for pid in range(3):
             inject_packet(net, src=0, dst=1, packet_id=pid)
         # 3 packets x 4 flits over one local link at 1 flit/cycle: at least
@@ -114,7 +114,7 @@ class TestMisrouteToLocal:
         """An RT fault can eject a packet at the wrong node (misroute to
         the LOCAL port).  The NI detects the misdelivery behaviourally and
         forwards the packet onward."""
-        net = build(width=3)
+        net = build()
         state = {"armed": True}
 
         def rt_upset(cycle, node):

@@ -18,7 +18,7 @@ from tests.conftest import (
 
 class TestSinglePacketDelivery:
     def test_neighbor_delivery(self):
-        net = build_network(small_noc(width=2, height=1))
+        net = build_network(small_noc(shape=(2, 1)))
         inject_packet(net, src=0, dst=1)
         cycles = run_until_delivered(net, 1)
         assert net.delivered == 1
@@ -33,7 +33,7 @@ class TestSinglePacketDelivery:
 
     def test_self_addressed_packet(self):
         # dst == src still goes NI -> router -> NI via the LOCAL port.
-        net = build_network(small_noc(width=2, height=2))
+        net = build_network(small_noc(shape=(2, 2)))
         inject_packet(net, src=0, dst=0)
         run_until_delivered(net, 1)
         assert net.delivered == 1
@@ -50,7 +50,7 @@ class TestSinglePacketDelivery:
 class TestPipelineDepthTiming:
     def _latency(self, stages: int) -> float:
         net = build_network(
-            small_noc(width=4, height=1, pipeline_stages=stages)
+            small_noc(shape=(4, 1), pipeline_stages=stages)
         )
         net.stats.start_measurement()
         inject_packet(net, src=0, dst=3)
@@ -69,7 +69,7 @@ class TestWormholeSemantics:
     def test_flits_of_packet_arrive_contiguously_per_vc(self):
         """Wormhole + VC allocation: flits of two packets may interleave on
         a physical link but never within one VC stream."""
-        net = build_network(small_noc(width=2, height=1))
+        net = build_network(small_noc(shape=(2, 1)))
         seen = []
         ni = net.interfaces[1]
         original = ni.reassembler.accept
@@ -89,7 +89,7 @@ class TestWormholeSemantics:
             assert seqs == sorted(seqs), f"packet {pid} flits out of order"
 
     def test_tail_releases_output_vc(self):
-        net = build_network(small_noc(width=2, height=1, num_vcs=1))
+        net = build_network(small_noc(shape=(2, 1), num_vcs=1))
         inject_packet(net, src=0, dst=1)
         run_until_delivered(net, 1)
         router = net.routers[0]
@@ -98,7 +98,7 @@ class TestWormholeSemantics:
                 assert not channel.is_allocated
 
     def test_input_vcs_return_to_idle(self):
-        net = build_network(small_noc(width=2, height=1))
+        net = build_network(small_noc(shape=(2, 1)))
         inject_packet(net, src=0, dst=1)
         run_until_delivered(net, 1)
         net.run_cycles(5)
@@ -113,7 +113,7 @@ class TestCreditFlowControl:
     def test_buffers_never_overflow_under_load(self):
         """Credit flow control is what prevents VCBuffer.push from raising;
         saturating a small network exercises it hard."""
-        net = build_network(small_noc(width=2, height=2, vc_buffer_depth=2))
+        net = build_network(small_noc(shape=(2, 2), vc_buffer_depth=2))
         pid = 0
         for cycle in range(300):
             if cycle % 2 == 0:
@@ -123,7 +123,7 @@ class TestCreditFlowControl:
             net.step()  # OverflowError here means broken credit accounting
 
     def test_credits_restore_after_drain(self):
-        net = build_network(small_noc(width=2, height=1))
+        net = build_network(small_noc(shape=(2, 1)))
         inject_packet(net, src=0, dst=1)
         run_until_delivered(net, 1)
         net.run_cycles(5)
@@ -142,7 +142,7 @@ class TestRoutingAlgorithmsEndToEnd:
         [RoutingAlgorithm.XY, RoutingAlgorithm.WEST_FIRST],
     )
     def test_all_pairs_small_mesh(self, algorithm):
-        net = build_network(small_noc(width=3, height=3, routing=algorithm))
+        net = build_network(small_noc(shape=(3, 3), routing=algorithm))
         pid = 0
         for src in range(9):
             for dst in range(9):
@@ -154,7 +154,7 @@ class TestRoutingAlgorithmsEndToEnd:
 
     def test_source_routed_path_is_followed(self):
         net = build_network(
-            small_noc(width=3, height=3, routing=RoutingAlgorithm.SOURCE)
+            small_noc(shape=(3, 3), routing=RoutingAlgorithm.SOURCE)
         )
         # A deliberately non-minimal route: east, east, north, west.
         route = [Direction.EAST, Direction.EAST, Direction.NORTH, Direction.WEST]

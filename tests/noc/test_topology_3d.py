@@ -172,7 +172,7 @@ class TestPillarGroups:
         assert all(len(g) == 4 for g in groups)
         vertical = {
             (node, direction)
-            for node, direction in mesh_links(shape=shape)
+            for node, direction in mesh_links(shape)
             if direction in (Direction.UP, Direction.DOWN)
         }
         flattened = {link for group in groups for link in group}

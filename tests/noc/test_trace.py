@@ -7,8 +7,8 @@ from repro.noc.trace import PacketTracer
 from repro.types import Corruption
 
 
-def build(width=3, height=1, **noc):
-    return Network(SimulationConfig(noc=NoCConfig(width=width, height=height, **noc)))
+def build(shape=(3, 1), **noc):
+    return Network(SimulationConfig(noc=NoCConfig(shape=shape, **noc)))
 
 
 class TestTracer:
@@ -33,7 +33,7 @@ class TestTracer:
         assert all(s.packet_id == 1 for s in tracer.trace(1).sightings)
 
     def test_link_crossings_match_hops_fault_free(self):
-        net = build(width=4)
+        net = build(shape=(4, 1))
         net.interfaces[0].enqueue(Packet(0, src=0, dst=3, num_flits=2, injection_cycle=0))
         tracer = PacketTracer(net, watch=[0])
         tracer.run_until_delivered(1, max_cycles=100)
@@ -41,7 +41,7 @@ class TestTracer:
         assert tracer.trace(0).link_crossings(0) == 3
 
     def test_retransmission_shows_extra_crossing(self):
-        net = build(width=4, num_vcs=1)
+        net = build(shape=(4, 1), num_vcs=1)
         hits = {"n": 0}
 
         def upset(cycle, node, direction=None):

@@ -59,13 +59,13 @@ class TestPublish:
 
 class TestWiring:
     def test_disabled_config_means_no_bus(self):
-        net = Network(SimulationConfig(noc=NoCConfig(width=3, height=3)))
+        net = Network(SimulationConfig(noc=NoCConfig(shape=(3, 3))))
         assert net.telemetry is None
 
     def test_enabled_config_wires_every_component(self):
         net = Network(
             SimulationConfig(
-                noc=NoCConfig(width=3, height=3, deadlock_recovery_enabled=True),
+                noc=NoCConfig(shape=(3, 3), deadlock_recovery_enabled=True),
                 telemetry=TelemetryConfig(enabled=True),
             )
         )
@@ -80,7 +80,7 @@ class TestWiring:
 
     def test_sampler_covers_every_metric(self):
         config = SimulationConfig(
-            noc=NoCConfig(width=3, height=3),
+            noc=NoCConfig(shape=(3, 3)),
             workload=WorkloadConfig(
                 injection_rate=0.1, num_messages=60, warmup_messages=10
             ),
@@ -91,7 +91,7 @@ class TestWiring:
 
     def test_sampling_at_exact_interval_cycles(self):
         config = SimulationConfig(
-            noc=NoCConfig(width=3, height=3),
+            noc=NoCConfig(shape=(3, 3)),
             workload=WorkloadConfig(
                 injection_rate=0.1, num_messages=60, warmup_messages=10
             ),
@@ -104,7 +104,7 @@ class TestWiring:
 
     def test_series_ring_capacity_bounds_memory(self):
         config = SimulationConfig(
-            noc=NoCConfig(width=3, height=3),
+            noc=NoCConfig(shape=(3, 3)),
             workload=WorkloadConfig(
                 injection_rate=0.05, num_messages=200, warmup_messages=10
             ),
@@ -124,7 +124,7 @@ class TestWiring:
 class TestEventTaxonomy:
     def test_fault_run_publishes_only_known_kinds(self):
         config = SimulationConfig(
-            noc=NoCConfig(width=4, height=4),
+            noc=NoCConfig(shape=(4, 4)),
             faults=FaultConfig.link_only(0.05, seed=3),
             workload=WorkloadConfig(
                 injection_rate=0.1, num_messages=150, warmup_messages=20

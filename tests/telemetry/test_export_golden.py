@@ -44,7 +44,7 @@ class TestGoldenFile:
         header = json.loads(golden_lines[0])
         assert header["schema"] == SCHEMA_VERSION
         assert header["command"] == "telemetry"
-        assert header["config"]["noc"]["width"] == 4
+        assert header["config"]["noc"]["shape"] == [4, 4]
         assert header["result"]["events"] > 0
         assert header["result"]["samples"] > 0
 

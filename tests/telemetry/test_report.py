@@ -7,7 +7,7 @@ from repro.telemetry.report import TelemetryReport
 
 
 def _report(**kw):
-    defaults = dict(width=2, height=2, metrics_interval=10)
+    defaults = dict(shape=(2, 2), metrics_interval=10)
     defaults.update(kw)
     return TelemetryReport(**defaults)
 

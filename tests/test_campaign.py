@@ -8,7 +8,7 @@ from repro.config import NoCConfig, SimulationConfig, WorkloadConfig
 
 def tiny_base() -> SimulationConfig:
     return SimulationConfig(
-        noc=NoCConfig(width=3, height=3),
+        noc=NoCConfig(shape=(3, 3)),
         workload=WorkloadConfig(
             injection_rate=0.2, num_messages=100, warmup_messages=20
         ),
@@ -46,6 +46,14 @@ class TestGrid:
     def test_empty_axes_rejected(self):
         with pytest.raises(ValueError):
             grid(axes={})
+
+    def test_legacy_geometry_axis_is_refused_not_ignored(self):
+        # The base serializes with noc.shape, so a noc.width axis is a
+        # second spelling of the same extent (it used to be dropped).
+        with pytest.raises(ValueError, match="noc.shape and noc.width"):
+            grid(axes={"noc.width": [3, 4]}, base=tiny_base())
+        shapes = [c.noc.shape for _, c in grid({"noc.shape": [[3, 3], [4, 4, 4]]})]
+        assert shapes == [(3, 3), (4, 4, 4)]
 
 
 class TestRunCampaign:
@@ -130,7 +138,7 @@ class TestCampaignFailureHandling:
 
         wedged = SimulationConfig(
             noc=NoCConfig(
-                width=4, height=4, topology="torus",
+                shape=(4, 4), topology="torus",
                 deadlock_recovery_enabled=False,
             ),
             workload=tiny_base().workload,

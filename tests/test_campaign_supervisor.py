@@ -27,14 +27,14 @@ def _small(**workload_kw):
     )
     kw.update(workload_kw)
     return SimulationConfig(
-        noc=NoCConfig(width=3, height=3), workload=WorkloadConfig(**kw)
+        noc=NoCConfig(shape=(3, 3)), workload=WorkloadConfig(**kw)
     )
 
 
 def _endless():
     """A config whose natural runtime is minutes — watchdog fodder."""
     return SimulationConfig(
-        noc=NoCConfig(width=8, height=8),
+        noc=NoCConfig(shape=(8, 8)),
         workload=WorkloadConfig(
             num_messages=50_000_000,
             warmup_messages=100,
@@ -47,7 +47,7 @@ def _endless():
 def _crashing():
     """Constructors accept it; the Simulator rejects the pattern at start."""
     return SimulationConfig(
-        noc=NoCConfig(width=3, height=3),
+        noc=NoCConfig(shape=(3, 3)),
         workload=WorkloadConfig(
             pattern="no_such_pattern", num_messages=50, warmup_messages=5
         ),

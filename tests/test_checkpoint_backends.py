@@ -31,8 +31,7 @@ from repro.telemetry.export import write_ndjson
 
 def _cfg(backend, **kw):
     base = dict(
-        width=4,
-        height=4,
+        shape=(4, 4),
         rate=0.1,
         messages=150,
         warmup=20,

@@ -26,6 +26,7 @@ from repro.experiments.degradation import mesh_links
 from repro.noc.simulator import Simulator
 from repro.serialization import result_to_dict
 from repro.types import FaultSite, LinkProtection, RoutingAlgorithm
+from tests.conftest import reference_loop
 
 RUN_CYCLES = 200
 SEEDS = range(8)
@@ -54,8 +55,7 @@ def _random_config(rng: random.Random) -> SimulationConfig:
     sites = rng.sample(sorted(FaultSite, key=lambda s: s.value), k=rng.randint(0, 3))
     rates = {site: rng.choice([0.001, 0.005, 0.01]) for site in sites}
     noc = NoCConfig(
-        width=width,
-        height=height,
+        shape=(width, height),
         num_vcs=rng.randint(2, 3),
         vc_buffer_depth=vc_depth,
         flits_per_packet=flits,
@@ -83,7 +83,7 @@ def _random_config(rng: random.Random) -> SimulationConfig:
     intermittent = IntermittentFaultSchedule.empty()
     wear_out = None
     if rng.random() < 0.5:
-        sites = rng.sample(mesh_links(width, height), k=rng.randint(1, 2))
+        sites = rng.sample(mesh_links((width, height)), k=rng.randint(1, 2))
         intermittent = IntermittentFaultSchedule.of(
             *(
                 IntermittentFault(
@@ -115,7 +115,6 @@ def _random_config(rng: random.Random) -> SimulationConfig:
         ),
         workload=workload,
         invariant_checks=True,
-        activity_driven=rng.choice([True, False]),
     )
 
 
@@ -129,18 +128,20 @@ def _observables(result):
 def test_random_config_lint_run_checkpoint_resume(seed, tmp_path):
     rng = random.Random(seed)
     config = _random_config(rng)
+    use_reference_loop = rng.choice([False, True])
 
     report = lint_config(config, source=f"fuzz-seed-{seed}")
     assert not report.errors, [d.format() for d in report.errors]
 
-    golden = Simulator(config).run()
-    assert golden.cycles == RUN_CYCLES  # bounded for CI
+    with reference_loop(use_reference_loop):
+        golden = Simulator(config).run()
+        assert golden.cycles == RUN_CYCLES  # bounded for CI
 
-    sim = Simulator(config)
-    sim.run_to_cycle(RUN_CYCLES // 2)
-    path = tmp_path / "fuzz.ckpt"
-    save_checkpoint(sim, path)
-    del sim
-    resumed = load_checkpoint(path)
-    assert resumed.resumed_from_cycle == RUN_CYCLES // 2
-    assert _observables(resumed.run()) == _observables(golden)
+        sim = Simulator(config)
+        sim.run_to_cycle(RUN_CYCLES // 2)
+        path = tmp_path / "fuzz.ckpt"
+        save_checkpoint(sim, path)
+        del sim
+        resumed = load_checkpoint(path)
+        assert resumed.resumed_from_cycle == RUN_CYCLES // 2
+        assert _observables(resumed.run()) == _observables(golden)

@@ -8,7 +8,7 @@ from repro.cli import build_parser, main
 class TestParser:
     def test_run_defaults(self):
         args = build_parser().parse_args(["run"])
-        assert args.width == 8 and args.scheme == "hbh"
+        assert args.shape == "8x8" and args.scheme == "hbh"
 
     def test_figure_choices(self):
         args = build_parser().parse_args(["figure", "5"])
@@ -26,7 +26,7 @@ class TestRunCommand:
         rc = main(
             [
                 "run",
-                "--width", "3", "--height", "3",
+                "--shape", "3x3",
                 "--messages", "120", "--warmup", "20",
             ]
         )
@@ -39,7 +39,7 @@ class TestRunCommand:
         rc = main(
             [
                 "run",
-                "--width", "3", "--height", "3",
+                "--shape", "3x3",
                 "--messages", "150", "--warmup", "20",
                 "--link-error-rate", "0.05",
                 "--multi-bit-fraction", "1.0",
@@ -54,7 +54,7 @@ class TestRunCommand:
             rc = main(
                 [
                     "run",
-                    "--width", "3", "--height", "3",
+                    "--shape", "3x3",
                     "--messages", "80", "--warmup", "10",
                     "--scheme", scheme,
                 ]
@@ -65,7 +65,7 @@ class TestRunCommand:
         rc = main(
             [
                 "run",
-                "--width", "3", "--height", "3",
+                "--shape", "3x3",
                 "--messages", "80", "--warmup", "10",
                 "--routing", "fully_adaptive",
                 "--deadlock-recovery",
@@ -111,7 +111,7 @@ class TestPermanentFaultFlags:
         rc = main(
             [
                 "run",
-                "--width", "4", "--height", "4",
+                "--shape", "4x4",
                 "--messages", "150", "--warmup", "20",
                 "--dead-link", "5:east",
                 "--dead-vc", "6:south:1@100",
@@ -136,13 +136,13 @@ class TestPermanentFaultFlags:
 class TestDegradeCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["degrade"])
-        assert args.width == 8 and args.kills == 8
+        assert args.shape == "8x8" and args.kills == 8
 
     def test_tiny_campaign(self, capsys):
         rc = main(
             [
                 "degrade",
-                "--width", "4", "--height", "4",
+                "--shape", "4x4",
                 "--kills", "2",
                 "--inject-cycles", "200",
                 "--no-chart",
@@ -159,7 +159,7 @@ class TestDegradeCommand:
         rc = main(
             [
                 "degrade",
-                "--width", "4", "--height", "4",
+                "--shape", "4x4",
                 "--kills", "1",
                 "--inject-cycles", "200",
                 "--json",
@@ -169,7 +169,7 @@ class TestDegradeCommand:
         env = json.loads(capsys.readouterr().out)
         assert env["schema"] == "repro/v1"
         assert env["command"] == "degrade"
-        assert env["config"]["width"] == 4
+        assert env["config"]["shape"] == [4, 4]
         points = env["result"]
         assert [p["kills"] for p in points] == [0, 1]
         assert points[0]["delivery_rate"] == 1.0
@@ -187,7 +187,7 @@ class TestJsonEnvelopes:
         rc = main(
             [
                 "run",
-                "--width", "3", "--height", "3",
+                "--shape", "3x3",
                 "--messages", "80", "--warmup", "10",
                 "--json",
             ]
@@ -196,12 +196,12 @@ class TestJsonEnvelopes:
         env = self._parse(capsys)
         assert env["schema"] == "repro/v1"
         assert env["command"] == "run"
-        assert env["config"]["noc"]["width"] == 3
+        assert env["config"]["noc"]["shape"] == [3, 3]
         assert env["result"]["packets_delivered"] == 80
         assert "config" not in env["result"]  # config lives in the envelope
 
     def test_lint_envelope(self, capsys):
-        rc = main(["lint", "--width", "4", "--height", "4", "--json"])
+        rc = main(["lint", "--shape", "4x4", "--json"])
         assert rc == 0
         env = self._parse(capsys)
         assert env["schema"] == "repro/v1"
@@ -228,7 +228,7 @@ class TestTelemetryFlag:
         rc = main(
             [
                 "run",
-                "--width", "4", "--height", "4",
+                "--shape", "4x4",
                 "--messages", "120", "--warmup", "20",
                 "--link-error-rate", "0.02",
                 "--telemetry", str(out_path),
@@ -248,7 +248,7 @@ class TestTelemetryFlag:
         rc = main(
             [
                 "run",
-                "--width", "3", "--height", "3",
+                "--shape", "3x3",
                 "--messages", "60", "--warmup", "10",
                 "--telemetry", str(out_path),
                 "--json",
@@ -263,7 +263,7 @@ class TestTelemetryFlag:
 class TestCheckpointFlags:
     RUN_FLAGS = [
         "run",
-        "--width", "3", "--height", "3",
+        "--shape", "3x3",
         "--messages", "150", "--warmup", "20",
         "--link-error-rate", "0.02",
         "--json",
@@ -305,7 +305,7 @@ class TestCheckpointFlags:
 
 class TestVerifyCommand:
     def test_healthy_mesh_certifies(self, capsys):
-        rc = main(["verify", "--width", "4", "--height", "4", "--routing", "xy"])
+        rc = main(["verify", "--shape", "4x4", "--routing", "xy"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "connectivity       PASS" in out
@@ -315,7 +315,7 @@ class TestVerifyCommand:
 
     def test_torus_xy_fails_with_witness(self, capsys):
         rc = main(
-            ["verify", "--width", "4", "--height", "4", "--torus",
+            ["verify", "--shape", "4x4", "--torus",
              "--routing", "xy"]
         )
         assert rc == 1
@@ -326,7 +326,7 @@ class TestVerifyCommand:
 
     def test_single_link_kill_sweep(self, capsys):
         rc = main(
-            ["verify", "--width", "3", "--height", "3",
+            ["verify", "--shape", "3x3",
              "--routing", "ft_table", "--single-link-kills",
              "--multi-kill", "2", "--samples", "3"]
         )
@@ -337,7 +337,7 @@ class TestVerifyCommand:
 
     def test_degraded_flags_certify_the_degraded_platform(self, capsys):
         rc = main(
-            ["verify", "--width", "4", "--height", "4", "--routing", "xy",
+            ["verify", "--shape", "4x4", "--routing", "xy",
              "--dead-link", "5:east"]
         )
         assert rc == 0
@@ -348,7 +348,7 @@ class TestVerifyCommand:
         import json
 
         rc = main(
-            ["verify", "--width", "3", "--height", "3", "--routing", "xy",
+            ["verify", "--shape", "3x3", "--routing", "xy",
              "--json"]
         )
         assert rc == 0
@@ -383,7 +383,7 @@ class TestShapeFlags:
         args = build_parser().parse_args(["run", "--shape", "4x4x4"])
         assert args.shape == "4x4x4"
 
-    def test_2d_shape_normalizes_to_legacy_keys(self, capsys):
+    def test_2d_shape_emits_shape_and_latency(self, capsys):
         import json
 
         rc = main(
@@ -392,8 +392,8 @@ class TestShapeFlags:
         )
         assert rc == 0
         noc = json.loads(capsys.readouterr().out)["config"]["noc"]
-        assert noc["width"] == 3 and noc["height"] == 3
-        assert "shape" not in noc
+        assert noc["shape"] == [3, 3] and noc["link_latency"] == 1
+        assert "width" not in noc and "height" not in noc
 
     def test_3d_shape_selects_mesh3d(self, capsys):
         import json
@@ -409,6 +409,36 @@ class TestShapeFlags:
         assert noc["topology"] == "mesh3d"
         assert noc["link_latency"] == [1, 1, 2]
         assert "width" not in noc
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # At the parent commit these simulated the 8x8 default and
+            # dropped --width 6 without a word.
+            ["sweep", "--width", "3", "--height", "3"],
+            ["run", "--shape", "3x3", "--width", "6"],
+            ["degrade", "--height", "4"],
+            ["lint", "--width", "4"],
+            ["verify", "--width", "4", "--height", "4"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_width_height_flags_are_unrecognised(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_sweep_simulates_the_shape_it_is_given(self, capsys):
+        import json
+
+        rc = main(["sweep", "--shape", "3x3", "--messages", "60",
+                   "--rates", "0.05", "--json"])
+        assert rc == 0
+        env = json.loads(capsys.readouterr().out)
+        assert env["config"]["shape"] == [3, 3]
+        # 3x3 uniform traffic averages under 2 hops; the 8x8 default ~5.3.
+        assert env["result"][0]["result"]["avg_hops"] < 2.5
 
     def test_bad_shape_grammar_exits_2(self, capsys):
         with pytest.raises(SystemExit):
@@ -434,6 +464,8 @@ class TestCampaignCommand:
         import json
 
         config = {
+            # Legacy spelling on purpose: spec fragments written before the
+            # canonical config still load (upgraded before the merge).
             "noc": {"width": 3, "height": 3},
             "workload": {
                 "num_messages": 120,
@@ -449,6 +481,25 @@ class TestCampaignCommand:
             )
         )
         return str(spec)
+
+    def test_spec_with_both_spellings_is_refused(self, capsys, tmp_path):
+        import json
+
+        spec = tmp_path / "both.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "variants": [
+                        {
+                            "name": "a",
+                            "config": {"noc": {"shape": [3, 3], "width": 4}},
+                        }
+                    ]
+                }
+            )
+        )
+        assert main(["campaign", str(spec)]) == 2
+        assert "noc.shape and noc.width" in capsys.readouterr().err
 
     def test_parser_defaults(self):
         # Unset flags stay None so --resume can tell "not given" from
@@ -561,7 +612,7 @@ class TestCampaignCommand:
             json.dumps(
                 {
                     "base": {
-                        "noc": {"width": 3, "height": 3},
+                        "noc": {"shape": [3, 3]},
                         "workload": {
                             "num_messages": 120,
                             "warmup_messages": 20,

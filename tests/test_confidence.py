@@ -71,7 +71,7 @@ class TestIntegrationWithSimulator:
         from repro.noc.simulator import Simulator
 
         config = SimulationConfig(
-            noc=NoCConfig(width=4, height=4),
+            noc=NoCConfig(shape=(4, 4)),
             workload=WorkloadConfig(
                 injection_rate=0.2, num_messages=400, warmup_messages=80
             ),

@@ -14,7 +14,7 @@ from repro.types import FaultSite, LinkProtection, RoutingAlgorithm
 class TestNoCConfig:
     def test_paper_defaults(self):
         cfg = NoCConfig()
-        assert cfg.width == 8 and cfg.height == 8
+        assert cfg.shape == (8, 8)
         assert cfg.num_nodes == 64
         assert cfg.num_vcs == 3
         assert cfg.flits_per_packet == 4
@@ -27,19 +27,19 @@ class TestNoCConfig:
 
     def test_replace_returns_new_config(self):
         cfg = NoCConfig()
-        other = cfg.replace(width=4)
-        assert other.width == 4
-        assert cfg.width == 8
+        other = cfg.replace(shape=(4, 8))
+        assert other.shape == (4, 8)
+        assert cfg.shape == (8, 8)
 
     def test_is_frozen(self):
         with pytest.raises(AttributeError):
-            NoCConfig().width = 3  # type: ignore[misc]
+            NoCConfig().shape = (3, 3)  # type: ignore[misc]
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(width=0),
-            dict(height=-1),
+            dict(shape=(0, 8)),
+            dict(shape=(8, -1)),
             dict(num_vcs=0),
             dict(vc_buffer_depth=0),
             dict(flits_per_packet=0),

@@ -24,8 +24,7 @@ from repro.types import FaultSite, LinkProtection, RoutingAlgorithm
 def fancy_config() -> SimulationConfig:
     return SimulationConfig(
         noc=NoCConfig(
-            width=4,
-            height=3,
+            shape=(4, 3),
             num_vcs=2,
             routing=RoutingAlgorithm.WEST_FIRST,
             link_protection=LinkProtection.E2E,
@@ -88,7 +87,7 @@ class TestConfigRoundTrip:
 
     def test_roundtripped_config_runs_identically(self):
         config = SimulationConfig(
-            noc=NoCConfig(width=3, height=3),
+            noc=NoCConfig(shape=(3, 3)),
             faults=FaultConfig.link_only(0.02, multi_bit_fraction=1.0),
             workload=WorkloadConfig(
                 injection_rate=0.2, num_messages=120, warmup_messages=20
@@ -103,7 +102,7 @@ class TestConfigRoundTrip:
 class TestResultSerialization:
     def test_result_to_json(self):
         config = SimulationConfig(
-            noc=NoCConfig(width=3, height=3),
+            noc=NoCConfig(shape=(3, 3)),
             workload=WorkloadConfig(
                 injection_rate=0.2, num_messages=100, warmup_messages=20
             ),
@@ -111,7 +110,7 @@ class TestResultSerialization:
         result = run_simulation(config)
         data = result_to_dict(result)
         assert data["packets_delivered"] >= 100
-        assert data["config"]["noc"]["width"] == 3
+        assert data["config"]["noc"]["shape"] == [3, 3]
         parsed = json.loads(result_to_json(result))
         assert parsed["avg_latency"] == pytest.approx(result.avg_latency)
 
@@ -121,7 +120,7 @@ class TestResultRoundTrip:
     def result(self):
         return run_simulation(
             SimulationConfig(
-                noc=NoCConfig(width=3, height=3),
+                noc=NoCConfig(shape=(3, 3)),
                 faults=FaultConfig.link_only(0.02, seed=5),
                 workload=WorkloadConfig(
                     injection_rate=0.2, num_messages=100, warmup_messages=20

@@ -40,7 +40,7 @@ from repro.checkpoint import CheckpointError, read_checkpoint_header  # noqa: E4
 #: SIGKILL reliably lands mid-run, with transient link faults so the resume
 #: is exercised on a stressed configuration, not a toy one.
 RUN_FLAGS = [
-    "--width", "8", "--height", "8",
+    "--shape", "8x8",
     "--rate", "0.3",
     "--messages", "3000",
     "--warmup", "400",

@@ -36,7 +36,7 @@ def golden_config():
     from repro.telemetry import TelemetryConfig
 
     return SimulationConfig(
-        noc=NoCConfig(width=4, height=4),
+        noc=NoCConfig(shape=(4, 4)),
         faults=FaultConfig.link_only(0.02, seed=7),
         workload=WorkloadConfig(
             injection_rate=0.1,

@@ -46,7 +46,7 @@ File schema (list of records, oldest first)::
         "timestamp": "...",
         "label": "PR 8",
         "git_rev": "abc1234",
-        "scenario": {"width": 6, "height": 6, "kills": 4, ...},
+        "scenario": {"shape": [6, 6], "kills": 4, ...},
         "degradation": {
           "ft_table":   [{"kills": 0, "delivery_rate": 1.0, ...}, ...],
           "west_first": [...]
@@ -82,16 +82,14 @@ DEFAULT_OUTPUT = REPO_ROOT / "RESIL_noc.json"
 #: The pinned scenario matrix.  Small enough for CI, large enough that
 #: every layer (reroute, drain, burst, escalation) genuinely engages.
 SCENARIO = {
-    "width": 6,
-    "height": 6,
+    "shape": [6, 6],
     "kills": 4,
     "injection_rate": 0.08,
     "inject_cycles": 800,
     "drain_cycles": 15_000,
     "seed": 2006,
     "burst": {
-        "width": 4,
-        "height": 4,
+        "shape": [4, 4],
         "burst_rates": [0.0, 0.5],
         "wear_thresholds": [None, 10.0],
         "num_sites": 4,
@@ -145,8 +143,7 @@ def measure() -> dict:
             # warning is the point of the comparison, not noise for CI.
             warnings.filterwarnings("ignore", message=".*NOC013.*")
             points = run_degradation(
-                width=scenario["width"],
-                height=scenario["height"],
+                shape=scenario["shape"],
                 max_kills=scenario["kills"],
                 injection_rate=scenario["injection_rate"],
                 inject_cycles=scenario["inject_cycles"],
@@ -201,8 +198,7 @@ def measure() -> dict:
 
     burst_cfg = scenario["burst"]
     burst_points = run_burst_degradation(
-        width=burst_cfg["width"],
-        height=burst_cfg["height"],
+        shape=burst_cfg["shape"],
         burst_rates=tuple(burst_cfg["burst_rates"]),
         wear_thresholds=tuple(burst_cfg["wear_thresholds"]),
         num_sites=burst_cfg["num_sites"],
