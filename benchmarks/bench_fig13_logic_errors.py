@@ -7,9 +7,9 @@ essentially flat, with LINK-HBH the costliest because retransmissions move
 flits over links again.
 """
 
-from benchmarks.conftest import run_once
-from repro.experiments.common import FIG13_ERROR_RATES, format_series
-from repro.experiments.figure13 import run_figure13
+from benchmarks.conftest import print_tables, run_once
+from repro.experiments.common import FIG13_ERROR_RATES
+from repro.experiments.figure13 import run_figure13, tables
 
 
 def test_figure13_soft_error_schemes(benchmark, bench_scale):
@@ -20,26 +20,7 @@ def test_figure13_soft_error_schemes(benchmark, bench_scale):
         num_messages=bench_scale["num_messages"],
         warmup=bench_scale["warmup"],
     )
-    rates = [p.error_rate for p in results["LINK-HBH"]]
-    print()
-    print(
-        format_series(
-            "Figure 13(a) — corrected errors (per 1,000 messages)",
-            "error rate",
-            rates,
-            {k: [p.corrected_per_kmsg for p in v] for k, v in results.items()},
-            fmt="{:.1f}",
-        )
-    )
-    print(
-        format_series(
-            "Figure 13(b) — energy per packet (nJ)",
-            "error rate",
-            rates,
-            {k: [p.energy_per_packet_nj for p in v] for k, v in results.items()},
-            fmt="{:.4f}",
-        )
-    )
+    print_tables(tables(results))
     top = {label: series[-1] for label, series in results.items()}
     # (a) the ordering claim at the highest error rate.
     assert top["SA-Logic"].errors_corrected > top["LINK-HBH"].errors_corrected

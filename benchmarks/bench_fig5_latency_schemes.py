@@ -5,9 +5,9 @@ HBH stays flat over 1e-5..1e-1 while E2E's latency becomes prohibitive;
 FEC's latency stays low but it silently loses/corrupts packets.
 """
 
-from benchmarks.conftest import run_once
-from repro.experiments.common import ERROR_RATES, format_series
-from repro.experiments.figure5 import run_figure5
+from benchmarks.conftest import print_tables, run_once
+from repro.experiments.common import ERROR_RATES
+from repro.experiments.figure5 import run_figure5, tables
 
 
 def test_figure5_latency_schemes(benchmark, bench_scale):
@@ -18,30 +18,7 @@ def test_figure5_latency_schemes(benchmark, bench_scale):
         num_messages=bench_scale["num_messages"],
         warmup=bench_scale["warmup"],
     )
-    rates = [p.error_rate for p in results["hbh"]]
-    print()
-    print(
-        format_series(
-            "Figure 5 — Latency (cycles) vs. error rate",
-            "error rate",
-            rates,
-            {k.upper(): [p.avg_latency for p in v] for k, v in results.items()},
-        )
-    )
-    print(
-        format_series(
-            "          (packets lost + delivered corrupt)",
-            "error rate",
-            rates,
-            {
-                k.upper(): [
-                    float(p.packets_lost + p.packets_delivered_corrupt) for p in v
-                ]
-                for k, v in results.items()
-            },
-            fmt="{:.0f}",
-        )
-    )
+    print_tables(tables(results))
 
     hbh = [p.avg_latency for p in results["hbh"]]
     e2e = [p.avg_latency for p in results["e2e"]]

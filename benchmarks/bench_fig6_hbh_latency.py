@@ -5,9 +5,9 @@ rate" for all three destination distributions, because a retransmission
 costs ~2 cycles and stays on a single hop.
 """
 
-from benchmarks.conftest import run_once
-from repro.experiments.common import ERROR_RATES, format_series
-from repro.experiments.figure6_7 import run_figure6_7
+from benchmarks.conftest import print_tables, run_once
+from repro.experiments.common import ERROR_RATES
+from repro.experiments.figure6_7 import run_figure6_7, tables
 
 
 def test_figure6_hbh_latency(benchmark, bench_scale):
@@ -18,16 +18,7 @@ def test_figure6_hbh_latency(benchmark, bench_scale):
         num_messages=bench_scale["num_messages"],
         warmup=bench_scale["warmup"],
     )
-    rates = [p.error_rate for p in results["NR"]]
-    print()
-    print(
-        format_series(
-            "Figure 6 — HBH latency (cycles) vs. error rate",
-            "error rate",
-            rates,
-            {label: [p.avg_latency for p in pts] for label, pts in results.items()},
-        )
-    )
+    print_tables(tables(results)[:1])
     for label, series in results.items():
         latencies = [p.avg_latency for p in series]
         # Flatness through 1% error rate: even the worst case (every error

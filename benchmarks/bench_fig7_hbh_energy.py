@@ -5,9 +5,9 @@ negligible, because each retransmission re-traverses a single hop out of a
 multi-hop path.
 """
 
-from benchmarks.conftest import run_once
-from repro.experiments.common import ERROR_RATES, format_series
-from repro.experiments.figure6_7 import run_figure6_7
+from benchmarks.conftest import print_tables, run_once
+from repro.experiments.common import ERROR_RATES
+from repro.experiments.figure6_7 import run_figure6_7, tables
 
 
 def test_figure7_hbh_energy(benchmark, bench_scale):
@@ -18,20 +18,7 @@ def test_figure7_hbh_energy(benchmark, bench_scale):
         num_messages=bench_scale["num_messages"],
         warmup=bench_scale["warmup"],
     )
-    rates = [p.error_rate for p in results["NR"]]
-    print()
-    print(
-        format_series(
-            "Figure 7 — HBH energy per message (nJ) vs. error rate",
-            "error rate",
-            rates,
-            {
-                label: [p.energy_per_packet_nj for p in pts]
-                for label, pts in results.items()
-            },
-            fmt="{:.4f}",
-        )
-    )
+    print_tables(tables(results)[1:])
     for label, series in results.items():
         energies = [p.energy_per_packet_nj for p in series]
         assert all(e > 0 for e in energies), label

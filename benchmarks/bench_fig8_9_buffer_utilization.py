@@ -6,9 +6,9 @@ utilization does not track the transmission buffers' — the justification
 for reusing them for deadlock recovery.
 """
 
-from benchmarks.conftest import run_once
-from repro.experiments.common import INJECTION_RATES, format_series
-from repro.experiments.figure8_9 import run_figure8_9
+from benchmarks.conftest import print_tables, run_once
+from repro.experiments.common import INJECTION_RATES
+from repro.experiments.figure8_9 import run_figure8_9, tables
 
 
 def test_figure8_9_buffer_utilization(benchmark):
@@ -19,26 +19,7 @@ def test_figure8_9_buffer_utilization(benchmark):
         cycles=600,
         measure_from=150,
     )
-    rates = [p.injection_rate for p in results["AD"]]
-    print()
-    print(
-        format_series(
-            "Figure 8 — Transmission buffer utilization",
-            "inj. rate",
-            rates,
-            {k: [p.tx_utilization for p in v] for k, v in results.items()},
-            fmt="{:.3f}",
-        )
-    )
-    print(
-        format_series(
-            "Figure 9 — Retransmission buffer utilization",
-            "inj. rate",
-            rates,
-            {k: [p.retx_utilization for p in v] for k, v in results.items()},
-            fmt="{:.3f}",
-        )
-    )
+    print_tables(tables(results))
     for label, series in results.items():
         tx = [p.tx_utilization for p in series]
         retx = [p.retx_utilization for p in series]

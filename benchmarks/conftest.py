@@ -31,3 +31,15 @@ def run_once(benchmark, fn, *args, **kwargs):
     would re-run them dozens of times.
     """
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def print_tables(tables):
+    """Print a figure's ``tables(results)`` the way ``repro figure N
+    --no-chart`` does."""
+    # Imported here: benchmarks/ledger's self-test loads this conftest
+    # before it has put src/ on the path.
+    from repro.report import render_figure
+
+    for table in tables:
+        print()
+        print(render_figure(*table, chart=False))

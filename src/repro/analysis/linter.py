@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import warnings
 from pathlib import Path
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.analysis.cdg import CDGVerdict, verify_deadlock_freedom
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport, Severity
@@ -154,28 +154,31 @@ def lint_path(path: Union[str, Path], *, cdg: bool = True) -> DiagnosticReport:
     return lint_paths([path], cdg=cdg)
 
 
+def config_files(path: Union[str, Path]) -> List[Path]:
+    """``path`` itself or, for a directory, every ``*.json`` beneath it,
+    sorted: the one walker behind ``repro lint`` and ``repro verify``."""
+    path = Path(path)
+    return sorted(path.rglob("*.json")) if path.is_dir() else [path]
+
+
 def lint_paths(
     paths: Iterable[Union[str, Path]], *, cdg: bool = True
 ) -> DiagnosticReport:
     """Lint many files/directories into one combined report."""
     report = DiagnosticReport()
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            files = sorted(path.rglob("*.json"))
-            if not files:
-                report.add(
-                    Diagnostic(
-                        rule_id="NOC000",
-                        severity=Severity.WARNING,
-                        message="directory contains no *.json config files",
-                        source=str(path),
-                    )
+    for path in paths:
+        files = config_files(path)
+        if not files:
+            report.add(
+                Diagnostic(
+                    rule_id="NOC000",
+                    severity=Severity.WARNING,
+                    message="directory contains no *.json config files",
+                    source=str(Path(path)),
                 )
-            for file in files:
-                report.extend(_lint_file(file, cdg=cdg))
-        else:
-            report.extend(_lint_file(path, cdg=cdg))
+            )
+        for file in files:
+            report.extend(_lint_file(file, cdg=cdg))
     return report
 
 

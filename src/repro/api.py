@@ -5,7 +5,8 @@ simulator lives behind this one module, with small call-shaped functions
 instead of the internal class constellation:
 
 * :func:`load_config` — build a :class:`SimulationConfig` from a JSON file,
-  a JSON string, a serialized dict, or keyword overrides.
+  a JSON string, a serialized dict, or keyword overrides
+  (:func:`config_dict` stops at the dict, before any constructor runs).
 * :func:`run` — run one simulation (telemetry and tracing optional).
 * :func:`resume` — finish an interrupted run from a checkpoint file
   (:mod:`repro.checkpoint`; bit-for-bit equal to the uninterrupted run).
@@ -18,7 +19,11 @@ instead of the internal class constellation:
 * :func:`campaign` / :func:`resume_campaign` — the durable campaign
   service: supervised variant grids with retry backoff, deadlines, a
   crash-proof journal and a content-addressed result cache
-  (docs/CAMPAIGNS.md).
+  (docs/CAMPAIGNS.md); :func:`variants_from_spec` reads its spec files.
+
+The ``repro`` command line is a projection of this module: each subcommand
+parses flags into the overrides above, makes one call here and renders the
+result (:mod:`repro.cli` imports nothing else from the library).
 
 Every heavyweight type these return is re-exported here, so user code can
 type-annotate and introspect without reaching into internal modules::
@@ -38,15 +43,25 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
-from repro.analysis.linter import DiagnosticReport, lint_config, lint_paths
+from repro.analysis.linter import (
+    DiagnosticReport,
+    config_files,
+    lint_config,
+    lint_dict,
+    lint_paths,
+)
+from repro.analysis.rules import rule_catalogue
+from repro.analysis.sanitizer import InvariantViolationError
 from repro.campaign import (
     CampaignLintError,
     CampaignRow,
+    campaign_row_to_dict,
     campaign_table,
     grid,
     run_campaign,
+    variants_from_spec,
 )
 from repro.analysis.verify import (
     FaultSweepVerdict,
@@ -67,6 +82,7 @@ from repro.config import (
     NoCConfig,
     SimulationConfig,
     WorkloadConfig,
+    min_retx_depth,
     parse_link_latency,
     parse_shape,
 )
@@ -80,6 +96,13 @@ from repro.faults.intermittent import (
     IntermittentFault,
     IntermittentFaultSchedule,
     WearOutConfig,
+    parse_intermittent_spec,
+)
+from repro.faults.permanent import (
+    PermanentFaultSchedule,
+    parse_link_spec,
+    parse_router_spec,
+    parse_vc_spec,
 )
 from repro.noc.simulator import SimulationResult, Simulator, run_simulation
 from repro.serialization import (
@@ -91,6 +114,7 @@ from repro.serialization import (
     upgrade_config_dict,
 )
 from repro.service import (
+    JournalError,
     ResultCache,
     RetryPolicy,
     cache_key,
@@ -115,6 +139,8 @@ __all__ = [
     "FaultSweepVerdict",
     "IntermittentFault",
     "IntermittentFaultSchedule",
+    "InvariantViolationError",
+    "JournalError",
     "WearOutConfig",
     "RoutingCertificate",
     "TraversalVerdict",
@@ -131,16 +157,25 @@ __all__ = [
     "RetryPolicy",
     "cache_key",
     "campaign",
+    "campaign_row_to_dict",
     "campaign_table",
+    "config_dict",
+    "config_files",
     "config_from_dict",
     "config_to_dict",
     "degrade",
     "degrade_burst",
     "envelope",
+    "faults_from_specs",
     "grid",
     "lint",
+    "lint_dict",
+    "lint_paths",
     "load_checkpoint",
     "load_config",
+    "min_retx_depth",
+    "parse_link_latency",
+    "parse_shape",
     "read_checkpoint_header",
     "read_journal",
     "result_from_dict",
@@ -148,11 +183,13 @@ __all__ = [
     "resume",
     "resume_campaign",
     "resume_from",
+    "rule_catalogue",
     "run",
     "run_campaign",
     "save_checkpoint",
     "sweep",
     "validate_ndjson_lines",
+    "variants_from_spec",
     "verify",
     "write_ndjson",
 ]
@@ -175,11 +212,22 @@ def load_config(source: Optional[ConfigLike] = None, **overrides: Any) -> Simula
 
     ``telemetry`` accepts a :class:`TelemetryConfig`, a dict, or ``True``
     (enable with defaults); ``faults`` accepts a :class:`FaultConfig` or a
-    serialized faults dict.
+    serialized faults dict, laid over the source's ``faults`` section.
     """
+    return config_from_dict(config_dict(source, **overrides))
+
+
+def config_dict(
+    source: Optional[ConfigLike] = None, **overrides: Any
+) -> Dict[str, Any]:
+    """:func:`load_config` minus the constructors: the complete serialized
+    dict for ``source`` with ``overrides`` applied.  Only the ``shape`` and
+    ``link_latency`` grammar is checked, so values the constructors reject
+    survive for :func:`lint_dict` to diagnose (how ``repro lint`` reads
+    its flags)."""
     data = upgrade_config_dict(_source_to_dict(source))
     _apply_overrides(data, overrides)
-    return config_from_dict(data)
+    return data
 
 
 def _source_to_dict(source: Optional[ConfigLike]) -> Dict[str, Any]:
@@ -229,7 +277,7 @@ def _apply_overrides(data: Dict[str, Any], overrides: Dict[str, Any]) -> None:
         elif key == "faults":
             if isinstance(value, FaultConfig):
                 value = config_to_dict(SimulationConfig(faults=value))["faults"]
-            data["faults"] = dict(value)
+            data["faults"] = {**data.get("faults", {}), **value}
         elif key == "link_error_rate":
             data.setdefault("faults", {}).setdefault("rates", {})["link"] = value
         elif key == "seed":
@@ -239,9 +287,12 @@ def _apply_overrides(data: Dict[str, Any], overrides: Dict[str, Any]) -> None:
             section, name = _ALIASES[key]
             data.setdefault(section, {})[name] = value
         elif key == "shape":
-            data.setdefault("noc", {})["shape"] = parse_shape(value)
+            data.setdefault("noc", {})["shape"] = list(parse_shape(value))
         elif key == "link_latency":
-            data.setdefault("noc", {})["link_latency"] = parse_link_latency(value)
+            latency = parse_link_latency(value)
+            data.setdefault("noc", {})["link_latency"] = (
+                latency if isinstance(latency, int) else list(latency)
+            )
         elif key in _NOC_FIELDS:
             data.setdefault("noc", {})[key] = value
         elif key in _WORKLOAD_FIELDS:
@@ -263,6 +314,36 @@ def _apply_overrides(data: Dict[str, Any], overrides: Dict[str, Any]) -> None:
             )
 
 
+def faults_from_specs(
+    rates: Mapping[str, float],
+    multi_bit_fraction: float = 0.1,
+    *,
+    dead_links: Sequence[str] = (),
+    dead_routers: Sequence[str] = (),
+    dead_vcs: Sequence[str] = (),
+    intermittent_links: Sequence[str] = (),
+    wear_out: Optional[Mapping[str, float]] = None,
+) -> Dict[str, Any]:
+    """A ``faults=`` override in ``repro run``'s fault vocabulary: ``rates``
+    by :class:`~repro.types.FaultSite` value (zeros dropped) and spec
+    strings — ``"12:east@500"`` (link), ``"27"`` (router),
+    ``"9:north:1@800"`` (VC), ``"12:east:0.4:30:200"`` (intermittent) —
+    a malformed one being a :class:`ValueError`.  Returns the serialized
+    ``faults`` section minus ``seed``; no :class:`FaultConfig` is built, so
+    out-of-range rates survive for lint."""
+    permanent = [parse_link_spec(spec) for spec in dead_links]
+    permanent += [parse_router_spec(spec) for spec in dead_routers]
+    permanent += [parse_vc_spec(spec) for spec in dead_vcs]
+    intermittent = [parse_intermittent_spec(spec) for spec in intermittent_links]
+    return {
+        "rates": {site: rate for site, rate in rates.items() if rate},
+        "link_multi_bit_fraction": multi_bit_fraction,
+        "permanent": PermanentFaultSchedule.of(*permanent).to_dicts(),
+        "intermittent": IntermittentFaultSchedule.of(*intermittent).to_dicts(),
+        "wear_out": dict(wear_out) if wear_out is not None else None,
+    }
+
+
 def run(
     config: Optional[ConfigLike] = None,
     *,
@@ -276,7 +357,8 @@ def run(
     there after the run.
     """
     if telemetry_path is not None and "telemetry" not in overrides:
-        overrides["telemetry"] = True
+        # First, so a metrics_interval= override lands on the enabled section.
+        overrides = {"telemetry": True, **overrides}
     if isinstance(config, SimulationConfig) and not overrides:
         cfg = config
     else:
@@ -379,20 +461,10 @@ def verify(
     )
 
 
-def degrade(**kwargs: Any) -> List[DegradationPoint]:
-    """Run the graceful-degradation campaign (progressive random link
-    kills); see :func:`repro.experiments.degradation.run_degradation` for
-    the keyword surface (shape, max_kills, injection_rate, routing,
-    ...)."""
-    return run_degradation(**kwargs)
-
-
-def degrade_burst(**kwargs: Any) -> List[BurstDegradationPoint]:
-    """Run the intermittent/wear-out degradation sweep (burst intensity x
-    wear rate over seeded burst sites); see
-    :func:`repro.experiments.degradation.run_burst_degradation` for the
-    keyword surface (burst_rates, wear_thresholds, num_sites, ...)."""
-    return run_burst_degradation(**kwargs)
+#: The graceful-degradation campaign and its intermittent/wear-out companion
+#: (keywords: :mod:`repro.experiments.degradation`).
+degrade = run_degradation
+degrade_burst = run_burst_degradation
 
 
 def campaign(

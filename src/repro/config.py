@@ -77,6 +77,13 @@ def parse_link_latency(value: Union[str, int, Sequence[int]]) -> LatencySpec:
     raise TypeError(f"cannot interpret {value!r} as a link latency")
 
 
+def min_retx_depth(link_latency: LatencySpec) -> int:
+    """The shallowest ``retx_buffer_depth`` sound at ``link_latency``: the
+    slowest link's NACK round trip (``2*latency + 1``), at least 3."""
+    slowest = link_latency if isinstance(link_latency, int) else max(link_latency)
+    return max(3, 2 * slowest + 1)
+
+
 @dataclass(frozen=True)
 class NoCConfig:
     """Static parameters of the simulated network.

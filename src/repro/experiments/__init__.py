@@ -1,32 +1,16 @@
 """Experiment harness: one module per paper table/figure.
 
-Each module exposes a ``run_*`` function returning structured rows and a
-``main()`` that prints the same series the paper plots.  The benchmarks in
-``benchmarks/`` call the ``run_*`` functions; ``EXPERIMENTS.md`` records the
-measured outputs against the paper's claims.
+Each figure module exposes a ``run_*`` function returning structured rows
+and a pure ``tables(results)`` that picks out the series the paper plots
+(title, x axis, one series per legend label).  ``python -m repro figure N``
+and the benchmarks in ``benchmarks/`` both call ``run_*`` and print
+``tables()`` through :func:`repro.report.charts.render_figure`;
+``EXPERIMENTS.md`` records the measured outputs against the paper's claims.
 
 Scaling: the paper simulates 300,000 ejected messages per point; a pure-
 Python simulator cannot afford that per sweep point, so every function takes
 ``num_messages`` / ``warmup`` parameters with defaults small enough for
 interactive use.  Curve shapes converge long before the paper's counts at
-these injection rates.
+these injection rates.  (The package imports none of its modules, so
+``import repro.api`` compiles :mod:`~repro.experiments.degradation` only.)
 """
-
-from repro.experiments.figure5 import run_figure5
-from repro.experiments.figure6_7 import run_figure6_7
-from repro.experiments.figure8_9 import run_figure8_9
-from repro.experiments.figure13 import run_figure13
-from repro.experiments.saturation import run_saturation
-from repro.experiments.table1 import run_table1
-from repro.experiments.deadlock_demo import run_deadlock_demo, run_worst_case_demo
-
-__all__ = [
-    "run_deadlock_demo",
-    "run_figure13",
-    "run_figure5",
-    "run_figure6_7",
-    "run_figure8_9",
-    "run_saturation",
-    "run_table1",
-    "run_worst_case_demo",
-]

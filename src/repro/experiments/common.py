@@ -1,8 +1,8 @@
-"""Shared experiment plumbing: the paper's parameter axes and formatting."""
+"""Shared experiment plumbing: the paper's parameter axes and the table shape."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, NamedTuple, Sequence
 
 from repro.config import (
     FaultConfig,
@@ -48,32 +48,12 @@ def workload(
     )
 
 
-def format_series(
-    title: str,
-    x_label: str,
-    xs: Sequence,
-    series: Dict[str, Sequence[float]],
-    fmt: str = "{:.2f}",
-) -> str:
-    """Render the rows a paper figure plots, one line per x value."""
-    names = list(series)
-    widths = [max(10, len(n) + 2) for n in names]
-    lines = [title, f"{x_label:>12}  " + "  ".join(
-        f"{n:>{w}}" for n, w in zip(names, widths)
-    )]
-    for i, x in enumerate(xs):
-        cells = []
-        for name, w in zip(names, widths):
-            cells.append(f"{fmt.format(series[name][i]):>{w}}")
-        lines.append(f"{x!s:>12}  " + "  ".join(cells))
-    return "\n".join(lines)
+class FigureTable(NamedTuple):
+    """One table of a paper figure: ``series`` maps a legend label to one
+    value per entry of ``xs``.  Every ``figureN.tables(results)`` returns a
+    list of these; :func:`repro.report.charts.render_figure` prints one."""
 
-
-def geometric_mean(values: Iterable[float]) -> float:
-    vals = [v for v in values if v > 0]
-    if not vals:
-        return 0.0
-    product = 1.0
-    for v in vals:
-        product *= v
-    return product ** (1.0 / len(vals))
+    title: str
+    xs: Sequence[float]
+    series: Dict[str, Sequence[float]]
+    log_x: bool = False

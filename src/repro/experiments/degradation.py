@@ -43,6 +43,7 @@ from repro.config import (
     NoCConfig,
     SimulationConfig,
     WorkloadConfig,
+    min_retx_depth,
     parse_link_latency,
     parse_shape,
 )
@@ -207,7 +208,6 @@ def run_degradation(
         raise ValueError("max_kills must be non-negative")
     resolved = parse_shape(shape)
     latency = parse_link_latency(link_latency)
-    max_latency = latency if isinstance(latency, int) else max(latency)
     if kill_pillars:
         kill_order = pillar_groups(resolved)
         unit = "pillars"
@@ -230,7 +230,7 @@ def run_degradation(
                 shape=resolved,
                 routing=routing,
                 link_latency=latency,
-                retx_buffer_depth=max(3, 2 * max_latency + 1),
+                retx_buffer_depth=min_retx_depth(latency),
             ),
             faults=dataclasses.replace(
                 FaultConfig.fault_free(), permanent=schedule

@@ -28,7 +28,7 @@ from repro.config import FaultConfig, SimulationConfig
 from repro.experiments.common import (
     FIG13_ERROR_RATES,
     PAPER_INJECTION_RATE,
-    format_series,
+    FigureTable,
     paper_noc,
     workload,
 )
@@ -94,35 +94,20 @@ def run_figure13(
     return results
 
 
-def main() -> None:
-    results = run_figure13()
-    rates = [p.error_rate for p in next(iter(results.values()))]
-    print(
-        format_series(
-            "Figure 13(a) — Corrected errors per 1,000 messages vs. error rate",
-            "error rate",
+def tables(results: Dict[str, List[ErrorPoint]]) -> List[FigureTable]:
+    """``[Figure 13(a), Figure 13(b)]``."""
+    rates = [p.error_rate for p in results["LINK-HBH"]]
+    return [
+        FigureTable(
+            "Figure 13(a) — corrected errors per 1,000 messages",
             rates,
-            {
-                label: [p.corrected_per_kmsg for p in pts]
-                for label, pts in results.items()
-            },
-            fmt="{:.1f}",
-        )
-    )
-    print()
-    print(
-        format_series(
-            "Figure 13(b) — Energy per packet (nJ) vs. error rate",
-            "error rate",
+            {k: [p.corrected_per_kmsg for p in v] for k, v in results.items()},
+            log_x=True,
+        ),
+        FigureTable(
+            "Figure 13(b) — energy per packet (nJ)",
             rates,
-            {
-                label: [p.energy_per_packet_nj for p in pts]
-                for label, pts in results.items()
-            },
-            fmt="{:.4f}",
-        )
-    )
-
-
-if __name__ == "__main__":
-    main()
+            {k: [p.energy_per_packet_nj for p in v] for k, v in results.items()},
+            log_x=True,
+        ),
+    ]

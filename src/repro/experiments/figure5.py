@@ -17,7 +17,7 @@ from repro.config import FaultConfig, SimulationConfig
 from repro.experiments.common import (
     ERROR_RATES,
     PAPER_INJECTION_RATE,
-    format_series,
+    FigureTable,
     paper_noc,
     workload,
 )
@@ -75,37 +75,24 @@ def run_figure5(
     return results
 
 
-def main() -> None:
-    results = run_figure5()
+def tables(results: Dict[str, List[SchemePoint]]) -> List[FigureTable]:
+    """The figure's latency series, plus the integrity side-table that the
+    latency axis alone hides (FEC and E2E lose or corrupt packets)."""
     rates = [p.error_rate for p in results["hbh"]]
-    print(
-        format_series(
-            "Figure 5 — Latency vs. error rate (inj. 0.25 flits/node/cycle)",
-            "error rate",
+    return [
+        FigureTable(
+            "Figure 5 — latency (cycles) vs error rate",
+            rates,
+            {k.upper(): [p.avg_latency for p in v] for k, v in results.items()},
+            log_x=True,
+        ),
+        FigureTable(
+            "Figure 5 — integrity (packets lost + delivered corrupt)",
             rates,
             {
-                name.upper(): [p.avg_latency for p in points]
-                for name, points in results.items()
+                k.upper(): [p.packets_lost + p.packets_delivered_corrupt for p in v]
+                for k, v in results.items()
             },
-        )
-    )
-    print()
-    print(
-        format_series(
-            "FEC/E2E integrity side-channel (packets lost + delivered corrupt)",
-            "error rate",
-            rates,
-            {
-                name.upper(): [
-                    float(p.packets_lost + p.packets_delivered_corrupt)
-                    for p in points
-                ]
-                for name, points in results.items()
-            },
-            fmt="{:.0f}",
-        )
-    )
-
-
-if __name__ == "__main__":
-    main()
+            log_x=True,
+        ),
+    ]

@@ -20,7 +20,7 @@ from repro.config import FaultConfig, SimulationConfig
 from repro.experiments.common import (
     ERROR_RATES,
     PAPER_INJECTION_RATE,
-    format_series,
+    FigureTable,
     paper_noc,
     workload,
 )
@@ -72,31 +72,20 @@ def run_figure6_7(
     return results
 
 
-def main() -> None:
-    results = run_figure6_7()
-    rates = [p.error_rate for p in next(iter(results.values()))]
-    print(
-        format_series(
-            "Figure 6 — HBH latency vs. error rate (inj. 0.25 flits/node/cycle)",
-            "error rate",
+def tables(results: Dict[str, List[TrafficPoint]]) -> List[FigureTable]:
+    """``[Figure 6, Figure 7]`` — one sweep, two metrics."""
+    rates = [p.error_rate for p in results["NR"]]
+    return [
+        FigureTable(
+            "Figure 6 — HBH latency (cycles)",
             rates,
-            {label: [p.avg_latency for p in pts] for label, pts in results.items()},
-        )
-    )
-    print()
-    print(
-        format_series(
-            "Figure 7 — HBH energy per message (nJ) vs. error rate",
-            "error rate",
+            {k: [p.avg_latency for p in v] for k, v in results.items()},
+            log_x=True,
+        ),
+        FigureTable(
+            "Figure 7 — HBH energy/message (nJ)",
             rates,
-            {
-                label: [p.energy_per_packet_nj for p in pts]
-                for label, pts in results.items()
-            },
-            fmt="{:.4f}",
-        )
-    )
-
-
-if __name__ == "__main__":
-    main()
+            {k: [p.energy_per_packet_nj for p in v] for k, v in results.items()},
+            log_x=True,
+        ),
+    ]

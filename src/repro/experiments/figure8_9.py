@@ -22,7 +22,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.config import SimulationConfig
-from repro.experiments.common import INJECTION_RATES, format_series, paper_noc, workload
+from repro.experiments.common import (
+    INJECTION_RATES,
+    FigureTable,
+    paper_noc,
+    workload,
+)
 from repro.noc.simulator import Simulator
 from repro.types import RoutingAlgorithm
 
@@ -68,35 +73,18 @@ def run_figure8_9(
     return results
 
 
-def main() -> None:
-    results = run_figure8_9()
-    rates = [p.injection_rate for p in next(iter(results.values()))]
-    print(
-        format_series(
-            "Figure 8 — Transmission buffer utilization vs. injection rate",
-            "inj. rate",
+def tables(results: Dict[str, List[UtilizationPoint]]) -> List[FigureTable]:
+    """``[Figure 8, Figure 9]`` — one sweep, two buffer classes."""
+    rates = [p.injection_rate for p in results["AD"]]
+    return [
+        FigureTable(
+            "Figure 8 — transmission buffer utilization",
             rates,
-            {
-                label: [p.tx_utilization for p in pts]
-                for label, pts in results.items()
-            },
-            fmt="{:.3f}",
-        )
-    )
-    print()
-    print(
-        format_series(
-            "Figure 9 — Retransmission buffer utilization vs. injection rate",
-            "inj. rate",
+            {k: [p.tx_utilization for p in v] for k, v in results.items()},
+        ),
+        FigureTable(
+            "Figure 9 — retransmission buffer utilization",
             rates,
-            {
-                label: [p.retx_utilization for p in pts]
-                for label, pts in results.items()
-            },
-            fmt="{:.3f}",
-        )
-    )
-
-
-if __name__ == "__main__":
-    main()
+            {k: [p.retx_utilization for p in v] for k, v in results.items()},
+        ),
+    ]

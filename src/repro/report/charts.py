@@ -167,6 +167,25 @@ def render_comparison_table(
     return "\n".join(lines)
 
 
+def render_figure(
+    title: str,
+    xs: Sequence[float],
+    series: Mapping[str, Sequence[float]],
+    log_x: bool = False,
+    *,
+    chart: bool = True,
+) -> str:
+    """One table of a paper figure (an ``experiments.figureN.tables()``
+    entry, unpacked) as a fixed-width table and, with ``chart``, the ASCII
+    chart under it — the one renderer ``repro figure N`` and the
+    ``benchmarks/bench_fig*.py`` scripts print through."""
+    rows = [[x] + [values[i] for values in series.values()] for i, x in enumerate(xs)]
+    text = render_comparison_table(["x"] + list(series), rows, title)
+    if chart:
+        text += "\n\n" + render_series(title, xs, series, log_x=log_x)
+    return text
+
+
 def _cell(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.4g}"

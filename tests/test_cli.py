@@ -1,8 +1,17 @@
 """CLI tests (``python -m repro``)."""
 
-import pytest
+import argparse
+import contextlib
+import io
+import json
+import pathlib
 
+import pytest
+from hypothesis import given, settings
+
+from repro import api
 from repro.cli import build_parser, main
+from tests.test_config_canonical import platforms
 
 
 class TestParser:
@@ -663,3 +672,352 @@ class TestCampaignCommand:
         assert rc == 1
         env = json.loads(capsys.readouterr().out)
         assert "no_such_pattern" in env["result"]["rows"][0]["error"]
+
+
+# -- one front door: the CLI as a projection of repro.api -------------------
+
+ROOT = pathlib.Path(__file__).parent.parent
+CLI_FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "cli"
+
+
+def run_cli(argv):
+    """``main(argv)`` -> (exit status, stdout, stderr), whether the status
+    was returned or raised."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_usage_error(argv, *mentions):
+    code, out, err = run_cli(argv)
+    assert code == 2, (argv, code, err)
+    assert "Traceback" not in err
+    error_lines = [line for line in err.splitlines() if "error:" in line]
+    assert len(error_lines) == 1, err
+    for mention in mentions:
+        assert mention in error_lines[0], (mention, err)
+
+
+class TestIgnoredFlagsAndTracebacks:
+    """Every case here either died with a traceback (exit 1) or silently
+    ignored the flag at d5e530f; the shared usage-error policy now names
+    the problem and exits 2."""
+
+    @pytest.mark.parametrize(
+        "argv, mentions",
+        [
+            (["sweep", "--shape", "0x0"], ["positive"]),
+            (["sweep", "--shape", "4x4", "--link-latency", "1,1,2"], ["link_latency"]),
+            (
+                ["degrade", "--burst", "--burst-sites", "1000", "--shape", "3x3"],
+                ["1000 sites"],
+            ),
+            (
+                ["degrade", "--burst", "--shape", "3x3x3", "--link-latency", "1,1,2"],
+                ["--link-latency", "--burst"],
+            ),
+            (["degrade", "--burst", "--kills", "3"], ["--kills", "--burst"]),
+            # Typing the default is still typing it.
+            (["degrade", "--burst", "--kills", "8"], ["--kills", "--burst"]),
+            (
+                ["degrade", "--burst", "--kill-pillars", "--shape", "3x3x3"],
+                ["--kill-pillars", "--burst"],
+            ),
+            (["figure", "8", "--messages", "50"], ["fixed-duration", "--messages"]),
+            (["figure", "9", "--messages", "50"], ["fixed-duration"]),
+            (["figure", "10", "--messages", "50"], ["fixed-duration"]),
+            (["run", "--metrics-interval", "7"], ["--metrics-interval", "--telemetry"]),
+            (["campaign", "--resume", "camp", "--no-lint"], ["--no-lint", "--resume"]),
+            (["campaign", "--resume", "camp", "--dir", "x"], ["--dir", "--resume"]),
+        ],
+        ids=lambda value: " ".join(value) if value[0].islower() else "",
+    )
+    def test_exits_2_naming_the_problem(self, argv, mentions):
+        assert_usage_error(argv, *mentions)
+
+    def test_metrics_interval_reaches_the_config(self, tmp_path):
+        code, out, _ = run_cli(
+            ["run", "--shape", "3x3", "--messages", "40", "--warmup", "5",
+             "--telemetry", tmp_path / "t.ndjson", "--metrics-interval", "7",
+             "--json"]
+        )
+        assert code == 0
+        assert json.loads(out)["config"]["telemetry"]["metrics_interval"] == 7
+
+
+class TestUsageErrorPolicy:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--retx-depth", "1"],
+            ["run", "--intermittent-link", "0:east:2.0:5"],
+            ["lint", "--shape", "4xx4"],
+            ["verify", "no/such/config.json"],
+            ["figure", "8", "--messages", "5"],
+            ["degrade", "--shape", "3x3", "--kills", "1000"],
+            ["campaign"],
+            ["campaign", "no/such/spec.json"],
+            ["sweep", "--shape", "0x0"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_input_is_one_error_line_and_exit_2(self, argv):
+        # table1 takes no input, so it has no bad-input case.
+        assert_usage_error(argv)
+
+    def test_a_crash_mid_simulation_is_not_a_usage_error(self, monkeypatch):
+        """The policy covers input construction: a failure that is not one
+        of its types stays a traceback, not an ``error:`` line."""
+        from repro.noc.network import Network
+
+        def boom(self):
+            raise AssertionError("router invariant broken")
+
+        monkeypatch.setattr(Network, "step", boom)
+        with pytest.raises(AssertionError, match="router invariant"):
+            main(["run", "--shape", "3x3", "--messages", "20", "--warmup", "5"])
+
+    def test_invariant_violations_keep_exit_1(self, monkeypatch):
+        from repro.analysis import InvariantViolationError
+        from repro.noc.network import Network
+
+        def boom(self):
+            raise InvariantViolationError([])
+
+        monkeypatch.setattr(Network, "step", boom)
+        code, _, err = run_cli(
+            ["run", "--shape", "3x3", "--messages", "20", "--warmup", "5"]
+        )
+        assert code == 1 and "invariant violation" in err and "error:" not in err
+
+
+def parser_inventory(parser):
+    """Per subcommand, every flag's option strings, dest, default, type
+    name, choices, nargs and required — what the fixture recorded from the
+    parent commit's parser."""
+    (subparsers,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return {
+        name: [
+            {
+                "options": list(action.option_strings),
+                "dest": action.dest,
+                "default": action.default,
+                "type": getattr(action.type, "__name__", None),
+                "choices": None if action.choices is None else list(action.choices),
+                "nargs": action.nargs,
+                "required": action.required,
+            }
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+        ]
+        for name, sub in subparsers.choices.items()
+    }
+
+
+#: The only intended differences from d5e530f's parser: flags that must
+#: know whether they were typed lost their default value to None (the
+#: handler supplies it).  (subcommand, dest) -> the parent's default.
+NONE_DEFAULTS = {
+    ("run", "metrics_interval"): 100,
+    ("degrade", "link_latency"): "1",
+    ("figure", "messages"): 1200,
+}
+
+
+def test_flag_surface_is_the_parents():
+    """The refactor added and dropped no flag: same subcommands, same
+    flags in the same order, same dests/types/choices/nargs/defaults."""
+    expected = json.loads((CLI_FIXTURES / "flag_inventory.json").read_text())
+    for (command, dest), default in NONE_DEFAULTS.items():
+        (entry,) = [a for a in expected[command] if a["dest"] == dest]
+        assert entry["default"] == default
+        entry["default"] = None
+    assert parser_inventory(build_parser()) == expected
+
+
+class TestCliApiParity:
+    @settings(max_examples=12, deadline=None)
+    @given(platform=platforms())
+    def test_run_config_is_load_config_of_the_same_overrides(self, platform):
+        noc, workload = platform.noc, platform.workload
+        latency = noc.link_latency
+        flags = {  # flag -> (override name, value)
+            "--shape": ("shape", noc.shape_text),
+            "--link-latency": (
+                "link_latency",
+                str(latency) if isinstance(latency, int) else ",".join(map(str, latency)),
+            ),
+            "--vcs": ("vcs", noc.num_vcs),
+            "--buffer-depth": ("buffer_depth", noc.vc_buffer_depth),
+            "--flits": ("flits", noc.flits_per_packet),
+            "--retx-depth": ("retx_depth", noc.retx_buffer_depth),
+            "--routing": ("routing", noc.routing.value),
+            "--rate": ("rate", workload.injection_rate),
+            "--messages": ("messages", workload.num_messages),
+            "--warmup": ("warmup", workload.warmup_messages),
+            "--seed": ("seed", workload.seed),
+            "--backend": ("backend", platform.backend),
+            "--max-cycles": ("max_cycles", 5),  # the config is the subject
+        }
+        argv = ["run", "--json"]
+        for flag, (_, value) in flags.items():
+            argv += [flag, value]
+        overrides = {name: value for name, value in flags.values()}
+        if noc.is_torus:
+            argv += ["--torus", "--deadlock-recovery"]
+            overrides.update(topology="torus", deadlock_recovery_enabled=True)
+        code, out, err = run_cli(argv)
+        assert code == 0, err
+        assert json.loads(out)["config"] == api.config_to_dict(
+            api.load_config(**overrides)
+        )
+
+    def test_sweep_json_is_api_sweep_point_for_point(self):
+        code, out, _ = run_cli(
+            ["sweep", "--shape", "3x3", "--messages", "80",
+             "--rates", "0.05", "0.1", "--json"]
+        )
+        assert code == 0
+        results = api.sweep(
+            rates=[0.05, 0.1],
+            shape="3x3",
+            retx_depth=api.min_retx_depth(1),
+            routing="xy",
+            messages=80,
+            warmup=16,
+            max_cycles=60_000,
+        )
+        assert json.loads(out)["result"] == [
+            {"rate": rate, "result": api.result_to_dict(r, include_config=False)}
+            for rate, r in zip([0.05, 0.1], results)
+        ]
+
+    def test_verify_and_lint_walk_the_same_files_in_the_same_order(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.analysis import linter
+
+        config = json.dumps(api.config_dict(shape="3x3"))
+        for relative in ("b.json", "a.json", "sub/d.json", "sub/c.json"):
+            path = tmp_path / relative
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(config)
+        (tmp_path / "notes.txt").write_text("not a config")
+        linted, verified = [], []
+        lint_file, verify = linter._lint_file, api.verify
+        monkeypatch.setattr(
+            linter,
+            "_lint_file",
+            lambda path, **kw: linted.append(str(path)) or lint_file(path, **kw),
+        )
+        monkeypatch.setattr(
+            api,
+            "verify",
+            lambda target, **kw: verified.append(str(target)) or verify(target, **kw),
+        )
+        assert run_cli(["lint", tmp_path])[0] == 0
+        assert run_cli(["verify", tmp_path])[0] == 0
+        assert linted == verified == [
+            str(tmp_path / name)
+            for name in ("a.json", "b.json", "sub/c.json", "sub/d.json")
+        ]
+
+
+PINNED = json.loads((CLI_FIXTURES / "parent_d5e530f" / "commands.json").read_text())
+
+#: The accepted differences from d5e530f's output.
+CONFIG_SUPERSET = {"lint_flags_json", "verify_flags_json"}  # complete config dict
+GAINED_A_TABLE = {"figure_5"}  # the integrity side-table follows the old output
+
+
+def _is_superset(new, old):
+    if isinstance(old, dict):
+        return isinstance(new, dict) and all(
+            key in new and _is_superset(new[key], value) for key, value in old.items()
+        )
+    return new == old
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_stdout_is_byte_for_byte_the_parents(name, monkeypatch):
+    """stdout and exit status of a pinned command set, against what the
+    parent commit (d5e530f) printed for the same argv."""
+    monkeypatch.chdir(ROOT)  # the path-taking commands print relative paths
+    expected = (CLI_FIXTURES / "parent_d5e530f" / f"{name}.stdout").read_text()
+    code, out, _ = run_cli(PINNED[name]["argv"])
+    assert code == PINNED[name]["exit"]
+    if name in CONFIG_SUPERSET:
+        new, old = json.loads(out), json.loads(expected)
+        assert new["result"] == old["result"]
+        assert _is_superset(new["config"], old["config"])
+        assert set(new["config"]) == set(api.config_dict())  # now complete
+    elif name in GAINED_A_TABLE:
+        assert out.startswith(expected) and "integrity" in out[len(expected):]
+    else:
+        assert out == expected
+
+
+class TestFacadeHomes:
+    """What moved out of the CLI is usable without it."""
+
+    def test_variants_from_spec_runs_the_file_the_cli_runs(self):
+        grid_spec = {
+            "base": {"noc": {"width": 3, "height": 3}},  # legacy spelling
+            "axes": {"workload.injection_rate": [0.05, 0.1]},
+        }
+        variants = api.variants_from_spec(grid_spec)
+        assert [name for name, _ in variants] == [
+            "injection_rate=0.05", "injection_rate=0.1",
+        ]
+        assert all(config.noc.shape == (3, 3) for _, config in variants)
+        (named,) = api.variants_from_spec(
+            {"variants": [{"name": "a", "config": {"workload": {"seed": 9}}}]}
+        )
+        assert named[0] == "a" and named[1].workload.seed == 9
+        assert named[1].noc == api.load_config().noc  # partial: defaults fill in
+        with pytest.raises(ValueError, match="axes"):
+            api.variants_from_spec({})
+
+    def test_faults_from_specs_is_a_faults_override(self):
+        faults = api.faults_from_specs(
+            {"link": 0.01, "routing": 0.0},
+            0.3,
+            dead_links=["4:east@50"],
+            dead_routers=["8"],
+            intermittent_links=["0:east:0.4:30:200"],
+            wear_out={"threshold": 5.0},
+        )
+        config = api.load_config(shape="3x3", faults=faults, seed=7)
+        assert config.faults.seed == 7 and config.faults.link_multi_bit_fraction == 0.3
+        assert [f.kind for f in config.faults.permanent] == ["link", "router"]
+        assert len(config.faults.intermittent) == 1
+        assert config.faults.wear_out.threshold == 5.0
+        assert list(faults["rates"]) == ["link"]  # zero rates are dropped
+        with pytest.raises(ValueError, match="fault spec"):
+            api.faults_from_specs({}, dead_links=["5:sideways"])
+
+    def test_config_dict_is_load_config_without_the_constructors(self):
+        overrides = dict(shape="4x4x2", link_latency="1,1,2", retx_depth=5, vcs=2)
+        assert api.config_from_dict(api.config_dict(**overrides)) == api.load_config(
+            **overrides
+        )
+        # A value the constructors reject survives for lint to diagnose.
+        rejected = api.config_dict(retx_depth=1)
+        with pytest.raises(ValueError):
+            api.config_from_dict(rejected)
+        assert "NOC002" in {d.rule_id for d in api.lint_dict(rejected)}
+
+    def test_api_run_keeps_metrics_interval_with_telemetry_path(self, tmp_path):
+        """``api.run(telemetry_path=, metrics_interval=)`` used to enable
+        telemetry *after* applying the interval, replacing it."""
+        result = api.run(
+            shape="3x3", messages=30, warmup=5, metrics_interval=7,
+            telemetry_path=tmp_path / "t.ndjson",
+        )
+        assert result.config.telemetry.metrics_interval == 7

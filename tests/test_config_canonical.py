@@ -163,7 +163,7 @@ SRC = pathlib.Path(repro.__file__).parent
 #: Where a geometry *spelling* decision could hide (the acceptance grep);
 #: ``noc/topology.py`` keeps ``width``/``height`` as geometry vocabulary.
 SPELLING_MODULES = [
-    "config.py", "api.py", "cli.py", "serialization.py",
+    "config.py", "api.py", "cli", "serialization.py",
     "experiments", "analysis", "telemetry",
 ]
 

@@ -13,11 +13,11 @@ External links (``http://``, ``https://``, ``mailto:``) are skipped — CI
 must not flake on someone else's server.
 
 Additionally enforces **module coverage**: every module under
-``src/repro/noc/``, ``src/repro/faults/`` and ``src/repro/service/``
-must be referenced from at least one page in ``docs/`` (as
-``noc/<mod>.py``, ``noc.<mod>``, or inside a ``noc/{a,b}.py`` brace
-group — likewise for ``faults/`` and ``service/``), so new simulator,
-fault-model and campaign-service modules cannot land undocumented.
+``src/repro/noc/``, ``src/repro/faults/``, ``src/repro/service/`` and
+``src/repro/cli/`` must be referenced from at least one page in ``docs/``
+(as ``noc/<mod>.py``, ``noc.<mod>``, or inside a ``noc/{a,b}.py`` brace
+group — likewise for the other three), so new simulator, fault-model,
+campaign-service and subcommand modules cannot land undocumented.
 
 Exits non-zero listing every broken link or uncovered module.  Also usable
 as a library (``tests/test_docs_links.py``).
@@ -100,17 +100,22 @@ def check_file(path: pathlib.Path) -> List[str]:
 
 #: Directories whose modules every docs page set must cover, relative to
 #: the repo root.
-MODULE_DIRS = ["src/repro/noc", "src/repro/faults", "src/repro/service"]
+MODULE_DIRS = [
+    "src/repro/noc",
+    "src/repro/faults",
+    "src/repro/service",
+    "src/repro/cli",
+]
 
 #: How a docs page may reference a module: ``noc/kernel.py``,
 #: ``repro.noc.kernel``, or a brace group like ``noc/{flit,packet}.py``
 #: (the dependency diagram's idiom) — and the same three shapes under
-#: ``faults/``.  Scanned on raw text — the ARCHITECTURE.md diagram lives
-#: inside a code fence.
+#: the other directories.  Scanned on raw text — the ARCHITECTURE.md
+#: diagram lives inside a code fence.
 MODULE_REF = re.compile(
-    r"(?:noc|faults|service)/\{([\w,]+)\}\.py"
-    r"|(?:noc|faults|service)/(\w+)\.py"
-    r"|(?:noc|faults|service)\.(\w+)"
+    r"(?:noc|faults|service|cli)/\{([\w,]+)\}\.py"
+    r"|(?:noc|faults|service|cli)/(\w+)\.py"
+    r"|(?:noc|faults|service|cli)\.(\w+)"
 )
 
 
