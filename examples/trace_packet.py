@@ -23,7 +23,7 @@ def main() -> None:
     # header's second hop).
     counter = {"n": 0}
 
-    def link_upset(cycle, node):
+    def link_upset(cycle, node, direction=None):
         counter["n"] += 1
         return Corruption.MULTI if counter["n"] == 3 else None
 

@@ -74,7 +74,6 @@ from repro.checkpoint import (
     CheckpointError,
     load_checkpoint,
     read_checkpoint_header,
-    resume_from,
     save_checkpoint,
 )
 from repro.config import (
@@ -182,7 +181,6 @@ __all__ = [
     "result_to_dict",
     "resume",
     "resume_campaign",
-    "resume_from",
     "rule_catalogue",
     "run",
     "run_campaign",

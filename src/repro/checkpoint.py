@@ -14,7 +14,7 @@ docs/CHECKPOINTING.md the design note).
 File format (magic + versioned JSON header + pickle payload + checksum)::
 
     REPRO-CKPT\\n
-    {"schema": "repro/v1", "checkpoint_version": 2, "cycle": ..., ...}\\n
+    {"schema": "repro/v1", "checkpoint_version": 3, "cycle": ..., ...}\\n
     <pickle bytes>
 
 The header is readable without unpickling (:func:`read_checkpoint_header`)
@@ -46,7 +46,6 @@ __all__ = [
     "CheckpointError",
     "load_checkpoint",
     "read_checkpoint_header",
-    "resume_from",
     "save_checkpoint",
 ]
 
@@ -55,7 +54,7 @@ MAGIC = b"REPRO-CKPT\n"
 #: Bumped whenever the pickled object graph changes shape incompatibly.
 #: Loaders accept exactly their own version — see docs/CHECKPOINTING.md
 #: for the compatibility policy.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 #: Pinned so checkpoints written by newer Pythons stay readable by the
 #: oldest supported interpreter (3.9 < protocol 5's default adoption).
@@ -195,10 +194,3 @@ def load_checkpoint(
         )
     sim.resumed_from_cycle = sim.network.cycle
     return sim
-
-
-def resume_from(
-    path: Union[str, Path], *, backend: Optional[str] = None
-) -> Simulator:
-    """Alias of :func:`load_checkpoint` (the name the CLI and docs use)."""
-    return load_checkpoint(path, backend=backend)

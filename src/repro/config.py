@@ -459,7 +459,7 @@ class SimulationConfig:
     ``checkpoint_interval`` / ``checkpoint_path`` enable periodic crash-safe
     checkpointing (:mod:`repro.checkpoint`): every ``checkpoint_interval``
     cycles the simulator atomically rewrites ``checkpoint_path`` with a
-    complete snapshot, from which ``resume_from(path)`` continues the run
+    complete snapshot, from which ``load_checkpoint(path)`` continues the run
     bit-for-bit (see docs/CHECKPOINTING.md).  Both must be set together;
     the schedule is cycle-based so an interrupted-and-resumed run writes
     the same remaining checkpoints (and counts them identically) as an

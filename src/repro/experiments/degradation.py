@@ -35,7 +35,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import (
     FaultConfig,
@@ -177,6 +177,45 @@ def _run_level(
     return sim, reconvergence, hit_limit
 
 
+def _level_workload(
+    injection_rate: float, inject_cycles: int, drain_cycles: int, seed: int
+) -> WorkloadConfig:
+    """The workload of one level; :func:`_run_level` drives the cycles
+    itself, so the message counts are placeholders."""
+    return WorkloadConfig(
+        injection_rate=injection_rate,
+        num_messages=1,
+        max_cycles=inject_cycles + drain_cycles,
+        warmup_messages=0,
+        seed=seed,
+    )
+
+
+def _service_level(
+    sim: Simulator, hit_limit: bool, points: Sequence[Any]
+) -> Dict[str, Any]:
+    """The fields both point types share, read off a finished level.
+
+    Latency inflation is relative to ``points[0]`` — the healthy level
+    every sweep runs first — or to this level itself when it is that one.
+    """
+    network = sim.network
+    injected = network.stats.packets_injected
+    avg_latency = network.stats.latency.mean
+    healthy_latency = points[0].avg_latency if points else avg_latency
+    return {
+        "packets_injected": injected,
+        "packets_delivered": network.delivered,
+        "packets_lost": network.lost,
+        "delivery_rate": (network.delivered / injected) if injected else 1.0,
+        "avg_latency": avg_latency,
+        "latency_inflation": (
+            avg_latency / healthy_latency if healthy_latency else 1.0
+        ),
+        "hit_cycle_limit": hit_limit,
+    }
+
+
 def run_degradation(
     shape: Union[str, Sequence[int]] = (8, 8),
     max_kills: int = 8,
@@ -222,7 +261,6 @@ def run_degradation(
         )
     late_cycle = inject_cycles // 2
     points: List[DegradationPoint] = []
-    healthy_latency: Optional[float] = None
     for kills in range(max_kills + 1):
         schedule = _schedule_for_level(kill_order, kills, late_cycle)
         config = SimulationConfig(
@@ -235,25 +273,15 @@ def run_degradation(
             faults=dataclasses.replace(
                 FaultConfig.fault_free(), permanent=schedule
             ),
-            workload=WorkloadConfig(
-                injection_rate=injection_rate,
-                num_messages=1,  # unused: the level loop drives cycles itself
-                max_cycles=inject_cycles + drain_cycles,
-                warmup_messages=0,
-                seed=seed,
+            workload=_level_workload(
+                injection_rate, inject_cycles, drain_cycles, seed
             ),
             invariant_checks=invariant_checks,
         )
         sim, reconvergence, hit_limit = _run_level(
             config, inject_cycles, late_cycle if kills else None, drain_cycles
         )
-        network = sim.network
-        stats = network.stats
-        injected = stats.packets_injected
-        avg_latency = stats.latency.mean
-        if healthy_latency is None:
-            healthy_latency = avg_latency
-        routing_fn = network.routing_fn
+        routing_fn = sim.network.routing_fn
         reachable = (
             routing_fn.reachable_fraction()
             if isinstance(routing_fn, FaultAwareRouting)
@@ -262,17 +290,9 @@ def run_degradation(
         points.append(
             DegradationPoint(
                 kills=kills,
-                packets_injected=injected,
-                packets_delivered=network.delivered,
-                packets_lost=network.lost,
-                delivery_rate=(network.delivered / injected) if injected else 1.0,
                 reachable_fraction=reachable,
-                avg_latency=avg_latency,
-                latency_inflation=(
-                    avg_latency / healthy_latency if healthy_latency else 1.0
-                ),
                 reconvergence_cycles=reconvergence,
-                hit_cycle_limit=hit_limit,
+                **_service_level(sim, hit_limit, points),
             )
         )
     return points
@@ -335,7 +355,6 @@ def run_burst_degradation(
     resolved = parse_shape(shape)
     sites = burst_sites(resolved, num_sites, seed)
     points: List[BurstDegradationPoint] = []
-    healthy_latency: Optional[float] = None
     for threshold in wear_thresholds:
         for rate in burst_rates:
             schedule = IntermittentFaultSchedule.of(
@@ -356,43 +375,23 @@ def run_burst_degradation(
                     intermittent=schedule,
                     wear_out=wear,
                 ),
-                workload=WorkloadConfig(
-                    injection_rate=injection_rate,
-                    num_messages=1,  # the level loop drives cycles itself
-                    max_cycles=inject_cycles + drain_cycles,
-                    warmup_messages=0,
-                    seed=seed,
+                workload=_level_workload(
+                    injection_rate, inject_cycles, drain_cycles, seed
                 ),
                 invariant_checks=invariant_checks,
             )
             sim, _, hit_limit = _run_level(
                 config, inject_cycles, None, drain_cycles
             )
-            network = sim.network
-            stats = network.stats
-            injected = stats.packets_injected
-            latency = stats.latency.mean
-            if healthy_latency is None:
-                healthy_latency = latency
-            counters = stats.counters
+            counters = sim.network.stats.counters
             points.append(
                 BurstDegradationPoint(
                     burst_rate=rate,
                     wear_threshold=threshold,
-                    packets_injected=injected,
-                    packets_delivered=network.delivered,
-                    packets_lost=network.lost,
-                    delivery_rate=(
-                        (network.delivered / injected) if injected else 1.0
-                    ),
-                    avg_latency=latency,
-                    latency_inflation=(
-                        latency / healthy_latency if healthy_latency else 1.0
-                    ),
                     intermittent_strikes=counters.get("intermittent_strikes", 0),
                     bursts_started=counters.get("intermittent_bursts_started", 0),
                     escalations=counters.get("wear_out_escalations", 0),
-                    hit_cycle_limit=hit_limit,
+                    **_service_level(sim, hit_limit, points),
                 )
             )
     return points

@@ -47,7 +47,6 @@ SCENARIOS = (
 class ErrorPoint:
     error_rate: float
     scenario: str
-    errors_injected: int
     errors_corrected: int
     corrected_per_kmsg: float
     energy_per_packet_nj: float
@@ -82,7 +81,6 @@ def run_figure13(
                 ErrorPoint(
                     error_rate=rate,
                     scenario=label,
-                    errors_injected=0,  # filled below from the fault log
                     errors_corrected=corrected,
                     corrected_per_kmsg=1000.0 * corrected / ejected,
                     energy_per_packet_nj=sim_result.energy_per_packet_nj,

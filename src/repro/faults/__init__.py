@@ -26,13 +26,10 @@ from repro.faults.intermittent import (
     IntermittentLifecycle,
     WearOutConfig,
 )
-from repro.faults.models import FaultEvent, FaultLog
 from repro.faults.permanent import PermanentFault, PermanentFaultSchedule
 
 __all__ = [
-    "FaultEvent",
     "FaultInjector",
-    "FaultLog",
     "IntermittentFault",
     "IntermittentFaultSchedule",
     "IntermittentLifecycle",

@@ -25,7 +25,6 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from repro.faults.models import FaultLog
 from repro.types import Corruption, Direction, FaultSite
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (config -> faults)
@@ -35,10 +34,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (config -> faults)
 class FaultInjector:
     """Draws single-event upsets according to a :class:`FaultConfig`."""
 
-    def __init__(self, config: FaultConfig, log_events: bool = False):
+    def __init__(self, config: FaultConfig):
         self.config = config
         self.rng = random.Random(config.seed)
-        self.log = FaultLog(log_events=log_events)
         #: Telemetry bus (wired by the Network when telemetry is enabled).
         #: Publishing happens only inside rate-hit branches — cold paths —
         #: and draws no randomness, so the seed stream is unaffected.
@@ -91,7 +89,6 @@ class FaultInjector:
                 if self.rng.random() < self._multi_fraction
                 else Corruption.SINGLE
             )
-            self.log.record(FaultSite.LINK, cycle, node, severity.name)
             if self.telemetry is not None:
                 self.telemetry.publish(
                     cycle, "transient_fault", node,
@@ -111,7 +108,6 @@ class FaultInjector:
 
     def routing_upset(self, cycle: int, node: int) -> bool:
         if self._rate_rt and self.rng.random() < self._rate_rt:
-            self.log.record(FaultSite.ROUTING, cycle, node)
             if self.telemetry is not None:
                 self.telemetry.publish(cycle, "transient_fault", node, site="routing")
             return True
@@ -137,7 +133,6 @@ class FaultInjector:
 
     def va_upset(self, cycle: int, node: int) -> bool:
         if self._rate_va and self.rng.random() < self._rate_va:
-            self.log.record(FaultSite.VC_ALLOC, cycle, node)
             if self.telemetry is not None:
                 self.telemetry.publish(cycle, "transient_fault", node, site="vc_alloc")
             return True
@@ -155,7 +150,6 @@ class FaultInjector:
 
     def sa_upset(self, cycle: int, node: int) -> bool:
         if self._rate_sa and self.rng.random() < self._rate_sa:
-            self.log.record(FaultSite.SW_ALLOC, cycle, node)
             if self.telemetry is not None:
                 self.telemetry.publish(cycle, "transient_fault", node, site="sw_alloc")
             return True
@@ -177,7 +171,6 @@ class FaultInjector:
     def crossbar_upset(self, cycle: int, node: int) -> Optional[Corruption]:
         """Crossbar transients are single-bit upsets (Section 4.4)."""
         if self._rate_xbar and self.rng.random() < self._rate_xbar:
-            self.log.record(FaultSite.CROSSBAR, cycle, node)
             if self.telemetry is not None:
                 self.telemetry.publish(cycle, "transient_fault", node, site="crossbar")
             return Corruption.SINGLE
@@ -186,7 +179,6 @@ class FaultInjector:
     def retx_upset(self, cycle: int, node: int) -> bool:
         """Upset of a flit held in a retransmission buffer (Section 4.5)."""
         if self._rate_retx and self.rng.random() < self._rate_retx:
-            self.log.record(FaultSite.RETX_BUFFER, cycle, node)
             if self.telemetry is not None:
                 self.telemetry.publish(
                     cycle, "transient_fault", node, site="retx_buffer"
@@ -198,7 +190,6 @@ class FaultInjector:
 
     def handshake_glitch(self, cycle: int, node: int) -> bool:
         if self._rate_hs and self.rng.random() < self._rate_hs:
-            self.log.record(FaultSite.HANDSHAKE, cycle, node)
             if self.telemetry is not None:
                 self.telemetry.publish(
                     cycle, "transient_fault", node, site="handshake"

@@ -271,8 +271,8 @@ class _SiteState:
 class IntermittentLifecycle:
     """The network-owned burst/wear state machine for every configured site.
 
-    Wiring (done by ``Network.__init__``): ``stats``, ``telemetry`` and
-    ``log`` are attached after construction; ``escalate_hook`` is the
+    Wiring (done by ``Network.__init__``): ``stats`` and ``telemetry``
+    are attached after construction; ``escalate_hook`` is the
     network callback that routes a worn-out site into the permanent-fault
     teardown.  All mutable state pickles with the network, so
     checkpoint/resume replays the lifecycle bit-for-bit.
@@ -301,7 +301,6 @@ class IntermittentLifecycle:
         self.links: Dict[Tuple[int, Direction], object] = {}
         self.stats = None
         self.telemetry = None
-        self.log = None
 
     def __bool__(self) -> bool:
         return bool(self._sites)
@@ -387,12 +386,6 @@ class IntermittentLifecycle:
         )
         if self.stats is not None:
             self.stats.count("intermittent_strikes")
-        if self.log is not None:
-            from repro.types import FaultSite
-
-            self.log.record(
-                FaultSite.LINK, cycle, node, f"intermittent:{severity.name}"
-            )
         if self.telemetry is not None:
             self.telemetry.publish(
                 cycle,

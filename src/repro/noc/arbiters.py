@@ -1,19 +1,14 @@
-"""Arbiters used by the VC and switch allocators.
+"""The arbiter used by the VC and switch allocators.
 
-Two classic hardware arbiters:
-
-* :class:`RoundRobinArbiter` — rotating-priority, strongly fair: after a
-  grant the winner becomes lowest priority.
-* :class:`MatrixArbiter` — least-recently-served via a pairwise-priority
-  matrix; also strongly fair and commonly used in NoC switch allocators.
-
-Both are deterministic given their internal state, which makes allocation
-outcomes reproducible across runs with the same seed.
+:class:`RoundRobinArbiter` is rotating-priority and strongly fair: after a
+grant the winner becomes lowest priority.  It is deterministic given its
+internal state, which makes allocation outcomes reproducible across runs
+with the same seed.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 
 class RoundRobinArbiter:
@@ -38,46 +33,3 @@ class RoundRobinArbiter:
 
     def reset(self) -> None:
         self._next = 0
-
-
-class MatrixArbiter:
-    """Least-recently-served arbiter.
-
-    ``_prio[i][j]`` is True when requester ``i`` beats requester ``j``.
-    A winner loses priority against everyone (its row is cleared, its
-    column is set), which yields least-recently-served fairness.
-    """
-
-    def __init__(self, size: int):
-        if size < 1:
-            raise ValueError("arbiter needs at least one requester")
-        self.size = size
-        # Upper triangle True: initial priority order 0 > 1 > ... > size-1.
-        self._prio: List[List[bool]] = [
-            [i < j for j in range(size)] for i in range(size)
-        ]
-
-    def arbitrate(self, requests: Sequence[bool]) -> Optional[int]:
-        if len(requests) != self.size:
-            raise ValueError(f"expected {self.size} request lines, got {len(requests)}")
-        winner = None
-        for i in range(self.size):
-            if not requests[i]:
-                continue
-            beats_all = all(
-                not requests[j] or self._prio[i][j]
-                for j in range(self.size)
-                if j != i
-            )
-            if beats_all:
-                winner = i
-                break
-        if winner is not None:
-            for j in range(self.size):
-                if j != winner:
-                    self._prio[winner][j] = False
-                    self._prio[j][winner] = True
-        return winner
-
-    def reset(self) -> None:
-        self._prio = [[i < j for j in range(self.size)] for i in range(self.size)]

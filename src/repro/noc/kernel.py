@@ -5,10 +5,9 @@ on attribute lookups and small-method dispatch.  This module replays the
 exact same fault-free pipeline — BW→RT→VA→SA→ST→LT, credits, wormhole
 streaming, round-robin arbitration — over preallocated flat integer
 vectors, visiting only routers that hold flits.  Checkpoints serialize
-those vectors as typed int64 arrays (numpy-backed where available,
-``array('q')`` otherwise); at runtime they are plain flat lists, the
-fastest scalar-indexed container CPython has.  One :class:`BatchedKernel`
-replaces the per-object cycle loop of a
+those vectors as typed int64 ``array('q')`` buffers; at runtime they are
+plain flat lists, the fastest scalar-indexed container CPython has.  One
+:class:`BatchedKernel` replaces the per-object cycle loop of a
 :class:`~repro.noc.network.Network` when
 
 * ``SimulationConfig.backend == "batched"``, and
@@ -39,11 +38,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.noc.flit import Flit
 from repro.types import FlitType, LinkProtection, RoutingAlgorithm
-
-try:  # pragma: no cover - exercised implicitly by the import outcome
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 #: Port index of the local (NI-facing) port; matches ``Direction.LOCAL``.
 _LOCAL = 4
@@ -216,10 +210,9 @@ class BatchedKernel:
         # (router, port, vc, ...) coordinate.  At runtime they are plain
         # Python lists — CPython scalar list indexing is ~2.5x faster than
         # going through a buffer view, and the hot loop is pure scalar
-        # access — while __getstate__ packs each one into an int64 array
-        # (numpy where available, array('q') otherwise) so checkpoints
-        # carry compact typed buffers (docs/KERNEL.md, "Checkpoint
-        # payload").
+        # access — while __getstate__ packs each one into an int64
+        # array('q') so checkpoints carry compact typed buffers
+        # (docs/KERNEL.md, "Checkpoint payload").
         new = self._new_array
         # -- input VC state, indexed r*P*V + p*V + v ------------------------
         new("buf", R * P * V * D, 0)  # flit-token rings
@@ -342,22 +335,14 @@ class BatchedKernel:
 
     def __getstate__(self) -> Dict[str, Any]:
         # Pack each state table into a typed int64 buffer for the pickle
-        # stream: numpy arrays where numpy exists, array('q') otherwise.
-        # Both round-trip exactly and keep checkpoints compact.
+        # stream; it round-trips exactly and keeps checkpoints compact.
         state = dict(self.__dict__)
         for name in self.ARRAY_NAMES:
-            values = state[name]
-            if _np is not None:
-                state[name] = _np.asarray(values, dtype=_np.int64)
-            else:
-                state[name] = array("q", values)
+            state[name] = array("q", state[name])
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         for name in self.ARRAY_NAMES:
-            # .tolist() yields Python ints from numpy and array('q') alike
-            # (plain list() over a numpy array would leak np.int64 scalars
-            # into counters and break result serialization).
             state[name] = state[name].tolist()
         self.__dict__.update(state)
 

@@ -477,7 +477,6 @@ class Network:
             )
             lifecycle.stats = self.stats
             lifecycle.telemetry = self.telemetry
-            lifecycle.log = self.injector.log
             for site in lifecycle.sites:
                 lifecycle.links[site.fault.key] = self._link_map[site.fault.key]
             self.injector.lifecycle = lifecycle

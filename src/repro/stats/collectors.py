@@ -199,11 +199,6 @@ class StatsCollector:
     def count(self, name: str, increment: int = 1) -> None:
         self.counters[name] += increment
 
-    def count_measured(self, name: str, increment: int = 1) -> None:
-        """Count only within the measurement window."""
-        if self.measuring:
-            self.counters[name] += increment
-
     def energy_event(self, name: str, increment: int = 1) -> None:
         if self.measuring:
             self.energy_events[name] += increment
@@ -239,17 +234,3 @@ class StatsCollector:
         """
         counters = self.counters
         return {name: counters.get(name, 0) for name in names}
-
-    def summary(self) -> Dict[str, float]:
-        out: Dict[str, float] = {
-            "cycles": self.cycles,
-            "packets_injected": self.packets_injected,
-            "packets_ejected": self.packets_ejected,
-            "measured_packets": self.measured_packets,
-            "avg_latency": self.latency.mean,
-            "avg_hops": self.hops.mean,
-            "tx_buffer_utilization": self.tx_utilization.utilization,
-            "retx_buffer_utilization": self.retx_utilization.utilization,
-        }
-        out.update({k: float(v) for k, v in sorted(self.counters.items())})
-        return out

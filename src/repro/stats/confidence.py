@@ -7,8 +7,10 @@ batch means: split the (post-warm-up) observation stream into ``k`` equal
 batches, treat the batch means as approximately i.i.d. normal, and build a
 Student-t interval over them.
 
-Used by the examples and available to experiment campaigns; the t-quantile
-table covers the common batch counts so there is no SciPy dependency.
+No run reaches this module on its own: the samples it needs exist only
+after ``stats.latency.keep_samples = True`` is set on a built network.  The
+t-quantile table covers the common batch counts so there is no SciPy
+dependency.
 """
 
 from __future__ import annotations

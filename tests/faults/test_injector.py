@@ -1,16 +1,17 @@
-"""Tests for the fault injector and fault log."""
+"""Tests for the fault injector and the ``transient_fault`` events it publishes."""
 
 import pytest
 
 from repro.config import FaultConfig
 from repro.faults.injector import FaultInjector
-from repro.faults.models import FaultLog
+from repro.telemetry import TelemetryBus, TelemetryConfig
 from repro.types import Corruption, Direction, FaultSite
 
 
 class TestRates:
     def test_fault_free_never_fires(self):
         inj = FaultInjector(FaultConfig.fault_free())
+        inj.telemetry = TelemetryBus(TelemetryConfig(enabled=True))
         assert inj.is_fault_free
         for _ in range(1000):
             assert inj.link_upset(0, 0) is None
@@ -20,7 +21,7 @@ class TestRates:
             assert inj.crossbar_upset(0, 0) is None
             assert not inj.retx_upset(0, 0)
             assert not inj.handshake_glitch(0, 0)
-        assert inj.log.total == 0
+        assert inj.telemetry.events == []
 
     def test_rate_one_always_fires(self):
         inj = FaultInjector(FaultConfig.link_only(1.0, multi_bit_fraction=1.0))
@@ -87,30 +88,14 @@ class TestScenarioPicks:
         assert seen == {"blocked", "wrong_output", "duplicate_output", "multicast"}
 
 
-class TestFaultLog:
-    def test_counts_per_site(self):
+class TestTransientFaultEvents:
+    def test_one_event_per_landed_upset(self):
         inj = FaultInjector(FaultConfig.link_only(1.0))
-        inj.link_upset(5, 3)
-        inj.link_upset(6, 3)
-        assert inj.log.count(FaultSite.LINK) == 2
-        assert inj.log.total == 2
-
-    def test_event_trace_when_enabled(self):
-        inj = FaultInjector(FaultConfig.link_only(1.0), log_events=True)
-        inj.link_upset(5, 3)
-        (event,) = list(inj.log.events())
-        assert event.cycle == 5 and event.node == 3
-        assert event.site is FaultSite.LINK
-
-    def test_event_trace_bounded(self):
-        log = FaultLog(log_events=True, max_events=10)
-        for i in range(100):
-            log.record(FaultSite.LINK, i, 0)
-        assert len(list(log.events())) == 10
-        assert log.total == 100
-
-    def test_events_filtered_by_site(self):
-        log = FaultLog(log_events=True)
-        log.record(FaultSite.LINK, 0, 0)
-        log.record(FaultSite.ROUTING, 1, 0)
-        assert len(list(log.events(FaultSite.ROUTING))) == 1
+        inj.telemetry = TelemetryBus(TelemetryConfig(enabled=True))
+        assert inj.link_upset(5, 3) is not None
+        assert inj.link_upset(6, 3) is not None
+        events = inj.telemetry.events
+        assert [(e.kind, e.cycle, e.node, e.data["site"]) for e in events] == [
+            ("transient_fault", 5, 3, "link"),
+            ("transient_fault", 6, 3, "link"),
+        ]

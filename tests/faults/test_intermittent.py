@@ -2,9 +2,7 @@
 
 Covers the spec layer (validation, serialization, CLI grammar), the
 deterministic per-site burst streams, strike semantics, the wear-out
-escalation's equivalence to an explicitly scheduled permanent death, and
-the FaultLog hardening the lifecycle relies on (open site set, bounded
-trace suffix semantics).
+escalation's equivalence to an explicitly scheduled permanent death.
 """
 
 import dataclasses
@@ -23,7 +21,6 @@ from repro.faults.intermittent import (
     parse_intermittent_spec,
     site_stream_seed,
 )
-from repro.faults.models import FaultLog
 from repro.faults.permanent import PermanentFault, PermanentFaultSchedule
 from repro.noc.simulator import Simulator
 from repro.serialization import (
@@ -31,7 +28,8 @@ from repro.serialization import (
     config_to_dict,
     result_to_dict,
 )
-from repro.types import Corruption, Direction, FaultSite, RoutingAlgorithm
+from repro.telemetry import TelemetryBus, TelemetryConfig
+from repro.types import Corruption, Direction, RoutingAlgorithm
 from tests.conftest import reference_loop
 
 
@@ -193,18 +191,17 @@ class TestBurstProcess:
         # Unknown sites cost nothing and return None.
         assert life.strike(3, 9, Direction.WEST, 0.0) is None
 
-    def test_strikes_recorded_in_fault_log(self):
+    def test_strikes_published_as_burst_transient_faults(self):
         life = self._lifecycle(
             IntermittentFault(5, Direction.EAST, 1.0, 10.0, 10.0)
         )
-        life.log = FaultLog(log_events=True)
+        life.telemetry = TelemetryBus(TelemetryConfig(enabled=True))
         (site,) = life.sites
         site.on = True
         life.strike(7, 5, Direction.EAST, 0.0)
-        (event,) = life.log.events()
-        assert event.site is FaultSite.LINK
-        assert event.cycle == 7
-        assert event.detail.startswith("intermittent:")
+        (event,) = life.telemetry.events
+        assert (event.kind, event.cycle, event.node) == ("transient_fault", 7, 5)
+        assert event.data == {"site": "link", "severity": "single", "burst": True}
 
     def test_site_state_pickles_bit_for_bit(self):
         life = self._lifecycle(
@@ -221,8 +218,6 @@ class TestBurstProcess:
 
 
 def _config(**kw):
-    from repro.telemetry import TelemetryConfig
-
     noc = NoCConfig(
         shape=(4, 4),
         routing=kw.get("routing", RoutingAlgorithm.FT_TABLE),
@@ -272,8 +267,6 @@ class TestWearOutEscalation:
         )
 
     def _escalation_cycle(self):
-        from repro.telemetry import TelemetryConfig
-
         sim = Simulator(
             self._escalating_config(telemetry=TelemetryConfig(enabled=True))
         )
@@ -330,8 +323,6 @@ class TestWearOutEscalation:
         assert cert_a == cert_b
 
     def test_escalation_cycle_identical_on_both_loops(self):
-        from repro.telemetry import TelemetryConfig
-
         cycles = []
         for activity_driven in (False, True):
             sim = Simulator(
@@ -368,38 +359,3 @@ class TestWearOutEscalation:
         result = Simulator(config).run()
         assert result.counters.get("permanent_faults_applied") == 1
         assert result.counters.get("wear_out_escalations", 0) == 0
-
-
-class TestFaultLogHardening:
-    def test_sites_outside_the_enum_do_not_keyerror(self):
-        log = FaultLog()
-        log.record("derived-site", 10, 3)  # type: ignore[arg-type]
-        log.record("derived-site", 11, 3)  # type: ignore[arg-type]
-        assert log.count("derived-site") == 2  # type: ignore[arg-type]
-        assert log.total == 2
-        # Enum sites still pre-seeded for stable iteration.
-        assert log.count(FaultSite.LINK) == 0
-
-    def test_bounded_trace_keeps_a_suffix_and_counts_drops(self):
-        log = FaultLog(log_events=True, max_events=4)
-        for cycle in range(6):
-            log.record(FaultSite.LINK, cycle, node=0)
-        assert log.dropped_events == 2
-        assert [e.cycle for e in log.events()] == [2, 3, 4, 5]  # the suffix
-        # Counters are exact even where the trace is not.
-        assert log.count(FaultSite.LINK) == 6
-
-    def test_no_drops_reported_below_capacity(self):
-        log = FaultLog(log_events=True, max_events=4)
-        for cycle in range(4):
-            log.record(FaultSite.LINK, cycle, node=0)
-        assert log.dropped_events == 0
-        assert len(list(log.events())) == 4
-
-    def test_events_disabled_never_counts_drops(self):
-        log = FaultLog(log_events=False, max_events=2)
-        for cycle in range(5):
-            log.record(FaultSite.LINK, cycle, node=0)
-        assert log.dropped_events == 0
-        assert list(log.events()) == []
-        assert log.count(FaultSite.LINK) == 5

@@ -1,10 +1,10 @@
-"""Tests for the round-robin and matrix arbiters."""
+"""Tests for the round-robin arbiter."""
 
 from collections import Counter
 
 import pytest
 
-from repro.noc.arbiters import MatrixArbiter, RoundRobinArbiter
+from repro.noc.arbiters import RoundRobinArbiter
 
 
 class TestRoundRobin:
@@ -45,48 +45,3 @@ class TestRoundRobin:
         arb.arbitrate([True] * 3)
         arb.reset()
         assert arb.arbitrate([True] * 3) == 0
-
-
-class TestMatrixArbiter:
-    def test_no_requests(self):
-        assert MatrixArbiter(4).arbitrate([False] * 4) is None
-
-    def test_initial_priority_order(self):
-        assert MatrixArbiter(4).arbitrate([True] * 4) == 0
-
-    def test_winner_becomes_lowest_priority(self):
-        arb = MatrixArbiter(3)
-        assert arb.arbitrate([True, True, True]) == 0
-        assert arb.arbitrate([True, True, True]) == 1
-        assert arb.arbitrate([True, True, True]) == 2
-        assert arb.arbitrate([True, True, True]) == 0
-
-    def test_least_recently_served(self):
-        arb = MatrixArbiter(3)
-        arb.arbitrate([True, False, False])  # 0 wins, drops priority
-        # 1 and 2 haven't been served; 1 has the higher initial priority.
-        assert arb.arbitrate([True, True, False]) == 1
-        # Now 2 beats both 0 and 1.
-        assert arb.arbitrate([True, True, True]) == 2
-
-    def test_fairness_under_full_load(self):
-        arb = MatrixArbiter(4)
-        counts = Counter(arb.arbitrate([True] * 4) for _ in range(80))
-        assert set(counts.values()) == {20}
-
-    def test_always_grants_exactly_one_winner(self):
-        arb = MatrixArbiter(4)
-        for pattern in range(1, 16):
-            req = [(pattern >> i) & 1 == 1 for i in range(4)]
-            winner = arb.arbitrate(req)
-            assert winner is not None and req[winner]
-
-    def test_size_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            MatrixArbiter(2).arbitrate([True] * 3)
-
-    def test_reset(self):
-        arb = MatrixArbiter(2)
-        arb.arbitrate([True, True])
-        arb.reset()
-        assert arb.arbitrate([True, True]) == 0

@@ -20,7 +20,6 @@ from repro.checkpoint import (
     CheckpointError,
     load_checkpoint,
     read_checkpoint_header,
-    resume_from,
     save_checkpoint,
 )
 from repro.config import FaultConfig, NoCConfig, SimulationConfig, WorkloadConfig
@@ -181,7 +180,7 @@ class TestAutoCheckpointing:
         sim = Simulator(config)
         sim.run_to_cycle(250)  # dies between the cycle-200 and -300 snapshots
         del sim
-        resumed_sim = resume_from(config.checkpoint_path)
+        resumed_sim = load_checkpoint(config.checkpoint_path)
         assert resumed_sim.resumed_from_cycle == 200
         resumed = resumed_sim.run()
         assert _observables(resumed) == _observables(golden)
@@ -274,28 +273,40 @@ class TestContainerFormat:
         with pytest.raises(CheckpointError, match="not a Simulator"):
             load_checkpoint(path)
 
+    def _assert_refused_from_the_header(self, tmp_path, version, config):
+        import hashlib
+
+        payload = b"\x80\x04 an older Simulator graph; must never be loaded"
+        header = {
+            "schema": "repro/v1",
+            "checkpoint_version": version,
+            "cycle": 50,
+            "config": config,
+            "payload_bytes": len(payload),
+            "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        }
+        path = tmp_path / f"v{version}.ckpt"
+        path.write_bytes(MAGIC + json.dumps(header).encode() + b"\n" + payload)
+        message = f"version {version} is not supported"
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+        with pytest.raises(CheckpointError, match=message):
+            read_checkpoint_header(path)
+
     def test_v1_checkpoint_is_refused_before_unpickling(self, tmp_path):
         """A file written before the config became canonical (version 1,
         legacy config in the header) is a typed error — raised from the
         header, so its stale object graph is never unpickled."""
-        import hashlib
+        assert CHECKPOINT_VERSION == 3
+        self._assert_refused_from_the_header(
+            tmp_path, 1, {"noc": {"width": 4, "height": 4}, "activity_driven": True}
+        )
 
-        assert CHECKPOINT_VERSION == 2
-        payload = b"\x80\x04 a version-1 Simulator graph; must never be loaded"
-        header = {
-            "schema": "repro/v1",
-            "checkpoint_version": 1,
-            "cycle": 50,
-            "config": {"noc": {"width": 4, "height": 4}, "activity_driven": True},
-            "payload_bytes": len(payload),
-            "payload_sha256": hashlib.sha256(payload).hexdigest(),
-        }
-        path = tmp_path / "v1.ckpt"
-        path.write_bytes(MAGIC + json.dumps(header).encode() + b"\n" + payload)
-        with pytest.raises(CheckpointError, match="version 1 is not supported"):
-            load_checkpoint(path)
-        with pytest.raises(CheckpointError, match="version 1 is not supported"):
-            read_checkpoint_header(path)
+    def test_v2_checkpoint_is_refused_before_unpickling(self, tmp_path):
+        """Version 2 graphs carry ``FaultInjector.log``; same typed error."""
+        self._assert_refused_from_the_header(
+            tmp_path, 2, {"noc": {"shape": [4, 4]}, "backend": "batched"}
+        )
 
     def test_overwrite_is_atomic_no_tmp_left_behind(self, tmp_path):
         path = self._snapshot(tmp_path)

@@ -3,8 +3,8 @@
 The module docstring of :mod:`repro.stats.collectors` documents every
 counter name the code base increments.  That table drifted once (PR 1 added
 counters without documenting them); this test makes the drift impossible by
-comparing the documented names against every ``stats.count(...)`` /
-``stats.count_measured(...)`` call site under ``src/``, in both directions.
+comparing the documented names against every ``stats.count(...)`` call
+site under ``src/``, in both directions.
 """
 
 import pathlib
@@ -17,7 +17,7 @@ SRC_ROOT = pathlib.Path(collectors.__file__).resolve().parents[1]
 #: A literal-name counting call site.  Digits are significant
 #: (``e2e_retransmissions``); ``str.count("1")`` in the coding modules does
 #: not match because it requires the ``stats.`` receiver.
-CALL_SITE = re.compile(r'stats\.count(?:_measured)?\(\s*"([a-z0-9_]+)"')
+CALL_SITE = re.compile(r'stats\.count\(\s*"([a-z0-9_]+)"')
 
 TABLE_ROW = re.compile(r"^``([a-z0-9_]+)``", re.MULTILINE)
 

@@ -68,16 +68,6 @@ class TestStatsCollector:
         stats.energy_event("link", 3)
         assert stats.energy_events["link"] == 3
 
-    def test_count_always_vs_count_measured(self):
-        stats = StatsCollector()
-        stats.count("x")
-        stats.count_measured("y")
-        assert stats.counter("x") == 1
-        assert stats.counter("y") == 0
-        stats.start_measurement()
-        stats.count_measured("y")
-        assert stats.counter("y") == 1
-
     def test_utilization_gated(self):
         stats = StatsCollector()
         stats.record_utilization(1, 10, 1, 10)
@@ -85,13 +75,6 @@ class TestStatsCollector:
         stats.start_measurement()
         stats.record_utilization(5, 10, 1, 10)
         assert stats.tx_utilization.utilization == 0.5
-
-    def test_summary_contains_counters(self):
-        stats = StatsCollector()
-        stats.count("retransmission_rounds", 7)
-        summary = stats.summary()
-        assert summary["retransmission_rounds"] == 7.0
-        assert "avg_latency" in summary
 
     def test_unknown_counter_is_zero(self):
         assert StatsCollector().counter("nope") == 0
