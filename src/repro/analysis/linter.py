@@ -10,9 +10,8 @@ Entry points:
 * :func:`lint_path` / :func:`lint_paths` — lint JSON config files or
   directories of them (the ``repro lint`` CLI).
 
-The channel-dependency-graph verdict is memoized per (topology, size,
-routing) because campaign grids lint hundreds of variants that share a
-platform.
+The channel-dependency-graph verdict is memoized (``_CDG_CACHE``) because
+campaign grids lint hundreds of variants that share a platform.
 """
 
 from __future__ import annotations
@@ -25,9 +24,9 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 from repro.analysis.cdg import CDGVerdict, verify_deadlock_freedom
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport, Severity
 from repro.analysis.rules import LintContext, run_rules
+from repro.analysis.verify import static_routing_for, topology_of
 from repro.config import SimulationConfig
-from repro.noc.routing import resolve_routing_function
-from repro.noc.topology import make_topology
+from repro.noc.routing import check_fault_sites
 from repro.serialization import (
     config_from_dict,
     config_to_dict,
@@ -35,7 +34,10 @@ from repro.serialization import (
 )
 from repro.types import RoutingAlgorithm
 
-#: (topology name, shape, routing value, permanent schedule) -> verdict.
+#: Everything a verdict depends on -> verdict: the platform, the routing
+#: :func:`static_routing_for` resolves from the permanent schedule and the
+#: can-lose-components substitution, and the VC count it reports (which also
+#: decides when a link has lost its last VC).
 _CDG_CACHE: Dict[Tuple[object, ...], CDGVerdict] = {}
 
 
@@ -43,53 +45,65 @@ def cdg_verdict_for(config: SimulationConfig) -> Optional[CDGVerdict]:
     """The (memoized) CDG verdict for a config's platform.
 
     Returns None for source routing, which has no static routing relation.
-    When the config schedules permanent faults, the verdict covers the
-    *fully degraded* topology — every scheduled link/router death applied —
-    under the fault-aware table routing the simulator will substitute, so a
-    clean verdict certifies the reconfigured routing deadlock-free.
+    The verdict covers what :func:`static_routing_for` resolves: when the
+    platform can lose components, the fault-aware table routing the
+    simulator substitutes, on the *fully degraded* topology — every
+    scheduled link/router/last-VC death applied — so a clean verdict
+    certifies the reconfigured routing deadlock-free.
     """
-    from repro.noc.routing import FaultAwareRouting
-
     noc = config.noc
     if noc.routing is RoutingAlgorithm.SOURCE:
         return None
-    schedule = config.faults.permanent
     key: Tuple[object, ...] = (
         noc.topology,
         noc.shape,
         noc.routing.value,
-        schedule,
+        noc.num_vcs,
+        config.faults.permanent,
+        config.faults.can_lose_components,
     )
     verdict = _CDG_CACHE.get(key)
     if verdict is None:
-        topology = make_topology(noc.topology, noc.shape, noc.link_latency)
-        routing_fn = resolve_routing_function(noc.routing, topology)
-        if schedule and noc.routing in (
-            RoutingAlgorithm.XY,
-            RoutingAlgorithm.FT_TABLE,
-        ):
-            # Mirror Network.__init__: these platforms run fault-aware
-            # table routing, so verify what will actually execute once the
-            # whole schedule has taken effect.
-            if not isinstance(routing_fn, FaultAwareRouting):
-                routing_fn = FaultAwareRouting(topology)
-            dead_links = {
-                (f.node, f.direction)
-                for f in schedule
-                if f.kind == "link" and f.direction is not None
-            }
-            if noc.num_vcs == 1:
-                # A dead VC is the whole link when it is the only VC.
-                dead_links |= {
-                    (f.node, f.direction)
-                    for f in schedule
-                    if f.kind == "vc" and f.direction is not None
-                }
-            dead_routers = {f.node for f in schedule if f.kind == "router"}
-            routing_fn.rebuild(dead_links, dead_routers)
+        topology = topology_of(config)
+        routing_fn, _ = static_routing_for(config, topology)
         verdict = verify_deadlock_freedom(topology, routing_fn, noc.num_vcs)
         _CDG_CACHE[key] = verdict
     return verdict
+
+
+def _lint(
+    data: Mapping[str, Any],
+    config: Optional[SimulationConfig],
+    rejection: Optional[Exception],
+    cdg: bool,
+    source: Optional[str],
+) -> DiagnosticReport:
+    """Every pass, for both entry points.  A config whose faults name a
+    component its platform lacks is treated like one the constructors
+    refused (``Network`` would refuse it): ``NOC000``, and only the
+    raw-dict rules run."""
+    if config is not None:
+        try:
+            check_fault_sites(config, topology_of(config))
+        except ValueError as exc:
+            config, rejection = None, exc
+    report = DiagnosticReport()
+    if rejection is not None:
+        report.add(
+            Diagnostic(
+                rule_id="NOC000",
+                severity=Severity.ERROR,
+                message=f"config rejected by constructors: {rejection}",
+                hint="fix the field, then re-lint for semantic rules",
+            )
+        )
+    ctx = LintContext(
+        data=data,
+        config=config,
+        cdg=cdg_verdict_for(config) if (cdg and config is not None) else None,
+    )
+    report.extend(run_rules(ctx))
+    return report.with_source(source) if source else report
 
 
 def lint_config(
@@ -99,13 +113,7 @@ def lint_config(
     source: Optional[str] = None,
 ) -> DiagnosticReport:
     """Run every lint pass against a constructed config."""
-    ctx = LintContext(
-        data=config_to_dict(config),
-        config=config,
-        cdg=cdg_verdict_for(config) if cdg else None,
-    )
-    report = DiagnosticReport(run_rules(ctx))
-    return report.with_source(source) if source else report
+    return _lint(config_to_dict(config), config, None, cdg, source)
 
 
 def lint_dict(
@@ -122,7 +130,7 @@ def lint_dict(
     the constructor's complaint.
     """
     config: Optional[SimulationConfig] = None
-    failure: Optional[Diagnostic] = None
+    rejection: Optional[Exception] = None
     try:
         with warnings.catch_warnings():
             # Construction-time advisories (e.g. the Eq. 1 warning) would be
@@ -131,22 +139,8 @@ def lint_dict(
             data = upgrade_config_dict(data)
             config = config_from_dict(data)
     except (ValueError, TypeError, KeyError) as exc:
-        failure = Diagnostic(
-            rule_id="NOC000",
-            severity=Severity.ERROR,
-            message=f"config rejected by constructors: {exc}",
-            hint="fix the field, then re-lint for semantic rules",
-        )
-    ctx = LintContext(
-        data=data,
-        config=config,
-        cdg=cdg_verdict_for(config) if (cdg and config is not None) else None,
-    )
-    report = DiagnosticReport()
-    if failure is not None:
-        report.add(failure)
-    report.extend(run_rules(ctx))
-    return report.with_source(source) if source else report
+        rejection = exc
+    return _lint(data, config, rejection, cdg, source)
 
 
 def lint_path(path: Union[str, Path], *, cdg: bool = True) -> DiagnosticReport:

@@ -25,6 +25,7 @@ from typing import Any, Callable, Iterable, List, Mapping, Optional
 
 from repro.analysis.cdg import CDGVerdict
 from repro.analysis.diagnostics import Diagnostic, Severity
+from repro.analysis.verify import both_alive_pairs, topology_of
 from repro.config import SimulationConfig
 from repro.core.deadlock import max_packets_per_buffer
 from repro.types import FaultSite, LinkProtection, RoutingAlgorithm
@@ -452,9 +453,7 @@ def _noc013_permanent_routing(ctx: LintContext) -> Iterable[Diagnostic]:
     cfg = ctx.config
     if cfg is None:
         return
-    # Wear-out escalation produces the same hard deaths a schedule does.
-    escalates = bool(cfg.faults.intermittent) and cfg.faults.wear_out is not None
-    if not cfg.faults.permanent and not escalates:
+    if not cfg.faults.can_lose_components:
         return
     if cfg.noc.routing in (
         RoutingAlgorithm.XY,
@@ -486,24 +485,10 @@ def _noc014_partition_at_start(ctx: LintContext) -> Iterable[Diagnostic]:
     cfg = ctx.config
     if cfg is None or not cfg.faults.permanent:
         return
-    # Deferred import: repro.analysis.verify builds on this module's
-    # neighbours (cdg, config); keep the rule catalogue import-light.
-    from repro.analysis.verify import both_alive_pairs, topology_of
-
-    at_start = [f for f in cfg.faults.permanent if f.cycle == 0]
-    dead_links = {
-        (f.node, f.direction)
-        for f in at_start
-        if f.kind == "link" and f.direction is not None
-    }
-    if cfg.noc.num_vcs == 1:
-        # A dead VC is the whole link when it is the only VC.
-        dead_links |= {
-            (f.node, f.direction)
-            for f in at_start
-            if f.kind == "vc" and f.direction is not None
-        }
-    dead_routers = {f.node for f in at_start if f.kind == "router"}
+    # Dead on arrival is ``cycle <= 0`` (PermanentFault).
+    dead_links, dead_routers = cfg.faults.permanent.dead_components(
+        cfg.noc.num_vcs, through_cycle=0
+    )
     if not dead_links and not dead_routers:
         return
     topology = topology_of(cfg)

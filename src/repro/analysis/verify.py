@@ -62,7 +62,7 @@ from repro.noc.routing import (
     FaultAwareRouting,
     RoutingFunction,
     SourceRouting,
-    resolve_routing_function,
+    routing_for_config,
 )
 from repro.noc.topology import (
     MeshTopology,
@@ -659,41 +659,20 @@ def sweep_multi_link_kills(
 
 
 def static_routing_for(
-    config: SimulationConfig, topology: PortGraph
+    config: SimulationConfig, topology: MeshTopology
 ) -> Tuple[RoutingFunction, Optional[FrozenSet[Pair]]]:
-    """The routing function the simulator will statically settle into,
-    with every scheduled permanent fault applied, plus the expected pairs
-    (None means "all pairs" — no permanent degradation).
-
-    Mirrors ``Network.__init__``: XY and FT_TABLE platforms substitute
-    fault-aware table routing when a permanent schedule is present.
+    """The routing function the simulator will statically settle into —
+    what ``Network`` installs (:func:`routing_for_config`), with every
+    scheduled permanent fault applied — plus the expected pairs (None
+    means "all pairs" — no permanent degradation).
     """
-    noc = config.noc
-    routing_fn = resolve_routing_function(noc.routing, topology)
+    routing_fn = routing_for_config(config, topology)
     schedule = config.faults.permanent
-    if not schedule or noc.routing not in (
-        RoutingAlgorithm.XY,
-        RoutingAlgorithm.FT_TABLE,
-    ):
+    if not schedule or not isinstance(routing_fn, FaultAwareRouting):
         return routing_fn, None
-    if not isinstance(routing_fn, FaultAwareRouting):
-        routing_fn = FaultAwareRouting(topology)
-    dead_links = {
-        (f.node, f.direction)
-        for f in schedule
-        if f.kind == "link" and f.direction is not None
-    }
-    if noc.num_vcs == 1:
-        # A dead VC is the whole link when it is the only VC.
-        dead_links |= {
-            (f.node, f.direction)
-            for f in schedule
-            if f.kind == "vc" and f.direction is not None
-        }
-    dead_routers = {f.node for f in schedule if f.kind == "router"}
+    dead_links, dead_routers = schedule.dead_components(config.noc.num_vcs)
     routing_fn.rebuild(dead_links, dead_routers)
-    expected = both_alive_pairs(topology, dead_links, dead_routers)
-    return routing_fn, expected
+    return routing_fn, both_alive_pairs(topology, dead_links, dead_routers)
 
 
 def topology_of(config: SimulationConfig) -> MeshTopology:

@@ -375,6 +375,12 @@ class FaultConfig:
     def rate(self, site: FaultSite) -> float:
         return self.rates.get(site, 0.0)
 
+    @property
+    def can_lose_components(self) -> bool:
+        """Whether a hard death can occur during the run: a permanent
+        schedule, or wear-out escalating an intermittent site into one."""
+        return bool(self.permanent) or self.wear_out is not None
+
     @classmethod
     def fault_free(cls, seed: int = 1) -> "FaultConfig":
         return cls(rates={}, seed=seed)

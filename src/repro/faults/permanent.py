@@ -26,7 +26,7 @@ as well as the compact CLI specs (``parse_link_spec`` & friends)::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.types import Direction
 
@@ -113,6 +113,36 @@ class PermanentFaultSchedule:
     def sorted_by_cycle(self) -> List[PermanentFault]:
         """Stable application order: by cycle, then spec order."""
         return sorted(self.faults, key=lambda f: max(f.cycle, 0))
+
+    def dead_components(
+        self, num_vcs: int, through_cycle: Optional[int] = None
+    ) -> Tuple[Set[Tuple[int, Direction]], Set[int]]:
+        """``(dead_links, dead_routers)`` once every fault due by
+        ``through_cycle`` has struck (None: the whole schedule; 0: the
+        dead-on-arrival part, ``cycle <= 0``).
+
+        A link is dead when a link fault names it or VC faults name every
+        one of its ``num_vcs`` channels: without a living VC the channel
+        carries nothing, so the runtime tears the link down with its last
+        VC (``Network._kill_vc``) and the tables must route around it.
+        """
+        dead_links: Set[Tuple[int, Direction]] = set()
+        dead_routers: Set[int] = set()
+        dead_vcs: Dict[Tuple[int, Direction], Set[int]] = {}
+        for f in self.faults:
+            if through_cycle is not None and f.cycle > through_cycle:
+                continue
+            if f.kind == "router":
+                dead_routers.add(f.node)
+            elif f.direction is not None:  # link and vc faults carry one
+                if f.kind == "link":
+                    dead_links.add((f.node, f.direction))
+                elif f.vc is not None:
+                    dead_vcs.setdefault((f.node, f.direction), set()).add(f.vc)
+        dead_links.update(
+            link for link, vcs in dead_vcs.items() if len(vcs) >= num_vcs
+        )
+        return dead_links, dead_routers
 
     # -- serialization -----------------------------------------------------
 

@@ -38,18 +38,18 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 from repro.config import SimulationConfig
 from repro.core.schemes import DeliveryAction, destination_policy
 from repro.faults.injector import FaultInjector
-from repro.faults.intermittent import (
-    IntermittentFaultSchedule,
-    IntermittentLifecycle,
-    _SiteState,
-)
-from repro.faults.permanent import PermanentFault, PermanentFaultSchedule
+from repro.faults.intermittent import IntermittentLifecycle, _SiteState
+from repro.faults.permanent import PermanentFault
 from repro.noc.flit import Flit
 from repro.noc.kernel import BatchedKernel, kernel_supports
 from repro.noc.link import Link
 from repro.noc.packet import Packet, PacketReassembler
 from repro.noc.router import Router
-from repro.noc.routing import FaultAwareRouting, resolve_routing_function
+from repro.noc.routing import (
+    FaultAwareRouting,
+    SourceRouting,
+    routing_for_config,
+)
 from repro.noc.topology import MeshTopology, make_topology
 from repro.stats.collectors import StatsCollector
 from repro.telemetry.bus import TelemetryBus
@@ -318,40 +318,23 @@ class Network:
         )
         self.injector = FaultInjector(config.faults)
         self.injector.telemetry = self.telemetry
-        routing_fn = resolve_routing_function(noc.routing, self.topology)
-        schedule = config.faults.permanent
+        routing_fn = routing_for_config(config, self.topology)
         intermittent = config.faults.intermittent
-        wear_out = config.faults.wear_out
-        if schedule:
-            self._validate_schedule(schedule)
-        if intermittent:
-            self._validate_intermittent(intermittent)
-        # Wear-out escalation turns intermittent sites into hard deaths, so
-        # it needs the same survivable-routing treatment as an explicit
-        # schedule.
-        may_lose_components = bool(schedule) or (
-            bool(intermittent) and wear_out is not None
-        )
-        if may_lose_components:
-            if noc.routing in (RoutingAlgorithm.XY, RoutingAlgorithm.FT_TABLE):
-                # XY cannot route around dead components; substitute the
-                # fault-aware table routing (identical fault-free latency —
-                # its up*/down* orientation yields minimal paths on a
-                # healthy mesh) so the schedule is actually survivable.
-                if not isinstance(routing_fn, FaultAwareRouting):
-                    routing_fn = FaultAwareRouting(self.topology)
-            elif noc.routing is not RoutingAlgorithm.SOURCE:
-                import warnings
+        may_lose_components = config.faults.can_lose_components
+        if may_lose_components and not isinstance(
+            routing_fn, (FaultAwareRouting, SourceRouting)
+        ):
+            import warnings
 
-                warnings.warn(
-                    "NOC013: hard faults (a permanent-fault schedule or "
-                    "wear-out escalation) are configured but "
-                    f"{noc.routing.value} routing cannot reroute around "
-                    "dead components; packets whose paths cross them will "
-                    "be dropped (use xy or ft_table routing for "
-                    "fault-aware rerouting)",
-                    stacklevel=2,
-                )
+            warnings.warn(
+                "NOC013: hard faults (a permanent-fault schedule or "
+                "wear-out escalation) are configured but "
+                f"{noc.routing.value} routing cannot reroute around "
+                "dead components; packets whose paths cross them will "
+                "be dropped (use xy or ft_table routing for "
+                "fault-aware rerouting)",
+                stacklevel=2,
+            )
         #: The routing function every router shares; a FaultAwareRouting
         #: instance here is rebuilt on each permanent-fault event.
         self.routing_fn = routing_fn
@@ -473,7 +456,7 @@ class Network:
         self.lifecycle: Optional[IntermittentLifecycle] = None
         if intermittent:
             lifecycle = IntermittentLifecycle(
-                intermittent, wear_out, config.faults.seed
+                intermittent, config.faults.wear_out, config.faults.seed
             )
             lifecycle.stats = self.stats
             lifecycle.telemetry = self.telemetry
@@ -482,7 +465,7 @@ class Network:
             self.injector.lifecycle = lifecycle
             self.lifecycle = lifecycle
         self._pending_faults: List[PermanentFault] = (
-            schedule.sorted_by_cycle() if schedule else []
+            config.faults.permanent.sorted_by_cycle()
         )
         self._fault_index = 0
         self._next_fault_cycle: Optional[int] = None
@@ -565,51 +548,6 @@ class Network:
                 ni.retransmit(packet_id)
 
     # -- permanent faults -------------------------------------------------------
-
-    def _validate_schedule(self, schedule: PermanentFaultSchedule) -> None:
-        num_nodes = self.topology.num_nodes
-        for fault in schedule:
-            if fault.node >= num_nodes:
-                raise ValueError(
-                    f"permanent fault names node {fault.node} but the "
-                    f"topology has {num_nodes} nodes"
-                )
-            if fault.kind in ("link", "vc"):
-                assert fault.direction is not None
-                if fault.direction not in self.topology.connected_directions(
-                    fault.node
-                ):
-                    raise ValueError(
-                        f"permanent fault names link "
-                        f"{fault.node}:{fault.direction.name.lower()} "
-                        "but no such link exists in this topology"
-                    )
-            if fault.kind == "vc":
-                assert fault.vc is not None
-                if fault.vc >= self.config.noc.num_vcs:
-                    raise ValueError(
-                        f"permanent fault names VC {fault.vc} but the "
-                        f"platform has {self.config.noc.num_vcs} VCs"
-                    )
-
-    def _validate_intermittent(
-        self, schedule: IntermittentFaultSchedule
-    ) -> None:
-        num_nodes = self.topology.num_nodes
-        for fault in schedule:
-            if fault.node >= num_nodes:
-                raise ValueError(
-                    f"intermittent fault names node {fault.node} but the "
-                    f"topology has {num_nodes} nodes"
-                )
-            if fault.direction not in self.topology.connected_directions(
-                fault.node
-            ):
-                raise ValueError(
-                    f"intermittent fault names link "
-                    f"{fault.node}:{fault.direction.name.lower()} "
-                    "but no such link exists in this topology"
-                )
 
     def _advance_lifecycle(self) -> None:
         """Advance every burst process by one cycle and escalate worn-out

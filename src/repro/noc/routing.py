@@ -20,11 +20,24 @@ travelling in Y).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, Iterable, List, Optional, Protocol, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Protocol,
+    Set,
+    Tuple,
+)
 
 from repro.noc.flit import Flit
 from repro.noc.topology import MeshTopology, PortGraph
 from repro.types import AXIS_DIRECTIONS, Direction, RoutingAlgorithm
+
+if TYPE_CHECKING:
+    from repro.config import SimulationConfig
 
 
 class RoutingFunction(Protocol):
@@ -469,6 +482,56 @@ def resolve_routing_function(
     if algorithm is RoutingAlgorithm.XY and isinstance(topology, TorusTopology):
         return TorusXYRouting()
     return make_routing_function(algorithm)
+
+
+def check_fault_sites(config: SimulationConfig, topology: MeshTopology) -> None:
+    """Reject (:class:`ValueError`) a permanent or intermittent fault that
+    names a node, link or VC the platform does not have."""
+
+    def check(label: str, node: int, direction: Optional[Direction]) -> None:
+        if node >= topology.num_nodes:
+            raise ValueError(
+                f"{label} fault names node {node} but the "
+                f"topology has {topology.num_nodes} nodes"
+            )
+        if direction is not None and direction not in (
+            topology.connected_directions(node)
+        ):
+            raise ValueError(
+                f"{label} fault names link {node}:{direction.name.lower()} "
+                "but no such link exists in this topology"
+            )
+
+    num_vcs = config.noc.num_vcs
+    for fault in config.faults.permanent:
+        whole_router = fault.kind == "router"
+        check("permanent", fault.node, None if whole_router else fault.direction)
+        if fault.kind == "vc" and fault.vc is not None and fault.vc >= num_vcs:
+            raise ValueError(
+                f"permanent fault names VC {fault.vc} but the "
+                f"platform has {num_vcs} VCs"
+            )
+    for site in config.faults.intermittent:
+        check("intermittent", site.node, site.direction)
+
+
+def routing_for_config(
+    config: SimulationConfig, topology: MeshTopology
+) -> RoutingFunction:
+    """The routing function a :class:`~repro.noc.network.Network` installs
+    for ``config``, after :func:`check_fault_sites`.
+
+    The one place that decides what a platform which can lose components
+    runs: XY cannot route around a dead link, so it is replaced by the
+    fault-aware table routing (identical fault-free latency — its up*/down*
+    orientation yields minimal paths on a healthy mesh).  The static
+    analyses certify this function's result, not a copy of the rule.
+    """
+    check_fault_sites(config, topology)
+    routing = config.noc.routing
+    if routing is RoutingAlgorithm.XY and config.faults.can_lose_components:
+        return FaultAwareRouting(topology)
+    return resolve_routing_function(routing, topology)
 
 
 def xy_arrival_is_legal(

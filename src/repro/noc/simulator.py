@@ -188,7 +188,7 @@ class Simulator:
     def run_to_cycle(self, cycle: int) -> None:
         """Advance the closed-loop schedule up to ``cycle`` (stopping early
         at the run's natural end) without building a result — the partial-run
-        primitive behind checkpoint tests and the overhead benchmark."""
+        primitive behind the checkpoint tests."""
         while self.network.cycle < cycle and self.should_continue():
             self.advance()
 

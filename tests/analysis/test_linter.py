@@ -120,6 +120,31 @@ class TestLintCLI:
         assert main(["lint", "--strict", path]) == 1
 
 
+class TestCDGVerdictCache:
+    def test_key_covers_everything_the_verdict_depends_on(self):
+        from repro.analysis import cdg_verdict_for
+        from repro.config import FaultConfig, NoCConfig, SimulationConfig
+        from repro.faults.permanent import PermanentFault, PermanentFaultSchedule
+        from repro.types import Direction
+
+        def config(vcs, *faults):
+            return SimulationConfig(
+                noc=NoCConfig(shape=(4, 4), num_vcs=vcs),
+                faults=FaultConfig(permanent=PermanentFaultSchedule.of(*faults)),
+            )
+
+        two, four = cdg_verdict_for(config(2)), cdg_verdict_for(config(4))
+        assert two is not four
+        assert (two.num_vcs, four.num_vcs) == (2, 4)
+        assert cdg_verdict_for(config(2)) is two  # still memoized
+        # One VC-fault schedule, two VC counts: the whole link at 1 VC, a
+        # single buffer at 2 — different degraded topologies.
+        dead_vc = PermanentFault("vc", 5, Direction.EAST, vc=0)
+        whole_link = cdg_verdict_for(config(1, dead_vc))
+        one_buffer = cdg_verdict_for(config(2, dead_vc))
+        assert whole_link.num_channels == one_buffer.num_channels - 1
+
+
 class TestRunCLIInvariantChecks:
     def test_run_with_invariant_checks(self, capsys):
         rc = main(

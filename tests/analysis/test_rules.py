@@ -461,6 +461,23 @@ class TestNOC014PartitionAtCycleZero:
         )
         assert not report.by_rule("NOC014")
 
+    def test_fires_for_negative_cycles_too(self):
+        from repro.faults.permanent import PermanentFault
+        from repro.types import Direction
+
+        # Dead on arrival is ``cycle <= 0`` (PermanentFault), not only the
+        # literal 0: the late-partition cut above, moved before the start.
+        report = lint_config(
+            make_config(
+                noc=dict(shape=(2, 1)),
+                faults=self._faults(
+                    PermanentFault("link", 0, Direction.EAST, cycle=-1),
+                    PermanentFault("link", 1, Direction.WEST, cycle=-1),
+                ),
+            )
+        )
+        assert report.by_rule("NOC014")
+
     def test_quiet_for_survivable_kills(self):
         from repro.faults.permanent import PermanentFault
         from repro.types import Direction

@@ -20,9 +20,10 @@ def reference_loop(enabled: bool = True) -> Iterator[None]:
     the activity-driven loop.
 
     The package has no switch for the reference loop — this rebinding is
-    the one way to run it, shared by the equivalence suites and
-    ``benchmarks/workloads.py``.  ``enabled=False`` leaves the default loop
-    in place, so a ``[True, False]`` parametrisation can wrap both cases.
+    the one way to run it, and only tests use it (nothing under
+    ``benchmarks/``, ``tools/`` or ``src/`` imports ``tests``).
+    ``enabled=False`` leaves the default loop in place, so a
+    ``[True, False]`` parametrisation can wrap both cases.
     """
     if not enabled:
         yield

@@ -465,6 +465,20 @@ class TestShapeFlags:
         assert rc == 2
         assert "no such link" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["lint", "verify"])
+    @pytest.mark.parametrize("site", ["99:east", "0:up"])
+    def test_lint_and_verify_refuse_a_missing_component_as_run_does(
+        self, capsys, command, site
+    ):
+        flags = ["--dead-link", site, "--shape", "4x4",
+                 "--messages", "60", "--warmup", "10"]
+        assert main(["run", *flags]) == 2
+        refusal = capsys.readouterr().err.strip().removeprefix("error: ")
+        assert site.split(":")[0] in refusal
+        assert main([command, *flags]) != 0
+        captured = capsys.readouterr()
+        assert refusal in captured.out + captured.err
+
 
 class TestCampaignCommand:
     """The fleet-scale campaign service front-end (docs/CAMPAIGNS.md)."""
@@ -509,6 +523,43 @@ class TestCampaignCommand:
         )
         assert main(["campaign", str(spec)]) == 2
         assert "noc.shape and noc.width" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "node, direction, refusal",
+        [
+            (99, "east", "names node 99 but the topology has 9 nodes"),
+            (0, "up", "names link 0:up but no such link exists"),
+        ],
+    )
+    def test_spec_naming_a_missing_component_fails_the_lint_pass(
+        self, capsys, tmp_path, node, direction, refusal
+    ):
+        import json
+        import os
+
+        ghost = {"kind": "link", "node": node, "direction": direction}
+        spec = tmp_path / "ghost.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "variants": [
+                        {
+                            "name": "ghost",
+                            "config": {
+                                "noc": {"shape": [3, 3]},
+                                "faults": {"permanent": [ghost]},
+                            },
+                        }
+                    ]
+                }
+            )
+        )
+        camp = tmp_path / "camp"
+        assert main(["campaign", str(spec), "--dir", str(camp)]) == 1
+        err = capsys.readouterr().err
+        assert "NOC000" in err and refusal in err
+        # Refused before any worker started, not after its retries.
+        assert not os.path.exists(camp / "journal.jsonl")
 
     def test_parser_defaults(self):
         # Unset flags stay None so --resume can tell "not given" from

@@ -611,3 +611,23 @@ class TestParentJournalCompat:
         assert [r.metadata["attempts"] for r in rows] == [1, 2, 2, 1]
         assert stats["attempts"] == 6 and stats["retries"] == 1
         assert (stats["completed"], stats["failed"]) == (3, 1)
+
+    def test_failed_row_for_a_missing_component_still_reads_and_resumes(
+        self, tmp_path
+    ):
+        """Written by commit 19114c3, whose lint pass let ``99:east`` on a
+        3x3 through to the workers: the ``ghost`` variant failed there after
+        its retry.  Such a config is refused by lint now, but not by the
+        constructors, so the recorded rows still load."""
+        journal_path = tmp_path / "journal.jsonl"
+        shutil.copy(
+            self.FIXTURE.with_name("parent_19114c3_ghost_site.jsonl"), journal_path
+        )
+        rows, stats = resume_campaign(str(journal_path))
+        assert [(r.name, r.failed) for r in rows] == [("ok", False), ("ghost", True)]
+        assert rows[1].error == (
+            "ValueError: permanent fault names node 99 but the topology "
+            "has 9 nodes"
+        )
+        assert rows[1].metadata["attempts"] == 2
+        assert (stats["completed"], stats["failed"]) == (1, 1)

@@ -4,12 +4,12 @@
 The certificate (built by :func:`repro.analysis.verify.build_standard_certificate`)
 statically proves connectivity, livelock-freedom and deadlock-freedom for the
 repo's standard platforms, including exhaustive single-link-kill and seeded
-multi-kill robustness sweeps of the fault-aware table routing.  Unlike the
-performance trajectory in ``BENCH_simulator.json`` it is fully deterministic
-— no timestamps, fixed sweep seeds — so CI regenerates it and *diffs* it
-against the committed artifact: any resilience regression (a platform losing
-its certificate, a witness cycle changing) shows up as a failing job and a
-reviewable diff.
+multi-kill robustness sweeps of the fault-aware table routing.  Unlike a
+performance measurement (the ledger, docs/PERFORMANCE.md) it is fully
+deterministic — no timestamps, fixed sweep seeds — so CI regenerates it and
+*diffs* it against the committed artifact: any resilience regression (a
+platform losing its certificate, a witness cycle changing) shows up as a
+failing job and a reviewable diff.
 
 Usage::
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Record the simulator's resilience trajectory in ``RESIL_noc.json``.
 
-The fault-tolerance twin of ``tools/bench_record.py``: runs a pinned
+The fault-tolerance counterpart of the performance ledger: runs a pinned
 scenario matrix — the graceful-degradation campaign per routing algorithm
 (fault-aware ``ft_table`` vs non-reroutable ``west_first``) plus the
 intermittent/wear-out burst sweep — and appends one record to the JSON
