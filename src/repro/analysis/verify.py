@@ -34,7 +34,7 @@ a cycle (the livelock witness).
 
 ``repro verify`` exposes this per config; :func:`build_standard_certificate`
 pins the repo's standard platforms into the ``CERT_routing.json`` artifact
-(regenerated and diffed in CI by ``tools/cert_record.py``) so resilience
+(regenerated and diffed in CI by ``tools/record.py``) so resilience
 regressions are as visible as performance regressions.
 """
 
@@ -737,7 +737,7 @@ def certify_config(
 
 
 #: The pinned platforms of the ``CERT_routing.json`` artifact.  ``expect``
-#: states the properties the repo *relies on*; ``tools/cert_record.py
+#: states the properties the repo *relies on*; ``tools/record.py
 #: --check`` fails when a regeneration breaks one, independently of the
 #: file diff.
 STANDARD_TARGETS: Tuple[Dict[str, Any], ...] = (

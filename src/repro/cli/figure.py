@@ -18,8 +18,9 @@ def add_parser(sub: Any) -> None:
     fig.add_argument(
         "--messages",
         type=int,
-        help="ejected messages per sweep point (default 1200; figures "
-        "8, 9 and 10 run a fixed number of cycles and take no count)",
+        help="ejected messages per sweep point (default: the experiment's "
+        "own; figures 8, 9 and 10 run a fixed number of cycles and take no "
+        "count)",
     )
     fig.add_argument("--no-chart", action="store_true")
 
@@ -43,8 +44,9 @@ def handler(args: argparse.Namespace) -> int:
     if number == "10":
         deadlock_demo.main()
         return 0
-    messages = 1200 if args.messages is None else args.messages
-    scale = {"num_messages": messages, "warmup": messages // 5}
+    scale = {}
+    if args.messages is not None:
+        scale = {"num_messages": args.messages, "warmup": args.messages // 5}
     # Figures 6/7 and 8/9 are two tables of one sweep each.
     module, run, pick = {
         "5": (figure5, figure5.run_figure5, slice(None)),
@@ -54,7 +56,7 @@ def handler(args: argparse.Namespace) -> int:
         "9": (figure8_9, figure8_9.run_figure8_9, slice(1, 2)),
         "13": (figure13, figure13.run_figure13, slice(None)),
     }[number]
-    results = run() if number in _FIXED_DURATION else run(**scale)
+    results = run(**scale)
     for table in module.tables(results)[pick]:
         print(render_figure(*table, chart=not args.no_chart))
         print()

@@ -1,8 +1,10 @@
-"""Shared experiment plumbing: the paper's parameter axes and the table shape."""
+"""Shared experiment plumbing: the paper's parameter axes, the table shape
+and the claim vocabulary of the tracked artefacts."""
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Sequence
+import operator
+from typing import Any, Dict, Iterator, List, NamedTuple, Sequence, Union
 
 from repro.config import (
     FaultConfig,
@@ -57,3 +59,74 @@ class FigureTable(NamedTuple):
     xs: Sequence[float]
     series: Dict[str, Sequence[float]]
     log_x: bool = False
+
+
+def rounded(value: Any) -> Any:
+    """``value`` with every float in it at 6 significant digits — what a
+    tracked artefact stores, so a last-bit difference between platforms'
+    libm is not a diff."""
+    if isinstance(value, float):
+        return float(f"{value:.6g}")
+    if isinstance(value, (list, tuple)):
+        return [rounded(item) for item in value]
+    if isinstance(value, dict):
+        return {key: rounded(item) for key, item in value.items()}
+    return value
+
+
+_OPS = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+}
+
+
+class Claim(NamedTuple):
+    """One named predicate of a tracked artefact: ``value op bound``.  A
+    predicate over two series is one claim whose ``value`` is their ratio or
+    difference.  ``holds`` judges the value the artefact stores (rounded)."""
+
+    name: str
+    value: Union[float, int, bool]
+    op: str
+    bound: Union[float, int, bool]
+
+    @property
+    def holds(self) -> bool:
+        return bool(_OPS[self.op](rounded(self.value), self.bound))
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "name": self.name,
+            "value": rounded(self.value),
+            "op": self.op,
+            "bound": self.bound,
+            "holds": self.holds,
+        }
+
+
+def stored_claims(payload: Dict[str, Any]) -> Iterator[Dict[str, Any]]:
+    """Every claim row of an artefact: its own and each figure's."""
+    yield from payload.get("claims", [])
+    for figure in payload.get("figures", {}).values():
+        yield from figure["claims"]
+
+
+def claim_failures(payload: Dict[str, Any]) -> List[str]:
+    """What an artefact's claims forbid: a false claim that is not a listed
+    ``known_deviations`` entry, and a listed one that is not a false claim."""
+    deviations = payload.get("known_deviations", {})
+    false = {row["name"]: row for row in stored_claims(payload) if not row["holds"]}
+    failures = [
+        f"claim {name} does not hold: {row['value']} {row['op']} {row['bound']}"
+        for name, row in false.items()
+        if name not in deviations
+    ]
+    failures += [
+        f"known deviation {name} is not a false claim: delete its entry"
+        for name in deviations
+        if name not in false
+    ]
+    return failures

@@ -17,6 +17,7 @@ from repro.config import FaultConfig, SimulationConfig
 from repro.experiments.common import (
     ERROR_RATES,
     PAPER_INJECTION_RATE,
+    Claim,
     FigureTable,
     paper_noc,
     workload,
@@ -94,5 +95,23 @@ def tables(results: Dict[str, List[SchemePoint]]) -> List[FigureTable]:
                 for k, v in results.items()
             },
             log_x=True,
+        ),
+    ]
+
+
+def claims(results: Dict[str, List[SchemePoint]]) -> List[Claim]:
+    """The figure's claims: HBH flat, E2E prohibitive, HBH the loss-free one."""
+    hbh = [p.avg_latency for p in results["hbh"]]
+    e2e = [p.avg_latency for p in results["e2e"]]
+    top = results["hbh"][-1]
+    return [
+        Claim("fig5.hbh_flat", max(hbh) / min(hbh), "<", 1.5),
+        Claim("fig5.e2e_prohibitive_at_1e-1", e2e[-1] / hbh[-1], ">", 3.0),
+        Claim("fig5.e2e_grows_with_error_rate", e2e[-1] / e2e[0], ">", 2.0),
+        Claim(
+            "fig5.hbh_lossless_at_1e-1",
+            top.packets_lost + top.packets_delivered_corrupt,
+            "==",
+            0,
         ),
     ]

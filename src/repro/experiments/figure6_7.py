@@ -20,6 +20,7 @@ from repro.config import FaultConfig, SimulationConfig
 from repro.experiments.common import (
     ERROR_RATES,
     PAPER_INJECTION_RATE,
+    Claim,
     FigureTable,
     paper_noc,
     workload,
@@ -89,3 +90,27 @@ def tables(results: Dict[str, List[TrafficPoint]]) -> List[FigureTable]:
             log_x=True,
         ),
     ]
+
+
+def claims(results: Dict[str, List[TrafficPoint]]) -> List[Claim]:
+    """Near-constant latency (Figure 6) and energy (Figure 7) per pattern."""
+    rows = []
+    for label, series in results.items():
+        latency = [p.avg_latency for p in series]
+        energy = [p.energy_per_packet_nj for p in series]
+        rounds = [p.retransmission_rounds for p in series]
+        base = min(latency)
+        rows += [
+            # Flat through 1e-2 even with every error uncorrectable ...
+            Claim(f"fig6.{label}.flat_to_1e-2", max(latency[:-1]) / base, "<", 1.35),
+            # ... and at 1e-1, where a pattern near saturation (BC) amplifies
+            # the per-error penalty, still within a small multiple.
+            Claim(f"fig6.{label}.within_2.5x_at_1e-1", latency[-1] / base, "<", 2.5),
+            # The flat latency is not because nothing happened.
+            Claim(f"fig6.{label}.retx_scales", rounds[-1] / max(1, rounds[0]), ">", 10),
+            Claim(f"fig7.{label}.energy_flat", max(energy) / min(energy), "<", 1.25),
+            # The paper's sub-nanojoule band.
+            Claim(f"fig7.{label}.energy_min_nj", min(energy), ">", 0.01),
+            Claim(f"fig7.{label}.energy_max_nj", max(energy), "<", 1.0),
+        ]
+    return rows

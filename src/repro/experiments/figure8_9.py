@@ -24,6 +24,7 @@ from typing import Dict, List, Sequence
 from repro.config import SimulationConfig
 from repro.experiments.common import (
     INJECTION_RATES,
+    Claim,
     FigureTable,
     paper_noc,
     workload,
@@ -88,3 +89,27 @@ def tables(results: Dict[str, List[UtilizationPoint]]) -> List[FigureTable]:
             {k: [p.retx_utilization for p in v] for k, v in results.items()},
         ),
     ]
+
+
+def claims(results: Dict[str, List[UtilizationPoint]]) -> List[Claim]:
+    """TX climbs into saturation (Figure 8); RETX stays mostly idle and
+    does not track it (Figure 9)."""
+    rows = []
+    for label, series in results.items():
+        tx = [p.tx_utilization for p in series]
+        retx = [p.retx_utilization for p in series]
+        rows += [
+            Claim(f"fig8.{label}.tx_climbs_steeply", tx[-1] / tx[0], ">", 5),
+            Claim(f"fig8.{label}.tx_saturated", tx[-1], ">", 0.3),
+            Claim(f"fig9.{label}.retx_underutilized", max(retx), "<", 0.4),
+            Claim(f"fig9.{label}.retx_stops_climbing", retx[-1] / max(retx), "<=", 1.0),
+            # Past saturation blocking suppresses transmissions: RETX ends
+            # below its own earlier peak, or at least below TX.
+            Claim(
+                f"fig9.{label}.ends_below_peak_or_tx",
+                retx[-1] - max(retx[:-1] + [tx[-1]]),
+                "<",
+                0,
+            ),
+        ]
+    return rows

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from repro.experiments.common import Claim
 from repro.power.area import AreaModel
 
 
@@ -59,6 +60,43 @@ def run_table1(
             )
         )
     return rows
+
+
+#: Table 1 as printed: (field, paper value, absolute tolerance).
+PAPER_ROW = (
+    ("router_power_mw", 119.55, 119.55e-6),
+    ("router_area_mm2", 0.374862, 0.374862e-6),
+    ("ac_power_mw", 2.02, 2.02e-6),
+    ("ac_area_mm2", 0.004474, 0.004474e-6),
+    ("ac_power_overhead_pct", 1.69, 0.02),
+    ("ac_area_overhead_pct", 1.19, 0.02),
+)
+
+
+def claims(rows: List[Table1Row]) -> List[Claim]:
+    """The calibrated 5-port 4-VC row equals the paper's, and the AC stays
+    compact (< 2 % of router area) at every point up to 4 VCs."""
+    paper = next(r for r in rows if (r.num_ports, r.num_vcs) == (5, 4))
+    found = [
+        # 12 decimals: below every tolerance, above float noise.
+        Claim(
+            f"table1.{field}.abs_error",
+            round(abs(getattr(paper, field) - value), 12),
+            "<=",
+            tol,
+        )
+        for field, value, tol in PAPER_ROW
+    ]
+    return found + [
+        Claim(
+            f"table1.P{r.num_ports}V{r.num_vcs}.ac_area_overhead_pct",
+            r.ac_area_overhead_pct,
+            "<",
+            2.0,
+        )
+        for r in rows
+        if r.num_vcs <= 4
+    ]
 
 
 def main() -> None:

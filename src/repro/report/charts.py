@@ -177,8 +177,7 @@ def render_figure(
 ) -> str:
     """One table of a paper figure (an ``experiments.figureN.tables()``
     entry, unpacked) as a fixed-width table and, with ``chart``, the ASCII
-    chart under it — the one renderer ``repro figure N`` and the
-    ``benchmarks/bench_fig*.py`` scripts print through."""
+    chart under it — the renderer ``repro figure N`` prints through."""
     rows = [[x] + [values[i] for values in series.values()] for i, x in enumerate(xs)]
     text = render_comparison_table(["x"] + list(series), rows, title)
     if chart:

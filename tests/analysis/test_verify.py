@@ -356,35 +356,38 @@ class TestConfigCertification:
         assert json.loads(json.dumps(entry)) == entry
 
 
-class TestStandardArtifact:
-    def test_build_is_deterministic(self):
-        a = build_standard_certificate()
-        b = build_standard_certificate()
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+@pytest.fixture(scope="module")
+def certificate():
+    return build_standard_certificate()
 
-    def test_committed_artifact_is_current(self):
+
+class TestStandardArtifact:
+    def test_build_is_deterministic(self, certificate):
+        again = build_standard_certificate()
+        assert json.dumps(certificate, sort_keys=True) == json.dumps(
+            again, sort_keys=True
+        )
+
+    def test_committed_artifact_is_current(self, certificate):
         """The CI gate, as a test: CERT_routing.json must be regenerable."""
         artifact = REPO_ROOT / "CERT_routing.json"
         assert artifact.exists(), "CERT_routing.json is not committed"
         committed = json.loads(artifact.read_text())
-        assert committed == build_standard_certificate()
+        assert committed == certificate
 
-    def test_expectations_hold(self):
-        certificate = build_standard_certificate()
+    def test_expectations_hold(self, certificate):
         problems = []
         for entry in certificate["targets"]:
             problems.extend(check_expectations(entry, entry["expect"]))
         assert problems == []
 
-    def test_expectation_mismatch_is_reported(self):
-        certificate = build_standard_certificate()
+    def test_expectation_mismatch_is_reported(self, certificate):
         entry = certificate["targets"][0]
         problems = check_expectations(entry, {"certified": False})
         assert len(problems) == 1
         assert "expected certified=False" in problems[0]
 
-    def test_torus_target_pins_the_witness(self):
-        certificate = build_standard_certificate()
+    def test_torus_target_pins_the_witness(self, certificate):
         torus = [
             t for t in certificate["targets"] if t["name"] == "torus5x5_xy"
         ][0]

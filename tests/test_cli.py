@@ -873,7 +873,8 @@ def parser_inventory(parser):
 
 #: The only intended differences from d5e530f's parser: flags that must
 #: know whether they were typed lost their default value to None (the
-#: handler supplies it).  (subcommand, dest) -> the parent's default.
+#: handler supplies it; for ``figure`` the experiment's own default, 1500,
+#: applies).  (subcommand, dest) -> the parent's default.
 NONE_DEFAULTS = {
     ("run", "metrics_interval"): 100,
     ("degrade", "link_latency"): "1",
