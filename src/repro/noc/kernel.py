@@ -6,9 +6,9 @@ exact same fault-free pipeline — BW→RT→VA→SA→ST→LT, credits, wormhol
 streaming, round-robin arbitration — over preallocated flat integer
 vectors, visiting only routers that hold flits.  Checkpoints serialize
 those vectors as typed int64 ``array('q')`` buffers; at runtime they are
-plain flat lists, the fastest scalar-indexed container CPython has.  One
-:class:`BatchedKernel` replaces the per-object cycle loop of a
-:class:`~repro.noc.network.Network` when
+plain flat lists, the fastest scalar-indexed container CPython has.  A
+:class:`~repro.noc.network.Network` runs on one :class:`BatchedKernel`
+instead of router objects when
 
 * ``SimulationConfig.backend == "batched"``, and
 * :func:`kernel_supports` finds the configuration inside the batchable
@@ -17,7 +17,9 @@ plain flat lists, the fastest scalar-indexed container CPython has.  One
 
 Outside that domain the network silently falls back to the object loop,
 so fault experiments keep their bit-accurate model while fault-free
-baselines and warm-up sweeps run an order of magnitude faster.
+baselines and warm-up sweeps run an order of magnitude faster.  The kernel
+is built from config + topology (its network constructs no router or link)
+and shares one memoized :func:`route_table` per platform and process.
 
 Equivalence is structural, not approximate: every counter, energy tally,
 latency sample, telemetry event and time-series sample is produced at the
@@ -34,9 +36,13 @@ from __future__ import annotations
 
 from array import array
 from bisect import insort
+from functools import lru_cache
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.noc.flit import Flit
+from repro.noc.link import link_id
+from repro.noc.routing import resolve_routing_function
+from repro.noc.topology import make_topology
 from repro.types import FlitType, LinkProtection, RoutingAlgorithm
 
 #: Port index of the local (NI-facing) port; matches ``Direction.LOCAL``.
@@ -94,6 +100,31 @@ def kernel_supports(config: Any) -> Optional[str]:
     return None
 
 
+def route_table(noc: Any) -> Tuple[Tuple[int, ...], ...]:
+    """Candidate ports of every ``(router, dst)``, flat at ``r*R + dst``."""
+    return _route_table(noc.topology, noc.shape, noc.link_latency, noc.routing)
+
+
+@lru_cache(maxsize=16)
+def _route_table(
+    topology: str, shape: Tuple[int, ...], link_latency: Any, routing: Any
+) -> Tuple[Tuple[int, ...], ...]:
+    # Keyed on every field make_topology and routing_for_config read in the
+    # batched domain, where no fault site exists and the latter reduces to
+    # resolve_routing_function: pure routing on a topology that never dies.
+    topo = make_topology(topology, shape, link_latency)
+    routing_fn = resolve_routing_function(routing, topo)
+    probe = Flit(0, 0, FlitType.HEAD, 0, 0)
+    table = []
+    for r in range(topo.num_nodes):
+        valid = {_LOCAL, *map(int, topo.connected_directions(r))}
+        for dst in range(topo.num_nodes):
+            probe.dst = dst
+            cands = routing_fn.candidates(topo, r, probe)
+            table.append(tuple(int(d) for d in cands if int(d) in valid))
+    return tuple(table)
+
+
 class KernelSampler:
     """Telemetry sampler over kernel arrays.
 
@@ -106,19 +137,17 @@ class KernelSampler:
 
     def __init__(self, kernel: "BatchedKernel"):
         self.kernel = kernel
-        net = kernel.net
-        P = kernel.P
-        # Same enumeration order as _NetworkSampler: the network's wiring
-        # order, local links filtered out.
+        topo = kernel.net.topology
+        # Same enumeration order as _NetworkSampler: the mesh links in the
+        # object network's wiring order (Network._wire_mesh).
         self._links: List[Tuple[int, str]] = [
-            (link.src_node * P + int(link.src_port), link.telemetry_id)
-            for link in net.links
-            if not link.is_local
+            (node * kernel.P + int(d), link_id(node, d))
+            for node in topo.nodes()
+            for d in topo.connected_directions(node)
         ]
         self._last_traversals = [0] * len(self._links)
-        n = kernel.R
-        self._last_sent = [0] * n
-        self._last_ejected = [0] * n
+        self._last_sent = [0] * kernel.R
+        self._last_ejected = [0] * kernel.R
 
     def sample(self, record: Any, cycle: int, interval: float) -> None:
         k = self.kernel
@@ -266,12 +295,6 @@ class BatchedKernel:
                 for v in range(V):
                     cred[base + p * V + v] = D
         self.nb = nb
-        self.valid_ports: List[frozenset] = [
-            frozenset(
-                {_LOCAL} | {p for p in range(4) if nb[r * P + p] >= 0}
-            )
-            for r in range(R)
-        ]
         self.rcap = [
             sum(1 for p in range(4) if nb[r * P + p] >= 0)
             * V
@@ -299,17 +322,8 @@ class BatchedKernel:
         self.pk_nf: List[int] = []
         self.pk_hops: List[int] = []
         self.pk_free: List[int] = []
-        #: (router, dst) -> candidate ports.  The supported routing
-        #: functions are pure and the topology never degrades inside the
-        #: batched domain, so the whole table is computed here, off the
-        #: cycle loop (~4 us/entry; a few ms on an 8x8 mesh).  ``_route_for``
-        #: keeps the lazy path as a fallback for exotic callers.
-        self.route_table: Dict[int, Tuple[int, ...]] = {}
-        self._route_probe = Flit(0, 0, FlitType.HEAD, 0, 0)
-        for r in range(self.R):
-            for dst in range(self.R):
-                if r != dst:
-                    self._route_for(r, dst)
+        #: Shared memo, so never checkpointed (``Network.__setstate__``).
+        self.route_table = route_table(noc)
         #: Flits buffered in routers / in flight on delay lines; together
         #: these are ``Network.in_flight_flits``.
         self.total_buffered = 0
@@ -337,6 +351,7 @@ class BatchedKernel:
         # Pack each state table into a typed int64 buffer for the pickle
         # stream; it round-trips exactly and keeps checkpoints compact.
         state = dict(self.__dict__)
+        del state["route_table"]
         for name in self.ARRAY_NAMES:
             state[name] = array("q", state[name])
         return state
@@ -345,26 +360,6 @@ class BatchedKernel:
         for name in self.ARRAY_NAMES:
             state[name] = state[name].tolist()
         self.__dict__.update(state)
-
-    # ------------------------------------------------------------------
-    # routing
-    # ------------------------------------------------------------------
-
-    def _route_for(self, r: int, dst: int) -> Tuple[int, ...]:
-        key = r * self.R + dst
-        cands = self.route_table.get(key)
-        if cands is None:
-            probe = self._route_probe
-            probe.dst = dst
-            net = self.net
-            valid = self.valid_ports[r]
-            cands = tuple(
-                int(d)
-                for d in net.routing_fn.candidates(net.topology, r, probe)
-                if int(d) in valid
-            )
-            self.route_table[key] = cands
-        return cands
 
     # ------------------------------------------------------------------
     # packet descriptors
@@ -564,9 +559,7 @@ class BatchedKernel:
                     token = buf[idx * D + bh[idx]]
                     if token & _SEQ_MASK:
                         continue  # body flit; RT waits for a header
-                    dst = pk_dst[token >> _SEQ_BITS]
-                    c = route_table.get(r * R + dst)
-                    cands[idx] = c if c is not None else self._route_for(r, dst)
+                    cands[idx] = route_table[r * R + pk_dst[token >> _SEQ_BITS]]
                     st[idx] = 1
                     rtc[idx] = cycle
                     n_rt += 1

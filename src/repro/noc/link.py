@@ -39,6 +39,11 @@ _SLOTTED = {"slots": True} if sys.version_info >= (3, 10) else {}
 _NOTHING_DUE: List = []
 
 
+def link_id(node: int, direction: Direction) -> str:
+    """Time-series key of the link leaving ``node`` by ``direction``."""
+    return f"{node}:{direction.name.lower()}"
+
+
 class DelayLine(Generic[T]):
     """A fixed-latency FIFO channel: items pushed at cycle ``t`` become
     visible to :meth:`pop_due` at cycle ``t + latency``."""
@@ -319,7 +324,7 @@ class Link:
     @property
     def telemetry_id(self) -> str:
         """Stable component key for time-series (``"<src>:<dir>"``)."""
-        return f"{self.src_node}:{self.src_port.name.lower()}"
+        return link_id(self.src_node, self.src_port)
 
     @property
     def is_idle(self) -> bool:

@@ -1,10 +1,10 @@
 """Network assembly: routers, links, network interfaces and the cycle loop.
 
-The :class:`Network` owns one router and one :class:`NetworkInterface` per
-node, the mesh links between routers (one :class:`~repro.noc.link.Link` per
-direction per adjacent pair), and the local injection/ejection links.  Its
-:meth:`Network.step` advances the whole system by one cycle in a fixed
-phase order:
+The :class:`Network` owns one :class:`NetworkInterface` per node and, when
+the object model runs, one router per node, the mesh links between them
+(one :class:`~repro.noc.link.Link` per direction per adjacent pair) and the
+local injection/ejection links; a kernel-served network has none of those.
+Its :meth:`Network.step` advances the system one cycle in a fixed order:
 
 1. NIs process ejections delivered by the previous cycle,
 2. scheduled events fire (E2E retransmission requests / ACKs, modelled as
@@ -32,8 +32,9 @@ are documented in ``docs/PERFORMANCE.md`` and enforced by
 from __future__ import annotations
 
 import heapq
+import warnings
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.config import SimulationConfig
 from repro.core.schemes import DeliveryAction, destination_policy
@@ -41,7 +42,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.intermittent import IntermittentLifecycle, _SiteState
 from repro.faults.permanent import PermanentFault
 from repro.noc.flit import Flit
-from repro.noc.kernel import BatchedKernel, kernel_supports
+from repro.noc.kernel import BatchedKernel, kernel_supports, route_table
 from repro.noc.link import Link
 from repro.noc.packet import Packet, PacketReassembler
 from repro.noc.router import Router
@@ -324,8 +325,6 @@ class Network:
         if may_lose_components and not isinstance(
             routing_fn, (FaultAwareRouting, SourceRouting)
         ):
-            import warnings
-
             warnings.warn(
                 "NOC013: hard faults (a permanent-fault schedule or "
                 "wear-out escalation) are configured but "
@@ -350,8 +349,6 @@ class Network:
             # same hazard statically (with the CDG witness cycle).  Rings of
             # 3 are exempt: every shortest path is a single hop, so no packet
             # ever chains two same-direction channels and the CDG is acyclic.
-            import warnings
-
             warnings.warn(
                 "NOC008: XY routing on a torus has cyclic channel "
                 "dependencies across the wraparound links and "
@@ -366,24 +363,6 @@ class Network:
 
             self.payload_checker = PayloadChecker()
 
-        self.routers: List[Router] = [
-            Router(
-                node,
-                noc,
-                self.topology,
-                routing_fn,
-                self.injector,
-                self.stats,
-                payload_checker=self.payload_checker,
-            )
-            for node in self.topology.nodes()
-        ]
-        if self.telemetry is not None:
-            bus = self.telemetry
-            for router in self.routers:
-                router.telemetry = bus
-                if router.deadlock is not None:
-                    router.deadlock.telemetry_hook = bus.publish
         # Activity-driven scheduling state.  The two *pending* sets are
         # cycle-scoped wake lists fed by the links (a push at cycle t lands
         # the consumer here for cycle t+1, matching the 1-cycle channel
@@ -404,19 +383,34 @@ class Network:
         self.interfaces: List[NetworkInterface] = [
             NetworkInterface(node, self) for node in self.topology.nodes()
         ]
-        self.links: List[Link] = []
         #: Mesh links by ``(src_node, src_port)`` for fault application.
         self._link_map: Dict[Tuple[int, Direction], Link] = {}
-        self._wire_mesh()
-        self._wire_local()
         #: The batched struct-of-arrays cycle kernel (``repro.noc.kernel``),
         #: or None when the object loops run.  Built only when the config
         #: asks for it *and* sits inside the batchable domain; otherwise
         #: ``backend="batched"`` silently falls back to the object model,
         #: so fault experiments keep the bit-accurate path (docs/KERNEL.md).
+        #: The kernel reads only config + topology: no router, no link.
         self.kernel: Optional[BatchedKernel] = None
         if config.backend == "batched" and kernel_supports(config) is None:
+            self.routers: Sequence[Router] = ()
+            self.links: Sequence[Link] = ()
             self.kernel = BatchedKernel(self)
+        else:
+            self.routers = [
+                Router(
+                    node, noc, self.topology, routing_fn, self.injector,
+                    self.stats, payload_checker=self.payload_checker,
+                )
+                for node in self.topology.nodes()
+            ]
+            bus = self.telemetry
+            for router in self.routers:
+                router.casualty_hook = self.note_packet_casualty
+                router.telemetry = bus
+                if bus is not None and router.deadlock is not None:
+                    router.deadlock.telemetry_hook = bus.publish
+            self.links = self._wire_mesh() + self._wire_local()
         if self.telemetry is not None:
             self.telemetry.attach(self)
 
@@ -432,12 +426,14 @@ class Network:
         self._send_history: Deque[int] = deque(
             [0] * noc.retx_buffer_depth, maxlen=noc.retx_buffer_depth
         )
-        self._retx_capacity = sum(r.retx_capacity for r in self.routers)
-        self._tx_capacity = sum(r.buffer_capacity for r in self.routers)
+        # Every VC buffer's depth and Router.retx_capacity, summed without
+        # routers: one formula for both engines.
+        topo, V = self.topology, noc.num_vcs
+        links = sum(len(topo.connected_directions(n)) for n in topo.nodes())
+        self._tx_capacity = topo.num_nodes * noc.num_ports * V * noc.vc_buffer_depth
+        self._retx_capacity = links * V * noc.retx_buffer_depth
 
         # Permanent-fault lifecycle state.
-        for router in self.routers:
-            router.casualty_hook = self.note_packet_casualty
         self._dead_links: Set[Tuple[int, Direction]] = set()
         self._dead_routers: Set[int] = set()
         #: Packets destroyed by permanent faults, deduplicated so each is
@@ -476,7 +472,8 @@ class Network:
 
     # -- wiring ---------------------------------------------------------------
 
-    def _wire_mesh(self) -> None:
+    def _wire_mesh(self) -> List[Link]:
+        links: List[Link] = []
         for node in self.topology.nodes():
             for direction in self.topology.connected_directions(node):
                 neighbor = self.topology.neighbor(node, direction)
@@ -496,15 +493,17 @@ class Network:
                     self._router_rx_pending, node,
                     deferred=self._deferred_wakes,
                 )
-                self.links.append(link)
+                links.append(link)
                 self._link_map[(node, direction)] = link
                 self.routers[node].attach_output_link(int(direction), link)
                 self.routers[neighbor].attach_input_link(
                     int(direction.opposite), link
                 )
+        return links
 
-    def _wire_local(self) -> None:
+    def _wire_local(self) -> List[Link]:
         local = Direction.LOCAL
+        links: List[Link] = []
         for node in self.topology.nodes():
             inj = Link(node, local, node, local, is_local=True)
             ej = Link(node, local, node, local, is_local=True)
@@ -517,11 +516,12 @@ class Network:
             # active set until drained, so it observes them on time.
             inj.wire_wakes(self._router_rx_pending, node, None, -1)
             ej.wire_wakes(self._ni_rx_pending, node, None, -1)
-            self.links.extend((inj, ej))
+            links.extend((inj, ej))
             self.interfaces[node].inj_link = inj
             self.routers[node].attach_input_link(int(local), inj)
             self.routers[node].attach_output_link(int(local), ej)
             self.interfaces[node].ej_link = ej
+        return links
 
     # -- event scheduling (contention-free reverse-path messages) -------------
 
@@ -897,6 +897,11 @@ class Network:
         mean the activity-driven loop could skip live work — exactly the
         bug class the fast path must never exhibit.
         """
+        if self.kernel is not None:
+            raise RuntimeError(
+                "the object loop's activity invariants do not apply to a "
+                "kernel-served network: it has no routers or links"
+            )
         for router in self.routers:
             if router.has_traffic and router.node not in self._router_active:
                 raise AssertionError(
@@ -993,6 +998,12 @@ class Network:
         on_links = sum(len(link.flits) for link in self.links)
         pending_out = sum(r.retx_pending_flits for r in self.routers)
         return buffered + on_links + pending_out
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        if self.kernel is not None:
+            # The memoized route table is not checkpointed: re-bind it.
+            self.kernel.route_table = route_table(self.config.noc)
 
     def __repr__(self) -> str:
         shape = "x".join(str(d) for d in self.topology.shape)

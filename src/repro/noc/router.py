@@ -1305,14 +1305,6 @@ class Router:
         )
 
     @property
-    def buffer_capacity(self) -> int:
-        return (
-            self.config.num_ports
-            * self.config.num_vcs
-            * self.config.vc_buffer_depth
-        )
-
-    @property
     def retx_pending_flits(self) -> int:
         """Replay + absorption occupancy (live retransmission-buffer use)."""
         total = 0

@@ -24,12 +24,19 @@ from repro.faults.intermittent import (
     WearOutConfig,
 )
 from repro.faults.permanent import PermanentFault, PermanentFaultSchedule
+from repro.noc.flit import Flit
 from repro.noc.network import Network
 from repro.noc.packet import Packet
 from repro.noc.simulator import run_simulation
 from repro.noc.trace import PacketTracer
 from repro.serialization import result_to_dict
-from repro.types import Direction, FaultSite, LinkProtection, RoutingAlgorithm
+from repro.types import (
+    Direction,
+    FaultSite,
+    FlitType,
+    LinkProtection,
+    RoutingAlgorithm,
+)
 from tests.conftest import reference_loop
 
 ALL_SITES = {site: 0.002 for site in FaultSite}
@@ -449,3 +456,126 @@ def test_serialization_round_trips_the_backend():
     legacy = config_to_dict(SimulationConfig())
     legacy.pop("backend")
     assert config_from_dict(legacy).backend == "object"
+
+
+# -- a kernel-served network builds no object graph --------------------------
+#
+# Inside the batched domain Network.__init__ builds only what the kernel
+# reads (config, topology, NIs); routers, links and their buffers are never
+# constructed, and the kernel's route table is one memo per platform.
+
+from repro.core.retransmission import RetransmissionBuffer  # noqa: E402
+from repro.noc.buffers import VCBuffer  # noqa: E402
+from repro.noc.kernel import route_table  # noqa: E402
+from repro.noc.link import Link  # noqa: E402
+from repro.noc.router import Router  # noqa: E402
+
+
+GRAPH_CLASSES = (Router, Link, VCBuffer, RetransmissionBuffer)
+
+
+def _count_constructions(monkeypatch):
+    built = {cls.__name__: 0 for cls in GRAPH_CLASSES}
+    for cls in GRAPH_CLASSES:
+        real = cls.__init__
+
+        def counting(self, *args, _real=real, _name=cls.__name__, **kw):
+            built[_name] += 1
+            _real(self, *args, **kw)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
+def test_kernel_served_sweep_constructs_no_object_graph(monkeypatch):
+    built = _count_constructions(monkeypatch)
+    config = api.load_config(backend="batched", shape=(4, 4), messages=60, warmup=10)
+    results = api.sweep(config, rates=[0.1, 0.3])
+    assert len(results) == 2 and all(r.packets_delivered for r in results)
+    assert set(built.values()) == {0}, built
+
+
+def test_out_of_domain_batched_config_still_builds_the_object_graph(monkeypatch):
+    built = _count_constructions(monkeypatch)
+    net = Network(api.load_config(backend="batched", link_error_rate=0.01))
+    assert net.kernel is None
+    assert built["Router"] == len(net.routers) == 64
+    assert built["Link"] == len(net.links) > 0
+    assert built["VCBuffer"] > 0 and built["RetransmissionBuffer"] > 0
+
+
+def test_activity_invariants_refuse_a_kernel_served_network():
+    net = Network(dataclasses.replace(_config(), backend="batched"))
+    assert net.kernel is not None and net.routers == () and net.links == ()
+    with pytest.raises(RuntimeError, match="kernel-served"):
+        net.verify_activity_invariants()
+
+
+@pytest.mark.filterwarnings("ignore:NOC008")
+@pytest.mark.parametrize(
+    "topology, shape",
+    [("mesh", (4, 4)), ("torus", (4, 4)), ("mesh3d", (3, 3, 2)), ("mesh", (3, 5))],
+)
+def test_capacity_formula_equals_the_router_sums(topology, shape):
+    for retx_depth in (3, 5, 7):  # NoCConfig rejects depths below 3
+        for vcs in (1, 2, 4):
+            noc = NoCConfig(
+                topology=topology,
+                shape=shape,
+                retx_buffer_depth=retx_depth,
+                num_vcs=vcs,
+            )
+            net = Network(SimulationConfig(noc=noc))
+            vc_slots = sum(
+                ivc.buffer.capacity
+                for r in net.routers
+                for port_vcs in r.inputs
+                for ivc in port_vcs
+            )
+            assert net._tx_capacity == vc_slots
+            assert net._retx_capacity == sum(r.retx_capacity for r in net.routers)
+            batched = Network(SimulationConfig(noc=noc, backend="batched"))
+            if batched.kernel is not None:
+                assert batched._tx_capacity == net._tx_capacity
+                assert batched._retx_capacity == net._retx_capacity
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (8, 8), (3, 5)])
+@pytest.mark.parametrize(
+    "routing",
+    [RoutingAlgorithm.XY, RoutingAlgorithm.WEST_FIRST, RoutingAlgorithm.FULLY_ADAPTIVE],
+)
+def test_route_table_memo_equals_a_fresh_routing_evaluation(routing, shape):
+    noc = NoCConfig(shape=shape, routing=routing)
+    net = Network(SimulationConfig(noc=noc, backend="batched"))
+    assert net.kernel is not None
+    topo, fn = net.topology, net.routing_fn
+    table = net.kernel.route_table
+    R = topo.num_nodes
+    assert len(table) == R * R
+    probe = Flit(0, 0, FlitType.HEAD, 0, 0)
+    for r in range(R):
+        valid = {Direction.LOCAL, *topo.connected_directions(r)}
+        for dst in range(R):
+            probe.dst = dst
+            fresh = tuple(int(d) for d in fn.candidates(topo, r, probe) if d in valid)
+            assert table[r * R + dst] == fresh, (r, dst)
+
+
+@pytest.mark.filterwarnings("ignore:NOC008")
+def test_route_table_is_shared_per_platform_and_only_per_platform():
+    def table(**kw):
+        noc = NoCConfig(**{"shape": (4, 4), **kw})
+        net = Network(SimulationConfig(noc=noc, backend="batched"))
+        assert net.kernel is not None
+        return net.kernel.route_table
+
+    base = table()
+    # Fields the key does not name (buffering, VCs) share the one table ...
+    assert table() is base
+    assert table(num_vcs=2, vc_buffer_depth=8) is base
+    assert base is route_table(NoCConfig(shape=(4, 4)))
+    # ... fields make_topology / routing_for_config read do not.
+    assert table(routing=RoutingAlgorithm.WEST_FIRST) is not base
+    assert table(shape=(4, 5)) is not base
+    assert table(topology="torus") is not base

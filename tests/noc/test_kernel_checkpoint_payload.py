@@ -16,7 +16,7 @@ import pytest
 
 from repro import api
 from repro.checkpoint import load_checkpoint, save_checkpoint
-from repro.noc.kernel import _EJECTION_CREDITS, _SEQ_BITS, BatchedKernel
+from repro.noc.kernel import _EJECTION_CREDITS, _SEQ_BITS, BatchedKernel, route_table
 from repro.noc.simulator import Simulator
 from repro.serialization import result_to_dict
 
@@ -73,3 +73,26 @@ def test_checkpoint_payload_names_only_stdlib_and_repro(midrun_sim, tmp_path):
 
     result = load_checkpoint(path).run()
     json.dumps(result_to_dict(result))  # no foreign scalar type leaked in
+
+
+def test_checkpoint_payload_carries_no_object_graph(midrun_sim, tmp_path):
+    """A kernel-served network has no routers, links or retransmission
+    buffers, and the route table is a derived memo: none of them is pickled."""
+    path = save_checkpoint(midrun_sim, tmp_path / "batched.ckpt")
+    modules = set()
+
+    class Recorder(pickle.Unpickler):
+        def find_class(self, module, name):
+            modules.add(module)
+            return super().find_class(module, name)
+
+    with open(path, "rb") as fh:
+        fh.readline()  # magic
+        fh.readline()  # JSON header
+        Recorder(io.BytesIO(fh.read())).load()
+    graph = {"repro.noc.router", "repro.noc.link", "repro.core.retransmission"}
+    assert not modules & graph, sorted(modules & graph)
+
+    resumed = load_checkpoint(path)
+    assert resumed.network.routers == () and resumed.network.links == ()
+    assert resumed.network.kernel.route_table is route_table(midrun_sim.config.noc)
