@@ -14,7 +14,7 @@ docs/CHECKPOINTING.md the design note).
 File format (magic + versioned JSON header + pickle payload + checksum)::
 
     REPRO-CKPT\\n
-    {"schema": "repro/v1", "checkpoint_version": 3, "cycle": ..., ...}\\n
+    {"schema": "repro/v1", "checkpoint_version": 4, "cycle": ..., ...}\\n
     <pickle bytes>
 
 The header is readable without unpickling (:func:`read_checkpoint_header`)
@@ -54,7 +54,7 @@ MAGIC = b"REPRO-CKPT\n"
 #: Bumped whenever the pickled object graph changes shape incompatibly.
 #: Loaders accept exactly their own version — see docs/CHECKPOINTING.md
 #: for the compatibility policy.
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 #: Pinned so checkpoints written by newer Pythons stay readable by the
 #: oldest supported interpreter (3.9 < protocol 5's default adoption).

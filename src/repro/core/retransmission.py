@@ -49,7 +49,9 @@ class RetransmissionBuffer:
         #: upset inside the buffer itself can be recovered.
         self.duplicate = duplicate
         self._entries: Deque[Tuple[int, Flit]] = deque()
-        self._shadow: Deque[Tuple[int, Flit]] = deque()
+        self._shadow: Optional[Deque[Tuple[int, Flit]]] = (
+            deque() if duplicate else None
+        )
         #: Sequence numbers whose stored copy suffered an in-buffer upset
         #: (Section 4.5).  Without duplicate buffers such a copy replays
         #: corrupt, producing the paper's retransmission loop.
@@ -88,7 +90,7 @@ class RetransmissionBuffer:
 
     def restore_from_duplicate(self, seq: int) -> Optional[Flit]:
         """Fetch the shadow copy of a flit (clears buffer-upset corruption)."""
-        if not self.duplicate:
+        if self._shadow is None:
             return None
         for s, f in self._shadow:
             if s == seq:
@@ -104,7 +106,8 @@ class RetransmissionBuffer:
 
     def clear(self) -> None:
         self._entries.clear()
-        self._shadow.clear()
+        if self._shadow is not None:
+            self._shadow.clear()
         self.corrupted_seqs.clear()
 
     def __len__(self) -> int:

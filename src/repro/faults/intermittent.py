@@ -272,10 +272,10 @@ class IntermittentLifecycle:
     """The network-owned burst/wear state machine for every configured site.
 
     Wiring (done by ``Network.__init__``): ``stats`` and ``telemetry``
-    are attached after construction; ``escalate_hook`` is the
-    network callback that routes a worn-out site into the permanent-fault
-    teardown.  All mutable state pickles with the network, so
-    checkpoint/resume replays the lifecycle bit-for-bit.
+    are attached after construction.  :meth:`advance` returns the sites
+    that wore out this cycle, and the network applies each escalation
+    through its permanent-fault teardown.  All mutable state pickles with
+    the network, so checkpoint/resume replays the lifecycle bit-for-bit.
     """
 
     def __init__(

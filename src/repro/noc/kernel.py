@@ -131,13 +131,12 @@ class KernelSampler:
     Drop-in replacement for ``repro.telemetry.bus._NetworkSampler``: emits
     the same series, for the same components, in the same record order,
     with the same values — so NDJSON exports are byte-identical across
-    backends.  Selected by ``TelemetryBus.attach`` when the network carries
-    a kernel.
+    backends (the bus records the global series after either sampler).
+    Selected by ``TelemetryBus.attach`` when the network carries a kernel.
     """
 
-    def __init__(self, kernel: "BatchedKernel"):
+    def __init__(self, kernel: "BatchedKernel", topo: Any):
         self.kernel = kernel
-        topo = kernel.net.topology
         # Same enumeration order as _NetworkSampler: the mesh links in the
         # object network's wiring order (Network._wire_mesh).
         self._links: List[Tuple[int, str]] = [
@@ -149,9 +148,8 @@ class KernelSampler:
         self._last_sent = [0] * kernel.R
         self._last_ejected = [0] * kernel.R
 
-    def sample(self, record: Any, cycle: int, interval: float) -> None:
+    def sample(self, _net: Any, record: Any, cycle: int, interval: float) -> None:
         k = self.kernel
-        net = k.net
         ln = k.ln
         last_t = self._last_traversals
         for i, (li, tid) in enumerate(self._links):
@@ -188,24 +186,6 @@ class KernelSampler:
             ejected = k.nej[r]
             record("ejection_rate", node, cycle, (ejected - last_e[r]) / interval)
             last_e[r] = ejected
-        record(
-            "in_flight_flits",
-            "global",
-            cycle,
-            float(k.total_buffered + k.line_flits),
-        )
-        record("delivered_packets", "global", cycle, float(net.delivered))
-        record("lost_packets", "global", cycle, float(net.lost))
-        counters = net.stats.snapshot(("flits_retransmitted", "flits_dropped"))
-        record(
-            "ctr_flits_retransmitted",
-            "global",
-            cycle,
-            float(counters["flits_retransmitted"]),
-        )
-        record(
-            "ctr_flits_dropped", "global", cycle, float(counters["flits_dropped"])
-        )
 
 
 class BatchedKernel:
@@ -215,15 +195,14 @@ class BatchedKernel:
     (see ``docs/KERNEL.md`` for the full inventory; pickled as ``int64``
     arrays); the only structured Python state is the per-router sorted
     occupancy lists, the wake sets, and the growable packet descriptor
-    table.  ``step()`` advances one cycle in the same phase order as
-    ``Network._step_active``.
+    table.  ``step(network)`` advances one cycle in the same phase order as
+    ``Network._step_active``; the kernel keeps no reference to its network.
     """
 
-    def __init__(self, network: Any):
-        self.net = network
-        config = network.config
+    def __init__(self, config: Any, topo: Any):
         noc = config.noc
-        topo = network.topology
+        #: The platform the shared route table is memoized for.
+        self.noc = noc
         R = topo.num_nodes
         P = noc.num_ports
         V = noc.num_vcs
@@ -322,7 +301,7 @@ class BatchedKernel:
         self.pk_nf: List[int] = []
         self.pk_hops: List[int] = []
         self.pk_free: List[int] = []
-        #: Shared memo, so never checkpointed (``Network.__setstate__``).
+        #: Shared memo, so never checkpointed (re-bound by ``__setstate__``).
         self.route_table = route_table(noc)
         #: Flits buffered in routers / in flight on delay lines; together
         #: these are ``Network.in_flight_flits``.
@@ -360,6 +339,7 @@ class BatchedKernel:
         for name in self.ARRAY_NAMES:
             state[name] = state[name].tolist()
         self.__dict__.update(state)
+        self.route_table = route_table(self.noc)
 
     # ------------------------------------------------------------------
     # packet descriptors
@@ -385,12 +365,13 @@ class BatchedKernel:
     # the cycle
     # ------------------------------------------------------------------
 
-    def step(self) -> None:
-        """Advance one cycle; phase order mirrors ``Network._step_active``."""
-        net = self.net
+    def step(self, net: Any) -> None:
+        """Advance ``net`` one cycle; phase order mirrors
+        ``Network._step_active``."""
         stats = net.stats
         tel = net.telemetry
-        cycle = net.cycle
+        run_record = net.run_record
+        cycle = run_record.cycle
         R, P, V, D = self.R, self.P, self.V, self.D
         PV = P * V
         buf, bh, bc = self.buf, self.bh, self.bc
@@ -430,7 +411,7 @@ class BatchedKernel:
                     stats.count("flits_ejected", nf)
                     nej[r] += nf
                     stats.record_ejection(cycle - pk_inj[slot], pk_hops[slot])
-                    net.note_delivered()
+                    run_record.delivered += 1
                     self.pk_free.append(slot)
             lf -= len(wn)
             wn.clear()
@@ -774,7 +755,7 @@ class BatchedKernel:
                 energy["link"] += n_mesh
                 energy["retx_write"] += n_mesh
         stats.cycles += 1
-        net.cycle += 1
+        run_record.cycle += 1
 
         # Swap the delay lines and wake sets: everything sent this cycle
         # arrives next cycle.  The consumed *_cur sides were reset to empty
@@ -795,8 +776,8 @@ class BatchedKernel:
     def in_flight_flits(self) -> int:
         return self.total_buffered + self.line_flits
 
-    def make_sampler(self) -> KernelSampler:
-        return KernelSampler(self)
+    def make_sampler(self, topo: Any) -> KernelSampler:
+        return KernelSampler(self, topo)
 
     def __repr__(self) -> str:
         return (

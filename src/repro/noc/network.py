@@ -34,7 +34,7 @@ from __future__ import annotations
 import heapq
 import warnings
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.config import SimulationConfig
 from repro.core.schemes import DeliveryAction, destination_policy
@@ -42,7 +42,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.intermittent import IntermittentLifecycle, _SiteState
 from repro.faults.permanent import PermanentFault
 from repro.noc.flit import Flit
-from repro.noc.kernel import BatchedKernel, kernel_supports, route_table
+from repro.noc.kernel import BatchedKernel, kernel_supports
 from repro.noc.link import Link
 from repro.noc.packet import Packet, PacketReassembler
 from repro.noc.router import Router
@@ -57,16 +57,60 @@ from repro.telemetry.bus import TelemetryBus
 from repro.types import Corruption, Direction, LinkProtection, RoutingAlgorithm
 
 
+class RunRecord:
+    """One run's clock, packet outcomes and scheduled E2E reverse-path
+    messages, shared by the network, its interfaces and its routers.  It
+    holds only leaves (stats, bus), so nothing a :class:`Network` owns
+    points back at it (docs/ARCHITECTURE.md, "Ownership")."""
+
+    def __init__(self, stats: StatsCollector, telemetry: Optional[TelemetryBus]):
+        self.stats = stats
+        self.telemetry = telemetry
+        self.cycle = 0
+        self.delivered = 0
+        self.lost = 0
+        #: Packets destroyed by permanent faults, deduplicated so each is
+        #: counted lost exactly once however many of its flits die.
+        self.lost_packets: Set[int] = set()
+        # Scheduled E2E ACKs ("e2e_release") and NACKs ("e2e_retransmit")
+        # as (cycle, seq, kind, node, packet_id) data, not closures, so the
+        # heap pickles with a checkpoint (docs/CHECKPOINTING.md).
+        self.events: List[Tuple[int, int, str, int, int]] = []
+        self._event_seq = 0
+
+    def schedule(self, cycle: int, kind: str, node: int, packet_id: int) -> None:
+        self._event_seq += 1
+        heapq.heappush(self.events, (cycle, self._event_seq, kind, node, packet_id))
+
+    def note_casualty(self, packet_id: int) -> None:
+        """A permanent fault destroyed (part of) this packet, which can
+        never complete: count it lost once, however many of its flits die."""
+        if packet_id in self.lost_packets:
+            return
+        self.lost_packets.add(packet_id)
+        self.stats.count("packets_lost")
+        self.lost += 1
+        if self.telemetry is not None:
+            self.telemetry.publish(
+                self.cycle, "packet_lost", packet=packet_id, reason="casualty"
+            )
+
+
 class NetworkInterface:
     """The PE-side endpoint: source queue, wormhole serialization onto the
-    local link, destination reassembly and per-scheme delivery policy."""
+    local link, destination reassembly and per-scheme delivery policy.
+    It keeps its network's leaves; :meth:`inject` is handed the network."""
 
     def __init__(self, node: int, network: "Network"):
         self.node = node
-        self.network = network
         self.config = network.config.noc
+        self.topology = network.topology
         self.stats = network.stats
         self.telemetry = network.telemetry
+        self.payload_checker = network.payload_checker
+        self.run_record = network.run_record
+        #: The network's injection active set (membership by queued work).
+        self._tx_active = network._ni_tx_active
         #: Flits consumed by completed reassemblies (the telemetry sampler's
         #: ejection-rate numerator; mirrors the ``flits_ejected`` counter).
         self.flits_ejected = 0
@@ -91,7 +135,7 @@ class NetworkInterface:
     def enqueue(self, packet: Packet, priority: bool = False) -> None:
         if self.dead:
             self.stats.count("packets_unroutable")
-            self.network.note_packet_casualty(packet.packet_id)
+            self.run_record.note_casualty(packet.packet_id)
             return
         if priority:
             self.pending.appendleft(packet)
@@ -100,24 +144,23 @@ class NetworkInterface:
         # All packet arrivals funnel through here (fresh injections,
         # E2E retransmissions, misdelivery re-forwards), so this is the one
         # activation point the injection active set needs.
-        self.network._ni_tx_active.add(self.node)
+        self._tx_active.add(self.node)
 
-    def inject(self, cycle: int) -> None:
+    def inject(self, cycle: int, network: "Network") -> None:
         if self.dead:
             return
         assert self.inj_link is not None
         for credit in self.inj_link.credit_arrivals(cycle):
             self._credits[credit.vc] += 1
-        if self.network.degraded and self.pending:
+        if network.degraded and self.pending:
             # Undeliverable-destination detection: refuse packets the
             # reconfigured tables cannot route rather than wedging a VC.
-            net = self.network
-            while self.pending and not net.is_reachable(
+            while self.pending and not network.is_reachable(
                 self.node, self.pending[0].dst
             ):
                 packet = self.pending.popleft()
                 self.stats.count("packets_unroutable")
-                net.note_packet_casualty(packet.packet_id)
+                self.run_record.note_casualty(packet.packet_id)
         V = self.config.num_vcs
         # Continue an in-flight wormhole first (avoids starving packets that
         # already hold router resources), round-robin across VCs.
@@ -141,7 +184,7 @@ class NetworkInterface:
                         self.e2e_copy_high_water, len(self.e2e_copies)
                     )
                 flits = packet.make_flits()
-                checker = self.network.payload_checker
+                checker = self.payload_checker
                 if checker is not None:
                     for flit in flits:
                         checker.encode_flit(flit)
@@ -172,22 +215,22 @@ class NetworkInterface:
     def on_router_dead(self) -> None:
         """The local router died: tear down everything the NI holds."""
         self.dead = True
-        net = self.network
+        note_casualty = self.run_record.note_casualty
         for packet in self.pending:
             self.stats.count("packets_unroutable")
-            net.note_packet_casualty(packet.packet_id)
+            note_casualty(packet.packet_id)
         self.pending.clear()
         for vc, stream in enumerate(self._streams):
             if stream:
                 # The already-injected prefix was flushed with the router;
                 # the unsent remainder was never counted as inflow.
-                net.note_packet_casualty(stream[0].packet_id)
+                note_casualty(stream[0].packet_id)
                 self._streams[vc] = None
         for pid in self.reassembler.incomplete_ids():
             dropped = self.reassembler.drop(pid)
             if dropped:
                 self.stats.count("permanent_fault_flits_dropped", dropped)
-            net.note_packet_casualty(pid)
+            note_casualty(pid)
 
     @property
     def queued_packets(self) -> int:
@@ -211,7 +254,7 @@ class NetworkInterface:
             corruption = transfer.corruption
             if corruption is not Corruption.NONE:
                 scheme = self.config.link_protection
-                checker = self.network.payload_checker
+                checker = self.payload_checker
                 if scheme in (LinkProtection.HBH, LinkProtection.NONE):
                     if corruption is Corruption.SINGLE:
                         self.stats.count("fec_corrections")
@@ -238,7 +281,7 @@ class NetworkInterface:
         action = decision.action
 
         if action in (DeliveryAction.DELIVER, DeliveryAction.DELIVER_CORRUPT):
-            checker = self.network.payload_checker
+            checker = self.payload_checker
             if checker is not None:
                 for flit in flits:
                     # Skip flits whose corruption landed in header fields:
@@ -252,10 +295,10 @@ class NetworkInterface:
             self.stats.record_ejection(latency, head.hops)
             if action is DeliveryAction.DELIVER_CORRUPT:
                 self.stats.count("packets_delivered_corrupt")
-            self.network.note_delivered()
+            self.run_record.delivered += 1
             if scheme is LinkProtection.E2E and head.src_error is not Corruption.MULTI:
-                delay = self.network.topology.distance(self.node, head.src)
-                self.network.schedule(
+                delay = self.topology.distance(self.node, head.src)
+                self.run_record.schedule(
                     cycle + max(1, delay),
                     "e2e_release",
                     head.src,
@@ -264,8 +307,8 @@ class NetworkInterface:
         elif action is DeliveryAction.REQUEST_RETRANSMISSION:
             assert decision.source is not None
             self.stats.count("e2e_retransmissions")
-            delay = self.network.topology.distance(self.node, decision.source)
-            self.network.schedule(
+            delay = self.topology.distance(self.node, decision.source)
+            self.run_record.schedule(
                 cycle + max(1, delay),
                 "e2e_retransmit",
                 decision.source,
@@ -286,7 +329,7 @@ class NetworkInterface:
             self.enqueue(onward, priority=True)
         elif action is DeliveryAction.LOST:
             self.stats.count("packets_lost")
-            self.network.note_lost()
+            self.run_record.lost += 1
             if self.telemetry is not None:
                 self.telemetry.publish(
                     cycle,
@@ -317,6 +360,9 @@ class Network:
         self.telemetry: Optional[TelemetryBus] = (
             TelemetryBus(tcfg) if tcfg.enabled else None
         )
+        #: Clock, delivery outcomes and E2E reverse-path events, shared
+        #: with the interfaces and routers in place of the network itself.
+        self.run_record = RunRecord(self.stats, self.telemetry)
         self.injector = FaultInjector(config.faults)
         self.injector.telemetry = self.telemetry
         routing_fn = routing_for_config(config, self.topology)
@@ -395,7 +441,7 @@ class Network:
         if config.backend == "batched" and kernel_supports(config) is None:
             self.routers: Sequence[Router] = ()
             self.links: Sequence[Link] = ()
-            self.kernel = BatchedKernel(self)
+            self.kernel = BatchedKernel(config, self.topology)
         else:
             self.routers = [
                 Router(
@@ -406,7 +452,7 @@ class Network:
             ]
             bus = self.telemetry
             for router in self.routers:
-                router.casualty_hook = self.note_packet_casualty
+                router.casualty_hook = self.run_record.note_casualty
                 router.telemetry = bus
                 if bus is not None and router.deadlock is not None:
                     router.deadlock.telemetry_hook = bus.publish
@@ -414,15 +460,6 @@ class Network:
         if self.telemetry is not None:
             self.telemetry.attach(self)
 
-        self.cycle = 0
-        self.delivered = 0
-        self.lost = 0
-        # Scheduled reverse-path E2E messages as plain data records
-        # (cycle, seq, kind, node, packet_id) rather than closures: the
-        # heap is part of the checkpointable state (docs/CHECKPOINTING.md)
-        # and pickled closures would not round-trip.
-        self._events: List[Tuple[int, int, str, int, int]] = []
-        self._event_seq = 0
         self._send_history: Deque[int] = deque(
             [0] * noc.retx_buffer_depth, maxlen=noc.retx_buffer_depth
         )
@@ -436,9 +473,6 @@ class Network:
         # Permanent-fault lifecycle state.
         self._dead_links: Set[Tuple[int, Direction]] = set()
         self._dead_routers: Set[int] = set()
-        #: Packets destroyed by permanent faults, deduplicated so each is
-        #: counted lost exactly once however many of its flits die.
-        self._lost_packets: Set[int] = set()
         #: True once any hard fault can occur (a schedule, or wear-out
         #: escalation): enables the NI-side reachability filter (zero
         #: overhead on fault-free platforms).
@@ -523,24 +557,13 @@ class Network:
             self.interfaces[node].ej_link = ej
         return links
 
-    # -- event scheduling (contention-free reverse-path messages) -------------
-
-    #: Dispatch table for :meth:`schedule` records.  Kinds map to the NI
-    #: methods modelling the contention-free reverse path of the E2E scheme
-    #: (ACK releases the source copy, NACK triggers a retransmission).
-    EVENT_KINDS = ("e2e_release", "e2e_retransmit")
-
-    def schedule(self, cycle: int, kind: str, node: int, packet_id: int) -> None:
-        if kind not in self.EVENT_KINDS:  # pragma: no cover - programming error
-            raise ValueError(f"unknown scheduled-event kind {kind!r}")
-        self._event_seq += 1
-        heapq.heappush(
-            self._events, (cycle, self._event_seq, kind, node, packet_id)
-        )
+    # -- event dispatch (contention-free reverse-path messages) ----------------
 
     def _run_due_events(self) -> None:
-        while self._events and self._events[0][0] <= self.cycle:
-            _, _, kind, node, packet_id = heapq.heappop(self._events)
+        record = self.run_record
+        events = record.events
+        while events and events[0][0] <= record.cycle:
+            _, _, kind, node, packet_id = heapq.heappop(events)
             ni = self.interfaces[node]
             if kind == "e2e_release":
                 ni.release(packet_id)
@@ -649,8 +672,9 @@ class Network:
         if not lost:
             return
         self.stats.count("permanent_fault_flits_dropped", len(lost))
+        note_casualty = self.run_record.note_casualty
         for flit in lost:
-            self.note_packet_casualty(flit.packet_id)
+            note_casualty(flit.packet_id)
 
     def _kill_link(self, node: int, direction: Direction) -> None:
         key = (node, direction)
@@ -743,39 +767,32 @@ class Network:
             return fn.is_reachable(src, dst)
         return dst not in self._dead_routers and src not in self._dead_routers
 
-    def note_packet_casualty(self, packet_id: int) -> None:
-        """A permanent fault destroyed (part of) this packet: under
-        tail-based reassembly it can never complete, so it is counted lost
-        — exactly once, however many of its flits die."""
-        if packet_id in self._lost_packets:
-            return
-        self._lost_packets.add(packet_id)
-        self.stats.count("packets_lost")
-        self.note_lost()
-        if self.telemetry is not None:
-            self.telemetry.publish(
-                self.cycle, "packet_lost", packet=packet_id, reason="casualty"
-            )
+    # -- the run record ----------------------------------------------------------
 
-    # -- delivery accounting ----------------------------------------------------
+    @property
+    def cycle(self) -> int:
+        return self.run_record.cycle
 
-    def note_delivered(self) -> None:
-        self.delivered += 1
+    @property
+    def delivered(self) -> int:
+        return self.run_record.delivered
 
-    def note_lost(self) -> None:
-        self.lost += 1
+    @property
+    def lost(self) -> int:
+        return self.run_record.lost
 
     @property
     def completed(self) -> int:
         """Messages that reached a final outcome (delivered or lost)."""
-        return self.delivered + self.lost
+        return self.run_record.delivered + self.run_record.lost
 
     # -- the cycle loop ---------------------------------------------------------
 
     def step(self) -> None:
         """Advance the whole system by one cycle."""
+        cycle = self.run_record.cycle
         next_fault = self._next_fault_cycle
-        if next_fault is not None and next_fault <= self.cycle:
+        if next_fault is not None and next_fault <= cycle:
             self._apply_due_faults()
         if self.lifecycle is not None:
             self._advance_lifecycle()
@@ -783,13 +800,13 @@ class Network:
             # Signals pushed onto slow (multi-cycle) links become due now:
             # land their consumers in the wake sets before dispatch, exactly
             # as a 1-cycle link would have done at push time.
-            bucket = self._deferred_wakes.pop(self.cycle, None)
+            bucket = self._deferred_wakes.pop(cycle, None)
             if bucket is not None:
                 for wake_set, node in bucket:
                     wake_set.add(node)
         kernel = self.kernel
         if kernel is not None:
-            kernel.step()
+            kernel.step(self)
         else:
             self._step_active()
 
@@ -798,25 +815,18 @@ class Network:
 
         Never called from ``src/``: the equivalence suites rebind
         ``_step_active`` to it (``tests/conftest.py``)."""
-        cycle = self.cycle
+        cycle = self.run_record.cycle
         for ni in self.interfaces:
             ni.receive(cycle)
         self._run_due_events()
         for router in self.routers:
             router.receive(cycle)
         for ni in self.interfaces:
-            ni.inject(cycle)
+            ni.inject(cycle, self)
         sends = 0
         for router in self.routers:
             sends += router.compute(cycle)
-        self._send_history.append(sends)
-        if self.config.collect_utilization:
-            self._sample_utilization()
-        tel = self.telemetry
-        if tel is not None:
-            tel.on_cycle_end(self)
-        self.stats.cycles += 1
-        self.cycle += 1
+        self._end_cycle(sends)
 
     def _step_active(self) -> None:
         """The activity-driven loop: visit only components with work.
@@ -834,7 +844,7 @@ class Network:
         total (credit arithmetic is order- and time-insensitive, and the
         NI's credit path draws no randomness).
         """
-        cycle = self.cycle
+        cycle = self.run_record.cycle
         interfaces = self.interfaces
         routers = self.routers
 
@@ -864,7 +874,7 @@ class Network:
             drained: List[int] = []
             for node in sorted(ni_tx):
                 ni = interfaces[node]
-                ni.inject(cycle)
+                ni.inject(cycle, self)
                 if ni.queued_packets == 0:
                     drained.append(node)
             if drained:
@@ -881,14 +891,7 @@ class Network:
             if quiescent:
                 active.difference_update(quiescent)
 
-        self._send_history.append(sends)
-        if self.config.collect_utilization:
-            self._sample_utilization()
-        tel = self.telemetry
-        if tel is not None:
-            tel.on_cycle_end(self)
-        self.stats.cycles += 1
-        self.cycle += 1
+        self._end_cycle(sends)
 
     def verify_activity_invariants(self) -> None:
         """Assert the active sets cover every component that has work.
@@ -945,20 +948,28 @@ class Network:
                         "consumer is not in the receive wake set"
                     )
 
-    def _sample_utilization(self) -> None:
-        tx_occupied = sum(r.buffered_flits for r in self.routers)
-        # A retransmission-buffer slot is live for the replay window after a
-        # send (the barrel shifter holds the flit until a NACK can no longer
-        # arrive) plus any replay/absorption occupancy.
-        retx_occupied = sum(self._send_history) + sum(
-            r.retx_pending_flits for r in self.routers
-        )
-        self.stats.record_utilization(
-            tx_occupied,
-            self._tx_capacity,
-            min(retx_occupied, self._retx_capacity),
-            self._retx_capacity,
-        )
+    def _end_cycle(self, sends: int) -> None:
+        """Phase 6 of both object loops: bookkeeping, then the clock."""
+        self._send_history.append(sends)
+        if self.config.collect_utilization:
+            tx_occupied = sum(r.buffered_flits for r in self.routers)
+            # A retransmission-buffer slot is live for the replay window
+            # after a send (the barrel shifter holds the flit until a NACK
+            # can no longer arrive) plus any replay/absorption occupancy.
+            retx_occupied = sum(self._send_history) + sum(
+                r.retx_pending_flits for r in self.routers
+            )
+            self.stats.record_utilization(
+                tx_occupied,
+                self._tx_capacity,
+                min(retx_occupied, self._retx_capacity),
+                self._retx_capacity,
+            )
+        tel = self.telemetry
+        if tel is not None:
+            tel.on_cycle_end(self)
+        self.stats.cycles += 1
+        self.run_record.cycle += 1
 
     def run_cycles(self, cycles: int) -> None:
         """Advance a fixed number of cycles (tests and scripted scenarios)."""
@@ -998,12 +1009,6 @@ class Network:
         on_links = sum(len(link.flits) for link in self.links)
         pending_out = sum(r.retx_pending_flits for r in self.routers)
         return buffered + on_links + pending_out
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        if self.kernel is not None:
-            # The memoized route table is not checkpointed: re-bind it.
-            self.kernel.route_table = route_table(self.config.noc)
 
     def __repr__(self) -> str:
         shape = "x".join(str(d) for d in self.topology.shape)

@@ -197,7 +197,7 @@ class Router:
         #: no-ops so both cycle loops skip it identically.
         self.dead = False
         #: Called with a packet id when a permanent fault destroys one of
-        #: its flits; wired by the Network to ``note_packet_casualty``.
+        #: its flits; wired by the Network to ``RunRecord.note_casualty``.
         self.casualty_hook: Optional[Callable[[int], None]] = None
         #: Cached routing decisions: ``dst -> (Direction list, port-index
         #: list)``, keyed ``(in_port, dst)`` for port-aware functions.  Only

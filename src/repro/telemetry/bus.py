@@ -88,10 +88,12 @@ class TelemetryEvent:
 
 
 class _NetworkSampler:
-    """Snapshots per-component gauges; pure reads, no state changes."""
+    """Snapshots per-component gauges; pure reads, no state changes.
+
+    Holds the network's mesh links but not the network, which the bus
+    hands to :meth:`sample` at each call."""
 
     def __init__(self, network: Any):
-        self.network = network
         self._mesh_links = [
             link for link in network.links if not link.is_local
         ]
@@ -100,10 +102,9 @@ class _NetworkSampler:
         self._last_sent = [0] * n
         self._last_ejected = [0] * n
 
-    def sample(self, record, cycle: int, interval: float) -> None:
-        """Append one sample per series; ``record(metric, component, cycle,
-        value)`` is the bus's ring-buffer writer."""
-        net = self.network
+    def sample(self, net: Any, record, cycle: int, interval: float) -> None:
+        """Append one sample per series of ``net``; ``record(metric,
+        component, cycle, value)`` is the bus's ring-buffer writer."""
         for i, link in enumerate(self._mesh_links):
             total = link.flit_traversals
             record(
@@ -137,19 +138,6 @@ class _NetworkSampler:
                 (ejected - self._last_ejected[ni.node]) / interval,
             )
             self._last_ejected[ni.node] = ejected
-        record("in_flight_flits", "global", cycle, float(net.in_flight_flits))
-        record("delivered_packets", "global", cycle, float(net.delivered))
-        record("lost_packets", "global", cycle, float(net.lost))
-        counters = net.stats.snapshot(("flits_retransmitted", "flits_dropped"))
-        record(
-            "ctr_flits_retransmitted",
-            "global",
-            cycle,
-            float(counters["flits_retransmitted"]),
-        )
-        record(
-            "ctr_flits_dropped", "global", cycle, float(counters["flits_dropped"])
-        )
 
 
 class TelemetryBus:
@@ -214,7 +202,7 @@ class TelemetryBus:
         if self._series_on:
             kernel = getattr(network, "kernel", None)
             if kernel is not None:
-                self._sampler = kernel.make_sampler()
+                self._sampler = kernel.make_sampler(network.topology)
             else:
                 self._sampler = _NetworkSampler(network)
 
@@ -226,7 +214,15 @@ class TelemetryBus:
             return
         cycle = network.cycle + 1
         if cycle % self._interval == 0:
-            sampler.sample(self._record, cycle, float(self._interval))
+            record = self._record
+            sampler.sample(network, record, cycle, float(self._interval))
+            # The global series, after either sampler's per-component ones.
+            record("in_flight_flits", "global", cycle, float(network.in_flight_flits))
+            record("delivered_packets", "global", cycle, float(network.delivered))
+            record("lost_packets", "global", cycle, float(network.lost))
+            counters = network.stats.snapshot(("flits_retransmitted", "flits_dropped"))
+            for name, value in counters.items():
+                record(f"ctr_{name}", "global", cycle, float(value))
 
     def _record(self, metric: str, component: str, cycle: int, value: float) -> None:
         key = (metric, component)

@@ -297,7 +297,7 @@ class TestContainerFormat:
         """A file written before the config became canonical (version 1,
         legacy config in the header) is a typed error — raised from the
         header, so its stale object graph is never unpickled."""
-        assert CHECKPOINT_VERSION == 3
+        assert CHECKPOINT_VERSION == 4
         self._assert_refused_from_the_header(
             tmp_path, 1, {"noc": {"width": 4, "height": 4}, "activity_driven": True}
         )
@@ -306,6 +306,13 @@ class TestContainerFormat:
         """Version 2 graphs carry ``FaultInjector.log``; same typed error."""
         self._assert_refused_from_the_header(
             tmp_path, 2, {"noc": {"shape": [4, 4]}, "backend": "batched"}
+        )
+
+    def test_v3_checkpoint_is_refused_before_unpickling(self, tmp_path):
+        """Version 3 graphs hold the network in its interfaces, samplers and
+        kernel; same typed error."""
+        self._assert_refused_from_the_header(
+            tmp_path, 3, {"noc": {"shape": [4, 4]}, "backend": "object"}
         )
 
     def test_overwrite_is_atomic_no_tmp_left_behind(self, tmp_path):

@@ -69,6 +69,40 @@ class TestMeshNeighbors:
                 assert topo.neighbor(other, d.opposite) == node
 
 
+def coordinate_neighbor(topo, node, direction, wrap):
+    """The neighbor by coordinate arithmetic, independent of the table."""
+    if direction is Direction.LOCAL or direction.axis >= topo.ndim:
+        return None
+    coord = topo.coordinates_of(node) + direction.delta
+    if wrap:
+        coord = Coordinate(*(c % n for c, n in zip(coord, topo.shape)))
+    return topo.node_at(coord) if topo.contains(coord) else None
+
+
+@pytest.mark.parametrize(
+    "cls, shape",
+    [
+        (MeshTopology, (4, 4)),
+        (TorusTopology, (4, 4)),
+        (MeshTopology, (5, 3)),
+        (TorusTopology, (2, 5)),
+        (MeshTopology, (3, 4, 2)),
+        (TorusTopology, (3, 1, 4)),
+    ],
+)
+def test_neighbor_table_equals_coordinate_arithmetic(cls, shape):
+    topo = cls(shape=shape)
+    wrap = cls is TorusTopology
+    for node in topo.nodes():
+        for direction in Direction:
+            expected = coordinate_neighbor(topo, node, direction, wrap)
+            assert topo.neighbor(node, direction) == expected, (node, direction)
+    with pytest.raises(ValueError):
+        topo.neighbor(topo.num_nodes, Direction.EAST)
+    with pytest.raises(ValueError):
+        topo.neighbor(-1, Direction.EAST)
+
+
 class TestMeshDistance:
     def test_distance_is_manhattan(self):
         topo = MeshTopology(8, 8)

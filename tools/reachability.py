@@ -6,8 +6,9 @@ It puts a ``sitecustomize`` on ``PYTHONPATH`` that installs a
 ``sys.setprofile`` call recorder in every interpreter started below it
 (campaign workers and ledger children included), then runs everything that
 is not a unit test — the pinned CLI commands of
-``tests/fixtures/cli/parent_d5e530f/commands.json``, every ``examples/*.py``
-and ``benchmarks/ledger --smoke`` — and prints each ``def`` under
+``tests/fixtures/cli/parent_d5e530f/commands.json``, every ``examples/*.py``,
+``benchmarks/ledger --smoke`` and ``tools/record.py --check`` (the front
+door of every paper figure and claim) — and prints each ``def`` under
 ``src/repro`` that was never entered, grouped by file.
 
 Most of what it prints is meant to stay (``__repr__``s, the oracles, the
@@ -49,6 +50,7 @@ def main() -> int:
     )
     commands = [["-m", "repro", *entry["argv"]] for entry in pinned.values()]
     commands.append(["benchmarks/ledger", "--smoke"])
+    commands.append(["tools/record.py", "--check"])
     examples = sorted((ROOT / "examples").glob("*.py"))
     with tempfile.TemporaryDirectory() as tmp:
         hook, out, cwd = (pathlib.Path(tmp, name) for name in ("hook", "out", "cwd"))
