@@ -5,7 +5,10 @@ Three passes, all reporting through one diagnostic format
 
 * **CDG pass** (:mod:`repro.analysis.cdg`) — builds the channel-dependency
   graph of a (topology, routing function) pair and proves deadlock freedom
-  or produces a concrete witness cycle.
+  or produces a concrete witness cycle.  It and the ``repro verify``
+  traversal pass (:mod:`repro.analysis.verify`) read one routing walk
+  (:func:`~repro.analysis.cdg.routing_walk`), so they ask a routing
+  function the same question once and decide its edge cases alike.
 * **Config lint pass** (:mod:`repro.analysis.rules`,
   :mod:`repro.analysis.linter`) — the ``NOC0xx`` rule catalogue over
   :class:`~repro.config.SimulationConfig` objects, raw dicts and JSON files;

@@ -7,11 +7,17 @@ when some packet, travelling toward some destination, can hold channel
 ``c1`` while requesting channel ``c2`` at the router joining them.
 
 Construction is *reachability-aware*: dependencies are only recorded along
-(channel, destination) states a packet can actually reach under the routing
-function, starting from every possible injection point.  Naively pairing
-every input channel with every candidate output would fabricate turns the
-routing function never takes (e.g. a south-travelling XY packet turning
-east) and falsely flag XY as deadlock-prone.
+routing states a packet can actually reach, starting from every possible
+injection point.  Naively pairing every input channel with every candidate
+output would fabricate turns the routing function never takes (e.g. a
+south-travelling XY packet turning east) and falsely flag XY as
+deadlock-prone.  Those states come from :func:`routing_walk`, the one
+place the static analyses ask a routing function for candidates: the
+``repro verify`` traversal pass (:mod:`repro.analysis.verify`) reads the
+same walk, so the two passes decide its edge cases alike — a malformed
+candidate makes its state a misroute (no dependencies out of it), and
+port-aware routing over a one-way channel raises.  :func:`find_cycle` is
+likewise the one witness search of both.
 
 Virtual channels: the paper's VA lets a packet claim *any* VC of the
 physical channel the routing function selected ("the routing function
@@ -38,12 +44,48 @@ be flagged with a concrete witness cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 from repro.noc.flit import Flit
 from repro.noc.routing import RoutingFunction, SourceRouting
 from repro.noc.topology import PortGraph
 from repro.types import Direction, FlitType
+
+
+#: A routing state: (node, arrival port).  The port slot is
+#: ``Direction.LOCAL`` at injection for port-aware functions and ``None``
+#: throughout for functions that route on (node, dst) alone.
+State = Tuple[Any, Any]
+
+#: One legal hop out of a state: (out port, next state).
+Move = Tuple[Any, State]
+
+T = TypeVar("T")
+
+
+def node_text(topology: Optional[PortGraph], node: Any) -> str:
+    """A node as its coordinates on a grid, every axis — ``(x,y)``,
+    ``(x,y,z)`` — or as its id on a generic port graph."""
+    coordinates_of = getattr(topology, "coordinates_of", None)
+    if coordinates_of is None:
+        return str(node)
+    return "(" + ",".join(str(c) for c in coordinates_of(node)) + ")"
+
+
+def port_text(port: Any) -> str:
+    return getattr(port, "name", None) or str(port)
 
 
 class Channel(NamedTuple):
@@ -59,18 +101,129 @@ class Channel(NamedTuple):
     direction: Any
 
     def describe(self, topology: Optional[PortGraph] = None) -> str:
-        port = getattr(self.direction, "name", None) or str(self.direction)
-        coordinates_of = getattr(topology, "coordinates_of", None)
-        if coordinates_of is not None:
-            a = coordinates_of(self.src)
-            b = coordinates_of(self.dst)
-            return f"({a.x},{a.y})->({b.x},{b.y}) via {port}"
-        return f"{self.src}->{self.dst} via {port}"
+        return (
+            f"{node_text(topology, self.src)}->{node_text(topology, self.dst)}"
+            f" via {port_text(self.direction)}"
+        )
 
 
-def _probe_header(src: Any, dst: Any) -> Flit:
-    """A minimal header flit for interrogating a routing function."""
-    return Flit(-1, 0, FlitType.HEAD, src, dst)
+class RoutingWalk(NamedTuple):
+    """Every routing state reachable toward one destination.
+
+    ``injection`` maps each source to the state its packets start in.
+    ``moves`` maps every reachable state, in the order the walk expanded
+    it, to its legal hops ``(out port, next state)``: ``[]`` at the
+    destination (delivered) or where the function offers nothing
+    (stranded), ``None`` where the state misroutes — a candidate ejects
+    away from the destination or names a port with no neighbour.
+    """
+
+    injection: Dict[Any, State]
+    moves: Dict[State, Optional[List[Move]]]
+
+
+def routing_walk(
+    topology: PortGraph, routing_fn: RoutingFunction, dst: Any
+) -> RoutingWalk:
+    """Ask ``routing_fn`` where a header bound for ``dst`` may go, from
+    every injection point onward — the one question both static passes
+    answer from.
+
+    A port-aware function (``FaultAwareRouting``) is asked
+    ``candidates_from`` with the arrival port, so its states are
+    ``(node, arrival port)``; any other function is asked ``candidates``
+    once per node.  Raises :class:`ValueError` for source routing, whose
+    routes live in the packets rather than in a statically analyzable
+    function, and for a port-aware function that routes over a one-way
+    channel into a node it must then route out of: with no arrival port
+    there, its next question cannot be asked.
+    """
+    if isinstance(routing_fn, SourceRouting):
+        raise ValueError(
+            "source routing has no static routing relation; its routes are "
+            "a property of the packets, not of the network"
+        )
+    port_aware = bool(getattr(routing_fn, "port_aware", False))
+    probe = Flit(-1, 0, FlitType.HEAD, -1, dst)
+    start = Direction.LOCAL if port_aware else None
+    injection = {src: (src, start) for src in topology.nodes() if src != dst}
+    moves: Dict[State, Optional[List[Move]]] = {}
+    frontier: List[State] = list(injection.values())
+    seen: Set[State] = set(frontier)
+    while frontier:
+        state = frontier.pop()
+        node, in_port = state
+        if node == dst:
+            moves[state] = []
+            continue
+        if port_aware:
+            ports = routing_fn.candidates_from(  # type: ignore[attr-defined]
+                topology, node, in_port, probe
+            )
+        else:
+            ports = routing_fn.candidates(topology, node, probe)
+        out: Optional[List[Move]] = []
+        for port in ports:
+            neighbor = (
+                None if port is Direction.LOCAL
+                else topology.neighbor(node, port)
+            )
+            if neighbor is None:
+                out = None
+                break
+            arrival = None
+            if port_aware:
+                arrival = topology.arrival_port(node, port)
+                if arrival is None and neighbor != dst:
+                    raise ValueError(
+                        "port-aware routing needs a reverse port for channel "
+                        f"{Channel(node, neighbor, port).describe(topology)}; "
+                        "one-way channels cannot carry an arrival-port "
+                        "routing constraint"
+                    )
+            out.append((port, (neighbor, arrival)))
+        moves[state] = out
+        for _, nxt in out or ():
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return RoutingWalk(injection, moves)
+
+
+def find_cycle(
+    roots: Iterable[T], successors: Callable[[T], Iterable[T]]
+) -> List[T]:
+    """A cycle reachable from ``roots``, or ``[]`` — the witness of both
+    static passes.
+
+    Iterative DFS with the standard three-colour scheme, visiting roots and
+    successors in the order given; on the first back edge the grey path is
+    unwound into the witness ``[v0, v1, ..., vk]``, where each ``vi+1`` is
+    a successor of ``vi`` and ``v0`` a successor of ``vk``.
+    """
+    GREY, BLACK = 1, 2
+    colour: Dict[T, int] = {}
+    for root in roots:
+        if root in colour:
+            continue
+        colour[root] = GREY
+        path: List[T] = [root]
+        stack: List[Tuple[T, Iterator[T]]] = [(root, iter(successors(root)))]
+        while stack:
+            vertex, todo = stack[-1]
+            for nxt in todo:
+                if colour.get(nxt) == GREY:
+                    return path[path.index(nxt):]
+                if nxt not in colour:
+                    colour[nxt] = GREY
+                    path.append(nxt)
+                    stack.append((nxt, iter(successors(nxt))))
+                    break
+            else:
+                colour[vertex] = BLACK
+                path.pop()
+                stack.pop()
+    return []
 
 
 @dataclass
@@ -93,126 +246,27 @@ class ChannelDependencyGraph:
         routing_fn: RoutingFunction,
         num_vcs: int = 1,
     ) -> "ChannelDependencyGraph":
-        """Construct the CDG by forward traversal from every (src, dst) pair.
+        """Construct the CDG from the :func:`routing_walk` of every
+        destination: a vertex per channel a reachable state moves over, an
+        edge from the channel a packet arrived on to each channel it may
+        request next.  A misrouting state requests nothing.
 
-        Raises :class:`ValueError` for source routing, whose routes live in
-        the packets rather than in a statically analyzable function.
+        Raises :class:`ValueError` where :func:`routing_walk` does.
         """
-        if isinstance(routing_fn, SourceRouting):
-            raise ValueError(
-                "source routing has no static routing relation; the CDG is "
-                "a property of the packets, not of the network"
-            )
         graph = cls(topology, num_vcs)
-        port_aware = getattr(routing_fn, "port_aware", False)
+        edges = graph._edges
         for dst in topology.nodes():
-            if port_aware:
-                graph._trace_destination_port_aware(routing_fn, dst)
-            else:
-                graph._trace_destination(routing_fn, dst)
+            moves = routing_walk(topology, routing_fn, dst).moves
+            for (node, _), out in moves.items():
+                for port, nxt in out or ():
+                    requests = edges.setdefault(
+                        Channel(node, nxt[0], port), set()
+                    )
+                    requests.update(
+                        Channel(nxt[0], after[0], request)
+                        for request, after in moves[nxt] or ()
+                    )
         return graph
-
-    def _trace_destination(self, routing_fn: RoutingFunction, dst: Any) -> None:
-        """Record every dependency reachable by packets destined for ``dst``."""
-        topology = self.topology
-        # The candidate out-directions at a node depend only on (node, dst),
-        # so one routing-function call per node covers every arrival port.
-        candidates: Dict[Any, List[Any]] = {}
-        for node in topology.nodes():
-            if node == dst:
-                candidates[node] = []
-                continue
-            dirs = routing_fn.candidates(topology, node, _probe_header(node, dst))
-            candidates[node] = [
-                d
-                for d in dirs
-                if d is not Direction.LOCAL
-                and topology.neighbor(node, d) is not None
-            ]
-        # Forward traversal over (held channel) states: a packet injected at
-        # any node may first claim any candidate channel there; from a held
-        # channel it may request any candidate channel at the downstream
-        # router, which is exactly a CDG edge.
-        visited: Set[Channel] = set()
-        frontier: List[Channel] = []
-        for src in topology.nodes():
-            for direction in candidates[src]:
-                channel = self._channel(src, direction)
-                self._edges.setdefault(channel, set())
-                if channel not in visited:
-                    visited.add(channel)
-                    frontier.append(channel)
-        while frontier:
-            held = frontier.pop()
-            for direction in candidates[held.dst]:
-                requested = self._channel(held.dst, direction)
-                self._edges.setdefault(requested, set())
-                self._edges[held].add(requested)
-                if requested not in visited:
-                    visited.add(requested)
-                    frontier.append(requested)
-
-    def _trace_destination_port_aware(
-        self, routing_fn: RoutingFunction, dst: Any
-    ) -> None:
-        """Port-aware variant of :meth:`_trace_destination`.
-
-        A port-aware routing function (``FaultAwareRouting``) restricts the
-        legal out-directions by the arrival port, so candidates depend on the
-        *held channel*, not just on the node.  The traversal therefore queries
-        ``candidates_from`` with the held channel's arrival port — injection
-        uses the LOCAL port — and only records the turns the tables actually
-        permit.  This is exactly what certifies the reconfigured routing on a
-        degraded topology: the graph contains one vertex per surviving channel
-        the tables use and one edge per legal turn.
-        """
-        topology = self.topology
-        visited: Set[Channel] = set()
-        frontier: List[Channel] = []
-
-        def legal(node: Any, in_port: Any) -> List[Any]:
-            dirs = routing_fn.candidates_from(  # type: ignore[attr-defined]
-                topology, node, in_port, _probe_header(node, dst)
-            )
-            return [
-                d
-                for d in dirs
-                if d is not Direction.LOCAL
-                and topology.neighbor(node, d) is not None
-            ]
-
-        for src in topology.nodes():
-            if src == dst:
-                continue
-            for direction in legal(src, Direction.LOCAL):
-                channel = self._channel(src, direction)
-                self._edges.setdefault(channel, set())
-                if channel not in visited:
-                    visited.add(channel)
-                    frontier.append(channel)
-        while frontier:
-            held = frontier.pop()
-            if held.dst == dst:
-                continue
-            in_port = topology.arrival_port(held.src, held.direction)
-            if in_port is None:
-                raise ValueError(
-                    f"port-aware analysis needs a reverse port for channel "
-                    f"{held.describe(topology)}; one-way channels cannot "
-                    "carry an arrival-port routing constraint"
-                )
-            for direction in legal(held.dst, in_port):
-                requested = self._channel(held.dst, direction)
-                self._edges.setdefault(requested, set())
-                self._edges[held].add(requested)
-                if requested not in visited:
-                    visited.add(requested)
-                    frontier.append(requested)
-
-    def _channel(self, node: Any, direction: Any) -> Channel:
-        neighbor = self.topology.neighbor(node, direction)
-        assert neighbor is not None, "candidates were filtered to linked dirs"
-        return Channel(node, neighbor, direction)
 
     # -- queries ------------------------------------------------------------
 
@@ -237,43 +291,11 @@ class ChannelDependencyGraph:
     def find_cycle(self) -> Optional[List[Channel]]:
         """A cycle of channels if one exists (the deadlock witness), else None.
 
-        Iterative DFS with the standard three-colour scheme; on the first
-        back edge the grey path is unwound into the witness.  The returned
-        list ``[c0, c1, ..., ck]`` satisfies ``edge(ci, ci+1)`` for all i and
-        ``edge(ck, c0)``.
+        The returned list ``[c0, c1, ..., ck]`` satisfies ``edge(ci, ci+1)``
+        for all i and ``edge(ck, c0)``.
         """
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour: Dict[Channel, int] = {c: WHITE for c in self._edges}
-        for root in self.channels:
-            if colour[root] != WHITE:
-                continue
-            path: List[Channel] = []
-            # Stack entries: (channel, iterator over its successors).
-            stack: List[Tuple[Channel, List[Channel]]] = [
-                (root, sorted(self._edges[root]))
-            ]
-            colour[root] = GREY
-            path.append(root)
-            while stack:
-                channel, successors = stack[-1]
-                advanced = False
-                while successors:
-                    nxt = successors.pop(0)
-                    if colour[nxt] == GREY:
-                        # Back edge: the cycle is the path suffix from nxt.
-                        start = path.index(nxt)
-                        return path[start:]
-                    if colour[nxt] == WHITE:
-                        colour[nxt] = GREY
-                        path.append(nxt)
-                        stack.append((nxt, sorted(self._edges[nxt])))
-                        advanced = True
-                        break
-                if not advanced:
-                    colour[channel] = BLACK
-                    path.pop()
-                    stack.pop()
-        return None
+        edges = self._edges
+        return find_cycle(self.channels, lambda c: sorted(edges[c])) or None
 
     def is_cycle(self, channels: List[Channel]) -> bool:
         """Whether ``channels`` is a genuine cycle in this graph."""
@@ -313,16 +335,9 @@ def verify_deadlock_freedom(
 ) -> CDGVerdict:
     """Build the CDG and return the acyclicity verdict with any witness."""
     graph = ChannelDependencyGraph.build(topology, routing_fn, num_vcs)
-    cycle = graph.find_cycle()
-    if cycle is None:
-        return CDGVerdict(
-            deadlock_free=True,
-            num_channels=graph.num_channels,
-            num_dependencies=graph.num_dependencies,
-            num_vcs=num_vcs,
-        )
+    cycle = graph.find_cycle() or []
     return CDGVerdict(
-        deadlock_free=False,
+        deadlock_free=not cycle,
         num_channels=graph.num_channels,
         num_dependencies=graph.num_dependencies,
         num_vcs=num_vcs,

@@ -25,7 +25,9 @@ simulating a single cycle:
 
 The traversal pass works on the *routing-state graph*: one state per
 ``(node, arrival port)`` for port-aware table routing, one per node
-otherwise, expanded per destination.  A state is **certified** iff all of
+otherwise, expanded per destination by
+:func:`~repro.analysis.cdg.routing_walk` — the walk the CDG pass reads
+too.  A state is **certified** iff all of
 its successor states are certified (delivery at the destination is the base
 case) — computed as a reverse-worklist fixpoint, which simultaneously
 yields the progress metric.  States that are not certified either strand
@@ -55,13 +57,19 @@ from typing import (
     Tuple,
 )
 
-from repro.analysis.cdg import CDGVerdict, verify_deadlock_freedom
+from repro.analysis.cdg import (
+    CDGVerdict,
+    State,
+    find_cycle,
+    node_text,
+    port_text,
+    routing_walk,
+    verify_deadlock_freedom,
+)
 from repro.config import SimulationConfig
-from repro.noc.flit import Flit
 from repro.noc.routing import (
     FaultAwareRouting,
     RoutingFunction,
-    SourceRouting,
     routing_for_config,
 )
 from repro.noc.topology import (
@@ -71,15 +79,10 @@ from repro.noc.topology import (
     make_topology,
 )
 from repro.serialization import config_to_dict
-from repro.types import Direction, FlitType, RoutingAlgorithm
+from repro.types import RoutingAlgorithm
 
 #: An ordered (src, dst) pair of node ids.
 Pair = Tuple[Any, Any]
-
-#: A routing state: (node, arrival port).  The port slot is
-#: ``Direction.LOCAL`` at injection for port-aware functions and ``None``
-#: throughout for functions that route on (node, dst) alone.
-State = Tuple[Any, Any]
 
 #: A directed channel (node, out port) — matches ``FaultAwareRouting``.
 Chan = Tuple[Any, Any]
@@ -92,35 +95,20 @@ _SAMPLE_CAP = 12
 STANDARD_SWEEP_SEED = 2006
 
 
-def _probe_header(dst: Any) -> Flit:
-    """A minimal header flit for interrogating a routing function."""
-    return Flit(-1, 0, FlitType.HEAD, -1, dst)
-
-
-def _node_text(topology: PortGraph, node: Any) -> str:
-    coordinates_of = getattr(topology, "coordinates_of", None)
-    if coordinates_of is not None:
-        c = coordinates_of(node)
-        return f"({c.x},{c.y})"
-    return str(node)
-
-
 def _state_text(topology: PortGraph, state: State) -> str:
     node, in_port = state
-    where = _node_text(topology, node)
+    where = node_text(topology, node)
     if in_port is None:
         return where
-    port = getattr(in_port, "name", None) or str(in_port)
-    return f"{where} in:{port}"
+    return f"{where} in:{port_text(in_port)}"
 
 
 def _pair_text(topology: PortGraph, pair: Pair) -> str:
-    return f"{_node_text(topology, pair[0])}->{_node_text(topology, pair[1])}"
+    return f"{node_text(topology, pair[0])}->{node_text(topology, pair[1])}"
 
 
 def _chan_text(topology: PortGraph, chan: Chan) -> str:
-    port = getattr(chan[1], "name", None) or str(chan[1])
-    return f"{_node_text(topology, chan[0])}:{port.lower()}"
+    return f"{node_text(topology, chan[0])}:{port_text(chan[1]).lower()}"
 
 
 @dataclass(frozen=True)
@@ -201,13 +189,10 @@ def certify_traversal(
 ) -> TraversalVerdict:
     """Exhaustively certify delivery for every (src, dst) pair.
 
-    Raises :class:`ValueError` for source routing (routes live in packets,
-    not in a statically analyzable function), exactly like the CDG pass.
+    Raises :class:`ValueError` where
+    :func:`~repro.analysis.cdg.routing_walk` does — source routing, or
+    port-aware routing over a one-way channel — exactly like the CDG pass.
     """
-    if isinstance(routing_fn, SourceRouting):
-        raise ValueError(
-            "source routing has no static routing relation to certify"
-        )
     nodes = sorted(topology.nodes())
     total_pairs = len(nodes) * (len(nodes) - 1)
     if expected_pairs is None:
@@ -216,29 +201,26 @@ def certify_traversal(
         }
     else:
         expected = set(expected_pairs)
-    port_aware = bool(getattr(routing_fn, "port_aware", False))
 
     delivered: Set[Pair] = set()
     missing: List[Pair] = []
     stuck: List[str] = []
     witness: List[str] = []
-    stuck_count = 0
     max_route_length = 0
 
     for dst in nodes:
-        result = _certify_destination(topology, routing_fn, dst, port_aware)
+        result = _certify_destination(topology, routing_fn, dst)
         reached, dst_stuck, dst_witness, dst_height = result
         delivered.update((src, dst) for src in reached)
-        stuck_count += len(dst_stuck)
         for state in dst_stuck:
             if len(stuck) < _SAMPLE_CAP:
                 stuck.append(
-                    f"dst {_node_text(topology, dst)}: "
+                    f"dst {node_text(topology, dst)}: "
                     f"{_state_text(topology, state)}"
                 )
         if dst_witness and not witness:
             witness = [_state_text(topology, s) for s in dst_witness]
-            witness.append(f"(cycle; dst {_node_text(topology, dst)})")
+            witness.append(f"(cycle; dst {node_text(topology, dst)})")
         max_route_length = max(max_route_length, dst_height)
 
     for pair in sorted(expected):
@@ -268,16 +250,9 @@ def certified_pairs(
     simulation cross-check tests: every certified pair must deliver in the
     simulator, every uncertified pair must not (be dropped or refused).
     """
-    if isinstance(routing_fn, SourceRouting):
-        raise ValueError(
-            "source routing has no static routing relation to certify"
-        )
-    port_aware = bool(getattr(routing_fn, "port_aware", False))
     out: Set[Pair] = set()
     for dst in sorted(topology.nodes()):
-        reached, _, _, _ = _certify_destination(
-            topology, routing_fn, dst, port_aware
-        )
+        reached, _, _, _ = _certify_destination(topology, routing_fn, dst)
         out.update((src, dst) for src in reached)
     return frozenset(out)
 
@@ -286,56 +261,14 @@ def _certify_destination(
     topology: PortGraph,
     routing_fn: RoutingFunction,
     dst: Any,
-    port_aware: bool,
 ) -> Tuple[Set[Any], List[State], List[State], int]:
     """One destination's traversal: (delivering srcs, stuck states,
     livelock witness cycle, max certified route length)."""
-    probe = _probe_header(dst)
-
-    def successors(state: State) -> Optional[List[State]]:
-        """Successor states, or None when the state itself misroutes
-        (ejects away from dst / routes off a missing link)."""
-        node, in_port = state
-        if port_aware:
-            dirs = routing_fn.candidates_from(  # type: ignore[attr-defined]
-                topology, node, in_port, probe
-            )
-        else:
-            dirs = routing_fn.candidates(topology, node, probe)
-        out: List[State] = []
-        for d in dirs:
-            if d is Direction.LOCAL:
-                # Ejecting anywhere but dst is a misroute.
-                return None if node != dst else out
-            neighbor = topology.neighbor(node, d)
-            if neighbor is None:
-                return None
-            arrival = topology.arrival_port(node, d) if port_aware else None
-            out.append((neighbor, arrival))
-        return out
-
-    # Forward reachability from every injection state.
-    injection: Dict[Any, State] = {
-        src: (src, Direction.LOCAL if port_aware else None)
-        for src in topology.nodes()
-        if src != dst
+    walk = routing_walk(topology, routing_fn, dst)
+    succ: Dict[State, Optional[List[State]]] = {
+        state: None if out is None else [nxt for _, nxt in out]
+        for state, out in walk.moves.items()
     }
-    succ: Dict[State, Optional[List[State]]] = {}
-    order: List[State] = []
-    frontier: List[State] = list(injection.values())
-    seen: Set[State] = set(frontier)
-    while frontier:
-        state = frontier.pop()
-        order.append(state)
-        if state[0] == dst:
-            succ[state] = []
-            continue
-        nxt = successors(state)
-        succ[state] = nxt
-        for n in nxt or ():
-            if n not in seen:
-                seen.add(n)
-                frontier.append(n)
 
     # Certified fixpoint (reverse worklist): a state is certified when all
     # of its successors are; arrival at dst is the base case.  Heights are
@@ -345,11 +278,10 @@ def _certify_destination(
     remaining: Dict[State, int] = {}
     queue: deque = deque()
     stuck: List[State] = []
-    for state in order:
+    for state, nxt in succ.items():
         if state[0] == dst:
             queue.append(state)
             continue
-        nxt = succ[state]
         if not nxt:  # None (misroute) or [] (no legal continuation)
             stuck.append(state)
             continue
@@ -372,6 +304,7 @@ def _certify_destination(
             if remaining[p] == 0:
                 queue.append(p)
 
+    injection = walk.injection
     reached = {
         src for src, state in injection.items() if state in certified
     }
@@ -379,58 +312,13 @@ def _certify_destination(
         (height[state] for state in injection.values() if state in certified),
         default=0,
     )
-    witness = _find_state_cycle(order, succ, certified)
+    # Edges into certified states cannot close a cycle (certified states
+    # provably terminate), so the search runs on the uncertified residue.
+    witness = find_cycle(
+        (state for state in succ if state not in certified),
+        lambda state: [n for n in succ[state] or () if n not in certified],
+    )
     return reached, stuck, witness, max_height
-
-
-def _find_state_cycle(
-    order: Sequence[State],
-    succ: Dict[State, Optional[List[State]]],
-    certified: Set[State],
-) -> List[State]:
-    """A cycle among uncertified states, if one exists.
-
-    Edges into certified states cannot close a cycle (certified states
-    provably terminate), so the search runs on the uncertified residue.
-    """
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour: Dict[State, int] = {}
-    for root in order:
-        if root in certified or colour.get(root, WHITE) != WHITE:
-            continue
-        path: List[State] = [root]
-        stack: List[Tuple[State, List[State]]] = [
-            (root, _uncertified_successors(root, succ, certified))
-        ]
-        colour[root] = GREY
-        while stack:
-            state, successors = stack[-1]
-            advanced = False
-            while successors:
-                nxt = successors.pop(0)
-                if colour.get(nxt, WHITE) == GREY:
-                    return path[path.index(nxt):]
-                if colour.get(nxt, WHITE) == WHITE:
-                    colour[nxt] = GREY
-                    path.append(nxt)
-                    stack.append(
-                        (nxt, _uncertified_successors(nxt, succ, certified))
-                    )
-                    advanced = True
-                    break
-            if not advanced:
-                colour[state] = BLACK
-                path.pop()
-                stack.pop()
-    return []
-
-
-def _uncertified_successors(
-    state: State,
-    succ: Dict[State, Optional[List[State]]],
-    certified: Set[State],
-) -> List[State]:
-    return [n for n in succ.get(state) or () if n not in certified]
 
 
 def certify_routing(

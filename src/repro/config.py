@@ -404,9 +404,9 @@ class FaultConfig:
 class WorkloadConfig:
     """Traffic workload parameters.
 
-    ``injection_rate`` is in flits/node/cycle as in the paper; a node's
-    packet inter-arrival time is ``flits_per_packet / injection_rate``
-    cycles on average (Bernoulli per-cycle injection).
+    ``injection_rate`` is in flits/node/cycle as in the paper; a node
+    generates a packet every ``flits_per_packet / injection_rate`` cycles
+    (periodic injection with a random per-node phase).
     """
 
     pattern: str = "uniform"

@@ -95,11 +95,6 @@ class XYRouting:
                 return [negative]
         return [Direction.LOCAL]  # unreachable: current != dst
 
-    # Backward-compatible alias: the class predates the generalization.
-
-
-DimensionOrderedRouting = XYRouting
-
 
 class TorusXYRouting:
     """Wrap-aware dimension-ordered routing for tori (any dimension).
@@ -446,24 +441,6 @@ class FaultAwareRouting:
         return entries / (n * (n - 1))
 
 
-def make_routing_function(algorithm: RoutingAlgorithm) -> RoutingFunction:
-    """Factory mapping the config enum to a routing function instance."""
-    if algorithm is RoutingAlgorithm.XY:
-        return XYRouting()
-    if algorithm is RoutingAlgorithm.WEST_FIRST:
-        return WestFirstRouting()
-    if algorithm is RoutingAlgorithm.FULLY_ADAPTIVE:
-        return FullyAdaptiveRouting()
-    if algorithm is RoutingAlgorithm.SOURCE:
-        return SourceRouting()
-    if algorithm is RoutingAlgorithm.FT_TABLE:
-        raise ValueError(
-            "FT_TABLE routing needs a topology to build its tables; "
-            "use resolve_routing_function(algorithm, topology)"
-        )
-    raise ValueError(f"unknown routing algorithm: {algorithm}")
-
-
 def resolve_routing_function(
     algorithm: RoutingAlgorithm, topology: MeshTopology
 ) -> RoutingFunction:
@@ -479,9 +456,17 @@ def resolve_routing_function(
 
     if algorithm is RoutingAlgorithm.FT_TABLE:
         return FaultAwareRouting(topology)
-    if algorithm is RoutingAlgorithm.XY and isinstance(topology, TorusTopology):
-        return TorusXYRouting()
-    return make_routing_function(algorithm)
+    if algorithm is RoutingAlgorithm.XY:
+        if isinstance(topology, TorusTopology):
+            return TorusXYRouting()
+        return XYRouting()
+    if algorithm is RoutingAlgorithm.WEST_FIRST:
+        return WestFirstRouting()
+    if algorithm is RoutingAlgorithm.FULLY_ADAPTIVE:
+        return FullyAdaptiveRouting()
+    if algorithm is RoutingAlgorithm.SOURCE:
+        return SourceRouting()
+    raise ValueError(f"unknown routing algorithm: {algorithm}")
 
 
 def check_fault_sites(config: SimulationConfig, topology: MeshTopology) -> None:

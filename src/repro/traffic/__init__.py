@@ -5,7 +5,7 @@ The paper's three destination distributions (Section 2.2) are normal random
 provided as standard extras for ablation studies.
 """
 
-from repro.traffic.injection import BernoulliInjection, InjectionProcess, PeriodicInjection
+from repro.traffic.injection import InjectionProcess, PeriodicInjection
 from repro.traffic.patterns import (
     BitComplementTraffic,
     HotspotTraffic,
@@ -17,7 +17,6 @@ from repro.traffic.patterns import (
 )
 
 __all__ = [
-    "BernoulliInjection",
     "BitComplementTraffic",
     "HotspotTraffic",
     "InjectionProcess",

@@ -2,9 +2,7 @@
 
 The paper injects "messages into the network at regular intervals specified
 by the injection rate" — a periodic process — so :class:`PeriodicInjection`
-is the default used by the experiment harness; :class:`BernoulliInjection`
-(geometric inter-arrivals with the same mean) is provided for sensitivity
-studies, since many NoC papers use it instead.
+is the one the simulator builds.
 
 Rates are in flits/node/cycle, so a node generating ``M``-flit packets
 fires every ``M / rate`` cycles on average.
@@ -32,17 +30,6 @@ class InjectionProcess:
 
     def fires(self, node: int, cycle: int, rng: random.Random) -> bool:
         raise NotImplementedError
-
-
-class BernoulliInjection(InjectionProcess):
-    """Independent per-cycle coin flips with probability ``rate / M``."""
-
-    def __init__(self, num_nodes: int, rate: float, flits_per_packet: int):
-        super().__init__(num_nodes, rate, flits_per_packet)
-        self.probability = min(1.0, rate / flits_per_packet)
-
-    def fires(self, node: int, cycle: int, rng: random.Random) -> bool:
-        return rng.random() < self.probability
 
 
 class PeriodicInjection(InjectionProcess):

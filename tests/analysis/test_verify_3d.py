@@ -4,15 +4,19 @@ survive every possible single-link kill (TSVs included)."""
 
 import pytest
 
+from repro.analysis.cdg import Channel, verify_deadlock_freedom
 from repro.analysis.verify import (
     STANDARD_TARGETS,
     certify_config,
     certify_fault_trial,
+    certify_traversal,
     directed_channels,
     sweep_single_link_kills,
     topology_of,
 )
 from repro.config import NoCConfig, SimulationConfig
+from repro.noc.routing import FaultAwareRouting, resolve_routing_function
+from repro.noc.topology import MeshTopology, TorusTopology
 from repro.types import Direction, RoutingAlgorithm
 
 
@@ -83,3 +87,30 @@ class TestStandardTargetPin:
         target = next(t for t in STANDARD_TARGETS if t["name"] == "mesh3x3x3_dor")
         assert target["expect"]["certified"] is True
         assert target["expect"]["single_link_kills_certified"] is True
+
+
+class TestThreeDimensionalText:
+    """Witnesses and missing pairs name a 3D node by every axis."""
+
+    def test_a_tsv_channel_names_both_layers(self):
+        mesh = MeshTopology(shape=(2, 2, 2))
+        text = Channel(0, 4, Direction.UP).describe(mesh)
+        assert text == "(0,0,0)->(0,0,1) via UP"
+
+    def test_cdg_witness_names_the_layer(self):
+        torus = TorusTopology(shape=(3, 3, 3))
+        routing_fn = resolve_routing_function(
+            RoutingAlgorithm.FULLY_ADAPTIVE, torus
+        )
+        verdict = verify_deadlock_freedom(torus, routing_fn)
+        assert not verdict.deadlock_free
+        for text in verdict.witness_text:
+            assert text.count(",") == 4, text  # (x,y,z)->(x,y,z)
+
+    def test_missing_pairs_name_the_layer(self):
+        mesh = MeshTopology(shape=(2, 2, 2))
+        routing_fn = FaultAwareRouting(mesh)
+        routing_fn.rebuild(set(), {7})
+        verdict = certify_traversal(mesh, routing_fn)
+        assert not verdict.connected
+        assert verdict.missing_pairs[0] == "(0,0,0)->(1,1,1)"

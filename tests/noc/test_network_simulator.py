@@ -5,7 +5,7 @@ import pytest
 from repro.config import FaultConfig, SimulationConfig, WorkloadConfig
 from repro.noc.network import Network
 from repro.noc.simulator import Simulator, run_simulation
-from repro.traffic.injection import BernoulliInjection, PeriodicInjection
+from repro.traffic.injection import PeriodicInjection
 from tests.conftest import quick_workload, small_noc
 
 
@@ -105,7 +105,7 @@ class TestSimulatorRun:
 
 
 class TestInjectionProcesses:
-    @pytest.mark.parametrize("process_cls", [PeriodicInjection, BernoulliInjection])
+    @pytest.mark.parametrize("process_cls", [PeriodicInjection])
     def test_long_run_rate_is_exact(self, process_cls):
         import random
 
@@ -132,7 +132,7 @@ class TestInjectionProcesses:
         with pytest.raises(ValueError):
             PeriodicInjection(4, 0.0, 4)
         with pytest.raises(ValueError):
-            BernoulliInjection(4, 0.5, 0)
+            PeriodicInjection(4, 0.5, 0)
 
 
 class TestLatencyVsLoad:

@@ -10,7 +10,7 @@ from repro.noc.routing import (
     SourceRouting,
     WestFirstRouting,
     XYRouting,
-    make_routing_function,
+    resolve_routing_function,
     xy_arrival_is_legal,
 )
 from repro.noc.topology import MeshTopology
@@ -134,7 +134,7 @@ class TestFactory:
         ],
     )
     def test_factory(self, algorithm, cls):
-        assert isinstance(make_routing_function(algorithm), cls)
+        assert isinstance(resolve_routing_function(algorithm, TOPO), cls)
 
 
 class TestXYLegality:
