@@ -1,4 +1,4 @@
-"""The cycle-level invariant sanitizer (rules ``SIM101``..``SIM103``).
+"""The cycle-level invariant sanitizer (rules ``SIM101``..``SIM104``).
 
 An opt-in checker that walks the live :class:`~repro.noc.network.Network`
 after every cycle and asserts the architectural invariants the simulator is
@@ -21,6 +21,12 @@ format as the static passes:
   consistent with its buffer contents and routed assignment (ACTIVE implies
   a valid, owned output; WAITING_VA implies a candidate set; an idle VC's
   next flit is a header).
+* ``SIM104`` — **scheduler bookkeeping**: each router's occupancy index
+  names every input VC that holds flits and its pending-output flag is set
+  whenever a channel holds replay or absorption flits
+  (:meth:`Router.activity_index_problems`, the check
+  :meth:`Network.verify_activity_invariants` runs too).  A gap there would
+  make the pipeline skip flits it holds, on either cycle loop.
 
 Undetected switch-allocator faults (AC disabled) create stray flit copies
 *by design* — that is the failure mode the paper measures.  The first stray
@@ -73,6 +79,7 @@ class InvariantSanitizer:
         violations.extend(self._check_conservation(at))
         violations.extend(self._check_grants(at))
         violations.extend(self._check_vc_states(at))
+        violations.extend(self._check_bookkeeping(at))
         self.checks_run += 1
         self.report.extend(violations)
         if self.raise_on_violation:
@@ -244,6 +251,19 @@ class InvariantSanitizer:
                             )
                         )
         return violations
+
+    # -- SIM104: scheduler bookkeeping ----------------------------------------
+
+    def _check_bookkeeping(self, cycle: int) -> List[Diagnostic]:
+        return [
+            Diagnostic(
+                rule_id="SIM104",
+                severity=Severity.ERROR,
+                message=f"cycle {cycle}: router {router.node}: {problem}",
+            )
+            for router in self.network.routers
+            for problem in router.activity_index_problems()
+        ]
 
     @staticmethod
     def _vc_state_problem(ivc, config) -> Optional[str]:

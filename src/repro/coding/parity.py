@@ -1,4 +1,4 @@
-"""Parity bits and triple-modular-redundancy voting.
+"""Triple-modular-redundancy voting.
 
 Section 4.6 of the paper protects the handful of inter-router handshaking
 lines with Triple Module Redundancy: each signal is carried on three wires
@@ -9,39 +9,6 @@ and a majority voter masks any single upset.  :func:`tmr_vote` is that voter;
 from __future__ import annotations
 
 from typing import Sequence
-
-
-class ParityCode:
-    """Single even/odd parity over ``data_bits``-wide words.
-
-    Detects any odd number of bit errors; corrects nothing.  Used as the
-    cheapest detection option in ablation experiments.
-    """
-
-    def __init__(self, data_bits: int, even: bool = True):
-        if data_bits < 1:
-            raise ValueError("data_bits must be positive")
-        self.data_bits = data_bits
-        self.even = even
-
-    def encode(self, data: int) -> int:
-        """Append the parity bit above the data bits."""
-        if data < 0 or data >> self.data_bits:
-            raise ValueError(f"data {data:#x} does not fit in {self.data_bits} bits")
-        parity = bin(data).count("1") & 1
-        if not self.even:
-            parity ^= 1
-        return data | (parity << self.data_bits)
-
-    def check(self, codeword: int) -> bool:
-        """True if the codeword's parity is consistent."""
-        if codeword < 0 or codeword >> (self.data_bits + 1):
-            raise ValueError("codeword out of range")
-        expected = 0 if self.even else 1
-        return (bin(codeword).count("1") & 1) == expected
-
-    def extract(self, codeword: int) -> int:
-        return codeword & ((1 << self.data_bits) - 1)
 
 
 def tmr_vote(samples: Sequence[bool]) -> bool:

@@ -86,16 +86,13 @@ class VCAllocator:
         contested: Dict[VCId, List[VCId]] = {}
         for requester, out_vc in picks.items():
             contested.setdefault(out_vc, []).append(requester)
+        V = self.num_vcs
         for out_vc, requesters in contested.items():
-            lines = [False] * (self.num_ports * self.num_vcs)
-            index_of = {}
-            for req in requesters:
-                idx = req[0] * self.num_vcs + req[1]
-                lines[idx] = True
-                index_of[idx] = req
-            winner_idx = self._output_arbiters[out_vc].arbitrate(lines)
-            if winner_idx is not None:
-                grants[index_of[winner_idx]] = out_vc
+            idx = self._output_arbiters[out_vc].grant(
+                [port * V + vc for port, vc in requesters]
+            )
+            assert idx is not None
+            grants[(idx // V, idx % V)] = out_vc
         return grants
 
 
@@ -131,25 +128,17 @@ class SwitchAllocator:
             requesting_ports.setdefault(port, []).append(vc)
         stage1: Dict[int, VCId] = {}
         for port, vcs in requesting_ports.items():
-            lines = [False] * self.num_vcs
-            for vc in vcs:
-                lines[vc] = True
-            winner_vc = self._input_arbiters[port].arbitrate(lines)
-            if winner_vc is not None:
-                stage1[port] = (port, winner_vc)
+            vc = self._input_arbiters[port].grant(vcs)
+            assert vc is not None
+            stage1[port] = (port, vc)
 
         # Stage 2: per output port, pick one input port.
         grants: Dict[VCId, int] = {}
-        bids: Dict[int, List[VCId]] = {}
+        bids: Dict[int, List[int]] = {}
         for in_vc in stage1.values():
-            bids.setdefault(requests[in_vc], []).append(in_vc)
-        for out_port, requesters in bids.items():
-            lines = [False] * self.num_ports
-            by_port: Dict[int, VCId] = {}
-            for req in requesters:
-                lines[req[0]] = True
-                by_port[req[0]] = req
-            winner_port = self._output_arbiters[out_port].arbitrate(lines)
-            if winner_port is not None:
-                grants[by_port[winner_port]] = out_port
+            bids.setdefault(requests[in_vc], []).append(in_vc[0])
+        for out_port, ports in bids.items():
+            winner = self._output_arbiters[out_port].grant(ports)
+            assert winner is not None
+            grants[stage1[winner]] = out_port
         return grants

@@ -864,9 +864,9 @@ class Network:
             for node in todo:
                 routers[node].receive(cycle)
                 # Added unconditionally: compute on a traffic-less router
-                # (e.g. after a credit-only receive) is a free no-op, and
-                # the compute phase prunes it again — cheaper than probing
-                # buffer occupancy here.
+                # (e.g. after a credit-only receive) is a near-free no-op —
+                # its occupancy index is empty and its pending-output flag
+                # clear — and the compute phase prunes it again.
                 active.add(node)
 
         ni_tx = self._ni_tx_active
@@ -894,7 +894,9 @@ class Network:
         self._end_cycle(sends)
 
     def verify_activity_invariants(self) -> None:
-        """Assert the active sets cover every component that has work.
+        """Assert the active sets cover every component that has work,
+        and every router's occupancy index and pending-output flag cover
+        its own (``Router.activity_index_problems``).
 
         Called between steps (tests, the equivalence suite).  Violations
         mean the activity-driven loop could skip live work — exactly the
@@ -906,6 +908,9 @@ class Network:
                 "kernel-served network: it has no routers or links"
             )
         for router in self.routers:
+            problems = router.activity_index_problems()
+            if problems:
+                raise AssertionError(f"router {router.node}: {'; '.join(problems)}")
             if router.has_traffic and router.node not in self._router_active:
                 raise AssertionError(
                     f"router {router.node} has traffic but is not in the "

@@ -22,8 +22,9 @@ outcome class) — never the injector's ground truth.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from copy import copy
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.config import NoCConfig
 from repro.core.allocation_comparator import AllocationComparator
@@ -53,6 +54,8 @@ from repro.types import (
 #: Effectively infinite credit for the ejection (LOCAL output) channels:
 #: the NI sinks flits immediately.
 EJECTION_CREDITS = 1 << 30
+#: The output stage's "no port busy" answer while no replay work is pending.
+_NO_PORTS: AbstractSet[int] = frozenset()
 
 
 class InputVC:
@@ -139,12 +142,21 @@ class Router:
         #: Telemetry bus (``repro.telemetry``), wired by the Network when
         #: telemetry is enabled; every publish site guards on None.
         self.telemetry = None
-        P = config.num_ports
-        V = config.num_vcs
+        self._P = P = config.num_ports
+        self._V = V = config.num_vcs
 
         self.inputs: List[List[InputVC]] = [
             [InputVC(p, v, config.vc_buffer_depth) for v in range(V)] for p in range(P)
         ]
+        #: ``inputs`` flattened: ``_ivcs[port * V + vc]``.
+        self._ivcs: List[InputVC] = [ivc for vcs in self.inputs for ivc in vcs]
+        #: Occupancy index: ascending ``port * V + vc`` of every non-empty
+        #: input VC (receive adds, compute prunes, teardown rebuilds), so
+        #: per-cycle work follows the flits in ``inputs``' visit order.
+        self._occ: List[int] = []
+        #: Set whenever an output channel may hold replay or absorption
+        #: flits; the output stage clears it once that work has drained.
+        self._pending_output = False
         self.outputs: List[List[OutputChannel]] = [
             [
                 OutputChannel(
@@ -258,6 +270,7 @@ class Router:
         if nack.kind == "link":
             added = channel.rollback(nack.seq)
             if added:
+                self._pending_output = True
                 self.stats.count("retransmission_rounds")
                 self.stats.count("link_errors_corrected")
                 self.stats.count("flits_retransmitted", added)
@@ -305,6 +318,7 @@ class Router:
             ivc = self.inputs[owner[0]][owner[1]]
             ivc.buffer.push_rollback(flits)
             ivc.reset_pipeline()
+            self._mark_occupied(owner[0] * self._V + owner[1])
         else:
             raise ValueError(f"unknown NACK kind {nack.kind!r}")
 
@@ -355,7 +369,7 @@ class Router:
         if probe.hops >= self._probe_hop_limit:
             self.stats.count("probes_hop_limited")
             return
-        if not 0 <= probe.target_vc < self.config.num_vcs:
+        if not 0 <= probe.target_vc < self._V:
             return
         ivc = self.inputs[port][probe.target_vc]
         blocked = not ivc.buffer.is_empty and ivc.blocked_cycles >= 1
@@ -526,10 +540,18 @@ class Router:
         ivc.expected_seq += 1
         ivc.nack_retries = 0
         ivc.buffer.push(flit)
+        self._mark_occupied(port * self._V + transfer.vc)
         if flit.is_head:
             ivc.last_head_packet_id = flit.packet_id
             ivc.drain_until_head = False
         self.stats.energy_event("buffer_write")
+
+    def _mark_occupied(self, index: int) -> None:
+        """Add input VC ``port * V + vc`` to the occupancy index, in order."""
+        occ = self._occ
+        at = bisect_left(occ, index)
+        if at == len(occ) or occ[at] != index:
+            occ.insert(at, index)
 
     def _materialize_corruption(self, flit: Flit, severity: Corruption) -> Flit:
         """Land an in-transit upset in the flit's fields (header-aware)."""
@@ -556,15 +578,15 @@ class Router:
         """Run the pipeline for one cycle; returns link sends (for stats)."""
         if self.dead:
             return 0
-        # One scan builds the working set; every stage iterates only VCs
-        # that actually hold flits (the common case is an idle VC).
-        occupied = [
-            ivc
-            for port_vcs in self.inputs
-            for ivc in port_vcs
-            if not ivc.buffer.is_empty
-        ]
-        ports_link_busy = self._output_stage(cycle)
+        # Every stage iterates only VCs that hold flits (the common case is
+        # an idle VC): the occupancy index, not a scan, names them.  An
+        # entry whose VC was emptied outside the pipeline is dropped here.
+        ivcs = self._ivcs
+        self._occ = occ = [i for i in self._occ if not ivcs[i].buffer.is_empty]
+        occupied = [ivcs[index] for index in occ]
+        ports_link_busy = (
+            self._output_stage(cycle) if self._pending_output else _NO_PORTS
+        )
         if self.deadlock is not None:
             self._probe_stage(cycle, occupied)
         self._rt_stage(cycle, occupied)
@@ -576,7 +598,7 @@ class Router:
 
     # -- output stage: replay and absorption drains have link priority ----
 
-    def _output_stage(self, cycle: int) -> Set[int]:
+    def _output_stage(self, cycle: int) -> AbstractSet[int]:
         busy: Set[int] = set()
         for port, channels in enumerate(self.outputs):
             link = self.out_links[port]
@@ -601,6 +623,7 @@ class Router:
                         break
             if sent:
                 busy.add(port)
+        self._pending_output = self._scan_pending_output()
         return busy
 
     def _transmit(
@@ -756,7 +779,7 @@ class Router:
             return
         if self.injector.routing_upset(cycle, self.node):
             wrong = self.injector.misdirect(
-                directions, [Direction(p) for p in range(self.config.num_ports)]
+                directions, [Direction(p) for p in range(self._P)]
             )
             candidates = [int(wrong)]
         # Local catch (Section 4.2): the VA state table knows edge/blocked
@@ -804,7 +827,7 @@ class Router:
         local_port = int(Direction.LOCAL)
         requests: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
         candidates_map: Dict[Tuple[int, int], List[int]] = {}
-        V = self.config.num_vcs
+        V = self._V
         for ivc in occupied:
             if ivc.state is not VCState.WAITING_VA:
                 continue
@@ -823,15 +846,14 @@ class Router:
         if not requests:
             return
 
-        reserved = {
-            (p, v): self.outputs[p][v].is_allocated
-            for p in range(self.config.num_ports)
-            for v in range(V)
-        }
-        available = {
-            out: not taken and not self.outputs[out[0]][out[1]].dead
-            for out, taken in reserved.items()
-        }
+        # Availability only for the output VCs actually requested.
+        outputs = self.outputs
+        available: Dict[Tuple[int, int], bool] = {}
+        for outs in requests.values():
+            for out in outs:
+                if out not in available:
+                    channel = outputs[out[0]][out[1]]
+                    available[out] = channel.allocated_to is None and not channel.dead
         grants = self.va.allocate(requests, available)
         if not grants:
             if self.telemetry is not None:
@@ -843,17 +865,21 @@ class Router:
         # Fault injection: perturb grants per Section 4.1's scenarios.  As
         # with the SA path, the AC's comparisons provably pass on clean
         # grants, so they are only evaluated when a fault could have struck.
-        perturbable = bool(self.injector._rate_va)
-        if perturbable:
+        # Only VA faults and the AC read the full reservation map.
+        if self.injector._rate_va:
+            reserved = {
+                (p, v): outputs[p][v].is_allocated
+                for p in range(self._P)
+                for v in range(V)
+            }
             grants = self._perturb_va_grants(cycle, grants, reserved)
-
-        if self.ac is not None and perturbable:
-            self.stats.energy_event("ac_check")
-            errors = self.ac.check_va(grants, candidates_map, reserved)
-            flagged = {e.requester for e in errors}
-            if flagged:
-                self.stats.count("va_errors_corrected", len(flagged))
-                grants = {k: v for k, v in grants.items() if k not in flagged}
+            if self.ac is not None:
+                self.stats.energy_event("ac_check")
+                errors = self.ac.check_va(grants, candidates_map, reserved)
+                flagged = {e.requester for e in errors}
+                if flagged:
+                    self.stats.count("va_errors_corrected", len(flagged))
+                    grants = {k: v for k, v in grants.items() if k not in flagged}
 
         if self.telemetry is not None:
             failed = len(requests) - len(grants)
@@ -881,7 +907,7 @@ class Router:
         grants: Dict[Tuple[int, int], Tuple[int, int]],
         reserved: Dict[Tuple[int, int], bool],
     ) -> Dict[Tuple[int, int], Tuple[int, int]]:
-        V = self.config.num_vcs
+        V = self._V
         perturbed = dict(grants)
         reserved_list = [out for out, taken in reserved.items() if taken]
         for requester, (out_port, out_vc) in grants.items():
@@ -898,7 +924,7 @@ class Router:
                 perturbed[requester] = (out_port, (out_vc + 1) % V)
             elif scenario == "wrong_pc":
                 others = [
-                    p for p in range(self.config.num_ports) if p != out_port
+                    p for p in range(self._P) if p != out_port
                 ]
                 wrong_port = self.injector.choice(others)
                 perturbed[requester] = (wrong_port, out_vc)  # type: ignore[assignment]
@@ -907,7 +933,7 @@ class Router:
     # -- SA / ST stage ----------------------------------------------------------
 
     def _sa_stage(
-        self, cycle: int, ports_link_busy: Set[int], occupied: List[InputVC]
+        self, cycle: int, ports_link_busy: AbstractSet[int], occupied: List[InputVC]
     ) -> int:
         in_recovery = self.deadlock is not None and self.deadlock.in_recovery(cycle)
         bids: Dict[Tuple[int, int], int] = {}
@@ -970,8 +996,8 @@ class Router:
 
     def _channel_of(self, ivc: InputVC) -> Optional[OutputChannel]:
         if not (
-            0 <= ivc.out_port < self.config.num_ports
-            and 0 <= ivc.out_vc < self.config.num_vcs
+            0 <= ivc.out_port < self._P
+            and 0 <= ivc.out_vc < self._V
         ):
             return None
         return self.outputs[ivc.out_port][ivc.out_vc]
@@ -983,7 +1009,7 @@ class Router:
     ) -> List[Tuple[Tuple[int, int], int]]:
         granted = dict(pairs)
         occupied_ports = set(granted.values())
-        P = self.config.num_ports
+        P = self._P
         result = list(pairs)
 
         def replace(requester: Tuple[int, int], new_port: int) -> None:
@@ -1024,7 +1050,7 @@ class Router:
         self,
         cycle: int,
         pairs: List[Tuple[Tuple[int, int], int]],
-        ports_link_busy: Set[int],
+        ports_link_busy: AbstractSet[int],
         in_recovery: bool,
     ) -> int:
         """Fault-free switch traversal: no collisions, no strays, no hook.
@@ -1057,6 +1083,7 @@ class Router:
                 sends += 1
             elif in_recovery and out_port != local and channel.absorption_capacity > 0:
                 channel.absorb(flit)
+                self._pending_output = True
                 self.stats.count("recovery_forwards")
                 energy("retx_write")
             else:
@@ -1073,7 +1100,7 @@ class Router:
         self,
         cycle: int,
         pairs: List[Tuple[Tuple[int, int], int]],
-        ports_link_busy: Set[int],
+        ports_link_busy: AbstractSet[int],
         in_recovery: bool,
     ) -> int:
         """Pop winners' flits, traverse the crossbar, drive the outputs."""
@@ -1129,6 +1156,7 @@ class Router:
                     sends += 1
                 elif in_recovery and channel.absorption_capacity > 0:
                     channel.absorb(flit)
+                    self._pending_output = True
                     self.stats.count("recovery_forwards")
                     self.stats.energy_event("retx_write")
                 else:
@@ -1152,7 +1180,7 @@ class Router:
                         # Multicast copy: duplicate the flit object so the
                         # real stream's copy is not aliased.
                         stray = copy(flit)
-                    link.send_flit(cycle, min(flit.seq, self.config.num_vcs - 1), -1, stray, corruption)
+                    link.send_flit(cycle, min(flit.seq, self._V - 1), -1, stray, corruption)
                     sends += 1
                 self.stats.count("sa_misdirected_flits")
         return sends
@@ -1225,8 +1253,9 @@ class Router:
     def on_output_dead(self, cycle: int, port: int) -> List[Flit]:
         """The link leaving ``port`` died: kill every channel crossing it."""
         lost: List[Flit] = []
-        for vc in range(self.config.num_vcs):
+        for vc in range(self._V):
             lost.extend(self._kill_output_channel(cycle, port, vc))
+        self._reindex()
         return lost
 
     def on_input_dead(self, cycle: int, port: int) -> List[Flit]:
@@ -1251,6 +1280,7 @@ class Router:
                         self.casualty_hook(ivc.last_head_packet_id)
             elif ivc.buffer.is_empty:
                 ivc.reset_pipeline()
+        self._reindex()
         return lost
 
     def on_vc_dead(self, cycle: int, port: int, vc: int) -> List[Flit]:
@@ -1271,38 +1301,87 @@ class Router:
                 self.casualty_hook(ivc.last_head_packet_id)
         else:
             ivc.reset_pipeline()
+        self._reindex()
         return flits
 
     def on_router_dead(self, cycle: int) -> List[Flit]:
         """The whole router died: every buffer and channel goes with it."""
         self.dead = True
         lost: List[Flit] = []
-        for port in range(self.config.num_ports):
-            for vc in range(self.config.num_vcs):
+        for port in range(self._P):
+            for vc in range(self._V):
                 lost.extend(self._kill_output_channel(cycle, port, vc))
         for port_vcs in self.inputs:
             for ivc in port_vcs:
                 ivc.dead = True
                 lost.extend(self._flush_input_vc(cycle, ivc, credit=False))
+        self._reindex()
         return lost
+
+    def _reindex(self) -> None:
+        """Rebuild the occupancy index and the pending-output flag by a full
+        scan: teardown empties buffers and queues outside the pipeline."""
+        self._occ = [i for i, ivc in enumerate(self._ivcs) if not ivc.buffer.is_empty]
+        self._pending_output = self._scan_pending_output()
+
+    def _scan_pending_output(self) -> bool:
+        return any(
+            channel.has_pending_output
+            for channels in self.outputs
+            for channel in channels
+        )
+
+    def activity_index_problems(self) -> List[str]:
+        """Check the occupancy index and pending-output flag against a full
+        scan; an empty list means they cover all of this router's work.
+
+        Both may over-approximate — an indexed VC that is empty, a flag
+        with nothing behind it: ``compute`` drops the entry from its
+        snapshot and the output stage clears the flag, so neither changes
+        a run (and a run never produces either).  Missing work is the bug:
+        the pipeline would skip flits it holds.
+        """
+        problems: List[str] = []
+        occ = self._occ
+        if occ != sorted(set(occ)):
+            problems.append(f"occupancy index {occ} is not strictly ascending")
+        missing = [
+            ivc.key
+            for index, ivc in enumerate(self._ivcs)
+            if not ivc.buffer.is_empty and index not in occ
+        ]
+        if missing:
+            problems.append(f"input VCs {missing} hold flits but are not indexed")
+        if not self._pending_output and self._scan_pending_output():
+            problems.append(
+                "an output channel holds replay or absorption flits but the "
+                "pending-output flag is clear"
+            )
+        return problems
 
     # -- bookkeeping -------------------------------------------------------
 
     def _update_blocked_counters(self, occupied: List[InputVC]) -> None:
-        for ivc in occupied:
+        """Age the blocked counters and prune the occupancy index: within
+        a cycle compute only empties or refills VCs of its own snapshot."""
+        live: List[int] = []
+        for index, ivc in zip(self._occ, occupied):
+            empty = ivc.buffer.is_empty
             if ivc.sent_this_cycle:
                 ivc.blocked_cycles = 0
                 ivc.sent_this_cycle = False
-            elif not ivc.buffer.is_empty:
+            elif not empty:
                 ivc.blocked_cycles += 1
+            if not empty:
+                live.append(index)
+        self._occ = live
 
     # -- introspection (stats / tests) ----------------------------------------
 
     @property
     def buffered_flits(self) -> int:
-        return sum(
-            ivc.buffer.total_flits for port_vcs in self.inputs for ivc in port_vcs
-        )
+        ivcs = self._ivcs
+        return sum(ivcs[index].buffer.total_flits for index in self._occ)
 
     @property
     def retx_pending_flits(self) -> int:
@@ -1331,24 +1410,18 @@ class Router:
     def retx_capacity(self) -> int:
         ports = sum(
             1
-            for port in range(self.config.num_ports)
+            for port in range(self._P)
             if port != int(Direction.LOCAL) and self.out_links[port] is not None
         )
-        return ports * self.config.num_vcs * self.config.retx_buffer_depth
+        return ports * self._V * self.config.retx_buffer_depth
 
     @property
     def has_traffic(self) -> bool:
         # Hot on the activity-driven path (checked once per active router
-        # per cycle); short-circuits instead of summing full occupancies.
-        for port_vcs in self.inputs:
-            for ivc in port_vcs:
-                if not ivc.buffer.is_empty:
-                    return True
-        for channels in self.outputs:
-            for channel in channels:
-                if channel.has_pending_output:
-                    return True
-        return False
+        # per cycle): the index and the flag answer without a scan.
+        return bool(self._occ) or (
+            self._pending_output and self._scan_pending_output()
+        )
 
     def __repr__(self) -> str:
         return f"Router(node={self.node}, buffered={self.buffered_flits})"

@@ -1,56 +1,8 @@
-"""Tests for parity codes and the TMR voter (Section 4.6)."""
+"""Tests for the TMR voter (Section 4.6)."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.coding.parity import ParityCode, tmr_vote
-
-
-class TestParityCode:
-    def test_even_parity_roundtrip(self):
-        code = ParityCode(8)
-        for data in (0, 1, 0xFF, 0xA5):
-            word = code.encode(data)
-            assert code.check(word)
-            assert code.extract(word) == data
-
-    def test_odd_parity(self):
-        code = ParityCode(4, even=False)
-        word = code.encode(0b0000)
-        assert code.check(word)
-        # Odd parity of zero data means the parity bit must be set.
-        assert word >> 4 == 1
-
-    def test_detects_single_bit_error(self):
-        code = ParityCode(8)
-        word = code.encode(0x5A)
-        for bit in range(9):
-            assert not code.check(word ^ (1 << bit))
-
-    def test_misses_double_bit_error(self):
-        # Documented limitation: parity detects only odd error counts.
-        code = ParityCode(8)
-        word = code.encode(0x5A)
-        assert code.check(word ^ 0b11)
-
-    def test_rejects_oversized(self):
-        code = ParityCode(4)
-        with pytest.raises(ValueError):
-            code.encode(16)
-        with pytest.raises(ValueError):
-            code.check(1 << 5)
-
-    def test_rejects_zero_width(self):
-        with pytest.raises(ValueError):
-            ParityCode(0)
-
-    @given(data=st.integers(min_value=0, max_value=2**16 - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_roundtrip_property(self, data):
-        code = ParityCode(16)
-        word = code.encode(data)
-        assert code.check(word) and code.extract(word) == data
+from repro.coding.parity import tmr_vote
 
 
 class TestTmrVote:

@@ -16,7 +16,7 @@ import pytest
 
 from repro.config import FaultConfig, NoCConfig, SimulationConfig, WorkloadConfig
 from repro.faults.permanent import PermanentFault, PermanentFaultSchedule
-from repro.noc.simulator import run_simulation
+from repro.noc.simulator import Simulator, run_simulation
 from repro.types import Direction, FaultSite, RoutingAlgorithm
 from tests.conftest import reference_loop
 
@@ -75,3 +75,22 @@ def test_fault_storm_loops_bit_identical():
     assert fast.packets_lost == full.packets_lost
     assert fast.avg_latency == full.avg_latency
     assert fast.counters == full.counters
+
+
+def test_activity_bookkeeping_survives_permanent_teardown():
+    """Every teardown path — the dead-on-arrival link, then the link, VC
+    and router deaths mid-run — leaves each router's occupancy index and
+    pending-output flag covering its work and the active sets covering
+    every router, checked after every cycle (activity-driven loop: the
+    reference loop never feeds the active sets)."""
+    sim = Simulator(storm_config())
+    net = sim.network
+    while net.cycle < 600 and sim.should_continue():
+        sim.advance()
+        net.verify_activity_invariants()
+        for router in net.routers:  # and no stale entry survives a cycle
+            assert router._occ == [
+                index for index, ivc in enumerate(router._ivcs) if len(ivc.buffer)
+            ]
+    assert net.cycle == 600
+    assert net.stats.counter("permanent_faults_applied") == len(STORM_SCHEDULE)

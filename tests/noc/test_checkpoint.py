@@ -297,7 +297,7 @@ class TestContainerFormat:
         """A file written before the config became canonical (version 1,
         legacy config in the header) is a typed error — raised from the
         header, so its stale object graph is never unpickled."""
-        assert CHECKPOINT_VERSION == 4
+        assert CHECKPOINT_VERSION == 5
         self._assert_refused_from_the_header(
             tmp_path, 1, {"noc": {"width": 4, "height": 4}, "activity_driven": True}
         )
@@ -313,6 +313,13 @@ class TestContainerFormat:
         kernel; same typed error."""
         self._assert_refused_from_the_header(
             tmp_path, 3, {"noc": {"shape": [4, 4]}, "backend": "object"}
+        )
+
+    def test_v4_checkpoint_is_refused_before_unpickling(self, tmp_path):
+        """Version 4 routers carry no occupancy index or pending-output
+        flag; same typed error."""
+        self._assert_refused_from_the_header(
+            tmp_path, 4, {"noc": {"shape": [4, 4]}, "backend": "object"}
         )
 
     def test_overwrite_is_atomic_no_tmp_left_behind(self, tmp_path):
