@@ -28,7 +28,6 @@ from repro.analysis.linter import (
     cdg_verdict_for,
     lint_config,
     lint_dict,
-    lint_path,
     lint_paths,
 )
 from repro.analysis.rules import LintContext, iter_rules, rule_catalogue
@@ -48,7 +47,6 @@ __all__ = [
     "iter_rules",
     "lint_config",
     "lint_dict",
-    "lint_path",
     "lint_paths",
     "rule_catalogue",
     "verify_deadlock_freedom",

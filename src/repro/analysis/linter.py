@@ -7,8 +7,8 @@ Entry points:
 * :func:`lint_dict` — lint a raw serialized config dict; range errors the
   constructors would raise become ``NOC000`` diagnostics instead of
   tracebacks.
-* :func:`lint_path` / :func:`lint_paths` — lint JSON config files or
-  directories of them (the ``repro lint`` CLI).
+* :func:`lint_paths` — lint JSON config files or directories of them
+  (the ``repro lint`` CLI).
 
 The channel-dependency-graph verdict is memoized (``_CDG_CACHE``) because
 campaign grids lint hundreds of variants that share a platform.
@@ -141,11 +141,6 @@ def lint_dict(
     except (ValueError, TypeError, KeyError) as exc:
         rejection = exc
     return _lint(data, config, rejection, cdg, source)
-
-
-def lint_path(path: Union[str, Path], *, cdg: bool = True) -> DiagnosticReport:
-    """Lint one JSON config file, or every ``*.json`` under a directory."""
-    return lint_paths([path], cdg=cdg)
 
 
 def config_files(path: Union[str, Path]) -> List[Path]:

@@ -201,12 +201,14 @@ def load_config(source: Optional[ConfigLike] = None, **overrides: Any) -> Simula
     ``source`` may be an existing config (returned as-is unless overridden),
     a serialized dict, a path to a JSON config file, or a JSON string.
     Keyword overrides use the flat names scripts actually vary:
-    ``shape, link_latency, vcs, routing, scheme, rate, messages, warmup,
-    seed, max_cycles, pattern, link_error_rate, telemetry,
-    metrics_interval`` — any :class:`NoCConfig`/:class:`WorkloadConfig`
-    field name also works.  ``shape`` accepts a tuple or the CLI's
-    ``"4x4x4"`` grammar; ``link_latency`` accepts an int, a per-axis
-    tuple, or ``"1,1,2"``.
+    ``shape, link_latency, vcs, buffer_depth, flits, retx_depth, routing,
+    scheme, rate, messages, warmup, seed, max_cycles, pattern,
+    link_error_rate, faults, telemetry, metrics_interval`` — any
+    :class:`NoCConfig`/:class:`WorkloadConfig` field name also works, as do
+    the top-level ``backend, invariant_checks, collect_utilization,
+    payload_ecc_check, checkpoint_interval, checkpoint_path``.  ``shape``
+    accepts a tuple or the CLI's ``"4x4x4"`` grammar; ``link_latency``
+    accepts an int, a per-axis tuple, or ``"1,1,2"``.
 
     ``telemetry`` accepts a :class:`TelemetryConfig`, a dict, or ``True``
     (enable with defaults); ``faults`` accepts a :class:`FaultConfig` or a
@@ -298,7 +300,6 @@ def _apply_overrides(data: Dict[str, Any], overrides: Dict[str, Any]) -> None:
         elif key in (
             "invariant_checks",
             "backend",
-            "collect_power",
             "collect_utilization",
             "payload_ecc_check",
             "checkpoint_interval",
@@ -372,18 +373,15 @@ def run(
 def resume(
     path: Union[str, Path],
     *,
-    backend: Optional[str] = None,
     telemetry_path: Optional[Union[str, Path]] = None,
 ) -> SimulationResult:
     """Finish an interrupted run from its checkpoint file.
 
     Bit-for-bit equivalent to never having been interrupted (see
-    docs/CHECKPOINTING.md).  A checkpoint resumes on the backend that
-    wrote it; pass ``backend`` to assert which one that is (a mismatch
-    raises :class:`CheckpointError` — cross-backend resume is
-    unsupported).  ``telemetry_path`` exports the NDJSON stream after
-    completion, exactly as :func:`run` would have."""
-    sim = load_checkpoint(path, backend=backend)
+    docs/CHECKPOINTING.md), on the engine that wrote the checkpoint.
+    ``telemetry_path`` exports the NDJSON stream after completion, exactly
+    as :func:`run` would have."""
+    sim = load_checkpoint(path)
     result = sim.run()
     if telemetry_path is not None and result.telemetry is not None:
         write_ndjson(

@@ -14,7 +14,7 @@ docs/CHECKPOINTING.md the design note).
 File format (magic + versioned JSON header + pickle payload + checksum)::
 
     REPRO-CKPT\\n
-    {"schema": "repro/v1", "checkpoint_version": 4, "cycle": ..., ...}\\n
+    {"schema": "repro/v1", "checkpoint_version": 6, "cycle": ..., ...}\\n
     <pickle bytes>
 
 The header is readable without unpickling (:func:`read_checkpoint_header`)
@@ -35,7 +35,7 @@ import json
 import os
 import pickle
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Union
 
 from repro.noc.simulator import Simulator
 from repro.serialization import config_to_dict
@@ -54,7 +54,7 @@ MAGIC = b"REPRO-CKPT\n"
 #: Bumped whenever the pickled object graph changes shape incompatibly.
 #: Loaders accept exactly their own version — see docs/CHECKPOINTING.md
 #: for the compatibility policy.
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 #: Pinned so checkpoints written by newer Pythons stay readable by the
 #: oldest supported interpreter (3.9 < protocol 5's default adoption).
@@ -146,34 +146,17 @@ def read_checkpoint_header(path: Union[str, Path]) -> Dict[str, Any]:
         return _read_header(fh, path)
 
 
-def load_checkpoint(
-    path: Union[str, Path], *, backend: Optional[str] = None
-) -> Simulator:
+def load_checkpoint(path: Union[str, Path]) -> Simulator:
     """Restore a :class:`Simulator` from ``path``, verifying the payload
     checksum first.  The returned simulator carries ``resumed_from_cycle``
     and finishes the run via ``sim.run()`` exactly as the original would
-    have.
-
-    A checkpoint always resumes on the backend that wrote it (recorded in
-    the header's config).  Pass ``backend`` to *assert* which backend that
-    is: a mismatch raises :class:`CheckpointError` before unpickling.
-    Cross-backend resume is deliberately unsupported — the two backends
-    snapshot different state shapes, and a silent conversion could not be
-    bit-for-bit audited (see docs/CHECKPOINTING.md)."""
+    have, on the engine that wrote it (the pickled graph is that engine's
+    state)."""
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"{path}: no such checkpoint")
     with open(path, "rb") as fh:
         header = _read_header(fh, path)
-        if backend is not None:
-            recorded = header.get("config", {}).get("backend", "object")
-            if backend != recorded:
-                raise CheckpointError(
-                    f"{path}: checkpoint was written by the {recorded!r} "
-                    f"backend but backend={backend!r} was requested; "
-                    "cross-backend resume is not supported — resume on the "
-                    "recorded backend, or restart from the original config"
-                )
         payload = fh.read()
     expected_bytes = header.get("payload_bytes")
     if expected_bytes is not None and len(payload) != expected_bytes:

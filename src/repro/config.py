@@ -161,7 +161,6 @@ class NoCConfig:
     duplicate_retx_buffers: bool = False
     handshake_tmr: bool = True
     max_nack_retries: int = 8
-    flit_width_bits: int = 64
     link_latency: LatencySpec = 1
 
     def __post_init__(self) -> None:
@@ -475,7 +474,6 @@ class SimulationConfig:
     noc: NoCConfig = field(default_factory=NoCConfig)
     faults: FaultConfig = field(default_factory=FaultConfig.fault_free)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
-    collect_power: bool = True
     collect_utilization: bool = False
     payload_ecc_check: bool = False
     invariant_checks: bool = False

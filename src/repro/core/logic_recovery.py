@@ -2,9 +2,10 @@
 
 The paper analyses, for each router component and each pipeline depth, how
 many cycles an AC-detected (or neighbour-detected) soft error costs.  This
-module encodes that analysis as a small queryable model; the simulator's
-observed per-event penalties are validated against it in the tests, and the
-Section 4 ablation benches use it to predict latency overheads analytically.
+module encodes that analysis as a small queryable model (DESIGN S8), the
+paper's table in code.  Its own tests pin each entry to the paper; no test
+compares the simulator's observed per-event penalties against it, and no
+experiment reads it.
 
 Summary of the paper's analysis (n = pipeline stages):
 

@@ -2,8 +2,9 @@
 
 Not itself a paper figure, but the standard NoC curve the paper's
 injection-rate axis lives on: average latency versus offered load for the
-deterministic (DT/XY) and adaptive (AD/west-first) routing algorithms, and
-the measured saturation point of each.  ``run_hbh_overhead`` uses it to
+deterministic (DT/XY) and adaptive (AD/west-first) routing algorithms, with
+claims that the sweep spans each one's knee (``tools/record.py`` records
+them in ``CLAIMS_paper.json``).  ``run_hbh_overhead`` uses it to
 quantify how the fault-tolerance machinery shifts (or does not shift)
 latency when no error occurs.
 """
@@ -34,18 +35,6 @@ class LoadPoint:
 class SaturationCurve:
     algorithm: str
     points: List[LoadPoint]
-
-    def saturation_rate(self, factor: float = 3.0) -> Optional[float]:
-        """First offered load where latency exceeds ``factor`` x the
-        zero-load latency (a standard saturation criterion), or None if the
-        sweep never saturates."""
-        if not self.points:
-            return None
-        base = self.points[0].avg_latency
-        for point in self.points:
-            if point.avg_latency > factor * base or point.hit_cycle_limit:
-                return point.injection_rate
-        return None
 
     def peak_throughput(self) -> float:
         return max(p.throughput for p in self.points)
@@ -136,23 +125,3 @@ def overhead_claims(curves: Dict[str, SaturationCurve]) -> List[Claim]:
         )
         for bare, hbh in zip(curves["none"].points, curves["hbh"].points)
     ]
-
-
-def main() -> None:
-    curves = run_saturation()
-    for name, curve in curves.items():
-        print(f"{name}:")
-        for p in curve.points:
-            flag = "  (saturated)" if p.hit_cycle_limit else ""
-            print(
-                f"  rate {p.injection_rate:5.2f}: latency {p.avg_latency:8.2f}"
-                f"  throughput {p.throughput:.3f}{flag}"
-            )
-        sat = curve.saturation_rate()
-        print(f"  -> saturation at ~{sat if sat is not None else '>max'} "
-              f"flits/node/cycle, peak throughput {curve.peak_throughput():.3f}")
-        print()
-
-
-if __name__ == "__main__":
-    main()

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Dict, Optional
 
 from repro.config import SimulationConfig
 from repro.noc.network import Network
 from repro.noc.packet import Packet
 from repro.power.energy import EnergyModel
 from repro.telemetry.report import TelemetryReport
-from repro.traffic.injection import InjectionProcess, PeriodicInjection
-from repro.traffic.patterns import TrafficPattern, make_traffic_pattern
+from repro.traffic.injection import PeriodicInjection
+from repro.traffic.patterns import make_traffic_pattern
 
 
 @dataclass
@@ -57,21 +57,6 @@ class SimulationResult:
     def counter(self, name: str) -> int:
         return self.counters.get(name, 0)
 
-    def to_dict(self, include_config: bool = True) -> Dict[str, Any]:
-        """JSON-safe dict form (see :func:`repro.serialization.result_to_dict`)."""
-        from repro.serialization import result_to_dict
-
-        return result_to_dict(self, include_config=include_config)
-
-    @classmethod
-    def from_dict(
-        cls, data: Dict[str, Any], config: Optional[SimulationConfig] = None
-    ) -> "SimulationResult":
-        """Inverse of :meth:`to_dict` (telemetry reports do not round-trip)."""
-        from repro.serialization import result_from_dict
-
-        return result_from_dict(data, config=config)
-
     def summary_lines(self) -> str:
         lines = [
             f"cycles                 {self.cycles}",
@@ -88,25 +73,19 @@ class SimulationResult:
 class Simulator:
     """Drives a :class:`Network` with generated traffic to completion."""
 
-    def __init__(
-        self,
-        config: SimulationConfig,
-        pattern: Optional[TrafficPattern] = None,
-        injection: Optional[InjectionProcess] = None,
-        energy_model: Optional[EnergyModel] = None,
-    ):
+    def __init__(self, config: SimulationConfig):
         self.config = config
         self.network = Network(config)
         self.rng = random.Random(config.workload.seed)
-        self.pattern = pattern or make_traffic_pattern(
+        self.pattern = make_traffic_pattern(
             config.workload.pattern, self.network.topology
         )
-        self.injection = injection or PeriodicInjection(
+        self.injection = PeriodicInjection(
             config.noc.num_nodes,
             config.workload.injection_rate,
             config.noc.flits_per_packet,
         )
-        self.energy_model = energy_model or EnergyModel()
+        self.energy_model = EnergyModel()
         self._next_packet_id = 0
         #: Set while :meth:`should_continue` trips the max_cycles guard, so
         #: a resumed run rebuilds the same result as an uninterrupted one.
@@ -242,7 +221,7 @@ class Simulator:
         self.network.finalize_stats()
         stats = self.network.stats
         energy_events = dict(stats.energy_events)
-        if self.config.collect_power and stats.measured_packets:
+        if stats.measured_packets:
             energy = self.energy_model.energy_per_packet_nj(
                 energy_events, stats.measured_packets
             )
@@ -271,17 +250,6 @@ class Simulator:
         )
 
 
-def run_simulation(
-    config: SimulationConfig,
-    *,
-    pattern: Optional[TrafficPattern] = None,
-    injection: Optional[InjectionProcess] = None,
-    energy_model: Optional[EnergyModel] = None,
-) -> SimulationResult:
+def run_simulation(config: SimulationConfig) -> SimulationResult:
     """One-call convenience wrapper used by examples and benchmarks."""
-    return Simulator(
-        config,
-        pattern=pattern,
-        injection=injection,
-        energy_model=energy_model,
-    ).run()
+    return Simulator(config).run()

@@ -3,10 +3,10 @@
 The paper evaluates an 8x8 MESH (Section 2.2); the torus is provided as the
 natural extension (the tornado traffic pattern of [19] originates there) and
 for ablation studies.  Both generalize to N dimensions via ``shape=``:
-``MeshTopology(shape=(4, 4, 4))`` is a 3D mesh whose vertical (TSV)
-channels use the :attr:`~repro.types.Direction.UP`/``DOWN`` ports, and
-:class:`Mesh3D`/:class:`Torus3D` are the ready-made 3D instantiations with
-slower vertical links (docs/TOPOLOGY.md).
+``MeshTopology(shape=(4, 4, 4), link_latency=(1, 1, 2))`` is a 3D mesh
+whose vertical (TSV) channels use the
+:attr:`~repro.types.Direction.UP`/``DOWN`` ports and take two cycles a hop
+(docs/TOPOLOGY.md).
 
 A topology answers purely structural questions: node-id/coordinate mapping,
 which ports are connected, who the neighbor on a port is, and how many
@@ -73,19 +73,8 @@ class PortGraph(Protocol):
     def arrival_port(self, node: Any, port: Any) -> Optional[Any]: ...
 
 
-def _normalize_shape(
-    width: Optional[int],
-    height: Optional[int],
-    shape: Optional[Sequence[int]],
-) -> Tuple[int, ...]:
-    if shape is not None:
-        if width is not None or height is not None:
-            raise ValueError("pass either shape= or width/height, not both")
-        dims = tuple(int(d) for d in shape)
-    else:
-        if width is None or height is None:
-            raise ValueError("a mesh needs width and height (or shape=)")
-        dims = (int(width), int(height))
+def _normalize_shape(shape: Sequence[int]) -> Tuple[int, ...]:
+    dims = tuple(int(d) for d in shape)
     if len(dims) not in (2, 3):
         raise ValueError(
             f"only 2D and 3D topologies are supported, got shape {dims}"
@@ -111,7 +100,7 @@ def _normalize_latency(spec: LatencySpec, ndim: int) -> Tuple[int, ...]:
 
 
 class MeshTopology:
-    """A ``width`` x ``height`` (x ``depth``) mesh.
+    """A ``shape=(width, height[, depth])`` mesh.
 
     Node ids are row-major with x fastest: ``node = x + width * (y +
     height * z)``; x grows EAST, y grows NORTH and z grows UP, matching
@@ -122,15 +111,8 @@ class MeshTopology:
     (tuple) — the TSV model makes vertical hops slower than planar ones.
     """
 
-    def __init__(
-        self,
-        width: Optional[int] = None,
-        height: Optional[int] = None,
-        *,
-        shape: Optional[Sequence[int]] = None,
-        link_latency: LatencySpec = 1,
-    ):
-        self.shape = _normalize_shape(width, height, shape)
+    def __init__(self, *, shape: Sequence[int], link_latency: LatencySpec = 1):
+        self.shape = _normalize_shape(shape)
         self.axis_latency = _normalize_latency(link_latency, self.ndim)
         dirs: Tuple[Direction, ...] = (
             Direction.NORTH,
@@ -335,39 +317,6 @@ class TorusTopology(MeshTopology):
                 if d >= self.shape[axis] - d:
                     dirs.append(negative)
         return dirs
-
-
-#: Default per-axis hop latency of the shipped 3D topologies: planar links
-#: stay 1-cycle, vertical TSV hops cost 2 (the ``--vlink-slowdown`` model).
-DEFAULT_TSV_LATENCY: Tuple[int, int, int] = (1, 1, 2)
-
-
-class Mesh3D(MeshTopology):
-    """A ``width x height x depth`` 3D mesh with TSV vertical links."""
-
-    def __init__(
-        self,
-        width: int,
-        height: int,
-        depth: int,
-        *,
-        link_latency: LatencySpec = DEFAULT_TSV_LATENCY,
-    ):
-        super().__init__(shape=(width, height, depth), link_latency=link_latency)
-
-
-class Torus3D(TorusTopology):
-    """A ``width x height x depth`` 3D torus with TSV vertical links."""
-
-    def __init__(
-        self,
-        width: int,
-        height: int,
-        depth: int,
-        *,
-        link_latency: LatencySpec = DEFAULT_TSV_LATENCY,
-    ):
-        super().__init__(shape=(width, height, depth), link_latency=link_latency)
 
 
 def make_topology(

@@ -1,16 +1,17 @@
 """Config and result (de)serialization.
 
-Round-trippable dict/JSON forms for :class:`repro.config.SimulationConfig`
-and :class:`repro.noc.simulator.SimulationResult`, so experiment campaigns
-can be scripted, archived and diffed (`python -m repro run --json` uses
-this, as do downstream analysis notebooks).
+Round-trippable JSON-safe dict forms for
+:class:`repro.config.SimulationConfig` and
+:class:`repro.noc.simulator.SimulationResult`, so experiment campaigns can
+be scripted, archived and diffed (`python -m repro run --json` uses this,
+as do downstream analysis notebooks); ``json.dumps``/``json.loads`` are
+the text step.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-from typing import Any, Dict, Mapping
+from typing import Any, Dict, Mapping, Optional
 
 from repro.config import (
     FaultConfig,
@@ -21,6 +22,11 @@ from repro.config import (
 from repro.faults.intermittent import IntermittentFaultSchedule, WearOutConfig
 from repro.faults.permanent import PermanentFaultSchedule
 from repro.noc.simulator import SimulationResult
+from repro.telemetry.bus import (
+    FLIGHT_RECORDER_DEPTH,
+    MAX_EVENTS,
+    SERIES_CAPACITY,
+)
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.export import SCHEMA_VERSION
 from repro.types import FaultSite, LinkProtection, RoutingAlgorithm
@@ -36,10 +42,43 @@ def upgrade_config_dict(data: Mapping[str, Any]) -> Dict[str, Any]:
     * ``noc.width``/``noc.height`` fold into ``noc.shape`` (a missing one
       defaults to 8); giving them *and* ``noc.shape`` is a ``ValueError``
       rather than a silent win for either;
-    * ``activity_driven`` is dropped whatever its value (the loops are
-      bit-for-bit equivalent, so it never changed a result).
+    * ``activity_driven`` and ``noc.flit_width_bits`` are dropped whatever
+      their value (neither ever changed a result);
+    * ``collect_power`` and ``telemetry``'s ``events``, ``series``,
+      ``series_capacity``, ``max_events`` and ``flight_recorder_depth``
+      are dropped at the value every run now uses; any other value would
+      silently change what the run records, so it is a ``ValueError``
+      naming the key.
     """
-    out = {key: value for key, value in data.items() if key != "activity_driven"}
+    # Per section (None is the top level): keys dropped whatever their
+    # value, and retired keys with the constant that replaced each.
+    dropped = {None: ("activity_driven",), "noc": ("flit_width_bits",)}
+    retired: Dict[Optional[str], Dict[str, Any]] = {
+        None: {"collect_power": True},
+        "telemetry": {
+            "events": True,
+            "series": True,
+            "series_capacity": SERIES_CAPACITY,
+            "max_events": MAX_EVENTS,
+            "flight_recorder_depth": FLIGHT_RECORDER_DEPTH,
+        },
+    }
+
+    def strip(section: Mapping[str, Any], name: Optional[str]) -> Dict[str, Any]:
+        out = {k: v for k, v in section.items() if k not in dropped.get(name, ())}
+        for key, constant in retired.get(name, {}).items():
+            if key in out and out.pop(key) != constant:
+                spelled = key if name is None else f"{name}.{key}"
+                raise ValueError(
+                    f"{spelled}={section[key]!r} is no longer configurable: "
+                    f"every run now uses {constant!r}"
+                )
+        return out
+
+    out = strip(data, None)
+    for name in ("noc", "telemetry"):
+        if isinstance(out.get(name), Mapping):
+            out[name] = strip(out[name], name)
     noc = out.get("noc")
     if isinstance(noc, Mapping):
         legacy = [key for key in ("width", "height") if key in noc]
@@ -49,9 +88,7 @@ def upgrade_config_dict(data: Mapping[str, Any]) -> Dict[str, Any]:
                     f"noc.shape and noc.{'/noc.'.join(legacy)} are two "
                     "spellings of one platform; give noc.shape only"
                 )
-            noc = dict(noc)
             noc["shape"] = [noc.pop("width", 8), noc.pop("height", 8)]
-            out["noc"] = noc
     return out
 
 
@@ -83,7 +120,6 @@ def config_to_dict(config: SimulationConfig) -> Dict[str, Any]:
         "noc": noc,
         "faults": faults,
         "workload": dataclasses.asdict(config.workload),
-        "collect_power": config.collect_power,
         "collect_utilization": config.collect_utilization,
         "payload_ecc_check": config.payload_ecc_check,
         "invariant_checks": config.invariant_checks,
@@ -120,7 +156,6 @@ def config_from_dict(data: Dict[str, Any]) -> SimulationConfig:
         noc=NoCConfig(**noc_data),
         faults=faults,
         workload=WorkloadConfig(**data["workload"]),
-        collect_power=data.get("collect_power", True),
         collect_utilization=data.get("collect_utilization", False),
         payload_ecc_check=data.get("payload_ecc_check", False),
         invariant_checks=data.get("invariant_checks", False),
@@ -129,14 +164,6 @@ def config_from_dict(data: Dict[str, Any]) -> SimulationConfig:
         checkpoint_interval=data.get("checkpoint_interval"),
         checkpoint_path=data.get("checkpoint_path"),
     )
-
-
-def config_to_json(config: SimulationConfig, indent: int = 2) -> str:
-    return json.dumps(config_to_dict(config), indent=indent, sort_keys=True)
-
-
-def config_from_json(text: str) -> SimulationConfig:
-    return config_from_dict(json.loads(text))
 
 
 def result_to_dict(
@@ -207,14 +234,6 @@ def result_from_dict(
         energy_events=dict(data.get("energy_events", {})),
         hit_cycle_limit=data.get("hit_cycle_limit", False),
     )
-
-
-def result_to_json(result: SimulationResult, indent: int = 2) -> str:
-    return json.dumps(result_to_dict(result), indent=indent, sort_keys=True)
-
-
-def result_from_json(text: str) -> SimulationResult:
-    return result_from_dict(json.loads(text))
 
 
 def envelope(

@@ -26,6 +26,19 @@ from typing import Any, Deque, Dict, List, Tuple
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.report import TelemetryReport
 
+#: Samples retained per (metric, component) series: each series is a ring
+#: holding only its newest ``SERIES_CAPACITY`` samples.
+SERIES_CAPACITY = 512
+
+#: Events retained per run.  Past the cap further events are dropped
+#: (counted in ``dropped_events``) so a saturation run cannot grow memory
+#: without bound; the flight recorder keeps running regardless.
+MAX_EVENTS = 100_000
+
+#: Length of the last-K-events flight recorder ring dumped for forensics on
+#: deadlock detection or a sanitizer violation.
+FLIGHT_RECORDER_DEPTH = 256
+
 #: Every event kind the simulator publishes.  ``tools/validate_telemetry.py``
 #: and the NDJSON validator reject lines naming anything else, so additions
 #: here must ride with a docs/OBSERVABILITY.md taxonomy entry.
@@ -148,18 +161,13 @@ class TelemetryBus:
         self.events: List[TelemetryEvent] = []
         self.dropped_events = 0
         #: Last-K-events ring for forensics; always on, even past the
-        #: ``max_events`` cap, so the *end* of a pathological run is kept.
-        self.flight: Deque[TelemetryEvent] = deque(
-            maxlen=config.flight_recorder_depth
-        )
+        #: ``MAX_EVENTS`` cap, so the *end* of a pathological run is kept.
+        self.flight: Deque[TelemetryEvent] = deque(maxlen=FLIGHT_RECORDER_DEPTH)
         #: Flight-recorder snapshots taken when a deadlock was detected
         #: (bounded; the first few deadlocks are the interesting ones).
         self.deadlock_snapshots: List[Tuple[int, List[TelemetryEvent]]] = []
         self._max_snapshots = 4
         self._series: Dict[Tuple[str, str], Deque[Tuple[int, float]]] = {}
-        self._series_capacity = config.series_capacity
-        self._events_on = config.events
-        self._series_on = config.series
         self._interval = config.metrics_interval
         self._sampler: Any = None
 
@@ -171,11 +179,9 @@ class TelemetryBus:
         The first three parameters are positional-only so that ``data`` may
         itself carry keys named ``kind`` or ``node`` (e.g. a NACK's
         ``kind="link"``)."""
-        if not self._events_on:
-            return
         event = TelemetryEvent(cycle, kind, node, data)
         self.flight.append(event)
-        if len(self.events) < self.config.max_events:
+        if len(self.events) < MAX_EVENTS:
             self.events.append(event)
         else:
             self.dropped_events += 1
@@ -199,12 +205,11 @@ class TelemetryBus:
         A network carrying a batched kernel gets the kernel's own sampler,
         which reads the flat arrays but emits byte-identical series
         (``repro.noc.kernel.KernelSampler``)."""
-        if self._series_on:
-            kernel = getattr(network, "kernel", None)
-            if kernel is not None:
-                self._sampler = kernel.make_sampler(network.topology)
-            else:
-                self._sampler = _NetworkSampler(network)
+        kernel = getattr(network, "kernel", None)
+        if kernel is not None:
+            self._sampler = kernel.make_sampler(network.topology)
+        else:
+            self._sampler = _NetworkSampler(network)
 
     def on_cycle_end(self, network: Any) -> None:
         """Called by both cycle loops at the end of every cycle (before the
@@ -228,7 +233,7 @@ class TelemetryBus:
         key = (metric, component)
         ring = self._series.get(key)
         if ring is None:
-            ring = deque(maxlen=self._series_capacity)
+            ring = deque(maxlen=SERIES_CAPACITY)
             self._series[key] = ring
         ring.append((cycle, value))
 

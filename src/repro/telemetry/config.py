@@ -15,7 +15,11 @@ from typing import Any, Dict, Optional
 
 @dataclass(frozen=True)
 class TelemetryConfig:
-    """What the telemetry layer records, and how much it may retain.
+    """Whether the telemetry layer records, and how often it samples.
+
+    What it records is fixed: every event and every series, within the
+    memory caps of :mod:`repro.telemetry.bus` (``SERIES_CAPACITY``,
+    ``MAX_EVENTS``, ``FLIGHT_RECORDER_DEPTH``).
 
     Parameters
     ----------
@@ -27,40 +31,14 @@ class TelemetryConfig:
         Cycles between time-series samples.  Every ``metrics_interval``-th
         cycle the bus walks the network once and appends one sample per
         (metric, component) series.
-    series_capacity:
-        Ring-buffer depth per series: only the most recent
-        ``series_capacity`` samples of each series are retained.
-    max_events:
-        Hard cap on retained events.  Once reached, further events are
-        dropped (newest-dropped, counted in ``dropped_events``) so a
-        saturation run cannot grow memory without bound.  The flight
-        recorder keeps running regardless.
-    flight_recorder_depth:
-        Length of the last-K-events flight recorder ring used for
-        forensics dumps on deadlock detection or sanitizer violations.
-    events:
-        Record discrete events (flit drops, NACKs, probes, faults, ...).
-    series:
-        Record sampled time-series (utilization, occupancy, rates, ...).
     """
 
     enabled: bool = False
     metrics_interval: int = 100
-    series_capacity: int = 512
-    max_events: int = 100_000
-    flight_recorder_depth: int = 256
-    events: bool = True
-    series: bool = True
 
     def __post_init__(self) -> None:
         if self.metrics_interval < 1:
             raise ValueError("metrics_interval must be at least one cycle")
-        if self.series_capacity < 1:
-            raise ValueError("series_capacity must be positive")
-        if self.max_events < 1:
-            raise ValueError("max_events must be positive")
-        if self.flight_recorder_depth < 1:
-            raise ValueError("flight_recorder_depth must be positive")
 
     def replace(self, **changes: object) -> "TelemetryConfig":
         return dataclasses.replace(self, **changes)  # type: ignore[arg-type]
@@ -77,9 +55,4 @@ class TelemetryConfig:
         return cls(
             enabled=data.get("enabled", False),
             metrics_interval=data.get("metrics_interval", 100),
-            series_capacity=data.get("series_capacity", 512),
-            max_events=data.get("max_events", 100_000),
-            flight_recorder_depth=data.get("flight_recorder_depth", 256),
-            events=data.get("events", True),
-            series=data.get("series", True),
         )

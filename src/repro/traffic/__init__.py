@@ -1,14 +1,13 @@
 """Workload generation: destination distributions and injection processes.
 
 The paper's three destination distributions (Section 2.2) are normal random
-(NR), bit-complement (BC) and tornado (TN); transpose and hotspot are
-provided as standard extras for ablation studies.
+(NR), bit-complement (BC) and tornado (TN); transpose is provided as the
+standard extra.
 """
 
 from repro.traffic.injection import InjectionProcess, PeriodicInjection
 from repro.traffic.patterns import (
     BitComplementTraffic,
-    HotspotTraffic,
     TornadoTraffic,
     TrafficPattern,
     TransposeTraffic,
@@ -18,7 +17,6 @@ from repro.traffic.patterns import (
 
 __all__ = [
     "BitComplementTraffic",
-    "HotspotTraffic",
     "InjectionProcess",
     "PeriodicInjection",
     "TornadoTraffic",

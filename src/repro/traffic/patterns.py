@@ -1,8 +1,9 @@
 """Destination distributions.
 
 Each pattern maps an injecting node to a destination node.  The paper uses
-normal random (NR), bit-complement (BC) and tornado (TN) [19]; transpose and
-hotspot are common additions used by the ablation benches.
+normal random (NR), bit-complement (BC) and tornado (TN) [19]; transpose is
+the standard extra.  ``make_traffic_pattern`` is the one way a run picks
+one: ``WorkloadConfig.pattern`` names it.
 
 Deterministic patterns may map a node to itself (e.g. the center nodes of an
 odd-sized bit-complement); such nodes simply do not inject — the standard
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.noc.topology import MeshTopology
 from repro.types import Coordinate
@@ -97,37 +98,6 @@ class TransposeTraffic(TrafficPattern):
         c = self.topology.coordinates_of(src)
         dst = self.topology.node_at(Coordinate(c.y, c.x))
         return None if dst == src else dst
-
-
-class HotspotTraffic(TrafficPattern):
-    """Uniform traffic with extra probability mass on hotspot nodes."""
-
-    name = "hotspot"
-
-    def __init__(
-        self,
-        topology: MeshTopology,
-        hotspots: Sequence[int],
-        hotspot_fraction: float = 0.2,
-    ):
-        super().__init__(topology)
-        if not hotspots:
-            raise ValueError("need at least one hotspot node")
-        for node in hotspots:
-            if not 0 <= node < topology.num_nodes:
-                raise ValueError(f"hotspot {node} outside the mesh")
-        if not 0.0 < hotspot_fraction <= 1.0:
-            raise ValueError("hotspot_fraction must be in (0, 1]")
-        self.hotspots = list(hotspots)
-        self.hotspot_fraction = hotspot_fraction
-        self._uniform = UniformTraffic(topology)
-
-    def destination(self, src: int, rng: random.Random) -> Optional[int]:
-        if rng.random() < self.hotspot_fraction:
-            choices = [h for h in self.hotspots if h != src]
-            if choices:
-                return rng.choice(choices)
-        return self._uniform.destination(src, rng)
 
 
 _PATTERNS = {

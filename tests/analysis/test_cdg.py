@@ -26,23 +26,23 @@ def _graph(topology, algorithm):
 
 class TestDeadlockFreeRoutings:
     def test_xy_on_paper_mesh_is_deadlock_free(self):
-        verdict = _verdict(MeshTopology(8, 8), RoutingAlgorithm.XY)
+        verdict = _verdict(MeshTopology(shape=(8, 8)), RoutingAlgorithm.XY)
         assert verdict.deadlock_free
         assert verdict.witness == ()
         # Every inter-router channel of an 8x8 mesh is reachable under XY.
         assert verdict.num_channels == 2 * (2 * 7 * 8)
 
     def test_west_first_on_paper_mesh_is_deadlock_free(self):
-        verdict = _verdict(MeshTopology(8, 8), RoutingAlgorithm.WEST_FIRST)
+        verdict = _verdict(MeshTopology(shape=(8, 8)), RoutingAlgorithm.WEST_FIRST)
         assert verdict.deadlock_free
         # West-first permits strictly more turns than XY, never fewer.
-        xy = _verdict(MeshTopology(8, 8), RoutingAlgorithm.XY)
+        xy = _verdict(MeshTopology(shape=(8, 8)), RoutingAlgorithm.XY)
         assert verdict.num_dependencies > xy.num_dependencies
 
     def test_xy_has_no_prohibited_turn_edges(self):
         # The defining property of XY: a packet travelling vertically never
         # turns back into a horizontal channel.
-        graph = _graph(MeshTopology(4, 4), RoutingAlgorithm.XY)
+        graph = _graph(MeshTopology(shape=(4, 4)), RoutingAlgorithm.XY)
         from repro.types import Direction
 
         vertical = (Direction.NORTH, Direction.SOUTH)
@@ -58,13 +58,13 @@ class TestDeadlockFreeRoutings:
 
 class TestDeadlockProneRoutings:
     def test_fully_adaptive_on_mesh_is_flagged(self):
-        verdict = _verdict(MeshTopology(8, 8), RoutingAlgorithm.FULLY_ADAPTIVE)
+        verdict = _verdict(MeshTopology(shape=(8, 8)), RoutingAlgorithm.FULLY_ADAPTIVE)
         assert not verdict.deadlock_free
         assert len(verdict.witness) >= 2
         assert len(verdict.witness_text) == len(verdict.witness)
 
     def test_torus_xy_is_flagged_with_wraparound_witness(self):
-        topology = TorusTopology(4, 4)
+        topology = TorusTopology(shape=(4, 4))
         verdict = _verdict(topology, RoutingAlgorithm.XY)
         assert not verdict.deadlock_free
         # The cycle lives in one dimension's wrap ring: all witness channels
@@ -73,7 +73,7 @@ class TestDeadlockProneRoutings:
         assert len(directions) == 1
 
     def test_witness_text_matches_channels(self):
-        topology = TorusTopology(4, 4)
+        topology = TorusTopology(shape=(4, 4))
         verdict = _verdict(topology, RoutingAlgorithm.XY)
         assert verdict.witness_text == tuple(
             c.describe(topology) for c in verdict.witness
@@ -84,20 +84,20 @@ class TestDeadlockProneRoutings:
         # never chain two same-direction channels: no wrap cycle exists and
         # the reachability-aware CDG proves it (a naive all-turns CDG would
         # falsely flag this).
-        verdict = _verdict(TorusTopology(3, 3), RoutingAlgorithm.XY)
+        verdict = _verdict(TorusTopology(shape=(3, 3)), RoutingAlgorithm.XY)
         assert verdict.deadlock_free
 
 
 WITNESS_CASES = [
-    (MeshTopology(2, 2), RoutingAlgorithm.FULLY_ADAPTIVE),
-    (MeshTopology(3, 3), RoutingAlgorithm.FULLY_ADAPTIVE),
-    (MeshTopology(4, 4), RoutingAlgorithm.FULLY_ADAPTIVE),
-    (MeshTopology(5, 3), RoutingAlgorithm.FULLY_ADAPTIVE),
-    (MeshTopology(8, 8), RoutingAlgorithm.FULLY_ADAPTIVE),
-    (TorusTopology(4, 4), RoutingAlgorithm.XY),
-    (TorusTopology(4, 3), RoutingAlgorithm.XY),
-    (TorusTopology(5, 4), RoutingAlgorithm.XY),
-    (TorusTopology(4, 4), RoutingAlgorithm.FULLY_ADAPTIVE),
+    (MeshTopology(shape=(2, 2)), RoutingAlgorithm.FULLY_ADAPTIVE),
+    (MeshTopology(shape=(3, 3)), RoutingAlgorithm.FULLY_ADAPTIVE),
+    (MeshTopology(shape=(4, 4)), RoutingAlgorithm.FULLY_ADAPTIVE),
+    (MeshTopology(shape=(5, 3)), RoutingAlgorithm.FULLY_ADAPTIVE),
+    (MeshTopology(shape=(8, 8)), RoutingAlgorithm.FULLY_ADAPTIVE),
+    (TorusTopology(shape=(4, 4)), RoutingAlgorithm.XY),
+    (TorusTopology(shape=(4, 3)), RoutingAlgorithm.XY),
+    (TorusTopology(shape=(5, 4)), RoutingAlgorithm.XY),
+    (TorusTopology(shape=(4, 4)), RoutingAlgorithm.FULLY_ADAPTIVE),
 ]
 
 
@@ -126,11 +126,11 @@ class TestWitnessSoundness:
         "algorithm", [RoutingAlgorithm.XY, RoutingAlgorithm.WEST_FIRST]
     )
     def test_mesh_dt_ad_acyclic_across_sizes(self, width, height, algorithm):
-        verdict = _verdict(MeshTopology(width, height), algorithm)
+        verdict = _verdict(MeshTopology(shape=(width, height)), algorithm)
         assert verdict.deadlock_free
 
     def test_is_cycle_rejects_non_cycles(self):
-        graph = _graph(MeshTopology(4, 4), RoutingAlgorithm.XY)
+        graph = _graph(MeshTopology(shape=(4, 4)), RoutingAlgorithm.XY)
         channels = graph.channels
         assert not graph.is_cycle([])
         # A single channel is a cycle only if it depends on itself.
@@ -142,12 +142,12 @@ class TestConstruction:
         from repro.noc.routing import SourceRouting
 
         with pytest.raises(ValueError, match="source routing"):
-            ChannelDependencyGraph.build(MeshTopology(4, 4), SourceRouting())
+            ChannelDependencyGraph.build(MeshTopology(shape=(4, 4)), SourceRouting())
 
     def test_num_vcs_does_not_change_the_graph(self):
         # The paper's VA grants any VC of the selected PC, so the CDG is
         # PC-granular: identical for every num_vcs.
-        topology = MeshTopology(4, 4)
+        topology = MeshTopology(shape=(4, 4))
         one = _verdict(topology, RoutingAlgorithm.FULLY_ADAPTIVE, num_vcs=1)
         three = _verdict(topology, RoutingAlgorithm.FULLY_ADAPTIVE, num_vcs=3)
         assert one.num_channels == three.num_channels
@@ -157,7 +157,7 @@ class TestConstruction:
     def test_verdict_to_dict_is_json_safe(self):
         import json
 
-        verdict = _verdict(TorusTopology(4, 4), RoutingAlgorithm.XY)
+        verdict = _verdict(TorusTopology(shape=(4, 4)), RoutingAlgorithm.XY)
         data = json.loads(json.dumps(verdict.to_dict()))
         assert data["deadlock_free"] is False
         assert data["witness"]

@@ -61,7 +61,7 @@ def header(dst):
 class TestGraphTopologySurface:
     def test_satisfies_the_port_graph_protocol(self):
         assert isinstance(ring(4), PortGraph)
-        assert isinstance(MeshTopology(2, 2), PortGraph)
+        assert isinstance(MeshTopology(shape=(2, 2)), PortGraph)
 
     def test_nodes_and_ports(self):
         g = ring(4)
@@ -209,7 +209,7 @@ class TestMeshEquivalence:
 
     @pytest.mark.parametrize("dims", [(3, 3), (4, 4), (5, 3)])
     def test_fault_aware_verdicts_match(self, dims):
-        mesh = MeshTopology(*dims)
+        mesh = MeshTopology(shape=dims)
         lifted = self.lift(mesh)
         native = verify_deadlock_freedom(mesh, FaultAwareRouting(mesh), 3)
         generic = verify_deadlock_freedom(lifted, FaultAwareRouting(lifted), 3)
@@ -218,7 +218,7 @@ class TestMeshEquivalence:
         assert native.num_dependencies == generic.num_dependencies
 
     def test_channel_sets_match_channel_for_channel(self):
-        mesh = MeshTopology(3, 3)
+        mesh = MeshTopology(shape=(3, 3))
         lifted = self.lift(mesh)
         native = ChannelDependencyGraph.build(mesh, FaultAwareRouting(mesh))
         generic = ChannelDependencyGraph.build(lifted, FaultAwareRouting(lifted))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_path, lint_paths
+from repro.analysis import lint_paths
 from repro.cli import main
 
 FIXTURES = Path(__file__).parent.parent / "fixtures" / "lint"
@@ -31,37 +31,37 @@ class TestLintPaths:
         assert str(FIXTURES / "adaptive_no_recovery.json") in sources
 
     def test_eq1_violation_file(self):
-        report = lint_path(FIXTURES / "eq1_violation.json")
+        report = lint_paths([FIXTURES / "eq1_violation.json"])
         assert [d.rule_id for d in report.errors] == ["NOC001"]
 
     def test_adaptive_no_recovery_file(self):
-        report = lint_path(FIXTURES / "adaptive_no_recovery.json")
+        report = lint_paths([FIXTURES / "adaptive_no_recovery.json"])
         (diag,) = report.errors
         assert diag.rule_id == "NOC004"
         assert diag.witness
 
     def test_torus_xy_file_flags_both_rules(self):
-        report = lint_path(FIXTURES / "torus_xy_no_recovery.json")
+        report = lint_paths([FIXTURES / "torus_xy_no_recovery.json"])
         assert {d.rule_id for d in report.errors} == {"NOC004", "NOC008"}
 
     def test_broken_json_is_noc000_not_a_traceback(self):
-        report = lint_path(FIXTURES / "broken.json")
+        report = lint_paths([FIXTURES / "broken.json"])
         (diag,) = report.errors
         assert diag.rule_id == "NOC000"
         assert "JSON" in diag.message
 
     def test_warnings_do_not_fail_the_exit_code(self):
-        report = lint_path(FIXTURES / "warnings_only.json")
+        report = lint_paths([FIXTURES / "warnings_only.json"])
         assert report.warnings and not report.has_errors
         assert report.exit_code == 0
 
     def test_missing_file_is_noc000(self):
-        report = lint_path(FIXTURES / "does_not_exist.json")
+        report = lint_paths([FIXTURES / "does_not_exist.json"])
         (diag,) = report.errors
         assert diag.rule_id == "NOC000"
 
     def test_empty_directory_warns(self, tmp_path):
-        report = lint_path(tmp_path)
+        report = lint_paths([tmp_path])
         assert [d.rule_id for d in report] == ["NOC000"]
         assert report.exit_code == 0
 

@@ -115,7 +115,7 @@ def _platform(kind, shape, name):
 
 
 def _lifted_ft_table(dims):
-    graph = generic.TestMeshEquivalence().lift(MeshTopology(*dims))
+    graph = generic.TestMeshEquivalence().lift(MeshTopology(shape=dims))
     return graph, FaultAwareRouting(graph), None
 
 
@@ -129,7 +129,7 @@ def cases():
             out[label] = lambda kind=kind, shape=shape, name=name: _platform(
                 kind, shape, name
             )
-    mesh = MeshTopology(4, 4)
+    mesh = MeshTopology(shape=(4, 4))
     for src, port in directed_channels(mesh):
         out[f"mesh4x4_ft_table_kill_{src}_{port.name.lower()}"] = (
             lambda src=src, port=port: (

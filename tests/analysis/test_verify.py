@@ -58,7 +58,7 @@ class TestHealthyTraversal:
         "algo", ["xy", "west_first", "fully_adaptive", "ft_table"]
     )
     def test_mesh_connected_and_livelock_free(self, algo):
-        mesh = MeshTopology(4, 4)
+        mesh = MeshTopology(shape=(4, 4))
         verdict = certify_traversal(mesh, routing(algo, mesh))
         assert verdict.connected
         assert verdict.livelock_free
@@ -70,12 +70,12 @@ class TestHealthyTraversal:
     def test_progress_metric_bound_is_the_diameter(self, algo):
         # Minimal routing on a healthy mesh: the longest remaining route
         # equals the Manhattan diameter.
-        mesh = MeshTopology(4, 4)
+        mesh = MeshTopology(shape=(4, 4))
         verdict = certify_traversal(mesh, routing(algo, mesh))
         assert verdict.max_route_length == 6
 
     def test_torus_xy_connected_but_not_deadlock_free(self):
-        torus = TorusTopology(5, 5)
+        torus = TorusTopology(shape=(5, 5))
         cert = certify_routing(torus, routing("xy", torus), num_vcs=3)
         assert cert.connected
         assert cert.livelock_free
@@ -84,13 +84,13 @@ class TestHealthyTraversal:
         assert not cert.certified
 
     def test_fully_adaptive_mesh_flagged_by_cdg_only(self):
-        mesh = MeshTopology(4, 4)
+        mesh = MeshTopology(shape=(4, 4))
         cert = certify_routing(mesh, routing("fully_adaptive", mesh))
         assert cert.connected and cert.livelock_free
         assert not cert.deadlock_free
 
     def test_source_routing_rejected(self):
-        mesh = MeshTopology(3, 3)
+        mesh = MeshTopology(shape=(3, 3))
         with pytest.raises(ValueError, match="source routing"):
             certify_traversal(mesh, SourceRouting())
 
@@ -149,18 +149,18 @@ class TestNegativeTraversal:
 
 class TestBothAlivePairs:
     def test_healthy_mesh_is_all_pairs(self):
-        mesh = MeshTopology(3, 3)
+        mesh = MeshTopology(shape=(3, 3))
         assert len(both_alive_pairs(mesh)) == 72
 
     def test_one_dead_direction_kills_the_undirected_edge(self):
         # 3x1 path: killing 0->east alone removes edge 0-1 for the
         # expected-pairs criterion (the reverse survives only best-effort).
-        path = MeshTopology(3, 1)
+        path = MeshTopology(shape=(3, 1))
         pairs = both_alive_pairs(path, {(0, Direction.EAST)})
         assert pairs == frozenset({(1, 2), (2, 1)})
 
     def test_dead_router_is_excluded(self):
-        mesh = MeshTopology(3, 3)
+        mesh = MeshTopology(shape=(3, 3))
         pairs = both_alive_pairs(mesh, dead_routers={4})
         assert all(4 not in pair for pair in pairs)
         # Centre removal leaves the ring connected: all other pairs stay.
@@ -169,7 +169,7 @@ class TestBothAlivePairs:
 
 class TestFaultSweeps:
     def test_single_link_kills_certify_on_mesh(self):
-        mesh = MeshTopology(4, 4)
+        mesh = MeshTopology(shape=(4, 4))
         sweep = sweep_single_link_kills(mesh)
         assert sweep.trials == len(directed_channels(mesh)) == 48
         assert sweep.certified
@@ -180,7 +180,7 @@ class TestFaultSweeps:
         assert sweep.failures == ()
 
     def test_multi_kill_sweep_is_seed_reproducible(self):
-        mesh = MeshTopology(4, 4)
+        mesh = MeshTopology(shape=(4, 4))
         a = sweep_multi_link_kills(mesh, 3, 8, seed=7)
         b = sweep_multi_link_kills(mesh, 3, 8, seed=7)
         assert a.to_dict() == b.to_dict()
@@ -191,7 +191,7 @@ class TestFaultSweeps:
         # Isolate corner node 0 of a 3x3 mesh (both directions of both of
         # its links): the trial certifies because expectations shrink to
         # the surviving 8-node component.
-        mesh = MeshTopology(3, 3)
+        mesh = MeshTopology(shape=(3, 3))
         kills = [
             (0, Direction.EAST),
             (1, Direction.WEST),
@@ -206,7 +206,7 @@ class TestFaultSweeps:
     def test_disconnection_against_all_pairs_is_flagged(self):
         # Same kill set, but demanding all 72 pairs: connectivity fails
         # and the missing pairs name node 0.
-        mesh = MeshTopology(3, 3)
+        mesh = MeshTopology(shape=(3, 3))
         fn = FaultAwareRouting(
             mesh,
             dead_links=[
@@ -270,7 +270,7 @@ class TestSimulationCrossCheck:
         schedule = PermanentFaultSchedule.of(*faults)
         net = single_packet_network(schedule)
         # The engine's view of the same platform.
-        topology = MeshTopology(3, 3)
+        topology = MeshTopology(shape=(3, 3))
         fn = FaultAwareRouting(topology)
         fn.rebuild(
             {
@@ -308,7 +308,7 @@ class TestSimulationCrossCheck:
 
     def test_healthy_mesh_delivers_every_certified_pair(self):
         net = single_packet_network(PermanentFaultSchedule.empty())
-        topology = MeshTopology(3, 3)
+        topology = MeshTopology(shape=(3, 3))
         certified = certified_pairs(topology, FaultAwareRouting(topology))
         assert len(certified) == 72  # the engine promises everything...
         packet_id = 0

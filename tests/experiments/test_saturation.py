@@ -18,14 +18,6 @@ class TestSaturationCurve:
         ]
         return SaturationCurve("xy", points)
 
-    def test_saturation_point_detection(self):
-        curve = self._curve([10.0, 11.0, 12.0, 40.0, 90.0])
-        assert curve.saturation_rate(factor=3.0) == 0.4
-
-    def test_never_saturates(self):
-        curve = self._curve([10.0, 11.0, 12.0])
-        assert curve.saturation_rate() is None
-
     def test_peak_throughput(self):
         curve = self._curve([10.0, 11.0])
         assert curve.peak_throughput() == 0.2

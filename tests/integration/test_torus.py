@@ -49,13 +49,13 @@ class TestWiring:
 
 class TestTorusXYRouting:
     def test_prefers_wrap_when_shorter(self):
-        topo = TorusTopology(8, 8)
+        topo = TorusTopology(shape=(8, 8))
         routing = TorusXYRouting()
         flit = Flit(0, 0, FlitType.HEAD, src=0, dst=7)  # x: 0 -> 7
         assert routing.candidates(topo, 0, flit) == [Direction.WEST]
 
     def test_x_before_y(self):
-        topo = TorusTopology(8, 8)
+        topo = TorusTopology(shape=(8, 8))
         routing = TorusXYRouting()
         dst = topo.node_at_coords = 7 + 8 * 7  # (7, 7)
         flit = Flit(0, 0, FlitType.HEAD, src=0, dst=dst)
@@ -63,7 +63,7 @@ class TestTorusXYRouting:
         assert d in (Direction.EAST, Direction.WEST)
 
     def test_ejects_at_destination(self):
-        topo = TorusTopology(4, 4)
+        topo = TorusTopology(shape=(4, 4))
         routing = TorusXYRouting()
         flit = Flit(0, 0, FlitType.HEAD, src=0, dst=5)
         assert routing.candidates(topo, 5, flit) == [Direction.LOCAL]

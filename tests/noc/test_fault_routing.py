@@ -84,7 +84,7 @@ def both_alive_components(topology, dead_links, dead_routers):
 
 class TestHealthyMesh:
     def test_all_pairs_minimal(self):
-        topology = MeshTopology(8, 8)
+        topology = MeshTopology(shape=(8, 8))
         fn = FaultAwareRouting(topology)
         for src in topology.nodes():
             for dst in topology.nodes():
@@ -96,11 +96,11 @@ class TestHealthyMesh:
                 assert walk(fn, topology, src, dst) == manhattan
 
     def test_reachable_fraction_is_one(self):
-        fn = FaultAwareRouting(MeshTopology(4, 4))
+        fn = FaultAwareRouting(MeshTopology(shape=(4, 4)))
         assert fn.reachable_fraction() == 1.0
 
     def test_healthy_cdg_is_acyclic(self):
-        topology = MeshTopology(8, 8)
+        topology = MeshTopology(shape=(8, 8))
         verdict = verify_deadlock_freedom(
             topology, FaultAwareRouting(topology), num_vcs=3
         )
@@ -112,7 +112,7 @@ class TestSingleLinkKills:
 
     @pytest.mark.parametrize("width,height", [(5, 5), (8, 8)])
     def test_every_pair_survives_every_single_kill(self, width, height):
-        topology = MeshTopology(width, height)
+        topology = MeshTopology(shape=(width, height))
         fn = FaultAwareRouting(topology)
         for dead in all_links(topology):
             fn.rebuild({dead}, set())
@@ -121,7 +121,7 @@ class TestSingleLinkKills:
             assert fn.reachable_fraction() == 1.0
 
     def test_exhaustive_cdg_and_walks_small_mesh(self):
-        topology = MeshTopology(5, 5)
+        topology = MeshTopology(shape=(5, 5))
         fn = FaultAwareRouting(topology)
         for dead in all_links(topology):
             fn.rebuild({dead}, set())
@@ -133,7 +133,7 @@ class TestSingleLinkKills:
                         assert walk(fn, topology, src, dst) is not None
 
     def test_detour_stays_short(self):
-        topology = MeshTopology(8, 8)
+        topology = MeshTopology(shape=(8, 8))
         fn = FaultAwareRouting(topology)
         rng = random.Random(2)
         for dead in rng.sample(all_links(topology), 12):
@@ -151,7 +151,7 @@ class TestSingleLinkKills:
 
 class TestMultiKill:
     def test_both_alive_connected_pairs_stay_routable(self):
-        topology = MeshTopology(6, 6)
+        topology = MeshTopology(shape=(6, 6))
         fn = FaultAwareRouting(topology)
         links = all_links(topology)
         rng = random.Random(7)
@@ -181,7 +181,7 @@ class TestMultiKill:
                         assert walk(fn, topology, src, dst) is not None
 
     def test_dead_router_is_unreachable(self):
-        topology = MeshTopology(4, 4)
+        topology = MeshTopology(shape=(4, 4))
         fn = FaultAwareRouting(topology, dead_routers={5})
         for node in topology.nodes():
             if node != 5:
@@ -190,7 +190,7 @@ class TestMultiKill:
         assert fn.reachable_fraction() < 1.0
 
     def test_version_bumps_on_rebuild(self):
-        fn = FaultAwareRouting(MeshTopology(3, 3))
+        fn = FaultAwareRouting(MeshTopology(shape=(3, 3)))
         before = fn.version
         fn.rebuild({(0, Direction.EAST)}, set())
         assert fn.version == before + 1

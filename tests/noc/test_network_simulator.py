@@ -86,12 +86,6 @@ class TestSimulatorRun:
         result = run_simulation(sim_config(num_messages=150, warmup_messages=30))
         assert result.energy_per_packet_nj > 0
 
-    def test_energy_zero_when_disabled(self):
-        config = sim_config(num_messages=150, warmup_messages=30).replace(
-            collect_power=False
-        )
-        assert run_simulation(config).energy_per_packet_nj == 0.0
-
     def test_throughput_tracks_injection_at_low_load(self):
         result = run_simulation(
             sim_config(num_messages=400, warmup_messages=50, injection_rate=0.1)

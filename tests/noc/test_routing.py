@@ -16,7 +16,7 @@ from repro.noc.routing import (
 from repro.noc.topology import MeshTopology
 from repro.types import Coordinate, Direction, FlitType, RoutingAlgorithm
 
-TOPO = MeshTopology(8, 8)
+TOPO = MeshTopology(shape=(8, 8))
 
 
 def header(dst: int, route=None) -> Flit:

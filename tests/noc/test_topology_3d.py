@@ -8,11 +8,8 @@ from repro.noc.flit import Flit
 from repro.noc.routing import XYRouting
 from repro.types import FlitType
 from repro.noc.topology import (
-    DEFAULT_TSV_LATENCY,
     GraphTopology,
-    Mesh3D,
     MeshTopology,
-    Torus3D,
     TorusTopology,
     make_topology,
 )
@@ -21,21 +18,14 @@ from repro.types import Coordinate, Direction
 
 class TestMesh3DBasics:
     def test_dimensions_and_ports(self):
-        topo = Mesh3D(4, 3, 2)
+        topo = MeshTopology(shape=(4, 3, 2), link_latency=(1, 1, 2))
         assert topo.shape == (4, 3, 2)
         assert topo.ndim == 3
         assert topo.num_nodes == 24
         assert topo.num_ports == 7
 
-    def test_2d_shape_constructor_matches_legacy(self):
-        legacy = MeshTopology(5, 3)
-        shaped = MeshTopology(shape=(5, 3))
-        assert legacy.shape == shaped.shape == (5, 3)
-        assert legacy.num_ports == shaped.num_ports == 5
-        assert list(legacy.nodes()) == list(shaped.nodes())
-
     def test_row_major_x_fastest_layout(self):
-        topo = Mesh3D(3, 3, 3)
+        topo = MeshTopology(shape=(3, 3, 3), link_latency=(1, 1, 2))
         assert topo.coordinates_of(0) == Coordinate(0, 0, 0)
         assert topo.coordinates_of(1) == Coordinate(1, 0, 0)
         assert topo.coordinates_of(3) == Coordinate(0, 1, 0)
@@ -44,12 +34,12 @@ class TestMesh3DBasics:
         assert topo.coordinates_of(26) == Coordinate(2, 2, 2)
 
     def test_coordinate_roundtrip(self):
-        topo = Mesh3D(3, 4, 2)
+        topo = MeshTopology(shape=(3, 4, 2), link_latency=(1, 1, 2))
         for node in topo.nodes():
             assert topo.node_at(topo.coordinates_of(node)) == node
 
     def test_vertical_neighbors(self):
-        topo = Mesh3D(3, 3, 3)
+        topo = MeshTopology(shape=(3, 3, 3), link_latency=(1, 1, 2))
         mid = topo.node_at(Coordinate(1, 1, 1))
         assert topo.neighbor(mid, Direction.UP) == topo.node_at(
             Coordinate(1, 1, 2)
@@ -61,7 +51,7 @@ class TestMesh3DBasics:
         assert topo.neighbor(bottom, Direction.DOWN) is None
 
     def test_interior_node_has_six_connected_directions(self):
-        topo = Mesh3D(3, 3, 3)
+        topo = MeshTopology(shape=(3, 3, 3), link_latency=(1, 1, 2))
         mid = topo.node_at(Coordinate(1, 1, 1))
         assert set(topo.connected_directions(mid)) == {
             Direction.NORTH,
@@ -73,7 +63,7 @@ class TestMesh3DBasics:
         }
 
     def test_distance_is_3d_manhattan(self):
-        topo = Mesh3D(4, 4, 4)
+        topo = MeshTopology(shape=(4, 4, 4), link_latency=(1, 1, 2))
         a = topo.node_at(Coordinate(0, 0, 0))
         b = topo.node_at(Coordinate(3, 2, 1))
         assert topo.distance(a, b) == 6
@@ -81,14 +71,14 @@ class TestMesh3DBasics:
 
 class TestTorus3D:
     def test_vertical_wraparound(self):
-        topo = Torus3D(4, 4, 4)
+        topo = TorusTopology(shape=(4, 4, 4), link_latency=(1, 1, 2))
         top = topo.node_at(Coordinate(1, 1, 3))
         assert topo.neighbor(top, Direction.UP) == topo.node_at(
             Coordinate(1, 1, 0)
         )
 
     def test_wrap_distance(self):
-        topo = Torus3D(4, 4, 4)
+        topo = TorusTopology(shape=(4, 4, 4), link_latency=(1, 1, 2))
         a = topo.node_at(Coordinate(0, 0, 0))
         b = topo.node_at(Coordinate(0, 0, 3))
         assert topo.distance(a, b) == 1
@@ -96,14 +86,13 @@ class TestTorus3D:
 
 class TestLinkLatency:
     def test_default_is_unit_everywhere_in_2d(self):
-        topo = MeshTopology(4, 4)
+        topo = MeshTopology(shape=(4, 4))
         for node in topo.nodes():
             for direction in topo.connected_directions(node):
                 assert topo.link_latency(node, direction) == 1
 
     def test_tsv_axis_is_slower(self):
-        assert DEFAULT_TSV_LATENCY == (1, 1, 2)
-        topo = Mesh3D(3, 3, 3)  # defaults to DEFAULT_TSV_LATENCY
+        topo = MeshTopology(shape=(3, 3, 3), link_latency=(1, 1, 2))
         mid = topo.node_at(Coordinate(1, 1, 1))
         assert topo.link_latency(mid, Direction.EAST) == 1
         assert topo.link_latency(mid, Direction.NORTH) == 1
@@ -129,7 +118,7 @@ def _header(dst: int) -> Flit:
 
 class TestDimensionOrderedRouting3D:
     def test_routes_x_then_y_then_z(self):
-        topo = Mesh3D(3, 3, 3)
+        topo = MeshTopology(shape=(3, 3, 3), link_latency=(1, 1, 2))
         xy = XYRouting()
         src = topo.node_at(Coordinate(0, 0, 0))
         dst = topo.node_at(Coordinate(2, 2, 2))
@@ -149,7 +138,7 @@ class TestDimensionOrderedRouting3D:
         ]
 
     def test_every_pair_terminates_minimally(self):
-        topo = Mesh3D(3, 3, 3)
+        topo = MeshTopology(shape=(3, 3, 3), link_latency=(1, 1, 2))
         xy = XYRouting()
         for src in topo.nodes():
             for dst in topo.nodes():
@@ -185,7 +174,7 @@ class TestPillarGroups:
 
 class TestGraphTopologyDistanceMemo:
     def test_distance_is_cached_per_source(self):
-        mesh = MeshTopology(4, 4)
+        mesh = MeshTopology(shape=(4, 4))
         adjacency = {
             node: {
                 direction: mesh.neighbor(node, direction)

@@ -1,4 +1,4 @@
-"""Tests for traffic patterns (NR / BC / TN / transpose / hotspot)."""
+"""Tests for traffic patterns (NR / BC / TN / transpose)."""
 
 import random
 from collections import Counter
@@ -8,7 +8,6 @@ import pytest
 from repro.noc.topology import MeshTopology
 from repro.traffic.patterns import (
     BitComplementTraffic,
-    HotspotTraffic,
     TornadoTraffic,
     TransposeTraffic,
     UniformTraffic,
@@ -16,7 +15,7 @@ from repro.traffic.patterns import (
 )
 from repro.types import Coordinate
 
-TOPO = MeshTopology(8, 8)
+TOPO = MeshTopology(shape=(8, 8))
 RNG = random.Random(17)
 
 
@@ -37,7 +36,7 @@ class TestUniform:
         assert max(counts.values()) < 2 * min(counts.values())
 
     def test_single_node_mesh_returns_none(self):
-        pattern = UniformTraffic(MeshTopology(1, 1))
+        pattern = UniformTraffic(MeshTopology(shape=(1, 1)))
         assert pattern.destination(0, RNG) is None
 
 
@@ -59,7 +58,7 @@ class TestBitComplement:
             assert pattern.destination(dst, RNG) == src
 
     def test_center_of_odd_mesh_does_not_inject(self):
-        topo = MeshTopology(3, 3)
+        topo = MeshTopology(shape=(3, 3))
         pattern = BitComplementTraffic(topo)
         center = topo.node_at(Coordinate(1, 1))
         assert pattern.destination(center, RNG) is None
@@ -97,23 +96,7 @@ class TestTranspose:
 
     def test_requires_square_mesh(self):
         with pytest.raises(ValueError):
-            TransposeTraffic(MeshTopology(4, 2))
-
-
-class TestHotspot:
-    def test_hotspots_receive_extra_traffic(self):
-        pattern = HotspotTraffic(TOPO, hotspots=[27], hotspot_fraction=0.3)
-        counts = Counter(pattern.destination(0, RNG) for _ in range(10_000))
-        expected_uniform = 10_000 / 63
-        assert counts[27] > 5 * expected_uniform
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HotspotTraffic(TOPO, hotspots=[])
-        with pytest.raises(ValueError):
-            HotspotTraffic(TOPO, hotspots=[99])
-        with pytest.raises(ValueError):
-            HotspotTraffic(TOPO, hotspots=[1], hotspot_fraction=0.0)
+            TransposeTraffic(MeshTopology(shape=(4, 2)))
 
 
 class TestFactory:

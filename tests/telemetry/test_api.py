@@ -34,9 +34,9 @@ class TestLoadConfig:
         assert config.telemetry.enabled is True
         assert config.telemetry.metrics_interval == 25
         explicit = api.load_config(
-            telemetry=api.TelemetryConfig(enabled=True, series_capacity=16)
+            telemetry=api.TelemetryConfig(enabled=True, metrics_interval=16)
         )
-        assert explicit.telemetry.series_capacity == 16
+        assert explicit.telemetry.metrics_interval == 16
 
     def test_from_existing_config_and_dict(self):
         base = api.load_config(shape=(4, 4))
@@ -113,17 +113,6 @@ class TestDeprecatedKwargs:
         config = api.load_config(shape=(3, 3), messages=30, warmup=5)
         with pytest.raises(TypeError, match="legacy_knob"):
             run_simulation(config, legacy_knob=1)
-
-    def test_explicit_keywords_do_not_warn(self):
-        from repro.noc.simulator import run_simulation
-
-        config = api.load_config(shape=(3, 3), messages=30, warmup=5)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_simulation(config, pattern=None, injection=None)
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
 
 
 class TestPackageExports:

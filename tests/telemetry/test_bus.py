@@ -6,10 +6,11 @@ from repro.config import FaultConfig, NoCConfig, SimulationConfig, WorkloadConfi
 from repro.noc.network import Network
 from repro.noc.simulator import run_simulation
 from repro.telemetry import EVENT_KINDS, SERIES_METRICS, TelemetryBus, TelemetryConfig
+from repro.telemetry import bus as bus_module
 
 
-def _bus(**kw):
-    return TelemetryBus(TelemetryConfig(enabled=True, **kw))
+def _bus():
+    return TelemetryBus(TelemetryConfig(enabled=True))
 
 
 class TestPublish:
@@ -26,15 +27,18 @@ class TestPublish:
         bus.publish(5, "permanent_fault", 2, kind="router", node=2)
         assert bus.events[0].data == {"kind": "router", "node": 2}
 
-    def test_max_events_cap_counts_drops(self):
-        bus = _bus(max_events=3)
+    def test_max_events_cap_counts_drops(self, monkeypatch):
+        monkeypatch.setattr(bus_module, "MAX_EVENTS", 3)
+        bus = _bus()
         for i in range(5):
             bus.publish(i, "flit_drop", 0)
         assert len(bus.events) == 3
         assert bus.dropped_events == 2
 
-    def test_flight_recorder_outlives_the_cap(self):
-        bus = _bus(max_events=2, flight_recorder_depth=4)
+    def test_flight_recorder_outlives_the_cap(self, monkeypatch):
+        monkeypatch.setattr(bus_module, "MAX_EVENTS", 2)
+        monkeypatch.setattr(bus_module, "FLIGHT_RECORDER_DEPTH", 4)
+        bus = _bus()
         for i in range(10):
             bus.publish(i, "flit_drop", 0)
         assert [e.cycle for e in bus.flight] == [6, 7, 8, 9]
@@ -50,11 +54,6 @@ class TestPublish:
         cycle, events = bus.deadlock_snapshots[0]
         assert cycle == 160
         assert events[-1].kind == "probe_return"
-
-    def test_events_off_publishes_nothing(self):
-        bus = _bus(events=False)
-        bus.publish(1, "nack", 0)
-        assert bus.events == [] and len(bus.flight) == 0
 
 
 class TestWiring:
@@ -102,15 +101,14 @@ class TestWiring:
         assert cycles and all(c % 25 == 0 for c in cycles)
         assert cycles == sorted(cycles)
 
-    def test_series_ring_capacity_bounds_memory(self):
+    def test_series_ring_capacity_bounds_memory(self, monkeypatch):
+        monkeypatch.setattr(bus_module, "SERIES_CAPACITY", 8)
         config = SimulationConfig(
             noc=NoCConfig(shape=(3, 3)),
             workload=WorkloadConfig(
                 injection_rate=0.05, num_messages=200, warmup_messages=10
             ),
-            telemetry=TelemetryConfig(
-                enabled=True, metrics_interval=5, series_capacity=8
-            ),
+            telemetry=TelemetryConfig(enabled=True, metrics_interval=5),
         )
         report = run_simulation(config).telemetry
         assert all(
@@ -139,10 +137,8 @@ class TestEventTaxonomy:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TelemetryConfig(metrics_interval=0)
-        with pytest.raises(ValueError):
-            TelemetryConfig(series_capacity=0)
 
     def test_config_round_trip(self):
-        config = TelemetryConfig(enabled=True, metrics_interval=7, events=False)
+        config = TelemetryConfig(enabled=True, metrics_interval=7)
         assert TelemetryConfig.from_dict(config.to_dict()) == config
         assert TelemetryConfig.from_dict(None) == TelemetryConfig()

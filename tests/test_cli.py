@@ -986,6 +986,28 @@ PINNED = json.loads((CLI_FIXTURES / "parent_d5e530f" / "commands.json").read_tex
 #: The accepted differences from d5e530f's output.
 CONFIG_SUPERSET = {"lint_flags_json", "verify_flags_json"}  # complete config dict
 GAINED_A_TABLE = {"figure_5"}  # the integrity side-table follows the old output
+#: The same result, and a config without the knobs that became constants.
+LOST_RETIRED_KNOBS = {"run_json", "run_3d_json"}
+RETIRED_KNOBS = {
+    "collect_power",
+    "noc.flit_width_bits",
+    "telemetry.events",
+    "telemetry.series",
+    "telemetry.series_capacity",
+    "telemetry.max_events",
+    "telemetry.flight_recorder_depth",
+}
+
+
+def _leaves(tree, prefix=""):
+    """``{dotted path: value}`` of every non-dict value in a nested dict."""
+    out = {}
+    for key, value in tree.items():
+        if isinstance(value, dict) and value:
+            out.update(_leaves(value, f"{prefix}{key}."))
+        else:
+            out[f"{prefix}{key}"] = value
+    return out
 
 
 def _is_superset(new, old):
@@ -1009,6 +1031,12 @@ def test_stdout_is_byte_for_byte_the_parents(name, monkeypatch):
         assert new["result"] == old["result"]
         assert _is_superset(new["config"], old["config"])
         assert set(new["config"]) == set(api.config_dict())  # now complete
+    elif name in LOST_RETIRED_KNOBS:
+        new, old = json.loads(out), json.loads(expected)
+        assert new["result"] == old["result"]
+        kept, before = _leaves(new["config"]), _leaves(old["config"])
+        assert set(before) - set(kept) == RETIRED_KNOBS
+        assert kept == {key: before[key] for key in kept}
     elif name in GAINED_A_TABLE:
         assert out.startswith(expected) and "integrity" in out[len(expected):]
     else:

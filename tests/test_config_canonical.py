@@ -28,6 +28,7 @@ from repro.serialization import (
     upgrade_config_dict,
 )
 from repro.service import cache_key
+from repro.telemetry.config import TelemetryConfig
 from repro.types import RoutingAlgorithm
 
 
@@ -151,9 +152,12 @@ def test_constructors_take_exactly_their_stored_fields():
     def init_names(cls):
         return [p for p in inspect.signature(cls.__init__).parameters if p != "self"]
 
-    assert len(init_names(SimulationConfig)) == 11
-    assert len(init_names(NoCConfig)) == 17
-    removed = {"width", "height", "activity_driven"}
+    assert len(init_names(SimulationConfig)) == 10
+    assert len(init_names(NoCConfig)) == 16
+    assert init_names(TelemetryConfig) == ["enabled", "metrics_interval"]
+    removed = {
+        "width", "height", "activity_driven", "collect_power", "flit_width_bits"
+    }
     assert not removed & set(init_names(SimulationConfig) + init_names(NoCConfig))
     assert not {"shape", "topology", "link_latency"} & set(init_names(SimulationConfig))
 

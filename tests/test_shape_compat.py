@@ -22,7 +22,8 @@ from repro.analysis import lint_dict
 from repro.config import NoCConfig, SimulationConfig, WorkloadConfig
 from repro.telemetry.config import TelemetryConfig
 from repro.noc.kernel import kernel_supports
-from repro.noc.simulator import run_simulation
+from repro.checkpoint import load_checkpoint
+from repro.noc.simulator import Simulator, run_simulation
 from repro.serialization import (
     config_from_dict,
     config_to_dict,
@@ -41,13 +42,31 @@ PARENT_ENVELOPE = FIXTURES / "envelopes" / "parent_3c6b9a1_run.json"
 LEGACY_LINT_FIXTURE = FIXTURES / "lint" / "torus_xy_no_recovery.json"
 
 
+#: Keys earlier commits wrote that now name a constant, at that constant.
+RETIRED_AT_DEFAULT = {
+    "collect_power": True,
+    "telemetry": {
+        "events": True,
+        "series": True,
+        "series_capacity": 512,
+        "max_events": 100_000,
+        "flight_recorder_depth": 256,
+    },
+}
+
+
 def _legacy_dict(config: SimulationConfig) -> dict:
-    """``config`` as commits before the canonical spelling serialized it."""
+    """``config`` as commits before the canonical spelling serialized it:
+    legacy geometry, ``activity_driven``, the never-read
+    ``flit_width_bits`` (off its old default of 64: any value is dropped)
+    and the retired knobs at their constants."""
     data = config_to_dict(config)
     width, height = data["noc"].pop("shape")
     assert data["noc"].pop("link_latency") == 1
-    data["noc"].update(width=width, height=height)
+    data["noc"].update(width=width, height=height, flit_width_bits=32)
     data["activity_driven"] = True
+    data["collect_power"] = RETIRED_AT_DEFAULT["collect_power"]
+    data["telemetry"].update(RETIRED_AT_DEFAULT["telemetry"])
     return data
 
 
@@ -73,12 +92,35 @@ class TestDeprecationWarnings:
             dict(width=6),
             dict(height=4),
             dict(activity_driven=False),
+            dict(collect_power=True),
         ],
         ids=lambda kw: next(iter(kw)),
     )
     def test_simulationconfig_platform_kwargs_are_gone(self, sugar):
         with pytest.raises(TypeError, match=next(iter(sugar))):
             SimulationConfig(**sugar)
+
+    @pytest.mark.parametrize(
+        "build, knob",
+        [
+            (lambda kw: NoCConfig(**kw), "flit_width_bits"),
+            *[
+                (lambda kw: TelemetryConfig(**kw), knob)
+                for knob in RETIRED_AT_DEFAULT["telemetry"]
+            ],
+            *[
+                (lambda kw: Simulator(SimulationConfig(), **kw), knob)
+                for knob in ("pattern", "injection", "energy_model")
+            ],
+            (lambda kw: run_simulation(SimulationConfig(), **kw), "pattern"),
+            (lambda kw: load_checkpoint("run.ckpt", **kw), "backend"),
+            (lambda kw: api.resume("run.ckpt", **kw), "backend"),
+        ],
+        ids=lambda value: value if isinstance(value, str) else "",
+    )
+    def test_removed_knobs_are_gone(self, build, knob):
+        with pytest.raises(TypeError, match=knob):
+            build({knob: None})
 
     def test_shape_kwarg_is_silent(self):
         with warnings.catch_warnings():
@@ -91,10 +133,10 @@ class TestDeprecationWarnings:
     def test_width_height_attributes_stay_readable(self):
         """Geometry vocabulary, not config input: the read-only extents on
         a topology and a telemetry report are derived from ``shape``."""
-        from repro.noc.topology import Mesh3D
+        from repro.noc.topology import MeshTopology
         from repro.telemetry.report import TelemetryReport
 
-        topology = Mesh3D(6, 4, 2)
+        topology = MeshTopology(shape=(6, 4, 2))
         report = TelemetryReport(shape=(6, 4, 2), metrics_interval=10)
         for geometry in (topology, report):
             assert (geometry.width, geometry.height, geometry.depth) == (6, 4, 2)
@@ -209,6 +251,22 @@ class TestSerializationRoundTrip:
             config_from_dict(data)
         report = lint_dict(data)
         assert [d.rule_id for d in report.errors] == ["NOC000"]
+
+    @pytest.mark.parametrize(
+        "section, knob, value",
+        [
+            (None, "collect_power", False),
+            ("telemetry", "events", False),
+            ("telemetry", "max_events", 10),
+        ],
+    )
+    def test_a_retired_knob_off_its_constant_raises(self, section, knob, value):
+        """Dropping it would silently change what the run records."""
+        data = _legacy_dict(SimulationConfig(noc=NoCConfig(shape=(5, 5))))
+        (data if section is None else data[section])[knob] = value
+        with pytest.raises(ValueError, match=knob):
+            config_from_dict(data)
+        assert [d.rule_id for d in lint_dict(data).errors] == ["NOC000"]
 
     def test_a_missing_legacy_axis_defaults_to_8(self):
         data = _legacy_dict(SimulationConfig(noc=NoCConfig(shape=(5, 8))))

@@ -7,9 +7,10 @@ It puts a ``sitecustomize`` on ``PYTHONPATH`` that installs a
 (campaign workers and ledger children included), then runs everything that
 is not a unit test — the pinned CLI commands of
 ``tests/fixtures/cli/parent_d5e530f/commands.json``, every ``examples/*.py``,
-``benchmarks/ledger --smoke`` and ``tools/record.py --check`` (the front
-door of every paper figure and claim) — and prints each ``def`` under
-``src/repro`` that was never entered, grouped by file.
+``benchmarks/ledger --smoke``, ``tools/record.py --check`` (the front
+door of every paper figure and claim) and the CI steps that are not pytest
+(:data:`CI_STEPS`) — and prints each ``def`` under ``src/repro`` that was
+never entered, grouped by file.
 
 Most of what it prints is meant to stay (``__repr__``s, the oracles, the
 paper's DESIGN inventory); read it for *paths* — a class, a fork or a
@@ -44,6 +45,27 @@ sys.setprofile(_profile)
 '''
 
 
+#: The non-pytest steps of ``.github/workflows/ci.yml``, run from the
+#: scratch directory so the files they write land there: both invariant-
+#: checked degradation smokes, the 3D certification, the telemetry export
+#: and its validator, the crash and chaos drills and the lint session.
+CI_STEPS = [
+    ["-m", "repro", "degrade", "--shape", "6x6", "--kills", "4",
+     "--inject-cycles", "600", "--invariant-checks", "--no-chart"],
+    ["-m", "repro", "degrade", "--shape", "3x3x3", "--link-latency", "1,1,2",
+     "--kill-pillars", "--kills", "3", "--inject-cycles", "600",
+     "--invariant-checks", "--no-chart"],
+    ["-m", "repro", "verify", "--shape", "4x4x4", "--link-latency", "1,1,2",
+     "--retx-depth", "5"],
+    ["-m", "repro", "run", "--link-error-rate", "0.02", "--messages", "600",
+     "--telemetry", "telemetry.ndjson", "--metrics-interval", "50"],
+    [str(ROOT / "tools/validate_telemetry.py"), "telemetry.ndjson"],
+    [str(ROOT / "tools/kill_resume_smoke.py")],
+    [str(ROOT / "tools/chaos_campaign.py")],
+    [str(ROOT / "tools/lint.py")],
+]
+
+
 def main() -> int:
     pinned = json.loads(
         (ROOT / "tests/fixtures/cli/parent_d5e530f/commands.json").read_text()
@@ -63,6 +85,7 @@ def main() -> int:
         # The commands name paths relative to the root; the examples write
         # their output files where they run.
         runs = [(ROOT, c) for c in commands] + [(cwd, [str(e)]) for e in examples]
+        runs += [(cwd, step) for step in CI_STEPS]
         for where, command in runs:
             print("running:", *command, file=sys.stderr, flush=True)
             subprocess.run(
