@@ -31,10 +31,10 @@ def add_parser(sub: Any) -> None:
         "--backend",
         choices=("object", "batched"),
         default="object",
-        help="execution backend: 'batched' runs fault-free configs on the "
-        "struct-of-arrays kernel (docs/KERNEL.md), bit-for-bit equivalent "
-        "and ~5x faster when loaded; out-of-domain configs fall back to "
-        "the object model",
+        help="execution backend: 'batched' runs fault-free and link-fault "
+        "(HBH/FEC/NONE) configs on the struct-of-arrays kernel "
+        "(docs/KERNEL.md), bit-for-bit equivalent and ~4-5x faster when "
+        "loaded; out-of-domain configs fall back to the object model",
     )
     add_json_flag(run, "the full result")
     run.add_argument(

@@ -453,12 +453,12 @@ class SimulationConfig:
     ``docs/ARCHITECTURE.md``; ``"batched"`` requests the struct-of-arrays
     kernel (:mod:`repro.noc.kernel`), which holds flit/VC/credit/
     retransmission state in preallocated flat arrays and processes routers
-    as batched index operations per pipeline stage.  The kernel covers the
-    fault-free common case; configurations outside its domain (transient
-    fault rates, permanent schedules, E2E protection, source routing,
-    deadlock recovery, payload ECC, invariant checks) silently fall back to
-    the object model, so results are always bit-for-bit identical across
-    backends (``docs/KERNEL.md``,
+    as batched index operations per pipeline stage.  It covers fault-free
+    and transient-link-fault configs (HBH/FEC/NONE); the rest (other fault
+    sites, permanent/intermittent faults, E2E, 3D or slow links,
+    source/table routing, deadlock recovery, payload ECC, invariant
+    checks) silently fall back to the object model, so results are always
+    bit-for-bit identical across backends (``docs/KERNEL.md``,
     ``tests/noc/test_fast_path_equivalence.py``).
 
     ``checkpoint_interval`` / ``checkpoint_path`` enable periodic crash-safe

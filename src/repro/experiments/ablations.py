@@ -28,7 +28,12 @@ def _run(noc: NoCConfig, faults: FaultConfig, messages: int = 800) -> Simulation
         max_cycles=60_000,
         seed=21,
     )
-    return run_simulation(SimulationConfig(noc=noc, faults=faults, workload=workload))
+    # The pipeline-depth runs are fault-free and run on the kernel; the
+    # logic-fault and buffer-upset storms fall back to the object loop.
+    config = SimulationConfig(
+        noc=noc, faults=faults, workload=workload, backend="batched"
+    )
+    return run_simulation(config)
 
 
 def run_ablations() -> Dict[str, SimulationResult]:

@@ -58,6 +58,7 @@ def run_figure6_7(
                 workload=workload(
                     injection_rate, num_messages, warmup, pattern=pattern, seed=seed
                 ),
+                backend="batched",  # HBH link faults: the kernel's domain
             )
             result = run_simulation(config)
             series.append(

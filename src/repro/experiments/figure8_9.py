@@ -58,6 +58,7 @@ def run_figure8_9(
                 noc=paper_noc(routing=algorithm),
                 workload=workload(rate, num_messages=10**9, warmup=0, seed=seed),
                 collect_utilization=True,
+                backend="batched",  # fault-free: the kernel's domain
             )
             sim = Simulator(config)
             result = sim.run_cycles(cycles, measure_from=measure_from)

@@ -68,6 +68,9 @@ def run_saturation(
                     max_cycles=40_000,
                     seed=seed,
                 ),
+                # Fault-free or link-fault curves run on the kernel; any
+                # other fault_config falls back to the object loop.
+                backend="batched",
             )
             result = run_simulation(config)
             points.append(

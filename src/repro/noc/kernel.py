@@ -2,24 +2,23 @@
 
 The object model in :mod:`repro.noc.router` spends most of a loaded cycle
 on attribute lookups and small-method dispatch.  This module replays the
-exact same fault-free pipeline — BW→RT→VA→SA→ST→LT, credits, wormhole
-streaming, round-robin arbitration — over preallocated flat integer
-vectors, visiting only routers that hold flits.  Checkpoints serialize
-those vectors as typed int64 ``array('q')`` buffers; at runtime they are
-plain flat lists, the fastest scalar-indexed container CPython has.  A
-:class:`~repro.noc.network.Network` runs on one :class:`BatchedKernel`
-instead of router objects when
-
-* ``SimulationConfig.backend == "batched"``, and
-* :func:`kernel_supports` finds the configuration inside the batchable
-  domain (fault-free, HBH/NONE protection, deterministic distributed
-  routing, no deadlock recovery / payload ECC / invariant sanitizer).
-
-Outside that domain the network silently falls back to the object loop,
-so fault experiments keep their bit-accurate model while fault-free
-baselines and warm-up sweeps run an order of magnitude faster.  The kernel
-is built from config + topology (its network constructs no router or link)
-and shares one memoized :func:`route_table` per platform and process.
+exact same pipeline — BW→RT→VA→SA→ST→LT, credits, wormhole streaming,
+round-robin arbitration — over preallocated flat integer vectors,
+visiting only routers that hold flits.  Checkpoints serialize those
+vectors as typed int64 ``array('q')`` buffers; at runtime they are plain
+flat lists, the fastest scalar-indexed container CPython has.  A
+:class:`~repro.noc.network.Network` runs on one kernel instead of router
+objects when ``SimulationConfig.backend == "batched"`` and
+:func:`kernel_supports` finds the config inside the batchable domain (2D
+unit-latency platforms, deterministic distributed routing, no faults or
+transient link faults only under HBH/FEC/NONE, no deadlock recovery /
+payload ECC / invariant sanitizer).  Outside it the network silently
+falls back to the object loop.  The kernel is built from config +
+topology (its network constructs no router or link) and shares one
+memoized :func:`route_table` per platform and process; link faults get a
+:class:`~repro.noc.kernel_faults.LinkFaultKernel` (:func:`build_kernel`),
+whose stage methods add the per-hop error handling, so this module's
+fault-free cycle carries no fault branch.
 
 Equivalence is structural, not approximate: every counter, energy tally,
 latency sample, telemetry event and time-series sample is produced at the
@@ -27,7 +26,6 @@ same cycle with the same value as the object model — the argument is
 written out in ``docs/KERNEL.md`` and enforced bit-for-bit by
 ``tests/noc/test_fast_path_equivalence.py``.  The arrays pickle with the
 network, so checkpoint/resume (``docs/CHECKPOINTING.md``) works unchanged.
-
 Array layout, token encoding and the per-phase dataflow are specified in
 ``docs/KERNEL.md``; keep that document in sync with any change here.
 """
@@ -43,7 +41,7 @@ from repro.noc.flit import Flit
 from repro.noc.link import link_id
 from repro.noc.routing import resolve_routing_function
 from repro.noc.topology import make_topology
-from repro.types import FlitType, LinkProtection, RoutingAlgorithm
+from repro.types import FaultSite, FlitType, LinkProtection, RoutingAlgorithm
 
 #: Port index of the local (NI-facing) port; matches ``Direction.LOCAL``.
 _LOCAL = 4
@@ -68,21 +66,21 @@ _SUPPORTED_ROUTING = (
 def kernel_supports(config: Any) -> Optional[str]:
     """Why the batched kernel cannot run this config, or None if it can.
 
-    The batchable domain is the fault-free fast path: everything the object
-    model does outside it (fault injection, NACK rollback, E2E reverse
-    traffic, deadlock probing, table rerouting, bit-level payload checks,
-    the per-cycle sanitizer) is event-driven control flow that the flat
-    arrays deliberately do not model.  ``Network`` falls back to the object
-    loop when this returns a reason, so ``backend="batched"`` is always
-    safe to request.
+    The batchable domain is the fault-free pipeline plus transient link
+    faults under HBH, FEC or NONE protection.  Everything else the object
+    model does (logic-fault sites, E2E reverse traffic, deadlock probing,
+    table rerouting, bit-level payload checks, the per-cycle sanitizer) is
+    control flow the flat arrays deliberately do not model.  ``Network``
+    falls back to the object loop when this returns a reason, so
+    ``backend="batched"`` is always safe to request.
     """
     noc = config.noc
     if noc.ndim != 2:
         return "the batched kernel models 2D meshes only"
     if noc.max_link_latency != 1:
         return "multi-cycle link latencies are outside the batched domain"
-    if any(config.faults.rates.values()):
-        return "transient fault rates are nonzero"
+    if any(rate for site, rate in config.faults.rates.items() if site is not FaultSite.LINK):
+        return "transient fault rates at sites other than the link are nonzero"
     if config.faults.permanent:
         return "a permanent-fault schedule is configured"
     if config.faults.intermittent:
@@ -100,6 +98,14 @@ def kernel_supports(config: Any) -> Optional[str]:
     return None
 
 
+def build_kernel(config: Any, topo: Any) -> "BatchedKernel":
+    """An in-domain config's kernel; only link faults import ``kernel_faults``."""
+    if not config.faults.rate(FaultSite.LINK):
+        return BatchedKernel(config, topo)
+    from repro.noc.kernel_faults import LinkFaultKernel
+    return LinkFaultKernel(config, topo)
+
+
 def route_table(noc: Any) -> Tuple[Tuple[int, ...], ...]:
     """Candidate ports of every ``(router, dst)``, flat at ``r*R + dst``."""
     return _route_table(noc.topology, noc.shape, noc.link_latency, noc.routing)
@@ -110,7 +116,7 @@ def _route_table(
     topology: str, shape: Tuple[int, ...], link_latency: Any, routing: Any
 ) -> Tuple[Tuple[int, ...], ...]:
     # Keyed on every field make_topology and routing_for_config read in the
-    # batched domain, where no fault site exists and the latter reduces to
+    # batched domain, where no component can die and the latter reduces to
     # resolve_routing_function: pure routing on a topology that never dies.
     topo = make_topology(topology, shape, link_latency)
     routing_fn = resolve_routing_function(routing, topo)
@@ -156,24 +162,13 @@ class KernelSampler:
             total = ln[li]
             record("link_utilization", tid, cycle, (total - last_t[i]) / interval)
             last_t[i] = total
-        P, V = k.P, k.V
-        depth = k.retx_depth
-        nseq = k.nseq
         rcap = k.rcap
         for r in range(k.R):
             node = str(r)
             record("vc_occupancy", node, cycle, float(k.rbuf[r]))
             cap = rcap[r]
             if cap:
-                # Barrel-shifter occupancy: min(flits ever sent, depth) per
-                # mesh output channel (nothing replays in the fault-free
-                # domain, so the retransmission ring only ever fills).
-                occupied = 0
-                base = r * P * V
-                for pv in range(4 * V):
-                    s = nseq[base + pv]
-                    occupied += s if s < depth else depth
-                record("retx_pressure", node, cycle, occupied / cap)
+                record("retx_pressure", node, cycle, k.retx_occupancy(r) / cap)
             else:  # pragma: no cover - every mesh router has links
                 record("retx_pressure", node, cycle, 0.0)
         last_s = self._last_sent
@@ -189,7 +184,7 @@ class KernelSampler:
 
 
 class BatchedKernel:
-    """Struct-of-arrays replay of the object model's fault-free cycle.
+    """Struct-of-arrays replay of the object model's cycle.
 
     All per-VC / per-channel / per-NI state lives in flat integer vectors
     (see ``docs/KERNEL.md`` for the full inventory; pickled as ``int64``
@@ -198,6 +193,10 @@ class BatchedKernel:
     table.  ``step(network)`` advances one cycle in the same phase order as
     ``Network._step_active``; the kernel keeps no reference to its network.
     """
+
+    #: Link-fault stages and replay-queue flits: ``kernel_faults`` only.
+    link_faults = False
+    rq_total = 0
 
     def __init__(self, config: Any, topo: Any):
         noc = config.noc
@@ -368,6 +367,9 @@ class BatchedKernel:
     def step(self, net: Any) -> None:
         """Advance ``net`` one cycle; phase order mirrors
         ``Network._step_active``."""
+        if self.link_faults:
+            self._step_link_faults(net)
+            return
         stats = net.stats
         tel = net.telemetry
         run_record = net.run_record
@@ -384,9 +386,6 @@ class BatchedKernel:
         nb = self.nb
         ln = self.ln
         route_table = self.route_table
-        rxt_next, rxv_next = self.rxt_next, self.rxv_next
-        wr_next = self.wr_next
-        nsent = self.nsent
         # Flit-conservation gauges, kept in locals for the hot loop and
         # written back before anything (the sampler) can observe them.
         tb = self.total_buffered
@@ -453,66 +452,10 @@ class BatchedKernel:
                         n_bufw += 1
             wr.clear()
 
-        # Phase 4: NIs inject (stream continuation first, round-robin over
-        # VCs, then at most one new packet — NetworkInterface.inject).
-        ni_tx = net._ni_tx_active
-        if ni_tx:
-            nic, nis_slot, nis_next = self.nic, self.nis_slot, self.nis_next
-            nirr = self.nirr
-            interfaces = net.interfaces
-            drained: List[int] = []
-            for node in sorted(ni_tx):
-                ni = interfaces[node]
-                nbase = node * V
-                sent = False
-                rr = nirr[node]
-                for offset in range(V):
-                    vc = (rr + offset) % V
-                    si = nbase + vc
-                    slot = nis_slot[si]
-                    if slot >= 0 and nic[si] > 0:
-                        seq = nis_next[si]
-                        if seq + 1 >= pk_nf[slot]:
-                            nis_slot[si] = -1
-                        else:
-                            nis_next[si] = seq + 1
-                        nic[si] -= 1
-                        nsent[node] += 1
-                        i = node * P + _LOCAL
-                        rxt_next[i] = (slot << _SEQ_BITS) | seq
-                        rxv_next[i] = vc
-                        wr_next.add(node)
-                        lf += 1
-                        n_local += 1
-                        nirr[node] = (vc + 1) % V
-                        sent = True
-                        break
-                if not sent and ni.pending:
-                    for vc in range(V):
-                        si = nbase + vc
-                        if nis_slot[si] < 0 and nic[si] > 0:
-                            packet = ni.pending.popleft()
-                            slot = self._alloc_slot(packet)
-                            if pk_nf[slot] > 1:
-                                nis_slot[si] = slot
-                                nis_next[si] = 1
-                            nic[si] -= 1
-                            nsent[node] += 1
-                            i = node * P + _LOCAL
-                            rxt_next[i] = slot << _SEQ_BITS
-                            rxv_next[i] = vc
-                            wr_next.add(node)
-                            lf += 1
-                            n_local += 1
-                            break
-                if not ni.pending:
-                    for vc in range(V):
-                        if nis_slot[nbase + vc] >= 0:
-                            break
-                    else:
-                        drained.append(node)
-            if drained:
-                ni_tx.difference_update(drained)
+        # Phase 4: NIs inject.
+        injected = self._inject(net)
+        lf += injected
+        n_local += injected
 
         # Phase 5: router pipelines, ascending node order.  Cross-router
         # effects travel only on the delay lines, so within-phase order
@@ -723,16 +666,6 @@ class BatchedKernel:
         # recorder, the telemetry sampler) can read them off the kernel.
         self.total_buffered = tb
         self.line_flits = lf
-        net._send_history.append(sends)
-        if net.config.collect_utilization:
-            stats.record_utilization(
-                tb,
-                net._tx_capacity,
-                min(sum(net._send_history), net._retx_capacity),
-                net._retx_capacity,
-            )
-        if tel is not None:
-            tel.on_cycle_end(net)
         if stats.measuring:
             # One flush per cycle; dict equality is order-insensitive and
             # the `if` guards keep zero-valued keys from appearing.
@@ -754,13 +687,87 @@ class BatchedKernel:
             if n_mesh:
                 energy["link"] += n_mesh
                 energy["retx_write"] += n_mesh
-        stats.cycles += 1
-        run_record.cycle += 1
+        self._end_cycle(net, sends)
 
-        # Swap the delay lines and wake sets: everything sent this cycle
-        # arrives next cycle.  The consumed *_cur sides were reset to empty
-        # (-1 / cleared) as they were drained, so they can carry next
-        # cycle's traffic.
+    def _inject(self, net: Any) -> int:
+        """Phase 4, ``NetworkInterface.inject``: continue a stream, else
+        start one packet.  Returns the flits put on the injection lines."""
+        ni_tx = net._ni_tx_active
+        if not ni_tx:
+            return 0
+        P, V, pk_nf, nirr, nsent = self.P, self.V, self.pk_nf, self.nirr, self.nsent
+        nic, nis_slot, nis_next = self.nic, self.nis_slot, self.nis_next
+        rxt_next, rxv_next, wr_next = self.rxt_next, self.rxv_next, self.wr_next
+        pushed = 0
+        drained: List[int] = []
+        for node in sorted(ni_tx):
+            ni = net.interfaces[node]
+            nbase = node * V
+            sent = False
+            rr = nirr[node]
+            for offset in range(V):
+                vc = (rr + offset) % V
+                si = nbase + vc
+                slot = nis_slot[si]
+                if slot >= 0 and nic[si] > 0:
+                    seq = nis_next[si]
+                    if seq + 1 >= pk_nf[slot]:
+                        nis_slot[si] = -1
+                    else:
+                        nis_next[si] = seq + 1
+                    nic[si] -= 1
+                    nsent[node] += 1
+                    i = node * P + _LOCAL
+                    rxt_next[i] = (slot << _SEQ_BITS) | seq
+                    rxv_next[i] = vc
+                    wr_next.add(node)
+                    pushed += 1
+                    nirr[node] = (vc + 1) % V
+                    sent = True
+                    break
+            if not sent and ni.pending:
+                for vc in range(V):
+                    si = nbase + vc
+                    if nis_slot[si] < 0 and nic[si] > 0:
+                        packet = ni.pending.popleft()
+                        slot = self._alloc_slot(packet)
+                        if pk_nf[slot] > 1:
+                            nis_slot[si] = slot
+                            nis_next[si] = 1
+                        nic[si] -= 1
+                        nsent[node] += 1
+                        i = node * P + _LOCAL
+                        rxt_next[i] = slot << _SEQ_BITS
+                        rxv_next[i] = vc
+                        wr_next.add(node)
+                        pushed += 1
+                        break
+            if not ni.pending:
+                for vc in range(V):
+                    if nis_slot[nbase + vc] >= 0:
+                        break
+                else:
+                    drained.append(node)
+        if drained:
+            ni_tx.difference_update(drained)
+        return pushed
+
+    def _end_cycle(self, net: Any, sends: int) -> None:
+        """Phase 6: bookkeeping, the clock, and the swaps that deliver this
+        cycle's sends next cycle (drained ``*_cur`` sides are empty)."""
+        stats = net.stats
+        net._send_history.append(sends)
+        if net.config.collect_utilization:  # as Network._end_cycle
+            stats.record_utilization(
+                self.total_buffered,
+                net._tx_capacity,
+                min(sum(net._send_history) + self.rq_total, net._retx_capacity),
+                net._retx_capacity,
+            )
+        if net.telemetry is not None:
+            net.telemetry.on_cycle_end(net)
+        stats.cycles += 1
+        net.run_record.cycle += 1
         self.rxt_cur, self.rxt_next = self.rxt_next, self.rxt_cur
         self.rxv_cur, self.rxv_next = self.rxv_next, self.rxv_cur
         self.ejt_cur, self.ejt_next = self.ejt_next, self.ejt_cur
@@ -775,6 +782,11 @@ class BatchedKernel:
     @property
     def in_flight_flits(self) -> int:
         return self.total_buffered + self.line_flits
+
+    def retx_occupancy(self, r: int) -> int:
+        """Ring slots in use at router ``r``: min(flits sent, depth) each."""
+        base, depth = r * self.P * self.V, self.retx_depth
+        return sum(min(s, depth) for s in self.nseq[base:base + 4 * self.V])
 
     def make_sampler(self, topo: Any) -> KernelSampler:
         return KernelSampler(self, topo)

@@ -42,7 +42,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.intermittent import IntermittentLifecycle, _SiteState
 from repro.faults.permanent import PermanentFault
 from repro.noc.flit import Flit
-from repro.noc.kernel import BatchedKernel, kernel_supports
+from repro.noc.kernel import BatchedKernel, build_kernel, kernel_supports
 from repro.noc.link import Link
 from repro.noc.packet import Packet, PacketReassembler
 from repro.noc.router import Router
@@ -435,13 +435,13 @@ class Network:
         #: or None when the object loops run.  Built only when the config
         #: asks for it *and* sits inside the batchable domain; otherwise
         #: ``backend="batched"`` silently falls back to the object model,
-        #: so fault experiments keep the bit-accurate path (docs/KERNEL.md).
+        #: which alone models E2E and logic/hard faults (docs/KERNEL.md).
         #: The kernel reads only config + topology: no router, no link.
         self.kernel: Optional[BatchedKernel] = None
         if config.backend == "batched" and kernel_supports(config) is None:
             self.routers: Sequence[Router] = ()
             self.links: Sequence[Link] = ()
-            self.kernel = BatchedKernel(config, self.topology)
+            self.kernel = build_kernel(config, self.topology)
         else:
             self.routers = [
                 Router(

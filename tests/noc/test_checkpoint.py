@@ -297,7 +297,7 @@ class TestContainerFormat:
         """A file written before the config became canonical (version 1,
         legacy config in the header) is a typed error — raised from the
         header, so its stale object graph is never unpickled."""
-        assert CHECKPOINT_VERSION == 6
+        assert CHECKPOINT_VERSION == 7
         self._assert_refused_from_the_header(
             tmp_path, 1, {"noc": {"width": 4, "height": 4}, "activity_driven": True}
         )
@@ -330,6 +330,17 @@ class TestContainerFormat:
             tmp_path,
             5,
             {"noc": {"shape": [4, 4], "flit_width_bits": 64}, "collect_power": True},
+        )
+
+    def test_v6_checkpoint_is_refused_before_unpickling(self, tmp_path):
+        """Version 6 kernels carry no link-fault tables (expected
+        sequences, retransmission rings, replay queues, the NACK line);
+        same typed error."""
+        self._assert_refused_from_the_header(
+            tmp_path,
+            6,
+            {"noc": {"shape": [4, 4]}, "backend": "batched",
+             "faults": {"rates": {"link": 0.01}}},
         )
 
     def test_overwrite_is_atomic_no_tmp_left_behind(self, tmp_path):

@@ -322,8 +322,8 @@ from repro.noc.kernel import kernel_supports  # noqa: E402
 #: In-domain scenarios, expressed as api.load_config overrides on a 4x4
 #: baseline.  Together they cover every batchable axis: all three supported
 #: routing algorithms, both topologies, every pipeline depth, single-flit
-#: packets, VC/depth extremes, utilization collection and both supported
-#: protection schemes.
+#: packets, VC/depth extremes, utilization collection, and transient link
+#: faults under all three supported protection schemes.
 BATCHED_SCENARIOS = {
     "xy_baseline": dict(),
     "west_first_contention": dict(routing="west_first", rate=0.3, messages=200),
@@ -340,6 +340,28 @@ BATCHED_SCENARIOS = {
     "many_vcs_deep_buffers": dict(vcs=4, buffer_depth=8, rate=0.25),
     "utilization_collection": dict(collect_utilization=True, rate=0.2),
     "unprotected_links": dict(scheme="none", rate=0.15),
+    # Transient link faults: the shared injector stream, SEC, NACK/replay
+    # (HBH) and the destination policy (FEC, NONE) on the flat arrays.
+    **{
+        f"{scheme}_links_{rate:.0e}": dict(
+            scheme=scheme, link_error_rate=rate, rate=0.2, collect_utilization=True
+        )
+        for scheme in ("hbh", "fec", "none")
+        for rate in (1e-3, 1e-2, 1e-1)
+    },
+    # Every link upset is multi-bit and the first NACK gives up: header
+    # materialization, the XY misroute check and the route-NACK rollback.
+    "hbh_multi_bit_giveups": dict(
+        link_error_rate=0.1,
+        faults={"link_multi_bit_fraction": 1.0},
+        max_nack_retries=0,
+        rate=0.2,
+        messages=200,
+    ),
+    "west_first_hbh_links": dict(
+        routing="west_first", link_error_rate=0.05, rate=0.3, messages=200
+    ),
+    "torus_hbh_links": dict(topology="torus", link_error_rate=0.05, rate=0.15),
 }
 
 
@@ -370,9 +392,25 @@ def test_batched_flag_never_changes_results(scenario):
     assert _observables(batched) == _observables(_config(**kw))
 
 
+def test_giveup_scenario_reaches_the_route_nack_rollback():
+    """The multi-bit scenario above exercises what it is named for."""
+    scenario = BATCHED_SCENARIOS["hbh_multi_bit_giveups"]
+    result = _backend_observables("batched", **scenario)
+    counters = result["counters"]
+    for name in ("retransmission_giveups", "route_nacks_sent", "route_nack_rollbacks"):
+        assert counters.get(name, 0) > 0, name
+
+
+@pytest.mark.parametrize("scheme", ["hbh", "fec", "none"])
+def test_link_only_faults_are_served_by_the_kernel(scheme):
+    config = api.load_config(backend="batched", scheme=scheme, link_error_rate=0.01)
+    assert kernel_supports(config) is None
+    assert Network(config).kernel is not None
+
+
 def test_out_of_domain_configs_fall_back_to_the_object_loop():
     config = dataclasses.replace(
-        _config(rates={FaultSite.LINK: 0.01}), backend="batched"
+        _config(rates={FaultSite.ROUTING: 0.01}), backend="batched"
     )
     net = Network(config)
     assert net.kernel is None  # fell back
@@ -383,7 +421,7 @@ def test_out_of_domain_configs_fall_back_to_the_object_loop():
 def test_kernel_supports_names_each_unsupported_feature():
     assert kernel_supports(_config()) is None
     cases = [
-        (dict(rates={FaultSite.LINK: 0.01}), "transient"),
+        (dict(rates={FaultSite.ROUTING: 0.01}), "transient"),
         (
             dict(
                 permanent=PermanentFaultSchedule.of(
@@ -412,7 +450,15 @@ def test_kernel_supports_names_each_unsupported_feature():
 
 
 @pytest.mark.parametrize(
-    "scenario", ["xy_baseline", "many_vcs_deep_buffers", "torus_west_first"]
+    "scenario",
+    [
+        "xy_baseline",
+        "many_vcs_deep_buffers",
+        "torus_west_first",
+        "hbh_links_1e-01",
+        "fec_links_1e-01",
+        "hbh_multi_bit_giveups",
+    ],
 )
 def test_batched_telemetry_is_byte_identical(scenario, tmp_path):
     """Events, sampled series and the NDJSON export itself must match the
@@ -497,7 +543,9 @@ def test_kernel_served_sweep_constructs_no_object_graph(monkeypatch):
 
 def test_out_of_domain_batched_config_still_builds_the_object_graph(monkeypatch):
     built = _count_constructions(monkeypatch)
-    net = Network(api.load_config(backend="batched", link_error_rate=0.01))
+    net = Network(
+        api.load_config(backend="batched", scheme="e2e", link_error_rate=0.01)
+    )
     assert net.kernel is None
     assert built["Router"] == len(net.routers) == 64
     assert built["Link"] == len(net.links) > 0

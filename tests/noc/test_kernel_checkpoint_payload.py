@@ -24,15 +24,19 @@ from repro.serialization import result_to_dict
 STDLIB_IN_PAYLOAD = {"array", "builtins", "collections", "random"}
 
 
-@pytest.fixture
-def midrun_sim():
+@pytest.fixture(params=[0.0, 0.05], ids=["fault_free", "link_faults"])
+def midrun_sim(request):
+    """A kernel mid-run; with link faults its tables include the rings,
+    replay queues and NACK line (docs/KERNEL.md, "Link faults")."""
     sim = Simulator(
         api.load_config(
-            backend="batched", shape=(4, 4), rate=0.2, messages=150, warmup=20, seed=3
+            backend="batched", shape=(4, 4), rate=0.2, messages=150, warmup=20,
+            seed=3, link_error_rate=request.param,
         )
     )
     sim.run_to_cycle(120)
     assert sim.network.kernel is not None
+    assert sim.network.kernel.link_faults == bool(request.param)
     return sim
 
 
@@ -47,7 +51,9 @@ def test_every_table_round_trips_exactly_as_plain_ints(midrun_sim):
     state = kernel.__getstate__()
     for name in kernel.ARRAY_NAMES:
         assert type(state[name]) is array and state[name].typecode == "q", name
-    restored = BatchedKernel.__new__(BatchedKernel)
+    cls = type(kernel)  # BatchedKernel, or LinkFaultKernel with its tables
+    assert issubclass(cls, BatchedKernel)
+    restored = cls.__new__(cls)
     restored.__setstate__(state)
     for name in kernel.ARRAY_NAMES:
         table = getattr(restored, name)

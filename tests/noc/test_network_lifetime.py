@@ -70,6 +70,10 @@ CONFIGS = {
     "telemetry_batched": lambda: small(
         backend="batched", telemetry=True, metrics_interval=10
     ),
+    "batched_link_faults": lambda: small(
+        backend="batched", scheme="fec", link_error_rate=0.05,
+        telemetry=True, metrics_interval=10,
+    ),
     "intermittent_wear_out": lambda: small(
         faults=faults(
             intermittent_links=["5:east:0.5:10:40", "6:north:0.5:10:40"],

@@ -90,7 +90,7 @@ class TestSelfDescribingDefault:
     def test_out_of_domain_batched_checkpoint_resumes_on_fallback(self, tmp_path):
         """A config that requested batched but fell back (out of domain)
         checkpoints and resumes as the object loop it actually ran."""
-        cfg = _cfg("batched", link_error_rate=0.01, telemetry=False)
+        cfg = _cfg("batched", scheme="e2e", link_error_rate=0.01, telemetry=False)
         sim = Simulator(cfg)
         assert sim.network.kernel is None  # fell back at construction
         sim.run_to_cycle(100)
@@ -98,5 +98,35 @@ class TestSelfDescribingDefault:
         save_checkpoint(sim, path)
         resumed = load_checkpoint(path)
         assert resumed.network.kernel is None
-        golden = Simulator(_cfg("batched", link_error_rate=0.01, telemetry=False)).run()
+        golden = Simulator(
+            _cfg("batched", scheme="e2e", link_error_rate=0.01, telemetry=False)
+        ).run()
         assert _observables(resumed.run()) == _observables(golden)
+
+
+class TestLinkFaultResume:
+    def test_resume_with_a_nack_in_flight_and_replays_queued(self, tmp_path):
+        """A kernel checkpoint cut while a NACK is on its delay line and a
+        replay queue holds flits resumes bit-for-bit (result and NDJSON)."""
+        kw = dict(
+            link_error_rate=0.1, faults={"link_multi_bit_fraction": 1.0}, rate=0.2
+        )
+        sim = Simulator(_cfg("batched", **kw))
+        kernel = sim.network.kernel
+        assert kernel is not None and kernel.link_faults
+        while not (any(kernel.nkn_cur) and kernel.rq_total):
+            assert sim.should_continue(), "no cycle with both in flight"
+            sim.advance()
+        path = tmp_path / "nack.ckpt"
+        save_checkpoint(sim, path)
+        resumed = load_checkpoint(path).run()
+        golden = Simulator(_cfg("batched", **kw)).run()
+        assert golden.counter("retransmission_rounds") > 0
+        assert _observables(resumed) == _observables(golden)
+        on_objects = Simulator(_cfg("object", **kw)).run()
+        assert _observables(golden) == _observables(on_objects)
+        golden_path = tmp_path / "golden.ndjson"
+        resumed_path = tmp_path / "resumed.ndjson"
+        write_ndjson(golden.telemetry, golden_path)
+        write_ndjson(resumed.telemetry, resumed_path)
+        assert golden_path.read_bytes() == resumed_path.read_bytes()

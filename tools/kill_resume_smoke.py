@@ -14,7 +14,9 @@ boundary with a real ``kill -9``):
    envelope to be byte-identical to the golden one.
 
 Both runs use the same checkpoint path, so the envelopes (which embed the
-config, checkpoint fields included) are comparable byte-for-byte.
+config, checkpoint fields included) are comparable byte-for-byte.  The
+drill runs once per engine: the object loop and the batched kernel under
+transient link faults (``--backend object|batched`` picks one).
 
 Exit status 0 on success, 1 on any divergence or sequencing failure.
 """
@@ -36,24 +38,29 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.checkpoint import CheckpointError, read_checkpoint_header  # noqa: E402
 
-#: A run long enough (tens of seconds of wall clock on CI hardware) that the
-#: SIGKILL reliably lands mid-run, with transient link faults so the resume
-#: is exercised on a stressed configuration, not a toy one.
-RUN_FLAGS = [
-    "--shape", "8x8",
-    "--rate", "0.3",
-    "--messages", "3000",
-    "--warmup", "400",
-    "--link-error-rate", "0.01",
-    "--seed", "7",
+#: Runs long enough (seconds of wall clock on CI hardware, a dozen
+#: checkpoints) that the SIGKILL reliably lands mid-run, with transient link
+#: faults so the resume is exercised on a stressed configuration, not a toy
+#: one.  The object loop's drill resumes a pickled router graph; the
+#: kernel's (``--backend batched``, HBH link faults inside its domain)
+#: resumes the flat tables mid-NACK/replay, and runs four times the
+#: messages because it simulates ~4x as many cycles per second.
+COMMON_FLAGS = [
+    "--shape", "8x8", "--rate", "0.3", "--link-error-rate", "0.01", "--seed", "7",
 ]
+DRILLS = {
+    "object": [*COMMON_FLAGS, "--messages", "3000", "--warmup", "400"],
+    "batched": [
+        *COMMON_FLAGS, "--messages", "12000", "--warmup", "1600", "--backend", "batched"
+    ],
+}
 CHECKPOINT_INTERVAL = 200
 
 
-def _run_cmd(checkpoint: pathlib.Path) -> list:
+def _run_cmd(flags: list, checkpoint: pathlib.Path) -> list:
     return [
         sys.executable, "-m", "repro", "run",
-        *RUN_FLAGS,
+        *flags,
         "--checkpoint", str(checkpoint),
         "--checkpoint-interval", str(CHECKPOINT_INTERVAL),
         "--json",
@@ -81,11 +88,26 @@ def main(argv: list | None = None) -> int:
         default=120.0,
         help="seconds to wait for the victim's first checkpoint (default 120)",
     )
+    parser.add_argument(
+        "--backend",
+        choices=sorted(DRILLS),
+        action="append",
+        help="drill only this engine (repeatable; default: every engine)",
+    )
     args = parser.parse_args(argv)
+    for backend in args.backend or list(DRILLS):
+        print(f"== {backend} drill ==", file=sys.stderr)
+        status = drill(DRILLS[backend], args.checkpoint_wait)
+        if status:
+            return status
+    return 0
 
+
+def drill(flags: list, checkpoint_wait: float) -> int:
+    """Golden run, SIGKILLed victim, resume, byte-compare; 0 on success."""
     with tempfile.TemporaryDirectory(prefix="repro-kill-resume-") as tmp:
         ckpt = pathlib.Path(tmp) / "run.ckpt"
-        cmd = _run_cmd(ckpt)
+        cmd = _run_cmd(flags, ckpt)
         env = _child_env()
 
         print("golden: running to completion ...", file=sys.stderr)
@@ -113,7 +135,7 @@ def main(argv: list | None = None) -> int:
             cmd, env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
-        deadline = time.monotonic() + args.checkpoint_wait
+        deadline = time.monotonic() + checkpoint_wait
         try:
             while not ckpt.exists():
                 if victim.poll() is not None:
@@ -123,7 +145,7 @@ def main(argv: list | None = None) -> int:
                     )
                 if time.monotonic() > deadline:
                     return _fail(
-                        f"no checkpoint after {args.checkpoint_wait:.0f}s"
+                        f"no checkpoint after {checkpoint_wait:.0f}s"
                     )
                 time.sleep(0.05)
             os.kill(victim.pid, signal.SIGKILL)
