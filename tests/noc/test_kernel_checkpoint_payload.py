@@ -24,24 +24,41 @@ from repro.serialization import result_to_dict
 STDLIB_IN_PAYLOAD = {"array", "builtins", "collections", "random"}
 
 
-@pytest.fixture(params=[0.0, 0.05], ids=["fault_free", "link_faults"])
-def midrun_sim(request):
-    """A kernel mid-run; with link faults its tables include the rings,
-    replay queues and NACK line (docs/KERNEL.md, "Link faults")."""
+def _midrun_sim(link_error_rate):
     sim = Simulator(
         api.load_config(
             backend="batched", shape=(4, 4), rate=0.2, messages=150, warmup=20,
-            seed=3, link_error_rate=request.param,
+            seed=3, link_error_rate=link_error_rate,
         )
     )
     sim.run_to_cycle(120)
     assert sim.network.kernel is not None
-    assert sim.network.kernel.link_faults == bool(request.param)
+    assert sim.network.kernel.link_faults == bool(link_error_rate)
     return sim
 
 
+@pytest.fixture
+def midrun_sim():
+    return _midrun_sim(0.0)
+
+
+@pytest.fixture
+def link_fault_sim():
+    """A kernel mid-run under link faults: its tables include the rings,
+    replay queues and NACK line (docs/KERNEL.md, "Link faults")."""
+    return _midrun_sim(0.05)
+
+
 def test_every_table_round_trips_exactly_as_plain_ints(midrun_sim):
-    kernel = midrun_sim.network.kernel
+    _assert_tables_round_trip(midrun_sim)
+
+
+def test_link_fault_tables_round_trip_exactly_as_plain_ints(link_fault_sim):
+    _assert_tables_round_trip(link_fault_sim)
+
+
+def _assert_tables_round_trip(sim):
+    kernel = sim.network.kernel
     # A flit token of a run with > 2048 packets in flight: past 2**31.
     big_token = (5000 << _SEQ_BITS) | 3
     kernel.buf[0] = big_token
@@ -62,7 +79,15 @@ def test_every_table_round_trips_exactly_as_plain_ints(midrun_sim):
 
 
 def test_checkpoint_payload_names_only_stdlib_and_repro(midrun_sim, tmp_path):
-    path = save_checkpoint(midrun_sim, tmp_path / "batched.ckpt")
+    _assert_payload_names_only_stdlib_and_repro(midrun_sim, tmp_path)
+
+
+def test_link_fault_payload_names_only_stdlib_and_repro(link_fault_sim, tmp_path):
+    _assert_payload_names_only_stdlib_and_repro(link_fault_sim, tmp_path)
+
+
+def _assert_payload_names_only_stdlib_and_repro(sim, tmp_path):
+    path = save_checkpoint(sim, tmp_path / "batched.ckpt")
     named = set()
 
     class Recorder(pickle.Unpickler):
@@ -84,7 +109,15 @@ def test_checkpoint_payload_names_only_stdlib_and_repro(midrun_sim, tmp_path):
 def test_checkpoint_payload_carries_no_object_graph(midrun_sim, tmp_path):
     """A kernel-served network has no routers, links or retransmission
     buffers, and the route table is a derived memo: none of them is pickled."""
-    path = save_checkpoint(midrun_sim, tmp_path / "batched.ckpt")
+    _assert_payload_carries_no_object_graph(midrun_sim, tmp_path)
+
+
+def test_link_fault_payload_carries_no_object_graph(link_fault_sim, tmp_path):
+    _assert_payload_carries_no_object_graph(link_fault_sim, tmp_path)
+
+
+def _assert_payload_carries_no_object_graph(sim, tmp_path):
+    path = save_checkpoint(sim, tmp_path / "batched.ckpt")
     modules = set()
 
     class Recorder(pickle.Unpickler):
@@ -101,4 +134,4 @@ def test_checkpoint_payload_carries_no_object_graph(midrun_sim, tmp_path):
 
     resumed = load_checkpoint(path)
     assert resumed.network.routers == () and resumed.network.links == ()
-    assert resumed.network.kernel.route_table is route_table(midrun_sim.config.noc)
+    assert resumed.network.kernel.route_table is route_table(sim.config.noc)
