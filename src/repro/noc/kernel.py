@@ -33,7 +33,7 @@ Array layout, token encoding and the per-phase dataflow are specified in
 from __future__ import annotations
 
 from array import array
-from bisect import insort
+from bisect import bisect_left, insort
 from functools import lru_cache
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -129,6 +129,14 @@ def _route_table(
             cands = routing_fn.candidates(topo, r, probe)
             table.append(tuple(int(d) for d in cands if int(d) in valid))
     return tuple(table)
+
+
+def _nearest(requesters: List[int], pointer: int) -> int:
+    """Round robin (``RoundRobinArbiter.grant``): the requester nearest at
+    or after ``pointer``, wrapping.  Every caller lists its requesters in
+    ascending order, as it visits them (``occ`` is kept sorted)."""
+    i = bisect_left(requesters, pointer)
+    return requesters[i] if i < len(requesters) else requesters[0]
 
 
 class KernelSampler:
@@ -378,8 +386,7 @@ class BatchedKernel:
         PV = P * V
         buf, bh, bc = self.buf, self.bh, self.bc
         st, op, ov = self.st, self.op, self.ov
-        rtc, vac, varot = self.rtc, self.vac, self.varot
-        va_arb, sa_in, sa_out = self.va_arb, self.sa_in, self.sa_out
+        rtc, vac = self.rtc, self.vac
         cred, alloc, nseq = self.cred, self.alloc, self.nseq
         cands = self.cands
         pk_dst, pk_nf, pk_hops = self.pk_dst, self.pk_nf, self.pk_hops
@@ -495,64 +502,9 @@ class BatchedKernel:
                     if st[idx] == 1 and rtc[idx] <= va_gate:
                         va_requests.append(pv)
                 if va_requests:
-                    # Stage 1: each requester picks one free output channel
-                    # by its private rotation over the usable set; the free
-                    # set is a snapshot (grants apply after stage 2).
-                    contested: Dict[int, List[int]] = {}
-                    for pv in va_requests:
-                        idx = rbase + pv
-                        usable = [
-                            p_ * V + v_
-                            for p_ in cands[idx]
-                            for v_ in range(V)
-                            if alloc[rbase + p_ * V + v_] < 0
-                        ]
-                        if not usable:
-                            continue  # rotation not advanced, as the object
-                        rot = varot[idx]
-                        varot[idx] = rot + 1
-                        contested.setdefault(
-                            usable[rot % len(usable)], []
-                        ).append(pv)
-                    # Stage 2: one round-robin arbiter per output channel.
-                    grants: List[Tuple[int, int]] = []
-                    for oc, reqs in contested.items():
-                        aidx = rbase + oc
-                        if len(reqs) == 1:
-                            winner = reqs[0]
-                        else:
-                            reqset = set(reqs)
-                            nxt = va_arb[aidx]
-                            winner = -1
-                            for offset in range(PV):
-                                i = (nxt + offset) % PV
-                                if i in reqset:
-                                    winner = i
-                                    break
-                        va_arb[aidx] = (winner + 1) % PV
-                        grants.append((winner, oc))
-                    if not grants:
-                        if tel is not None:
-                            tel.publish(
-                                cycle,
-                                "vc_alloc_fail",
-                                r,
-                                count=len(va_requests),
-                            )
-                    else:
-                        failed = len(va_requests) - len(grants)
-                        if failed and tel is not None:
-                            tel.publish(
-                                cycle, "vc_alloc_fail", r, count=failed
-                            )
-                        for pv, oc in grants:
-                            idx = rbase + pv
-                            op[idx] = oc // V
-                            ov[idx] = oc % V
-                            st[idx] = 2
-                            vac[idx] = cycle
-                            alloc[rbase + oc] = pv
-                            n_vagrant += 1
+                    n_vagrant += len(
+                        self._allocate_vcs(r, rbase, va_requests, cycle, tel)
+                    )
 
                 # SA: input stage (RR over VCs per in-port) then output
                 # stage (RR over in-ports per out-port) — SwitchAllocator.
@@ -566,45 +518,8 @@ class BatchedKernel:
                     ):
                         bids.append(pv)
                 if bids:
-                    by_in: Dict[int, List[int]] = {}
-                    for pv in bids:
-                        by_in.setdefault(pv // V, []).append(pv % V)
-                    stage1: Dict[int, int] = {}
-                    for p_, vcs in by_in.items():
-                        aidx = r * P + p_
-                        if len(vcs) == 1:
-                            w = vcs[0]
-                        else:
-                            vset = set(vcs)
-                            nxt = sa_in[aidx]
-                            w = -1
-                            for offset in range(V):
-                                i = (nxt + offset) % V
-                                if i in vset:
-                                    w = i
-                                    break
-                        sa_in[aidx] = (w + 1) % V
-                        stage1[p_] = w
-                    by_out: Dict[int, List[int]] = {}
-                    for p_, w in stage1.items():
-                        by_out.setdefault(op[rbase + p_ * V + w], []).append(p_)
-                    for o, ports in by_out.items():
-                        aidx = r * P + o
-                        if len(ports) == 1:
-                            wp = ports[0]
-                        else:
-                            pset = set(ports)
-                            nxt = sa_out[aidx]
-                            wp = -1
-                            for offset in range(P):
-                                i = (nxt + offset) % P
-                                if i in pset:
-                                    wp = i
-                                    break
-                        sa_out[aidx] = (wp + 1) % P
-
+                    for o, wp, w in self._allocate_switch(r, rbase, bids):
                         # ST/LT for the winning input VC.
-                        w = stage1[wp]
                         pv = wp * V + w
                         idx = rbase + pv
                         h = bh[idx]
@@ -688,6 +603,82 @@ class BatchedKernel:
                 energy["link"] += n_mesh
                 energy["retx_write"] += n_mesh
         self._end_cycle(net, sends)
+
+    def _allocate_vcs(
+        self, r: int, rbase: int, requests: List[int], cycle: int, tel: Any
+    ) -> List[Tuple[int, int]]:
+        """VA at router ``r``: separable two-stage allocation
+        (``VCAllocator.allocate``) for its requesting input VCs ``p*V+v``.
+        Applies the grants and returns them as ``(input VC, out-channel)``."""
+        V = self.V
+        PV = self.P * V
+        cands, alloc, varot, va_arb = self.cands, self.alloc, self.varot, self.va_arb
+        # Stage 1: each requester picks one free output channel by its
+        # private rotation over the usable set; the free set is a snapshot
+        # (grants apply after stage 2).
+        contested: Dict[int, List[int]] = {}
+        for pv in requests:
+            idx = rbase + pv
+            usable = [
+                p_ * V + v_
+                for p_ in cands[idx]
+                for v_ in range(V)
+                if alloc[rbase + p_ * V + v_] < 0
+            ]
+            if not usable:
+                continue  # rotation not advanced, as the object model
+            rot = varot[idx]
+            varot[idx] = rot + 1
+            contested.setdefault(usable[rot % len(usable)], []).append(pv)
+        # Stage 2: one round-robin arbiter per output channel.
+        grants: List[Tuple[int, int]] = []
+        for oc, reqs in contested.items():
+            aidx = rbase + oc
+            winner = reqs[0] if len(reqs) == 1 else _nearest(reqs, va_arb[aidx])
+            va_arb[aidx] = (winner + 1) % PV
+            grants.append((winner, oc))
+        failed = len(requests) - len(grants)
+        if failed and tel is not None:
+            tel.publish(cycle, "vc_alloc_fail", r, count=failed)
+        op, ov, st, vac = self.op, self.ov, self.st, self.vac
+        for pv, oc in grants:
+            idx = rbase + pv
+            op[idx] = oc // V
+            ov[idx] = oc % V
+            st[idx] = 2
+            vac[idx] = cycle
+            alloc[rbase + oc] = pv
+        return grants
+
+    def _allocate_switch(
+        self, r: int, rbase: int, bids: List[int]
+    ) -> List[Tuple[int, int, int]]:
+        """SA at router ``r``: an input stage (round robin over VCs per
+        in-port) then an output stage (round robin over in-ports per
+        out-port), as ``SwitchAllocator``.  Returns the ``(out-port,
+        in-port, in-VC)`` winners in grant order; the caller's ST reads
+        nothing the arbitration of a later out-port does."""
+        P, V = self.P, self.V
+        op, sa_in, sa_out = self.op, self.sa_in, self.sa_out
+        by_in: Dict[int, List[int]] = {}
+        for pv in bids:
+            by_in.setdefault(pv // V, []).append(pv % V)
+        stage1: Dict[int, int] = {}
+        for p_, vcs in by_in.items():
+            aidx = r * P + p_
+            w = vcs[0] if len(vcs) == 1 else _nearest(vcs, sa_in[aidx])
+            sa_in[aidx] = (w + 1) % V
+            stage1[p_] = w
+        by_out: Dict[int, List[int]] = {}
+        for p_, w in stage1.items():
+            by_out.setdefault(op[rbase + p_ * V + w], []).append(p_)
+        winners: List[Tuple[int, int, int]] = []
+        for o, ports in by_out.items():
+            aidx = r * P + o
+            wp = ports[0] if len(ports) == 1 else _nearest(ports, sa_out[aidx])
+            sa_out[aidx] = (wp + 1) % P
+            winners.append((o, wp, stage1[wp]))
+        return winners
 
     def _inject(self, net: Any) -> int:
         """Phase 4, ``NetworkInterface.inject``: continue a stream, else

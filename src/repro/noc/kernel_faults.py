@@ -20,7 +20,6 @@ faults".
 from __future__ import annotations
 
 from bisect import insort
-from functools import lru_cache
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.schemes import (
@@ -34,7 +33,6 @@ from repro.noc.flit import Flit
 from repro.noc.kernel import _LOCAL, _OPP, _SEQ_BITS, _SEQ_MASK, BatchedKernel
 from repro.noc.packet import Packet
 from repro.noc.routing import xy_arrival_is_legal
-from repro.noc.topology import make_topology
 from repro.types import Corruption, Direction, LinkProtection, RoutingAlgorithm
 
 #: ``Direction`` per port index, for ``FaultInjector.link_upset``.
@@ -42,22 +40,6 @@ _DIRECTIONS = tuple(Direction(p) for p in range(5))
 #: NACK kinds on the NACK delay line (``NackSignal.kind``).
 _NACK_LINK = 0
 _NACK_ROUTE = 1
-
-
-@lru_cache(maxsize=1 << 16)  # every (node, port, dst) of a few 8x8 platforms
-def _xy_arrival_legal(
-    topology: str, shape: Tuple[int, ...], link_latency: Any,
-    node: int, port: int, dst: int,
-) -> bool:
-    """``xy_arrival_is_legal`` on one platform, memoized per process (the
-    Section 4.2 receiver check the kernel runs under HBH + XY)."""
-    topo = _platform(topology, shape, link_latency)
-    return xy_arrival_is_legal(topo, node, _DIRECTIONS[port], dst)
-
-
-@lru_cache(maxsize=16)
-def _platform(topology: str, shape: Tuple[int, ...], link_latency: Any) -> Any:
-    return make_topology(topology, shape, link_latency)
 
 
 class _FlitView:
@@ -169,11 +151,20 @@ class LinkFaultKernel(BatchedKernel):
         #: Route-NACK rollback queues (``VCBuffer.rollback_queue``): input
         #: VC index -> tokens ahead of the ring; present only when non-empty.
         self.rbq: Dict[int, List[int]] = {}
+        #: Section 4.2 verdicts (``xy_arrival_is_legal``) by ``(r*P +
+        #: port)*R + dst``, filled as headers ask; a memo, so never
+        #: checkpointed.
+        self.xy_legal: Dict[int, bool] = {}
         #: Per-NI reassemblies (``PacketReassembler``): packet id -> {flit
         #: seq: slot}.
         self.ras: List[Dict[int, Dict[int, int]]] = [{} for _ in range(R)]
         #: Flits in replay queues (``Router.retx_pending_flits``, summed).
         self.rq_total = 0
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = super().__getstate__()
+        state["xy_legal"] = {}
+        return state
 
     def _alloc_slot(self, packet: Any) -> int:
         slot = super()._alloc_slot(packet)
@@ -570,8 +561,7 @@ class LinkFaultKernel(BatchedKernel):
         PV = P * V
         buf, bh, bc = self.buf, self.bh, self.bc
         st, op, ov = self.st, self.op, self.ov
-        rtc, vac, varot = self.rtc, self.vac, self.varot
-        va_arb, sa_in, sa_out = self.va_arb, self.sa_in, self.sa_out
+        rtc, vac = self.rtc, self.vac
         cred, alloc, nseq, lown = self.cred, self.alloc, self.nseq, self.lown
         ex, rq_n, rqr, rbq = self.ex, self.rq_n, self.rqr, self.rbq
         rt_seq, rt_tok, rt_h, rt_n = self.rt_seq, self.rt_tok, self.rt_h, self.rt_n
@@ -585,9 +575,7 @@ class LinkFaultKernel(BatchedKernel):
         rxs_next, rxc_next = self.rxs_next, self.rxc_next
         crv_next, ejt_next = self.crv_next, self.ejt_next
         wr_next, wn_next = self.wr_next, self.wn_next
-        xy_check = self.xy_check
-        noc = self.noc
-        platform = (noc.topology, noc.shape, noc.link_latency)
+        xy_check, xy_legal, topo = self.xy_check, self.xy_legal, net.topology
         va_gate = cycle - self._va_delay
         sa_gate = cycle - self._sa_delay
         tb = self.total_buffered
@@ -640,12 +628,15 @@ class LinkFaultKernel(BatchedKernel):
                 slot = token >> _SEQ_BITS
                 dst = pk_dst[slot]
                 p = pv // V
-                if (
-                    xy_check
-                    and not queued
-                    and p != _LOCAL
-                    and not _xy_arrival_legal(*platform, r, p, dst)
-                ):
+                legal = True
+                if xy_check and not queued and p != _LOCAL:
+                    key = (r * P + p) * R + dst
+                    legal = xy_legal.get(key)
+                    if legal is None:
+                        legal = xy_legal[key] = xy_arrival_is_legal(
+                            topo, r, _DIRECTIONS[p], dst
+                        )
+                if not legal:
                     # Drop the header and its followers, NACK the sender
                     # to roll back and re-route (Router._detect_misroute).
                     dropped = bc[idx]
@@ -681,48 +672,10 @@ class LinkFaultKernel(BatchedKernel):
                 if st[idx] == 1 and rtc[idx] <= va_gate:
                     va_requests.append(pv)
             if va_requests:
-                contested: Dict[int, List[int]] = {}
-                for pv in va_requests:
-                    idx = rbase + pv
-                    usable = [
-                        p_ * V + v_
-                        for p_ in cands[idx]
-                        for v_ in range(V)
-                        if alloc[rbase + p_ * V + v_] < 0
-                    ]
-                    if not usable:
-                        continue
-                    rot = varot[idx]
-                    varot[idx] = rot + 1
-                    contested.setdefault(usable[rot % len(usable)], []).append(pv)
-                grants: List[Tuple[int, int]] = []
-                for oc, reqs in contested.items():
-                    aidx = rbase + oc
-                    if len(reqs) == 1:
-                        winner = reqs[0]
-                    else:
-                        reqset = set(reqs)
-                        nxt = va_arb[aidx]
-                        winner = -1
-                        for offset in range(PV):
-                            i = (nxt + offset) % PV
-                            if i in reqset:
-                                winner = i
-                                break
-                    va_arb[aidx] = (winner + 1) % PV
-                    grants.append((winner, oc))
-                failed = len(va_requests) - len(grants)
-                if failed and tel is not None:
-                    tel.publish(cycle, "vc_alloc_fail", r, count=failed)
+                grants = self._allocate_vcs(r, rbase, va_requests, cycle, tel)
                 for pv, oc in grants:
-                    idx = rbase + pv
-                    op[idx] = oc // V
-                    ov[idx] = oc % V
-                    st[idx] = 2
-                    vac[idx] = cycle
-                    alloc[rbase + oc] = pv
                     lown[rbase + oc] = pv
-                    n_vagrant += 1
+                n_vagrant += len(grants)
 
             # SA: as in ``step``, but a channel with queued replays, a
             # port a replay holds this cycle and a channel the wormhole no
@@ -741,46 +694,9 @@ class LinkFaultKernel(BatchedKernel):
                     ):
                         bids.append(pv)
             if bids:
-                by_in: Dict[int, List[int]] = {}
-                for pv in bids:
-                    by_in.setdefault(pv // V, []).append(pv % V)
-                stage1: Dict[int, int] = {}
-                for p_, vcs in by_in.items():
-                    aidx = r * P + p_
-                    if len(vcs) == 1:
-                        w = vcs[0]
-                    else:
-                        vset = set(vcs)
-                        nxt = sa_in[aidx]
-                        w = -1
-                        for offset in range(V):
-                            i = (nxt + offset) % V
-                            if i in vset:
-                                w = i
-                                break
-                    sa_in[aidx] = (w + 1) % V
-                    stage1[p_] = w
-                by_out: Dict[int, List[int]] = {}
-                for p_, w in stage1.items():
-                    by_out.setdefault(op[rbase + p_ * V + w], []).append(p_)
-                for o, ports in by_out.items():
-                    aidx = r * P + o
-                    if len(ports) == 1:
-                        wp = ports[0]
-                    else:
-                        pset = set(ports)
-                        nxt = sa_out[aidx]
-                        wp = -1
-                        for offset in range(P):
-                            i = (nxt + offset) % P
-                            if i in pset:
-                                wp = i
-                                break
-                    sa_out[aidx] = (wp + 1) % P
-
+                for o, wp, w in self._allocate_switch(r, rbase, bids):
                     # ST/LT: rollback-queue flits go first and were never
                     # credited, so they return no credit upstream.
-                    w = stage1[wp]
                     pv = wp * V + w
                     idx = rbase + pv
                     queued = rbq.get(idx)

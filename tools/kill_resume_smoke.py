@@ -16,7 +16,7 @@ boundary with a real ``kill -9``):
 Both runs use the same checkpoint path, so the envelopes (which embed the
 config, checkpoint fields included) are comparable byte-for-byte.  The
 drill runs once per engine: the object loop and the batched kernel under
-transient link faults (``--backend object|batched`` picks one).
+transient link faults.
 
 Exit status 0 on success, 1 on any divergence or sequencing failure.
 """
@@ -42,8 +42,7 @@ from repro.checkpoint import CheckpointError, read_checkpoint_header  # noqa: E4
 #: checkpoints) that the SIGKILL reliably lands mid-run, with transient link
 #: faults so the resume is exercised on a stressed configuration, not a toy
 #: one.  The object loop's drill resumes a pickled router graph; the
-#: kernel's (``--backend batched``, HBH link faults inside its domain)
-#: resumes the flat tables mid-NACK/replay, and runs four times the
+#: kernel's (HBH link faults inside its domain) resumes the flat tables mid-NACK/replay, and runs four times the
 #: messages because it simulates ~4x as many cycles per second.
 COMMON_FLAGS = [
     "--shape", "8x8", "--rate", "0.3", "--link-error-rate", "0.01", "--seed", "7",
@@ -88,16 +87,10 @@ def main(argv: list | None = None) -> int:
         default=120.0,
         help="seconds to wait for the victim's first checkpoint (default 120)",
     )
-    parser.add_argument(
-        "--backend",
-        choices=sorted(DRILLS),
-        action="append",
-        help="drill only this engine (repeatable; default: every engine)",
-    )
     args = parser.parse_args(argv)
-    for backend in args.backend or list(DRILLS):
-        print(f"== {backend} drill ==", file=sys.stderr)
-        status = drill(DRILLS[backend], args.checkpoint_wait)
+    for engine, flags in DRILLS.items():
+        print(f"== {engine} drill ==", file=sys.stderr)
+        status = drill(flags, args.checkpoint_wait)
         if status:
             return status
     return 0
