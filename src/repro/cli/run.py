@@ -32,7 +32,7 @@ def add_parser(sub: Any) -> None:
         choices=("object", "batched"),
         default="object",
         help="execution backend: 'batched' runs fault-free and link-fault "
-        "(HBH/FEC/NONE) configs on the struct-of-arrays kernel "
+        "(HBH/E2E/FEC/NONE) configs on the struct-of-arrays kernel "
         "(docs/KERNEL.md), bit-for-bit equivalent and ~4-5x faster when "
         "loaded; out-of-domain configs fall back to the object model",
     )

@@ -454,8 +454,8 @@ class SimulationConfig:
     kernel (:mod:`repro.noc.kernel`), which holds flit/VC/credit/
     retransmission state in preallocated flat arrays and processes routers
     as batched index operations per pipeline stage.  It covers fault-free
-    and transient-link-fault configs (HBH/FEC/NONE); the rest (other fault
-    sites, permanent/intermittent faults, E2E, 3D or slow links,
+    and transient-link-fault configs (HBH/E2E/FEC/NONE); the rest (other
+    fault sites, permanent/intermittent faults, 3D or slow links,
     source/table routing, deadlock recovery, payload ECC, invariant
     checks) silently fall back to the object model, so results are always
     bit-for-bit identical across backends (``docs/KERNEL.md``,

@@ -56,8 +56,7 @@ def run_figure5(
                     rate, multi_bit_fraction=multi_bit_fraction, seed=seed
                 ),
                 workload=workload(injection_rate, num_messages, warmup, seed=seed),
-                # HBH and FEC run on the kernel; E2E falls back to the
-                # object loop (kernel_supports names why).
+                # All three schemes run on the kernel (kernel_supports).
                 backend="batched",
             )
             result = run_simulation(config)

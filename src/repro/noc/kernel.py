@@ -11,14 +11,14 @@ flat lists, the fastest scalar-indexed container CPython has.  A
 objects when ``SimulationConfig.backend == "batched"`` and
 :func:`kernel_supports` finds the config inside the batchable domain (2D
 unit-latency platforms, deterministic distributed routing, no faults or
-transient link faults only under HBH/FEC/NONE, no deadlock recovery /
+transient link faults only under any protection, no deadlock recovery /
 payload ECC / invariant sanitizer).  Outside it the network silently
 falls back to the object loop.  The kernel is built from config +
 topology (its network constructs no router or link) and shares one
-memoized :func:`route_table` per platform and process; link faults get a
-:class:`~repro.noc.kernel_faults.LinkFaultKernel` (:func:`build_kernel`),
-whose stage methods add the per-hop error handling, so this module's
-fault-free cycle carries no fault branch.
+memoized :func:`route_table` per platform and process; link faults and E2E
+get a :class:`~repro.noc.kernel_faults.LinkFaultKernel` (:func:`build_kernel`),
+whose stage methods add the per-hop error handling and E2E's reverse
+path, so this module's fault-free cycle carries no fault branch.
 
 Equivalence is structural, not approximate: every counter, energy tally,
 latency sample, telemetry event and time-series sample is produced at the
@@ -67,9 +67,9 @@ def kernel_supports(config: Any) -> Optional[str]:
     """Why the batched kernel cannot run this config, or None if it can.
 
     The batchable domain is the fault-free pipeline plus transient link
-    faults under HBH, FEC or NONE protection.  Everything else the object
-    model does (logic-fault sites, E2E reverse traffic, deadlock probing,
-    table rerouting, bit-level payload checks, the per-cycle sanitizer) is
+    faults, under HBH, E2E, FEC or NONE protection.  Everything else the
+    object model does (logic-fault sites, deadlock probing, table
+    rerouting, bit-level payload checks, the per-cycle sanitizer) is
     control flow the flat arrays deliberately do not model.  ``Network``
     falls back to the object loop when this returns a reason, so
     ``backend="batched"`` is always safe to request.
@@ -85,8 +85,6 @@ def kernel_supports(config: Any) -> Optional[str]:
         return "a permanent-fault schedule is configured"
     if config.faults.intermittent:
         return "an intermittent/wear-out fault lifecycle is configured"
-    if noc.link_protection is LinkProtection.E2E:
-        return "end-to-end protection schedules reverse-path events"
     if noc.routing not in _SUPPORTED_ROUTING:
         return f"routing {noc.routing.value!r} is outside the batched domain"
     if noc.deadlock_recovery_enabled:
@@ -99,8 +97,9 @@ def kernel_supports(config: Any) -> Optional[str]:
 
 
 def build_kernel(config: Any, topo: Any) -> "BatchedKernel":
-    """An in-domain config's kernel; only link faults import ``kernel_faults``."""
-    if not config.faults.rate(FaultSite.LINK):
+    """An in-domain config's kernel; link faults and E2E import ``kernel_faults``."""
+    e2e = config.noc.link_protection is LinkProtection.E2E  # even on clean links
+    if not (e2e or config.faults.rate(FaultSite.LINK)):
         return BatchedKernel(config, topo)
     from repro.noc.kernel_faults import LinkFaultKernel
     return LinkFaultKernel(config, topo)
@@ -352,7 +351,8 @@ class BatchedKernel:
     # packet descriptors
     # ------------------------------------------------------------------
 
-    def _alloc_slot(self, packet: Any) -> int:
+    def _alloc_slot(self, packet: Any, ni: Any) -> int:
+        """``packet``'s slot as ``ni`` starts it (E2E copies go on ``ni``)."""
         free = self.pk_free
         if free:
             slot = free.pop()
@@ -422,8 +422,8 @@ class BatchedKernel:
             lf -= len(wn)
             wn.clear()
 
-        # Phase 2: scheduled events — none exist inside the batched domain
-        # (E2E reverse-path traffic is excluded by kernel_supports).
+        # Phase 2: scheduled events — only E2E schedules any, and an E2E
+        # config runs on LinkFaultKernel (build_kernel).
 
         # Phase 3: routers consume link deliveries (credits, then flits,
         # both in port order — the object model's receive() ordering).
@@ -721,7 +721,7 @@ class BatchedKernel:
                     si = nbase + vc
                     if nis_slot[si] < 0 and nic[si] > 0:
                         packet = ni.pending.popleft()
-                        slot = self._alloc_slot(packet)
+                        slot = self._alloc_slot(packet, ni)
                         if pk_nf[slot] > 1:
                             nis_slot[si] = slot
                             nis_next[si] = 1

@@ -1,17 +1,19 @@
 """The batched kernel under transient link faults.
 
 :class:`LinkFaultKernel` is the :class:`~repro.noc.kernel.BatchedKernel`
-of a config whose only nonzero fault rate is ``FaultSite.LINK``, under
-HBH, FEC or NONE protection (:func:`~repro.noc.kernel.kernel_supports`).
-It adds the state the object model keeps for that case — expected link
-sequences, NACK counts, per-channel retransmission rings and replay
-queues, a NACK delay line, the transfer's sequence and upset on the flit
-lines, route-NACK rollback queues, NI reassemblies and the tags of
-corrupted packets — and runs ``BatchedKernel.step``'s phases as stage
-methods that add the per-hop error handling at the object model's call
-sites, drawing from the injector's shared stream in the object model's
-order.  ``repro.noc.kernel.build_kernel`` imports this module only when a
-config needs it, so a fault-free run never compiles it.
+of a config whose only nonzero fault rate is ``FaultSite.LINK``, under any
+link protection, and of every E2E config
+(:func:`~repro.noc.kernel.kernel_supports`, ``build_kernel``).  It adds the
+state the object model keeps for that case — expected link sequences,
+NACK counts, per-channel retransmission rings and replay queues, a NACK
+delay line, the transfer's sequence and upset on the flit lines,
+route-NACK rollback queues, NI reassemblies, packet sources and the tags
+of corrupted packets — and runs ``BatchedKernel.step``'s phases as stage
+methods that add the per-hop error handling and E2E's source copies and
+reverse-path events at the object model's call sites, drawing from the
+injector's shared stream in the object model's order.
+``repro.noc.kernel.build_kernel`` imports this module only when a config
+needs it, so a fault-free run never compiles it.
 
 Tables, dataflow and the RNG-order argument: ``docs/KERNEL.md``, "Link
 faults".
@@ -48,17 +50,24 @@ class _FlitView:
     (``apply_header_upset``, ``Flit.corrupt``, ``destination_policy``)
     runs unchanged on the kernel's state."""
 
-    __slots__ = ("dst", "true_dst", "dst_error", "src_error", "corruption")
+    __slots__ = ("src", "dst", "true_dst", "dst_error", "src_error", "corruption")
 
     corrupt = Flit.corrupt
 
     def __init__(
-        self, dst: int, true_dst: int, dst_error: Corruption, corruption: Corruption
+        self,
+        src: int,
+        dst: int,
+        true_dst: int,
+        dst_error: Corruption,
+        src_error: Corruption,
+        corruption: Corruption,
     ):
+        self.src = src
         self.dst = dst
         self.true_dst = true_dst
         self.dst_error = dst_error
-        self.src_error = Corruption.NONE  # read by E2E only
+        self.src_error = src_error
         self.corruption = corruption
 
 
@@ -109,6 +118,7 @@ class LinkFaultKernel(BatchedKernel):
         "rt_seq", "rt_tok", "rt_h", "rt_n", "rq_seq", "rq_tok", "rq_n", "rqr",
         "rxs_cur", "rxs_next", "rxc_cur", "rxc_next",
         "nkn_cur", "nkn_next", "nk_cur", "nk_next",
+        "pk_src",
     )
 
     def __init__(self, config: Any, topo: Any):
@@ -117,6 +127,9 @@ class LinkFaultKernel(BatchedKernel):
         R, P, V = self.R, self.P, self.V
         depth = self.retx_depth
         self.protection = noc.link_protection
+        #: E2E: the NIs keep source copies and the destination schedules
+        #: ACKs and retransmission requests (``NetworkInterface``).
+        self.e2e = noc.link_protection is LinkProtection.E2E
         self.max_nack_retries = noc.max_nack_retries
         #: Section 4.2 receiver-side misroute detection (HBH + plain XY).
         self.xy_check = (
@@ -143,10 +156,12 @@ class LinkFaultKernel(BatchedKernel):
         new("nkn_next", R * P, 0)
         new("nk_cur", R * P * (V + 1), 0)  # packed (seq, vc, kind)
         new("nk_next", R * P * (V + 1), 0)
+        new("pk_src", 0, 0)  # source node per packet descriptor slot
         #: Packet id per descriptor slot (telemetry, reassembly, re-forward).
         self.pk_id: List[int] = []
         #: Fault tags of corrupted packets only, by slot: ``[true_dst,
-        #: dst_error, per-flit Corruption list]`` (``Flit``'s fields).
+        #: dst_error, src_error, per-flit Corruption list]`` (``Flit``'s
+        #: fields).
         self.pk_tag: Dict[int, List[Any]] = {}
         #: Route-NACK rollback queues (``VCBuffer.rollback_queue``): input
         #: VC index -> tokens ahead of the ring; present only when non-empty.
@@ -166,12 +181,19 @@ class LinkFaultKernel(BatchedKernel):
         state["xy_legal"] = {}
         return state
 
-    def _alloc_slot(self, packet: Any) -> int:
-        slot = super()._alloc_slot(packet)
+    def _alloc_slot(self, packet: Any, ni: Any) -> int:
+        slot = super()._alloc_slot(packet, ni)
         if slot == len(self.pk_id):
             self.pk_id.append(packet.packet_id)
+            self.pk_src.append(packet.src)
         else:
             self.pk_id[slot] = packet.packet_id
+            self.pk_src[slot] = packet.src
+        if self.e2e:  # NetworkInterface.inject's source copy
+            copies = ni.e2e_copies
+            copies[packet.packet_id] = packet
+            if len(copies) > ni.e2e_copy_high_water:
+                ni.e2e_copy_high_water = len(copies)
         return slot
 
     @property
@@ -191,8 +213,10 @@ class LinkFaultKernel(BatchedKernel):
         the object model's call sites (docs/KERNEL.md, "Link faults")."""
         cycle = net.run_record.cycle
         self._eject_checked(net, cycle)
-        # Phase 2, scheduled events: none (E2E is outside the domain, and
-        # an FEC/NONE re-forward is enqueued at once, as the NI does).
+        # Phase 2: E2E's ACKs and retransmission requests come due (an
+        # FEC/NONE re-forward is enqueued at once, as the NI does).
+        if net.run_record.events:
+            net._run_due_events()
         self._receive_checked(net, cycle)
         injected = self._inject(net)
         self.line_flits += injected
@@ -229,13 +253,16 @@ class LinkFaultKernel(BatchedKernel):
     def _deliver(self, net: Any, node: int, cycle: int, slots: List[int]) -> None:
         """``NetworkInterface._handle_packet`` for a completed packet given
         the slot of each of its flits: the scheme's ``destination_policy``
-        decides corrupted packets, clean ones are delivered."""
+        decides corrupted packets, clean ones are delivered.  Under E2E a
+        delivery schedules the source's ACK and a detected error its
+        retransmission request, each ``max(1, distance)`` cycles out."""
         stats = net.stats
         nf = len(slots)
         stats.count("flits_ejected", nf)
         self.nej[node] += nf
         head = slots[0]
         tags = self.pk_tag
+        record = net.run_record
         decision = DeliveryDecision(DeliveryAction.DELIVER)
         if any(s in tags for s in slots):
             decision = destination_policy(
@@ -248,7 +275,14 @@ class LinkFaultKernel(BatchedKernel):
             stats.record_ejection(cycle - self.pk_inj[head], self.pk_hops[head])
             if action is DeliveryAction.DELIVER_CORRUPT:
                 stats.count("packets_delivered_corrupt")
-            net.run_record.delivered += 1
+            record.delivered += 1
+            if self.e2e:
+                tag = tags.get(head)
+                if tag is None or tag[2] is not Corruption.MULTI:
+                    self._reverse(net, node, cycle, "e2e_release", head)
+        elif action is DeliveryAction.REQUEST_RETRANSMISSION:
+            stats.count("e2e_retransmissions")
+            self._reverse(net, node, cycle, "e2e_retransmit", head)
         elif action is DeliveryAction.FORWARD_TO_TRUE_DST:
             stats.count("packets_misrouted")
             stats.count("packets_reforwarded")
@@ -260,9 +294,9 @@ class LinkFaultKernel(BatchedKernel):
                 injection_cycle=self.pk_inj[head],
             )
             net.interfaces[node].enqueue(onward, priority=True)
-        else:  # LOST: E2E's retransmission request is outside the domain
+        else:  # LOST: unrecoverable, or E2E's request cannot be addressed
             stats.count("packets_lost")
-            net.run_record.lost += 1
+            record.lost += 1
             if net.telemetry is not None:
                 net.telemetry.publish(
                     cycle,
@@ -275,12 +309,20 @@ class LinkFaultKernel(BatchedKernel):
             tags.pop(slot, None)
             self.pk_free.append(slot)
 
+    def _reverse(self, net: Any, node: int, cycle: int, kind: str, slot: int) -> None:
+        """Schedule an E2E ACK or retransmission request from ``node`` to
+        the packet's source over the contention-free reverse path."""
+        src = self.pk_src[slot]
+        delay = max(1, net.topology.distance(node, src))
+        net.run_record.schedule(cycle + delay, kind, src, self.pk_id[slot])
+
     def _flit_view(self, slot: int, seq: int) -> _FlitView:
-        dst = self.pk_dst[slot]
+        src, dst = self.pk_src[slot], self.pk_dst[slot]
         tag = self.pk_tag.get(slot)
         if tag is None:
-            return _FlitView(dst, dst, Corruption.NONE, Corruption.NONE)
-        return _FlitView(dst, tag[0], tag[1], tag[2][seq])
+            none = Corruption.NONE
+            return _FlitView(src, dst, dst, none, none, none)
+        return _FlitView(src, dst, tag[0], tag[1], tag[2], tag[3][seq])
 
     def _materialize(self, rng: Any, token: int, severity: Corruption) -> None:
         """``Router._materialize_corruption``: land an in-transit upset in
@@ -292,9 +334,8 @@ class LinkFaultKernel(BatchedKernel):
             # The first tag records the true destination: only an upset,
             # which tags first, ever rewrites pk_dst.
             nf = self.pk_nf[slot]
-            tag = self.pk_tag[slot] = [
-                self.pk_dst[slot], Corruption.NONE, [Corruption.NONE] * nf
-            ]
+            none = Corruption.NONE
+            tag = self.pk_tag[slot] = [self.pk_dst[slot], none, none, [none] * nf]
         flit = self._flit_view(slot, seq)
         if seq == 0:
             field = pick_header_field(rng)
@@ -303,7 +344,8 @@ class LinkFaultKernel(BatchedKernel):
             flit.corrupt(severity)
         self.pk_dst[slot] = flit.dst
         tag[1] = flit.dst_error
-        tag[2][seq] = flit.corruption
+        tag[2] = flit.src_error
+        tag[3][seq] = flit.corruption
 
     def _receive_checked(self, net: Any, cycle: int) -> None:
         """Phase 3: credits, then NACKs in port order

@@ -435,7 +435,7 @@ class Network:
         #: or None when the object loops run.  Built only when the config
         #: asks for it *and* sits inside the batchable domain; otherwise
         #: ``backend="batched"`` silently falls back to the object model,
-        #: which alone models E2E and logic/hard faults (docs/KERNEL.md).
+        #: which alone models logic/hard faults (docs/KERNEL.md).
         #: The kernel reads only config + topology: no router, no link.
         self.kernel: Optional[BatchedKernel] = None
         if config.backend == "batched" and kernel_supports(config) is None:

@@ -86,6 +86,8 @@ class Simulator:
             config.noc.flits_per_packet,
         )
         self.energy_model = EnergyModel()
+        #: No node fires before this cycle; the first poll draws the phases.
+        self._traffic_due = 0.0
         self._next_packet_id = 0
         #: Set while :meth:`should_continue` trips the max_cycles guard, so
         #: a resumed run rebuilds the same result as an uninterrupted one.
@@ -106,6 +108,8 @@ class Simulator:
     # -- traffic generation -----------------------------------------------------
 
     def _generate_traffic(self, cycle: int) -> None:
+        if cycle < self._traffic_due:
+            return
         for node in range(self.config.noc.num_nodes):
             if not self.injection.fires(node, cycle, self.rng):
                 continue
@@ -122,6 +126,7 @@ class Simulator:
             self._next_packet_id += 1
             self.network.interfaces[node].enqueue(packet)
             self.network.stats.packets_injected += 1
+        self._traffic_due = self.injection.next_fire()
 
     # -- the run loop --------------------------------------------------------
 

@@ -56,3 +56,7 @@ class PeriodicInjection(InjectionProcess):
             self._next_fire[node] += self.interval
             return True
         return False
+
+    def next_fire(self) -> float:
+        """The earliest cycle any node fires at (``fires`` draws nothing)."""
+        return min(self._next_fire)

@@ -44,40 +44,51 @@ class TestE2EScheme:
     def test_source_copies_released_after_delivery(self):
         result = run(LinkProtection.E2E, 0.01, messages=200)
         assert result.packets_lost == 0
-        # Not a result field: inspect via a fresh short run's NIs.
-        config = SimulationConfig(
-            noc=small_noc(link_protection=LinkProtection.E2E),
-            faults=FaultConfig.link_only(0.01, multi_bit_fraction=0.2, seed=4),
-            workload=quick_workload(num_messages=150),
-        )
-        from repro.noc.simulator import Simulator
+        # Not a result field: inspect via a fresh short run's NIs, on the
+        # object loop and on the kernel.
+        for backend in ("object", "batched"):
+            config = SimulationConfig(
+                noc=small_noc(link_protection=LinkProtection.E2E),
+                faults=FaultConfig.link_only(0.01, multi_bit_fraction=0.2, seed=4),
+                workload=quick_workload(num_messages=150),
+                backend=backend,
+            )
+            from repro.noc.simulator import Simulator
 
-        sim = Simulator(config)
-        sim.run()
-        sim.network.run_cycles(200)  # drain ACK events
-        leaked = sum(len(ni.e2e_copies) for ni in sim.network.interfaces)
-        in_flight = sim.network.in_flight_flits
-        # Copies may legitimately remain for packets still in flight when
-        # the run stopped; a fully drained network must hold none for
-        # delivered packets.
-        assert leaked <= in_flight + sum(
-            ni.queued_packets for ni in sim.network.interfaces
-        ) + 5
+            sim = Simulator(config)
+            assert (sim.network.kernel is not None) == (backend == "batched")
+            sim.run()
+            sim.network.run_cycles(200)  # drain ACK events
+            leaked = sum(len(ni.e2e_copies) for ni in sim.network.interfaces)
+            in_flight = sim.network.in_flight_flits
+            # Copies may legitimately remain for packets still in flight
+            # when the run stopped; a fully drained network must hold none
+            # for delivered packets.
+            assert leaked <= in_flight + sum(
+                ni.queued_packets for ni in sim.network.interfaces
+            ) + 5, backend
 
     def test_e2e_source_buffering_is_nonzero(self):
-        config = SimulationConfig(
-            noc=small_noc(link_protection=LinkProtection.E2E),
-            faults=FaultConfig.link_only(0.02, multi_bit_fraction=0.2, seed=4),
-            workload=quick_workload(num_messages=200),
-        )
         from repro.noc.simulator import Simulator
 
-        sim = Simulator(config)
-        sim.run()
-        # The paper: "E2E schemes also require larger retransmission
-        # buffers to account for worst case round-trip delay".
-        high_water = max(ni.e2e_copy_high_water for ni in sim.network.interfaces)
-        assert high_water >= 1
+        marks = {}
+        for backend in ("object", "batched"):
+            config = SimulationConfig(
+                noc=small_noc(link_protection=LinkProtection.E2E),
+                faults=FaultConfig.link_only(0.02, multi_bit_fraction=0.2, seed=4),
+                workload=quick_workload(num_messages=200),
+                backend=backend,
+            )
+            sim = Simulator(config)
+            assert (sim.network.kernel is not None) == (backend == "batched")
+            sim.run()
+            # The paper: "E2E schemes also require larger retransmission
+            # buffers to account for worst case round-trip delay".
+            marks[backend] = [
+                ni.e2e_copy_high_water for ni in sim.network.interfaces
+            ]
+            assert max(marks[backend]) >= 1, backend
+        assert marks["object"] == marks["batched"]
 
 
 class TestFECScheme:

@@ -297,7 +297,7 @@ class TestContainerFormat:
         """A file written before the config became canonical (version 1,
         legacy config in the header) is a typed error — raised from the
         header, so its stale object graph is never unpickled."""
-        assert CHECKPOINT_VERSION == 7
+        assert CHECKPOINT_VERSION == 8
         self._assert_refused_from_the_header(
             tmp_path, 1, {"noc": {"width": 4, "height": 4}, "activity_driven": True}
         )
@@ -341,6 +341,16 @@ class TestContainerFormat:
             6,
             {"noc": {"shape": [4, 4]}, "backend": "batched",
              "faults": {"rates": {"link": 0.01}}},
+        )
+
+    def test_v7_checkpoint_is_refused_before_unpickling(self, tmp_path):
+        """Version 7 kernels carry no ``pk_src`` table and E2E configs ran
+        on the object loop; same typed error."""
+        self._assert_refused_from_the_header(
+            tmp_path,
+            7,
+            {"noc": {"shape": [4, 4], "link_protection": "e2e"},
+             "backend": "batched", "faults": {"rates": {"link": 0.01}}},
         )
 
     def test_overwrite_is_atomic_no_tmp_left_behind(self, tmp_path):

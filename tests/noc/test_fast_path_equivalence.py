@@ -323,7 +323,7 @@ from repro.noc.kernel import kernel_supports  # noqa: E402
 #: baseline.  Together they cover every batchable axis: all three supported
 #: routing algorithms, both topologies, every pipeline depth, single-flit
 #: packets, VC/depth extremes, utilization collection, and transient link
-#: faults under all three supported protection schemes.
+#: faults under all four protection schemes.
 BATCHED_SCENARIOS = {
     "xy_baseline": dict(),
     "west_first_contention": dict(routing="west_first", rate=0.3, messages=200),
@@ -346,7 +346,7 @@ BATCHED_SCENARIOS = {
         f"{scheme}_links_{rate:.0e}": dict(
             scheme=scheme, link_error_rate=rate, rate=0.2, collect_utilization=True
         )
-        for scheme in ("hbh", "fec", "none")
+        for scheme in ("hbh", "e2e", "fec", "none")
         for rate in (1e-3, 1e-2, 1e-1)
     },
     # Every link upset is multi-bit and the first NACK gives up: header
@@ -362,6 +362,20 @@ BATCHED_SCENARIOS = {
         routing="west_first", link_error_rate=0.05, rate=0.3, messages=200
     ),
     "torus_hbh_links": dict(topology="torus", link_error_rate=0.05, rate=0.15),
+    # E2E on clean links still keeps source copies and schedules ACKs.
+    "e2e_clean": dict(scheme="e2e", rate=0.2),
+    # Every upset is multi-bit: a SRC-field hit makes the retransmission
+    # request unaddressable (the LOST path) and leaves the copy unreleased.
+    "e2e_multi_bit": dict(
+        scheme="e2e",
+        link_error_rate=0.1,
+        faults={"link_multi_bit_fraction": 1.0},
+        rate=0.2,
+        messages=200,
+    ),
+    "torus_e2e_links": dict(
+        topology="torus", scheme="e2e", link_error_rate=0.05, rate=0.15
+    ),
 }
 
 
@@ -419,6 +433,9 @@ def test_out_of_domain_configs_fall_back_to_the_object_loop():
 
 def test_kernel_supports_names_each_unsupported_feature():
     assert kernel_supports(_config()) is None
+    for rates in ({}, {FaultSite.LINK: 0.01}):  # E2E, clean or faulted
+        e2e = _config(protection=LinkProtection.E2E, rates=rates)
+        assert kernel_supports(e2e) is None
     cases = [
         (dict(rates={FaultSite.ROUTING: 0.01}), "transient"),
         (
@@ -437,7 +454,6 @@ def test_kernel_supports_names_each_unsupported_feature():
             ),
             "intermittent",
         ),
-        (dict(protection=LinkProtection.E2E), "end-to-end"),
         (dict(deadlock_recovery=True), "deadlock"),
         (dict(invariant_checks=True), "sanitizer"),
     ]
@@ -456,6 +472,7 @@ def test_kernel_supports_names_each_unsupported_feature():
         "torus_west_first",
         "hbh_links_1e-01",
         "fec_links_1e-01",
+        "e2e_links_1e-01",
         "hbh_multi_bit_giveups",
     ],
 )
@@ -543,7 +560,7 @@ def test_kernel_served_sweep_constructs_no_object_graph(monkeypatch):
 def test_out_of_domain_batched_config_still_builds_the_object_graph(monkeypatch):
     built = _count_constructions(monkeypatch)
     net = Network(
-        api.load_config(backend="batched", scheme="e2e", link_error_rate=0.01)
+        api.load_config(backend="batched", faults={"rates": {"rt_logic": 0.01}})
     )
     assert net.kernel is None
     assert built["Router"] == len(net.routers) == 64

@@ -74,6 +74,9 @@ CONFIGS = {
         backend="batched", scheme="fec", link_error_rate=0.05,
         telemetry=True, metrics_interval=10,
     ),
+    "batched_e2e": lambda: small(
+        backend="batched", scheme="e2e", link_error_rate=0.05
+    ),
     "intermittent_wear_out": lambda: small(
         faults=faults(
             intermittent_links=["5:east:0.5:10:40", "6:north:0.5:10:40"],

@@ -39,6 +39,10 @@ def _cfg(backend, **kw):
     return api.load_config(backend=backend, **base)
 
 
+#: A logic-fault site: outside the kernel's domain (``kernel_supports``).
+RT_LOGIC_FAULTS = {"rates": {"rt_logic": 0.01}}
+
+
 def _observables(result):
     out = result_to_dict(result)
     out.pop("config")
@@ -90,7 +94,7 @@ class TestSelfDescribingDefault:
     def test_out_of_domain_batched_checkpoint_resumes_on_fallback(self, tmp_path):
         """A config that requested batched but fell back (out of domain)
         checkpoints and resumes as the object loop it actually ran."""
-        cfg = _cfg("batched", scheme="e2e", link_error_rate=0.01, telemetry=False)
+        cfg = _cfg("batched", faults=RT_LOGIC_FAULTS, telemetry=False)
         sim = Simulator(cfg)
         assert sim.network.kernel is None  # fell back at construction
         sim.run_to_cycle(100)
@@ -99,7 +103,7 @@ class TestSelfDescribingDefault:
         resumed = load_checkpoint(path)
         assert resumed.network.kernel is None
         golden = Simulator(
-            _cfg("batched", scheme="e2e", link_error_rate=0.01, telemetry=False)
+            _cfg("batched", faults=RT_LOGIC_FAULTS, telemetry=False)
         ).run()
         assert _observables(resumed.run()) == _observables(golden)
 
@@ -122,6 +126,36 @@ class TestLinkFaultResume:
         resumed = load_checkpoint(path).run()
         golden = Simulator(_cfg("batched", **kw)).run()
         assert golden.counter("retransmission_rounds") > 0
+        assert _observables(resumed) == _observables(golden)
+        on_objects = Simulator(_cfg("object", **kw)).run()
+        assert _observables(golden) == _observables(on_objects)
+        golden_path = tmp_path / "golden.ndjson"
+        resumed_path = tmp_path / "resumed.ndjson"
+        write_ndjson(golden.telemetry, golden_path)
+        write_ndjson(resumed.telemetry, resumed_path)
+        assert golden_path.read_bytes() == resumed_path.read_bytes()
+
+
+class TestE2EResume:
+    def test_resume_with_a_retransmit_event_due_and_copies_held(self, tmp_path):
+        """A kernel checkpoint cut while an ``e2e_retransmit`` event waits
+        in the heap and sources hold copies resumes bit-for-bit (result and
+        NDJSON), and the uninterrupted run equals the object loop's."""
+        kw = dict(scheme="e2e", link_error_rate=0.05, rate=0.2)
+        sim = Simulator(_cfg("batched", **kw))
+        assert sim.network.kernel is not None and sim.network.kernel.e2e
+        network = sim.network
+        while not (
+            any(e[2] == "e2e_retransmit" for e in network.run_record.events)
+            and any(ni.e2e_copies for ni in network.interfaces)
+        ):
+            assert sim.should_continue(), "no cycle with both outstanding"
+            sim.advance()
+        path = tmp_path / "e2e.ckpt"
+        save_checkpoint(sim, path)
+        resumed = load_checkpoint(path).run()
+        golden = Simulator(_cfg("batched", **kw)).run()
+        assert golden.counter("e2e_retransmissions") > 0
         assert _observables(resumed) == _observables(golden)
         on_objects = Simulator(_cfg("object", **kw)).run()
         assert _observables(golden) == _observables(on_objects)
