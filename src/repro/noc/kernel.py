@@ -15,10 +15,13 @@ transient link faults only under any protection, no deadlock recovery /
 payload ECC / invariant sanitizer).  Outside it the network silently
 falls back to the object loop.  The kernel is built from config +
 topology (its network constructs no router or link) and shares one
-memoized :func:`route_table` per platform and process; link faults and E2E
-get a :class:`~repro.noc.kernel_faults.LinkFaultKernel` (:func:`build_kernel`),
-whose stage methods add the per-hop error handling and E2E's reverse
-path, so this module's fault-free cycle carries no fault branch.
+memoized :func:`route_table` per platform and process.  Transient link
+faults get a :class:`~repro.noc.kernel_faults.LinkFaultKernel`
+(:func:`build_kernel`), whose stage methods add the per-hop error
+handling, so this module's fault-free stages carry no fault branch.  The
+kernel keeps flits; every completed packet goes to its
+:class:`~repro.noc.network.NetworkInterface`, which decides and records
+it on both engines.
 
 Equivalence is structural, not approximate: every counter, energy tally,
 latency sample, telemetry event and time-series sample is produced at the
@@ -41,7 +44,7 @@ from repro.noc.flit import Flit
 from repro.noc.link import link_id
 from repro.noc.routing import resolve_routing_function
 from repro.noc.topology import make_topology
-from repro.types import FaultSite, FlitType, LinkProtection, RoutingAlgorithm
+from repro.types import Corruption, FaultSite, FlitType, RoutingAlgorithm
 
 #: Port index of the local (NI-facing) port; matches ``Direction.LOCAL``.
 _LOCAL = 4
@@ -97,9 +100,8 @@ def kernel_supports(config: Any) -> Optional[str]:
 
 
 def build_kernel(config: Any, topo: Any) -> "BatchedKernel":
-    """An in-domain config's kernel; link faults and E2E import ``kernel_faults``."""
-    e2e = config.noc.link_protection is LinkProtection.E2E  # even on clean links
-    if not (e2e or config.faults.rate(FaultSite.LINK)):
+    """An in-domain config's kernel; link faults import ``kernel_faults``."""
+    if not config.faults.rate(FaultSite.LINK):
         return BatchedKernel(config, topo)
     from repro.noc.kernel_faults import LinkFaultKernel
     return LinkFaultKernel(config, topo)
@@ -138,6 +140,53 @@ def _nearest(requesters: List[int], pointer: int) -> int:
     return requesters[i] if i < len(requesters) else requesters[0]
 
 
+class _FlitView:
+    """One flit as its NI sees it, rebuilt from its packet slot, so
+    ``NetworkInterface._handle_packet`` and the scheme code that reads and
+    writes these fields on a :class:`Flit` (``destination_policy``,
+    ``apply_header_upset``, ``Flit.corrupt``) run unchanged on the kernel's
+    state."""
+
+    __slots__ = (
+        "seq", "packet_id", "src", "dst", "true_dst", "dst_error",
+        "src_error", "corruption", "injection_cycle", "hops",
+    )
+
+    #: No kernel config checks payloads (``kernel_supports``).
+    payload = 0
+    corrupt = Flit.corrupt
+
+    def __init__(
+        self,
+        seq: int,
+        packet_id: int,
+        src: int,
+        dst: int,
+        injection_cycle: int,
+        hops: int,
+    ):
+        self.seq = seq
+        self.packet_id = packet_id
+        self.src = src
+        self.dst = dst
+        self.true_dst = dst
+        self.dst_error = Corruption.NONE
+        self.src_error = Corruption.NONE
+        self.corruption = Corruption.NONE
+        self.injection_cycle = injection_cycle
+        self.hops = hops
+
+
+def _flush_energy(stats: Any, **counts: int) -> None:
+    """Add a stage's energy tallies (zero ones add no key), as the object
+    model's per-event ``energy_event`` calls would."""
+    if stats.measuring:
+        energy = stats.energy_events
+        for name, n in counts.items():
+            if n:
+                energy[name] += n
+
+
 class KernelSampler:
     """Telemetry sampler over kernel arrays.
 
@@ -161,7 +210,7 @@ class KernelSampler:
         self._last_sent = [0] * kernel.R
         self._last_ejected = [0] * kernel.R
 
-    def sample(self, _net: Any, record: Any, cycle: int, interval: float) -> None:
+    def sample(self, net: Any, record: Any, cycle: int, interval: float) -> None:
         k = self.kernel
         ln = k.ln
         last_t = self._last_traversals
@@ -180,12 +229,12 @@ class KernelSampler:
                 record("retx_pressure", node, cycle, 0.0)
         last_s = self._last_sent
         last_e = self._last_ejected
-        for r in range(k.R):
+        for r, ni in enumerate(net.interfaces):
             node = str(r)
             sent = k.nsent[r]
             record("injection_rate", node, cycle, (sent - last_s[r]) / interval)
             last_s[r] = sent
-            ejected = k.nej[r]
+            ejected = ni.flits_ejected
             record("ejection_rate", node, cycle, (ejected - last_e[r]) / interval)
             last_e[r] = ejected
 
@@ -198,11 +247,11 @@ class BatchedKernel:
     arrays); the only structured Python state is the per-router sorted
     occupancy lists, the wake sets, and the growable packet descriptor
     table.  ``step(network)`` advances one cycle in the same phase order as
-    ``Network._step_active``; the kernel keeps no reference to its network.
+    ``Network._step_active``, one stage method per phase; the kernel keeps
+    no reference to its network.
     """
 
-    #: Link-fault stages and replay-queue flits: ``kernel_faults`` only.
-    link_faults = False
+    #: Replay-queue flits: ``kernel_faults`` only.
     rq_total = 0
 
     def __init__(self, config: Any, topo: Any):
@@ -252,7 +301,6 @@ class BatchedKernel:
         new("nis_next", R * V, 0)  # next flit seq of that stream
         new("nirr", R, 0)  # stream round-robin pointer
         new("nsent", R, 0)  # flits pushed onto the injection link
-        new("nej", R, 0)  # flits consumed by completed reassembly
         # -- per-router gauges ----------------------------------------------
         new("rbuf", R, 0)  # buffered flits (occupancy gauge)
         new("ln", R * P, 0)  # mesh-link flit traversals, by (src, port)
@@ -301,11 +349,14 @@ class BatchedKernel:
         self.wr_next: Set[int] = set()
         self.wn_cur: Set[int] = set()
         self.wn_next: Set[int] = set()
-        # Growable packet descriptor table, slots recycled LIFO.
+        # Growable packet descriptor table, slots recycled LIFO: what a
+        # flit view needs of the packet (``_FlitView``).
         self.pk_dst: List[int] = []
         self.pk_inj: List[int] = []
         self.pk_nf: List[int] = []
         self.pk_hops: List[int] = []
+        self.pk_id: List[int] = []
+        self.pk_src: List[int] = []
         self.pk_free: List[int] = []
         #: Shared memo, so never checkpointed (re-bound by ``__setstate__``).
         self.route_table = route_table(noc)
@@ -322,7 +373,7 @@ class BatchedKernel:
     ARRAY_NAMES: Tuple[str, ...] = (
         "buf", "bh", "bc", "st", "op", "ov", "rtc", "vac", "varot",
         "va_arb", "sa_in", "sa_out", "cred", "alloc", "nseq",
-        "nic", "nis_slot", "nis_next", "nirr", "nsent", "nej",
+        "nic", "nis_slot", "nis_next", "nirr", "nsent",
         "rbuf", "ln",
         "rxt_cur", "rxt_next", "rxv_cur", "rxv_next",
         "ejt_cur", "ejt_next", "crv_cur", "crv_next",
@@ -352,21 +403,38 @@ class BatchedKernel:
     # ------------------------------------------------------------------
 
     def _alloc_slot(self, packet: Any, ni: Any) -> int:
-        """``packet``'s slot as ``ni`` starts it (E2E copies go on ``ni``)."""
-        free = self.pk_free
-        if free:
-            slot = free.pop()
-            self.pk_dst[slot] = packet.dst
-            self.pk_inj[slot] = packet.injection_cycle
-            self.pk_nf[slot] = packet.num_flits
-            self.pk_hops[slot] = 0
-        else:
-            slot = len(self.pk_dst)
-            self.pk_dst.append(packet.dst)
-            self.pk_inj.append(packet.injection_cycle)
-            self.pk_nf.append(packet.num_flits)
-            self.pk_hops.append(0)
+        """``packet``'s slot as ``ni`` starts it (``ni`` keeps any copy)."""
+        ni.hold_copy(packet)
+        tables = (
+            self.pk_dst, self.pk_inj, self.pk_nf, self.pk_hops, self.pk_id,
+            self.pk_src,
+        )
+        row = (
+            packet.dst, packet.injection_cycle, packet.num_flits, 0,
+            packet.packet_id, packet.src,
+        )
+        if not self.pk_free:  # every slot is taken: grow the table by one
+            self.pk_free.append(len(self.pk_dst))
+            for table in tables:
+                table.append(0)
+        slot = self.pk_free.pop()
+        for table, value in zip(tables, row):
+            table[slot] = value
         return slot
+
+    def _flit_view(self, slot: int, seq: int) -> _FlitView:
+        return _FlitView(
+            seq, self.pk_id[slot], self.pk_src[slot], self.pk_dst[slot],
+            self.pk_inj[slot], self.pk_hops[slot],
+        )
+
+    def _deliver(self, net: Any, node: int, cycle: int, slots: List[int]) -> None:
+        """Hand a completed packet, given the slot of each of its flits, to
+        its NI, which decides and records it (``_handle_packet``), then
+        free the slots."""
+        views = [self._flit_view(slot, seq) for seq, slot in enumerate(slots)]
+        net.interfaces[node]._handle_packet(cycle, views)
+        self.pk_free.extend(dict.fromkeys(slots))
 
     # ------------------------------------------------------------------
     # the cycle
@@ -374,14 +442,88 @@ class BatchedKernel:
 
     def step(self, net: Any) -> None:
         """Advance ``net`` one cycle; phase order mirrors
-        ``Network._step_active``."""
-        if self.link_faults:
-            self._step_link_faults(net)
+        ``Network._step_active``.  A subclass overrides the stages, never
+        this sequence."""
+        cycle = net.run_record.cycle
+        # Phase 1: NIs consume ejections delivered by the previous cycle.
+        self._eject(net, cycle)
+        # Phase 2: E2E's ACKs and retransmission requests come due (an
+        # FEC/NONE re-forward is enqueued at once, as the NI does).
+        if net.run_record.events:
+            net._run_due_events()
+        # Phase 3: routers consume link deliveries.
+        self._receive(net, cycle)
+        # Phase 4: NIs inject.
+        self._inject(net)
+        # Phase 5: router pipelines; phase 6: bookkeeping and the clock.
+        self._end_cycle(net, self._compute(net, cycle))
+
+    def _eject(self, net: Any, cycle: int) -> None:
+        """Phase 1: a packet completes as its tail arrives (flits reach the
+        NI in order on healthy links)."""
+        wn = self.wn_cur
+        if not wn:
             return
-        stats = net.stats
+        ejt = self.ejt_cur
+        pk_nf = self.pk_nf
+        for r in sorted(wn):  # ascending node order, like the object loop
+            token = ejt[r]
+            ejt[r] = -1
+            slot = token >> _SEQ_BITS
+            nf = pk_nf[slot]
+            if (token & _SEQ_MASK) == nf - 1:
+                self._deliver(net, r, cycle, [slot] * nf)
+        self.line_flits -= len(wn)
+        wn.clear()
+
+    def _receive(self, net: Any, cycle: int) -> None:
+        """Phase 3: routers consume link deliveries (credits, then flits,
+        both in port order — the object model's ``receive()`` ordering)."""
+        wr = self.wr_cur
+        if not wr:
+            return
+        P, V, D = self.P, self.V, self.D
+        buf, bh, bc, cred = self.buf, self.bh, self.bc, self.cred
+        rxt, rxv, crv = self.rxt_cur, self.rxv_cur, self.crv_cur
+        occ, rbuf, live = self.occ, self.rbuf, self.live
+        n_bufw = 0
+        for r in sorted(wr):
+            base = r * P
+            for p in range(P):
+                v = crv[base + p]
+                if v >= 0:
+                    crv[base + p] = -1
+                    cred[(base + p) * V + v] += 1
+            for p in range(P):
+                token = rxt[base + p]
+                if token >= 0:
+                    rxt[base + p] = -1
+                    v = rxv[base + p]
+                    rxv[base + p] = -1
+                    idx = (base + p) * V + v
+                    n = bc[idx]
+                    buf[idx * D + (bh[idx] + n) % D] = token
+                    if n == 0:
+                        insort(occ[r], p * V + v)
+                    bc[idx] = n + 1
+                    rbuf[r] += 1
+                    n_bufw += 1
+                    live.add(r)
+        wr.clear()
+        # Every accepted flit moved from a delay line into a buffer.
+        self.total_buffered += n_bufw
+        self.line_flits -= n_bufw
+        _flush_energy(net.stats, buffer_write=n_bufw)
+
+    def _compute(self, net: Any, cycle: int) -> int:
+        """Phase 5: router pipelines, ascending node order.  Cross-router
+        effects travel only on the delay lines, so within-phase order
+        cannot change outcomes — but telemetry event order can, hence the
+        same sorted order as the object loop.  Returns the link sends."""
+        live = self.live
+        if not live:
+            return 0
         tel = net.telemetry
-        run_record = net.run_record
-        cycle = run_record.cycle
         R, P, V, D = self.R, self.P, self.V, self.D
         PV = P * V
         buf, bh, bc = self.buf, self.bh, self.bc
@@ -390,219 +532,123 @@ class BatchedKernel:
         cred, alloc, nseq = self.cred, self.alloc, self.nseq
         cands = self.cands
         pk_dst, pk_nf, pk_hops = self.pk_dst, self.pk_nf, self.pk_hops
-        nb = self.nb
-        ln = self.ln
+        nb, ln, nic, rbuf = self.nb, self.ln, self.nic, self.rbuf
         route_table = self.route_table
+        rxt_next, rxv_next = self.rxt_next, self.rxv_next
+        crv_next, ejt_next = self.crv_next, self.ejt_next
+        wr_next, wn_next = self.wr_next, self.wn_next
+        va_gate = cycle - self._va_delay
+        sa_gate = cycle - self._sa_delay
         # Flit-conservation gauges, kept in locals for the hot loop and
         # written back before anything (the sampler) can observe them.
         tb = self.total_buffered
         lf = self.line_flits
-        # Energy tallies, flushed once at the end of the cycle (identical
-        # totals to the object model's per-event calls).
-        n_local = n_bufw = n_rt = n_vagrant = n_st = n_credit = n_mesh = 0
-
-        # Phase 1: NIs consume ejections delivered by the previous cycle.
-        wn = self.wn_cur
-        if wn:
-            ejt = self.ejt_cur
-            pk_inj = self.pk_inj
-            nej = self.nej
-            for r in sorted(wn):  # ascending node order, like the object loop
-                token = ejt[r]
-                ejt[r] = -1
-                slot = token >> _SEQ_BITS
-                nf = pk_nf[slot]
-                if (token & _SEQ_MASK) == nf - 1:
-                    # Tail arrived: the reassembly completes and delivers.
-                    stats.count("flits_ejected", nf)
-                    nej[r] += nf
-                    stats.record_ejection(cycle - pk_inj[slot], pk_hops[slot])
-                    run_record.delivered += 1
-                    self.pk_free.append(slot)
-            lf -= len(wn)
-            wn.clear()
-
-        # Phase 2: scheduled events — only E2E schedules any, and an E2E
-        # config runs on LinkFaultKernel (build_kernel).
-
-        # Phase 3: routers consume link deliveries (credits, then flits,
-        # both in port order — the object model's receive() ordering).
-        wr = self.wr_cur
-        if wr:
-            rxt, rxv, crv = self.rxt_cur, self.rxv_cur, self.crv_cur
-            occ = self.occ
-            rbuf = self.rbuf
-            live = self.live
-            for r in sorted(wr):
-                base = r * P
-                for p in range(P):
-                    v = crv[base + p]
-                    if v >= 0:
-                        crv[base + p] = -1
-                        cred[(base + p) * V + v] += 1
-                for p in range(P):
-                    token = rxt[base + p]
-                    if token >= 0:
-                        rxt[base + p] = -1
-                        v = rxv[base + p]
-                        rxv[base + p] = -1
-                        idx = (base + p) * V + v
-                        n = bc[idx]
-                        buf[idx * D + (bh[idx] + n) % D] = token
-                        if n == 0:
-                            insort(occ[r], p * V + v)
-                        bc[idx] = n + 1
-                        rbuf[r] += 1
-                        tb += 1
-                        lf -= 1
-                        live.add(r)
-                        n_bufw += 1
-            wr.clear()
-
-        # Phase 4: NIs inject.
-        injected = self._inject(net)
-        lf += injected
-        n_local += injected
-
-        # Phase 5: router pipelines, ascending node order.  Cross-router
-        # effects travel only on the delay lines, so within-phase order
-        # cannot change outcomes — but telemetry event order can, hence
-        # the same sorted order as the object loop.
+        n_local = n_rt = n_vagrant = n_st = n_credit = n_mesh = 0
         sends = 0
-        live = self.live
-        if live:
-            va_gate = cycle - self._va_delay
-            sa_gate = cycle - self._sa_delay
-            rxt_next, rxv_next = self.rxt_next, self.rxv_next
-            crv_next, ejt_next = self.crv_next, self.ejt_next
-            wr_next, wn_next = self.wr_next, self.wn_next
-            nic = self.nic
-            rbuf = self.rbuf
-            for r in sorted(live):
-                rbase = r * PV
-                occ_r = self.occ[r]
+        for r in sorted(live):
+            rbase = r * PV
+            occ_r = self.occ[r]
 
-                # RT: route the head flit of every idle non-empty VC.
-                for pv in occ_r:
-                    idx = rbase + pv
-                    if st[idx] != 0:
-                        continue
-                    token = buf[idx * D + bh[idx]]
-                    if token & _SEQ_MASK:
-                        continue  # body flit; RT waits for a header
-                    cands[idx] = route_table[r * R + pk_dst[token >> _SEQ_BITS]]
-                    st[idx] = 1
-                    rtc[idx] = cycle
-                    n_rt += 1
+            # RT: route the head flit of every idle non-empty VC.
+            for pv in occ_r:
+                idx = rbase + pv
+                if st[idx] != 0:
+                    continue
+                token = buf[idx * D + bh[idx]]
+                if token & _SEQ_MASK:
+                    continue  # body flit; RT waits for a header
+                cands[idx] = route_table[r * R + pk_dst[token >> _SEQ_BITS]]
+                st[idx] = 1
+                rtc[idx] = cycle
+                n_rt += 1
 
-                # VA: separable two-stage allocation (VCAllocator.allocate).
-                va_requests: List[int] = []
-                for pv in occ_r:
-                    idx = rbase + pv
-                    if st[idx] == 1 and rtc[idx] <= va_gate:
-                        va_requests.append(pv)
-                if va_requests:
-                    n_vagrant += len(
-                        self._allocate_vcs(r, rbase, va_requests, cycle, tel)
-                    )
+            # VA: separable two-stage allocation (VCAllocator.allocate).
+            va_requests: List[int] = []
+            for pv in occ_r:
+                idx = rbase + pv
+                if st[idx] == 1 and rtc[idx] <= va_gate:
+                    va_requests.append(pv)
+            if va_requests:
+                n_vagrant += len(
+                    self._allocate_vcs(r, rbase, va_requests, cycle, tel)
+                )
 
-                # SA: input stage (RR over VCs per in-port) then output
-                # stage (RR over in-ports per out-port) — SwitchAllocator.
-                bids: List[int] = []
-                for pv in occ_r:
+            # SA: input stage (RR over VCs per in-port) then output stage
+            # (RR over in-ports per out-port) — SwitchAllocator.
+            bids: List[int] = []
+            for pv in occ_r:
+                idx = rbase + pv
+                if (
+                    st[idx] == 2
+                    and vac[idx] <= sa_gate
+                    and cred[rbase + op[idx] * V + ov[idx]] > 0
+                ):
+                    bids.append(pv)
+            if bids:
+                for o, wp, w in self._allocate_switch(r, rbase, bids):
+                    # ST/LT for the winning input VC.
+                    pv = wp * V + w
                     idx = rbase + pv
-                    if (
-                        st[idx] == 2
-                        and vac[idx] <= sa_gate
-                        and cred[rbase + op[idx] * V + ov[idx]] > 0
-                    ):
-                        bids.append(pv)
-                if bids:
-                    for o, wp, w in self._allocate_switch(r, rbase, bids):
-                        # ST/LT for the winning input VC.
-                        pv = wp * V + w
-                        idx = rbase + pv
-                        h = bh[idx]
-                        token = buf[idx * D + h]
-                        bh[idx] = (h + 1) % D
-                        n = bc[idx] - 1
-                        bc[idx] = n
-                        if n == 0:
-                            occ_r.remove(pv)
-                        rbuf[r] -= 1
-                        tb -= 1
-                        n_st += 1
-                        # Upstream credit for the freed buffer slot.
-                        if wp == _LOCAL:
-                            # NI credits skip the delay line: injection
-                            # happens before compute, so a +1 here is first
-                            # observable next cycle — 1-cycle latency.
-                            nic[r * V + w] += 1
-                        else:
-                            u = nb[r * P + wp]
-                            crv_next[u * P + _OPP[wp]] = w
-                            wr_next.add(u)
-                        n_credit += 1
-                        out_vc = ov[idx]
-                        cidx = rbase + o * V + out_vc
-                        nseq[cidx] += 1
-                        cred[cidx] -= 1
-                        fseq = token & _SEQ_MASK
-                        slot = token >> _SEQ_BITS
-                        if o == _LOCAL:
-                            n_local += 1
-                            ejt_next[r] = token
-                            wn_next.add(r)
-                        else:
-                            if fseq == 0:
-                                pk_hops[slot] += 1
-                            ln[r * P + o] += 1
-                            n_mesh += 1
-                            d_ = nb[r * P + o]
-                            di = d_ * P + _OPP[o]
-                            rxt_next[di] = token
-                            rxv_next[di] = out_vc
-                            wr_next.add(d_)
-                        lf += 1
-                        sends += 1
-                        if fseq == pk_nf[slot] - 1:
-                            # Tail: release the channel, reset the pipeline.
-                            alloc[cidx] = -1
-                            st[idx] = 0
-                            op[idx] = -1
-                            ov[idx] = -1
-                            rtc[idx] = -1
-                            vac[idx] = -1
-                            cands[idx] = None
-                if rbuf[r] == 0:
-                    live.discard(r)
+                    h = bh[idx]
+                    token = buf[idx * D + h]
+                    bh[idx] = (h + 1) % D
+                    n = bc[idx] - 1
+                    bc[idx] = n
+                    if n == 0:
+                        occ_r.remove(pv)
+                    rbuf[r] -= 1
+                    tb -= 1
+                    n_st += 1
+                    # Upstream credit for the freed buffer slot.
+                    if wp == _LOCAL:
+                        # NI credits skip the delay line: injection happens
+                        # before compute, so a +1 here is first observable
+                        # next cycle — 1-cycle latency.
+                        nic[r * V + w] += 1
+                    else:
+                        u = nb[r * P + wp]
+                        crv_next[u * P + _OPP[wp]] = w
+                        wr_next.add(u)
+                    n_credit += 1
+                    out_vc = ov[idx]
+                    cidx = rbase + o * V + out_vc
+                    nseq[cidx] += 1
+                    cred[cidx] -= 1
+                    fseq = token & _SEQ_MASK
+                    slot = token >> _SEQ_BITS
+                    if o == _LOCAL:
+                        n_local += 1
+                        ejt_next[r] = token
+                        wn_next.add(r)
+                    else:
+                        if fseq == 0:
+                            pk_hops[slot] += 1
+                        ln[r * P + o] += 1
+                        n_mesh += 1
+                        d_ = nb[r * P + o]
+                        di = d_ * P + _OPP[o]
+                        rxt_next[di] = token
+                        rxv_next[di] = out_vc
+                        wr_next.add(d_)
+                    lf += 1
+                    sends += 1
+                    if fseq == pk_nf[slot] - 1:
+                        # Tail: release the channel, reset the pipeline.
+                        alloc[cidx] = -1
+                        self._reset_pipeline(idx)
+            if rbuf[r] == 0:
+                live.discard(r)
 
         # Publish the gauges before anything downstream (the utilization
         # recorder, the telemetry sampler) can read them off the kernel.
         self.total_buffered = tb
         self.line_flits = lf
-        if stats.measuring:
-            # One flush per cycle; dict equality is order-insensitive and
-            # the `if` guards keep zero-valued keys from appearing.
-            energy = stats.energy_events
-            if n_local:
-                energy["local_link"] += n_local
-            if n_bufw:
-                energy["buffer_write"] += n_bufw
-            if n_rt:
-                energy["rt_op"] += n_rt
-            if n_vagrant:
-                energy["va_grant"] += n_vagrant
-            if n_st:
-                energy["buffer_read"] += n_st
-                energy["sa_grant"] += n_st
-                energy["xbar"] += n_st
-            if n_credit:
-                energy["credit"] += n_credit
-            if n_mesh:
-                energy["link"] += n_mesh
-                energy["retx_write"] += n_mesh
-        self._end_cycle(net, sends)
+        _flush_energy(
+            net.stats, local_link=n_local, rt_op=n_rt, va_grant=n_vagrant,
+            buffer_read=n_st, sa_grant=n_st, xbar=n_st, credit=n_credit,
+            link=n_mesh, retx_write=n_mesh,
+        )
+        return sends
 
     def _allocate_vcs(
         self, r: int, rbase: int, requests: List[int], cycle: int, tel: Any
@@ -680,12 +726,12 @@ class BatchedKernel:
             winners.append((o, wp, stage1[wp]))
         return winners
 
-    def _inject(self, net: Any) -> int:
+    def _inject(self, net: Any) -> None:
         """Phase 4, ``NetworkInterface.inject``: continue a stream, else
-        start one packet.  Returns the flits put on the injection lines."""
+        start one packet."""
         ni_tx = net._ni_tx_active
         if not ni_tx:
-            return 0
+            return
         P, V, pk_nf, nirr, nsent = self.P, self.V, self.pk_nf, self.nirr, self.nsent
         nic, nis_slot, nis_next = self.nic, self.nis_slot, self.nis_next
         rxt_next, rxv_next, wr_next = self.rxt_next, self.rxv_next, self.wr_next
@@ -704,6 +750,7 @@ class BatchedKernel:
                     seq = nis_next[si]
                     if seq + 1 >= pk_nf[slot]:
                         nis_slot[si] = -1
+                        ni.open_streams -= 1
                     else:
                         nis_next[si] = seq + 1
                     nic[si] -= 1
@@ -725,6 +772,7 @@ class BatchedKernel:
                         if pk_nf[slot] > 1:
                             nis_slot[si] = slot
                             nis_next[si] = 1
+                            ni.open_streams += 1
                         nic[si] -= 1
                         nsent[node] += 1
                         i = node * P + _LOCAL
@@ -733,32 +781,23 @@ class BatchedKernel:
                         wr_next.add(node)
                         pushed += 1
                         break
-            if not ni.pending:
-                for vc in range(V):
-                    if nis_slot[nbase + vc] >= 0:
-                        break
-                else:
-                    drained.append(node)
+            if not ni.queued_packets:
+                drained.append(node)
         if drained:
             ni_tx.difference_update(drained)
-        return pushed
+        self.line_flits += pushed
+        _flush_energy(net.stats, local_link=pushed)
+
+    def _reset_pipeline(self, idx: int) -> None:
+        self.st[idx] = 0
+        self.op[idx] = self.ov[idx] = -1
+        self.rtc[idx] = self.vac[idx] = -1
+        self.cands[idx] = None
 
     def _end_cycle(self, net: Any, sends: int) -> None:
-        """Phase 6: bookkeeping, the clock, and the swaps that deliver this
-        cycle's sends next cycle (drained ``*_cur`` sides are empty)."""
-        stats = net.stats
-        net._send_history.append(sends)
-        if net.config.collect_utilization:  # as Network._end_cycle
-            stats.record_utilization(
-                self.total_buffered,
-                net._tx_capacity,
-                min(sum(net._send_history) + self.rq_total, net._retx_capacity),
-                net._retx_capacity,
-            )
-        if net.telemetry is not None:
-            net.telemetry.on_cycle_end(net)
-        stats.cycles += 1
-        net.run_record.cycle += 1
+        """Phase 6: ``Network._end_cycle``, then the swaps that deliver
+        this cycle's sends next cycle (drained ``*_cur`` sides are empty)."""
+        net._end_cycle(sends)
         self.rxt_cur, self.rxt_next = self.rxt_next, self.rxt_cur
         self.rxv_cur, self.rxv_next = self.rxv_next, self.rxv_cur
         self.ejt_cur, self.ejt_next = self.ejt_next, self.ejt_cur

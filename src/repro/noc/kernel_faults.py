@@ -2,18 +2,17 @@
 
 :class:`LinkFaultKernel` is the :class:`~repro.noc.kernel.BatchedKernel`
 of a config whose only nonzero fault rate is ``FaultSite.LINK``, under any
-link protection, and of every E2E config
-(:func:`~repro.noc.kernel.kernel_supports`, ``build_kernel``).  It adds the
-state the object model keeps for that case — expected link sequences,
-NACK counts, per-channel retransmission rings and replay queues, a NACK
-delay line, the transfer's sequence and upset on the flit lines,
-route-NACK rollback queues, NI reassemblies, packet sources and the tags
-of corrupted packets — and runs ``BatchedKernel.step``'s phases as stage
-methods that add the per-hop error handling and E2E's source copies and
-reverse-path events at the object model's call sites, drawing from the
-injector's shared stream in the object model's order.
-``repro.noc.kernel.build_kernel`` imports this module only when a config
-needs it, so a fault-free run never compiles it.
+link protection (:func:`~repro.noc.kernel.kernel_supports`,
+``build_kernel``).  It adds the state the object model keeps for that case
+— expected link sequences, NACK counts, per-channel retransmission rings
+and replay queues, a NACK delay line, the transfer's sequence and upset on
+the flit lines, route-NACK rollback queues, NI reassemblies and the tags
+of corrupted packets — and overrides ``BatchedKernel.step``'s stage
+methods to add the per-hop error handling at the object model's call
+sites, drawing from the injector's shared stream in the object model's
+order.  What a completed packet becomes stays with its NI, as on the
+fault-free kernel.  ``repro.noc.kernel.build_kernel`` imports this module
+only when a config needs it, so a fault-free run never compiles it.
 
 Tables, dataflow and the RNG-order argument: ``docs/KERNEL.md``, "Link
 faults".
@@ -24,16 +23,16 @@ from __future__ import annotations
 from bisect import insort
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.schemes import (
-    DeliveryAction,
-    DeliveryDecision,
-    apply_header_upset,
-    destination_policy,
-    pick_header_field,
+from repro.core.schemes import apply_header_upset, pick_header_field
+from repro.noc.kernel import (
+    _LOCAL,
+    _OPP,
+    _SEQ_BITS,
+    _SEQ_MASK,
+    BatchedKernel,
+    _flush_energy,
+    _FlitView,
 )
-from repro.noc.flit import Flit
-from repro.noc.kernel import _LOCAL, _OPP, _SEQ_BITS, _SEQ_MASK, BatchedKernel
-from repro.noc.packet import Packet
 from repro.noc.routing import xy_arrival_is_legal
 from repro.types import Corruption, Direction, LinkProtection, RoutingAlgorithm
 
@@ -42,33 +41,6 @@ _DIRECTIONS = tuple(Direction(p) for p in range(5))
 #: NACK kinds on the NACK delay line (``NackSignal.kind``).
 _NACK_LINK = 0
 _NACK_ROUTE = 1
-
-
-class _FlitView:
-    """One flit's fault fields, rebuilt from its packet slot's tags, so the
-    scheme code that reads and writes them on a :class:`Flit`
-    (``apply_header_upset``, ``Flit.corrupt``, ``destination_policy``)
-    runs unchanged on the kernel's state."""
-
-    __slots__ = ("src", "dst", "true_dst", "dst_error", "src_error", "corruption")
-
-    corrupt = Flit.corrupt
-
-    def __init__(
-        self,
-        src: int,
-        dst: int,
-        true_dst: int,
-        dst_error: Corruption,
-        src_error: Corruption,
-        corruption: Corruption,
-    ):
-        self.src = src
-        self.dst = dst
-        self.true_dst = true_dst
-        self.dst_error = dst_error
-        self.src_error = src_error
-        self.corruption = corruption
 
 
 def _entries(
@@ -96,20 +68,8 @@ def _set_entries(
     count[cidx] = len(entries)
 
 
-def _flush_energy(stats: Any, counts: Tuple[Tuple[str, int], ...]) -> None:
-    """Add a phase's energy tallies (zero ones add no key), as the object
-    model's per-event ``energy_event`` calls would."""
-    if stats.measuring:
-        energy = stats.energy_events
-        for name, n in counts:
-            if n:
-                energy[name] += n
-
-
 class LinkFaultKernel(BatchedKernel):
     """A :class:`BatchedKernel` that also models transient link faults."""
-
-    link_faults = True
 
     #: The fault-free tables, then the link-fault state (docs/KERNEL.md,
     #: "Link-fault state"), in checkpoint-payload order.
@@ -118,7 +78,6 @@ class LinkFaultKernel(BatchedKernel):
         "rt_seq", "rt_tok", "rt_h", "rt_n", "rq_seq", "rq_tok", "rq_n", "rqr",
         "rxs_cur", "rxs_next", "rxc_cur", "rxc_next",
         "nkn_cur", "nkn_next", "nk_cur", "nk_next",
-        "pk_src",
     )
 
     def __init__(self, config: Any, topo: Any):
@@ -127,9 +86,6 @@ class LinkFaultKernel(BatchedKernel):
         R, P, V = self.R, self.P, self.V
         depth = self.retx_depth
         self.protection = noc.link_protection
-        #: E2E: the NIs keep source copies and the destination schedules
-        #: ACKs and retransmission requests (``NetworkInterface``).
-        self.e2e = noc.link_protection is LinkProtection.E2E
         self.max_nack_retries = noc.max_nack_retries
         #: Section 4.2 receiver-side misroute detection (HBH + plain XY).
         self.xy_check = (
@@ -156,9 +112,6 @@ class LinkFaultKernel(BatchedKernel):
         new("nkn_next", R * P, 0)
         new("nk_cur", R * P * (V + 1), 0)  # packed (seq, vc, kind)
         new("nk_next", R * P * (V + 1), 0)
-        new("pk_src", 0, 0)  # source node per packet descriptor slot
-        #: Packet id per descriptor slot (telemetry, reassembly, re-forward).
-        self.pk_id: List[int] = []
         #: Fault tags of corrupted packets only, by slot: ``[true_dst,
         #: dst_error, src_error, per-flit Corruption list]`` (``Flit``'s
         #: fields).
@@ -181,21 +134,6 @@ class LinkFaultKernel(BatchedKernel):
         state["xy_legal"] = {}
         return state
 
-    def _alloc_slot(self, packet: Any, ni: Any) -> int:
-        slot = super()._alloc_slot(packet, ni)
-        if slot == len(self.pk_id):
-            self.pk_id.append(packet.packet_id)
-            self.pk_src.append(packet.src)
-        else:
-            self.pk_id[slot] = packet.packet_id
-            self.pk_src[slot] = packet.src
-        if self.e2e:  # NetworkInterface.inject's source copy
-            copies = ni.e2e_copies
-            copies[packet.packet_id] = packet
-            if len(copies) > ni.e2e_copy_high_water:
-                ni.e2e_copy_high_water = len(copies)
-        return slot
-
     @property
     def in_flight_flits(self) -> int:
         return self.total_buffered + self.line_flits + self.rq_total
@@ -207,30 +145,17 @@ class LinkFaultKernel(BatchedKernel):
         rt_n, rq_n = self.rt_n, self.rq_n
         return sum(rt_n[c] + rq_n[c] for c in range(base, base + 4 * self.V))
 
-    def _step_link_faults(self, net: Any) -> None:
-        """One cycle with transient link faults: ``step``'s phases as stage
-        methods, each adding the object model's per-hop error handling at
-        the object model's call sites (docs/KERNEL.md, "Link faults")."""
-        cycle = net.run_record.cycle
-        self._eject_checked(net, cycle)
-        # Phase 2: E2E's ACKs and retransmission requests come due (an
-        # FEC/NONE re-forward is enqueued at once, as the NI does).
-        if net.run_record.events:
-            net._run_due_events()
-        self._receive_checked(net, cycle)
-        injected = self._inject(net)
-        self.line_flits += injected
-        _flush_energy(net.stats, (("local_link", injected),))
-        sends = self._compute_checked(net, cycle)
-        self._end_cycle(net, sends)
+    def _end_cycle(self, net: Any, sends: int) -> None:
+        super()._end_cycle(net, sends)
         self.rxs_cur, self.rxs_next = self.rxs_next, self.rxs_cur
         self.rxc_cur, self.rxc_next = self.rxc_next, self.rxc_cur
         self.nkn_cur, self.nkn_next = self.nkn_next, self.nkn_cur
         self.nk_cur, self.nk_next = self.nk_next, self.nk_cur
 
-    def _eject_checked(self, net: Any, cycle: int) -> None:
-        """Phase 1: NIs reassemble ejected flits (``PacketReassembler``)
-        and decide each completed packet (``_deliver``)."""
+    def _eject(self, net: Any, cycle: int) -> None:
+        """Phase 1: NIs reassemble ejected flits (``PacketReassembler``),
+        which replays and re-forwards can interleave, and hand each
+        completed packet to its NI (``_deliver``)."""
         wn = self.wn_cur
         if not wn:
             return
@@ -251,78 +176,18 @@ class LinkFaultKernel(BatchedKernel):
         wn.clear()
 
     def _deliver(self, net: Any, node: int, cycle: int, slots: List[int]) -> None:
-        """``NetworkInterface._handle_packet`` for a completed packet given
-        the slot of each of its flits: the scheme's ``destination_policy``
-        decides corrupted packets, clean ones are delivered.  Under E2E a
-        delivery schedules the source's ACK and a detected error its
-        retransmission request, each ``max(1, distance)`` cycles out."""
-        stats = net.stats
-        nf = len(slots)
-        stats.count("flits_ejected", nf)
-        self.nej[node] += nf
-        head = slots[0]
-        tags = self.pk_tag
-        record = net.run_record
-        decision = DeliveryDecision(DeliveryAction.DELIVER)
-        if any(s in tags for s in slots):
-            decision = destination_policy(
-                self.protection,
-                node,
-                [self._flit_view(s, seq) for seq, s in enumerate(slots)],
-            )
-        action = decision.action
-        if action is DeliveryAction.DELIVER or action is DeliveryAction.DELIVER_CORRUPT:
-            stats.record_ejection(cycle - self.pk_inj[head], self.pk_hops[head])
-            if action is DeliveryAction.DELIVER_CORRUPT:
-                stats.count("packets_delivered_corrupt")
-            record.delivered += 1
-            if self.e2e:
-                tag = tags.get(head)
-                if tag is None or tag[2] is not Corruption.MULTI:
-                    self._reverse(net, node, cycle, "e2e_release", head)
-        elif action is DeliveryAction.REQUEST_RETRANSMISSION:
-            stats.count("e2e_retransmissions")
-            self._reverse(net, node, cycle, "e2e_retransmit", head)
-        elif action is DeliveryAction.FORWARD_TO_TRUE_DST:
-            stats.count("packets_misrouted")
-            stats.count("packets_reforwarded")
-            onward = Packet(
-                packet_id=self.pk_id[head],
-                src=node,
-                dst=decision.destination,
-                num_flits=nf,
-                injection_cycle=self.pk_inj[head],
-            )
-            net.interfaces[node].enqueue(onward, priority=True)
-        else:  # LOST: unrecoverable, or E2E's request cannot be addressed
-            stats.count("packets_lost")
-            record.lost += 1
-            if net.telemetry is not None:
-                net.telemetry.publish(
-                    cycle,
-                    "packet_lost",
-                    node,
-                    packet=self.pk_id[head],
-                    reason="delivery_policy",
-                )
-        for slot in dict.fromkeys(slots):
-            tags.pop(slot, None)
-            self.pk_free.append(slot)
-
-    def _reverse(self, net: Any, node: int, cycle: int, kind: str, slot: int) -> None:
-        """Schedule an E2E ACK or retransmission request from ``node`` to
-        the packet's source over the contention-free reverse path."""
-        src = self.pk_src[slot]
-        delay = max(1, net.topology.distance(node, src))
-        net.run_record.schedule(cycle + delay, kind, src, self.pk_id[slot])
+        super()._deliver(net, node, cycle, slots)
+        for slot in slots:
+            self.pk_tag.pop(slot, None)
 
     def _flit_view(self, slot: int, seq: int) -> _FlitView:
-        src, dst = self.pk_src[slot], self.pk_dst[slot]
+        """The flit with its fault fields, where its packet was upset."""
+        view = super()._flit_view(slot, seq)
         tag = self.pk_tag.get(slot)
-        if tag is None:
-            none = Corruption.NONE
-            return _FlitView(src, dst, dst, none, none, none)
-        return _FlitView(src, dst, tag[0], tag[1], tag[2], tag[3][seq])
+        if tag is not None:
+            view.true_dst, view.dst_error, view.src_error = tag[0], tag[1], tag[2]
+            view.corruption = tag[3][seq]
+        return view
 
     def _materialize(self, rng: Any, token: int, severity: Corruption) -> None:
         """``Router._materialize_corruption``: land an in-transit upset in
@@ -347,7 +212,7 @@ class LinkFaultKernel(BatchedKernel):
         tag[2] = flit.src_error
         tag[3][seq] = flit.corruption
 
-    def _receive_checked(self, net: Any, cycle: int) -> None:
+    def _receive(self, net: Any, cycle: int) -> None:
         """Phase 3: credits, then NACKs in port order
         (``Router._handle_nack``), then flits through the per-hop check and
         the sequence filter (``Router._accept_transfer``)."""
@@ -461,7 +326,7 @@ class LinkFaultKernel(BatchedKernel):
         wr.clear()
         self.total_buffered = tb
         self.line_flits = lf
-        _flush_energy(stats, (("buffer_write", n_bufw), ("nack", n_nack)))
+        _flush_energy(stats, buffer_write=n_bufw, nack=n_nack)
 
     def _send_nack(self, r: int, port: int, vc: int, seq: int, kind: int) -> None:
         """NACK the sender of router ``r``'s input ``port`` (next cycle)."""
@@ -549,12 +414,6 @@ class LinkFaultKernel(BatchedKernel):
         self.live.add(r)
         return len(taken)
 
-    def _reset_pipeline(self, idx: int) -> None:
-        self.st[idx] = 0
-        self.op[idx] = self.ov[idx] = -1
-        self.rtc[idx] = self.vac[idx] = -1
-        self.cands[idx] = None
-
     def _ring(self, cidx: int) -> List[Tuple[int, int]]:
         """Output channel ``cidx``'s ``(seq, token)`` ring, oldest store
         first (``RetransmissionBuffer._entries``)."""
@@ -589,7 +448,7 @@ class LinkFaultKernel(BatchedKernel):
         self.rq_total -= 1
         return entry
 
-    def _compute_checked(self, net: Any, cycle: int) -> int:
+    def _compute(self, net: Any, cycle: int) -> int:
         """Phase 5: ``Router.compute`` with the replay output stage, the
         Section 4.2 misroute check, and a retransmission-ring store plus a
         ``link_upset`` draw per mesh send.  Returns the link sends."""
@@ -707,7 +566,7 @@ class LinkFaultKernel(BatchedKernel):
             if cleared:
                 occ_r[:] = [pv for pv in occ_r if pv not in cleared]
 
-            # VA: separable two-stage allocation, as in ``step``.
+            # VA: separable two-stage allocation, as fault-free.
             va_requests: List[int] = []
             for pv in occ_r:
                 idx = rbase + pv
@@ -719,7 +578,7 @@ class LinkFaultKernel(BatchedKernel):
                     lown[rbase + oc] = pv
                 n_vagrant += len(grants)
 
-            # SA: as in ``step``, but a channel with queued replays, a
+            # SA: as fault-free, but a channel with queued replays, a
             # port a replay holds this cycle and a channel the wormhole no
             # longer owns (a route NACK released it) cannot take a bid.
             bids: List[int] = []
@@ -812,19 +671,8 @@ class LinkFaultKernel(BatchedKernel):
         self.total_buffered = tb
         self.line_flits = lf
         _flush_energy(
-            stats,
-            (
-                ("local_link", n_local),
-                ("rt_op", n_rt),
-                ("va_grant", n_vagrant),
-                ("buffer_read", n_st),
-                ("sa_grant", n_st),
-                ("xbar", n_st),
-                ("credit", n_credit),
-                ("link", n_mesh),
-                ("retx_write", n_mesh),
-                ("retx_read", n_retx_read),
-                ("nack", n_nack),
-            ),
+            stats, local_link=n_local, rt_op=n_rt, va_grant=n_vagrant,
+            buffer_read=n_st, sa_grant=n_st, xbar=n_st, credit=n_credit,
+            link=n_mesh, retx_write=n_mesh, retx_read=n_retx_read, nack=n_nack,
         )
         return sends

@@ -34,7 +34,7 @@ from __future__ import annotations
 import heapq
 import warnings
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.config import SimulationConfig
 from repro.core.schemes import DeliveryAction, destination_policy
@@ -42,7 +42,6 @@ from repro.faults.injector import FaultInjector
 from repro.faults.intermittent import IntermittentLifecycle, _SiteState
 from repro.faults.permanent import PermanentFault
 from repro.noc.flit import Flit
-from repro.noc.kernel import BatchedKernel, build_kernel, kernel_supports
 from repro.noc.link import Link
 from repro.noc.packet import Packet, PacketReassembler
 from repro.noc.router import Router
@@ -55,6 +54,9 @@ from repro.noc.topology import MeshTopology, make_topology
 from repro.stats.collectors import StatsCollector
 from repro.telemetry.bus import TelemetryBus
 from repro.types import Corruption, Direction, LinkProtection, RoutingAlgorithm
+
+if TYPE_CHECKING:
+    from repro.noc.kernel import BatchedKernel
 
 
 class RunRecord:
@@ -117,6 +119,9 @@ class NetworkInterface:
         V = self.config.num_vcs
         self.pending: Deque[Packet] = deque()
         self._streams: List[Optional[List[Flit]]] = [None] * V
+        #: Started packets with flits left to send, on either engine (the
+        #: kernel streams from its ``nis_slot`` table instead of ``_streams``).
+        self.open_streams = 0
         self._credits: List[int] = [self.config.vc_buffer_depth] * V
         self._next_seq: List[int] = [0] * V
         self._rr = 0
@@ -171,6 +176,7 @@ class NetworkInterface:
                 self._send_flit(cycle, vc, stream.pop(0))
                 if not stream:
                     self._streams[vc] = None
+                    self.open_streams -= 1
                 self._rr = (vc + 1) % V
                 return
         if not self.pending:
@@ -178,19 +184,25 @@ class NetworkInterface:
         for vc in range(V):
             if self._streams[vc] is None and self._credits[vc] > 0:
                 packet = self.pending.popleft()
-                if self.config.link_protection is LinkProtection.E2E:
-                    self.e2e_copies[packet.packet_id] = packet
-                    self.e2e_copy_high_water = max(
-                        self.e2e_copy_high_water, len(self.e2e_copies)
-                    )
+                self.hold_copy(packet)
                 flits = packet.make_flits()
                 checker = self.payload_checker
                 if checker is not None:
                     for flit in flits:
                         checker.encode_flit(flit)
                 self._send_flit(cycle, vc, flits.pop(0))
-                self._streams[vc] = flits or None
+                if flits:
+                    self._streams[vc] = flits
+                    self.open_streams += 1
                 return
+
+    def hold_copy(self, packet: Packet) -> None:
+        """E2E: keep a starting packet's source copy until the destination's
+        ACK returns (both engines call this)."""
+        if self.config.link_protection is LinkProtection.E2E:
+            self.e2e_copies[packet.packet_id] = packet
+            held = len(self.e2e_copies)
+            self.e2e_copy_high_water = max(self.e2e_copy_high_water, held)
 
     def _send_flit(self, cycle: int, vc: int, flit: Flit) -> None:
         assert self.inj_link is not None
@@ -226,6 +238,7 @@ class NetworkInterface:
                 # the unsent remainder was never counted as inflow.
                 note_casualty(stream[0].packet_id)
                 self._streams[vc] = None
+        self.open_streams = 0
         for pid in self.reassembler.incomplete_ids():
             dropped = self.reassembler.drop(pid)
             if dropped:
@@ -234,7 +247,7 @@ class NetworkInterface:
 
     @property
     def queued_packets(self) -> int:
-        return len(self.pending) + sum(1 for s in self._streams if s)
+        return len(self.pending) + self.open_streams
 
     @property
     def flits_sent(self) -> int:
@@ -271,6 +284,8 @@ class NetworkInterface:
                 self._handle_packet(cycle, complete)
 
     def _handle_packet(self, cycle: int, flits: List[Flit]) -> None:
+        """Decide and record a completed packet: the one home of delivery,
+        on both engines (the kernel hands it ``_FlitView``s)."""
         scheme = self.config.link_protection
         # Every completed reassembly consumes its flits, whatever the
         # delivery outcome; the sanitizer balances this against injections.
@@ -437,11 +452,17 @@ class Network:
         #: ``backend="batched"`` silently falls back to the object model,
         #: which alone models logic/hard faults (docs/KERNEL.md).
         #: The kernel reads only config + topology: no router, no link.
+        #: Its module is imported only when asked for, so ``import
+        #: repro.api`` and object-loop runs never compile it.
         self.kernel: Optional[BatchedKernel] = None
-        if config.backend == "batched" and kernel_supports(config) is None:
+        if config.backend == "batched":
+            from repro.noc.kernel import build_kernel, kernel_supports
+
+            if kernel_supports(config) is None:
+                self.kernel = build_kernel(config, self.topology)
+        if self.kernel is not None:
             self.routers: Sequence[Router] = ()
             self.links: Sequence[Link] = ()
-            self.kernel = build_kernel(config, self.topology)
         else:
             self.routers = [
                 Router(
@@ -954,16 +975,20 @@ class Network:
                     )
 
     def _end_cycle(self, sends: int) -> None:
-        """Phase 6 of both object loops: bookkeeping, then the clock."""
+        """Phase 6 of every loop, the kernel's too: bookkeeping, then the
+        clock."""
         self._send_history.append(sends)
         if self.config.collect_utilization:
-            tx_occupied = sum(r.buffered_flits for r in self.routers)
+            kernel = self.kernel
+            if kernel is not None:
+                tx_occupied, pending_out = kernel.total_buffered, kernel.rq_total
+            else:
+                tx_occupied = sum(r.buffered_flits for r in self.routers)
+                pending_out = sum(r.retx_pending_flits for r in self.routers)
             # A retransmission-buffer slot is live for the replay window
             # after a send (the barrel shifter holds the flit until a NACK
             # can no longer arrive) plus any replay/absorption occupancy.
-            retx_occupied = sum(self._send_history) + sum(
-                r.retx_pending_flits for r in self.routers
-            )
+            retx_occupied = sum(self._send_history) + pending_out
             self.stats.record_utilization(
                 tx_occupied,
                 self._tx_capacity,

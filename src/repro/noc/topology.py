@@ -26,6 +26,7 @@ verifiers work unchanged on topologies the simulator does not ship yet.
 from __future__ import annotations
 
 from collections import deque
+from itertools import product
 from typing import (
     Any,
     Dict,
@@ -139,6 +140,13 @@ class MeshTopology:
                         row[direction] = node + (landed - position) * stride
             stride *= extent
         self._neighbors = tuple(tuple(row) for row in rows)
+        # coordinates_of(node), built once: distance and minimal_directions
+        # ask per packet.  product() varies its last factor fastest, so the
+        # shape goes in reversed to keep x fastest.
+        self._coordinates = tuple(
+            Coordinate(*reversed(c))
+            for c in product(*(range(extent) for extent in reversed(self.shape)))
+        )
 
     def _wrap(self, position: int, extent: int) -> Optional[int]:
         """Where a hop to ``position`` on an axis of ``extent`` nodes lands:
@@ -181,12 +189,10 @@ class MeshTopology:
         return self._directions
 
     def coordinates_of(self, node: int) -> Coordinate:
-        self._check_node(node)
-        coords = []
-        for extent in self.shape:
-            coords.append(node % extent)
-            node //= extent
-        return Coordinate(*coords)
+        table = self._coordinates
+        if not 0 <= node < len(table):
+            raise ValueError(f"node {node} outside 0..{len(table) - 1}")
+        return table[node]
 
     def node_at(self, coord: Coordinate) -> int:
         if not self.contains(coord):
@@ -278,10 +284,6 @@ class MeshTopology:
                     total += self.distance(a, b)
                     pairs += 1
         return total / pairs if pairs else 0.0
-
-    def _check_node(self, node: int) -> None:
-        if not 0 <= node < self.num_nodes:
-            raise ValueError(f"node {node} outside 0..{self.num_nodes - 1}")
 
     def __repr__(self) -> str:
         dims = "x".join(str(d) for d in self.shape)

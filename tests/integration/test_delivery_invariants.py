@@ -45,7 +45,13 @@ class RecordingNetwork(Network):
             ni._handle_packet = spying_handler  # type: ignore[method-assign]
 
 
-def run_with_faults(seed: int, link_rate: float, rt_rate: float, sa_rate: float):
+def run_with_faults(
+    seed: int,
+    link_rate: float,
+    rt_rate: float,
+    sa_rate: float,
+    backend: str = "object",
+):
     config = SimulationConfig(
         noc=NoCConfig(shape=(4, 4)),
         faults=FaultConfig(
@@ -58,6 +64,7 @@ def run_with_faults(seed: int, link_rate: float, rt_rate: float, sa_rate: float)
             seed=seed,
         ),
         workload=WorkloadConfig(injection_rate=0.2, num_messages=10**9),
+        backend=backend,
     )
     net = RecordingNetwork(config)
     import random
@@ -97,7 +104,27 @@ def run_with_faults(seed: int, link_rate: float, rt_rate: float, sa_rate: float)
 )
 def test_delivery_invariants_under_fault_storms(seed, link_rate, rt_rate, sa_rate):
     net, injected = run_with_faults(seed, link_rate, rt_rate, sa_rate)
+    _assert_delivery_invariants(net, injected)
 
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    link_rate=st.sampled_from([0.0, 0.01, 0.05]),
+)
+@settings(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_kernel_delivery_invariants_under_link_fault_storms(seed, link_rate):
+    """The same invariants over the batched kernel's deliveries: link-only
+    rates keep the config inside ``kernel_supports``' domain."""
+    net, injected = run_with_faults(seed, link_rate, 0.0, 0.0, backend="batched")
+    assert net.kernel is not None and net.delivered > 0
+    _assert_delivery_invariants(net, injected)
+
+
+def _assert_delivery_invariants(net, injected):
     delivered_ids = [flits[0].packet_id for flits in net.deliveries]
     # Exactly-once.
     assert len(delivered_ids) == len(set(delivered_ids)), "duplicate delivery"

@@ -90,6 +90,28 @@ class TestE2EScheme:
             assert max(marks[backend]) >= 1, backend
         assert marks["object"] == marks["batched"]
 
+    def test_queued_packets_counts_the_kernels_open_streams(self):
+        """On a kernel-served network the NIs' open streams live in the
+        kernel's ``nis_slot`` table; ``queued_packets`` still counts them."""
+        from repro.noc.simulator import Simulator
+
+        config = SimulationConfig(
+            noc=small_noc(link_protection=LinkProtection.E2E),
+            faults=FaultConfig.link_only(0.02, multi_bit_fraction=0.2, seed=4),
+            workload=quick_workload(num_messages=200, injection_rate=0.3),
+            backend="batched",
+        )
+        sim = Simulator(config)
+        sim.run_to_cycle(60)
+        kernel = sim.network.kernel
+        assert kernel is not None
+        streams = sum(1 for slot in kernel.nis_slot if slot >= 0)
+        assert streams > 0, "stopped with no stream open"
+        interfaces = sim.network.interfaces
+        assert sum(ni.queued_packets for ni in interfaces) == (
+            sum(len(ni.pending) for ni in interfaces) + streams
+        )
+
 
 class TestFECScheme:
     def test_single_bit_errors_absorbed_at_low_rate(self):

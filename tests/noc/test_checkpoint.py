@@ -297,7 +297,7 @@ class TestContainerFormat:
         """A file written before the config became canonical (version 1,
         legacy config in the header) is a typed error — raised from the
         header, so its stale object graph is never unpickled."""
-        assert CHECKPOINT_VERSION == 8
+        assert CHECKPOINT_VERSION == 9
         self._assert_refused_from_the_header(
             tmp_path, 1, {"noc": {"width": 4, "height": 4}, "activity_driven": True}
         )
@@ -349,6 +349,17 @@ class TestContainerFormat:
         self._assert_refused_from_the_header(
             tmp_path,
             7,
+            {"noc": {"shape": [4, 4], "link_protection": "e2e"},
+             "backend": "batched", "faults": {"rates": {"link": 0.01}}},
+        )
+
+    def test_v8_checkpoint_is_refused_before_unpickling(self, tmp_path):
+        """Version 8 kernels count ejected flits in an ``nej`` table and
+        keep packet ids and sources outside the descriptor table; same
+        typed error."""
+        self._assert_refused_from_the_header(
+            tmp_path,
+            8,
             {"noc": {"shape": [4, 4], "link_protection": "e2e"},
              "backend": "batched", "faults": {"rates": {"link": 0.01}}},
         )

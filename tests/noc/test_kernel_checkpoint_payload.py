@@ -17,6 +17,7 @@ import pytest
 from repro import api
 from repro.checkpoint import load_checkpoint, save_checkpoint
 from repro.noc.kernel import _EJECTION_CREDITS, _SEQ_BITS, BatchedKernel, route_table
+from repro.noc.kernel_faults import LinkFaultKernel
 from repro.noc.simulator import Simulator
 from repro.serialization import result_to_dict
 
@@ -33,7 +34,7 @@ def _midrun_sim(link_error_rate):
     )
     sim.run_to_cycle(120)
     assert sim.network.kernel is not None
-    assert sim.network.kernel.link_faults == bool(link_error_rate)
+    assert isinstance(sim.network.kernel, LinkFaultKernel) == bool(link_error_rate)
     return sim
 
 

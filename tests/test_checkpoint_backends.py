@@ -20,6 +20,7 @@ from repro.checkpoint import (
     read_checkpoint_header,
     save_checkpoint,
 )
+from repro.noc.kernel_faults import LinkFaultKernel
 from repro.noc.simulator import Simulator
 from repro.serialization import result_to_dict
 from repro.telemetry.export import write_ndjson
@@ -117,7 +118,7 @@ class TestLinkFaultResume:
         )
         sim = Simulator(_cfg("batched", **kw))
         kernel = sim.network.kernel
-        assert kernel is not None and kernel.link_faults
+        assert isinstance(kernel, LinkFaultKernel)
         while not (any(kernel.nkn_cur) and kernel.rq_total):
             assert sim.should_continue(), "no cycle with both in flight"
             sim.advance()
@@ -143,7 +144,7 @@ class TestE2EResume:
         NDJSON), and the uninterrupted run equals the object loop's."""
         kw = dict(scheme="e2e", link_error_rate=0.05, rate=0.2)
         sim = Simulator(_cfg("batched", **kw))
-        assert sim.network.kernel is not None and sim.network.kernel.e2e
+        assert isinstance(sim.network.kernel, LinkFaultKernel)
         network = sim.network
         while not (
             any(e[2] == "e2e_retransmit" for e in network.run_record.events)

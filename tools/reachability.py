@@ -48,7 +48,8 @@ sys.setprofile(_profile)
 #: The non-pytest steps of ``.github/workflows/ci.yml``, run from the
 #: scratch directory so the files they write land there: both invariant-
 #: checked degradation smokes, the 3D certification, the telemetry export
-#: and its validator, the crash and chaos drills and the lint session.
+#: and its validator on each engine (CI's ``diff`` of the two streams runs
+#: no Python), the crash and chaos drills and the lint session.
 CI_STEPS = [
     ["-m", "repro", "degrade", "--shape", "6x6", "--kills", "4",
      "--inject-cycles", "600", "--invariant-checks", "--no-chart"],
@@ -60,6 +61,10 @@ CI_STEPS = [
     ["-m", "repro", "run", "--link-error-rate", "0.02", "--messages", "600",
      "--telemetry", "telemetry.ndjson", "--metrics-interval", "50"],
     [str(ROOT / "tools/validate_telemetry.py"), "telemetry.ndjson"],
+    ["-m", "repro", "run", "--link-error-rate", "0.02", "--messages", "600",
+     "--telemetry", "telemetry_batched.ndjson", "--metrics-interval", "50",
+     "--backend", "batched"],
+    [str(ROOT / "tools/validate_telemetry.py"), "telemetry_batched.ndjson"],
     [str(ROOT / "tools/kill_resume_smoke.py")],
     [str(ROOT / "tools/chaos_campaign.py")],
     [str(ROOT / "tools/lint.py")],
