@@ -17,7 +17,10 @@ from repro.types import Corruption
 
 
 def main() -> None:
-    net = Network(SimulationConfig(noc=NoCConfig(shape=(4, 2), num_vcs=1)))
+    # The tracer watches router objects: ask for the object model.
+    net = Network(
+        SimulationConfig(noc=NoCConfig(shape=(4, 2), num_vcs=1), backend="object")
+    )
 
     # Deterministically corrupt the 3rd inter-router flit traversal (the
     # header's second hop).

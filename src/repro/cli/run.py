@@ -30,11 +30,11 @@ def add_parser(sub: Any) -> None:
     run.add_argument(
         "--backend",
         choices=("object", "batched"),
-        default="object",
-        help="execution backend: 'batched' runs fault-free and link-fault "
-        "(HBH/E2E/FEC/NONE) configs on the struct-of-arrays kernel "
-        "(docs/KERNEL.md), bit-for-bit equivalent and ~4-5x faster when "
-        "loaded; out-of-domain configs fall back to the object model",
+        default=api.SimulationConfig.backend,
+        help="execution backend: 'batched' (the default) runs every config "
+        "inside the kernel's domain on the struct-of-arrays kernel "
+        "(docs/KERNEL.md), bit-for-bit equivalent and faster; the rest, "
+        "and every config under 'object', run the object model",
     )
     add_json_flag(run, "the full result")
     run.add_argument(

@@ -449,17 +449,15 @@ class SimulationConfig:
     no bus at all and the cycle loops pay a single ``None`` check per cycle.
 
     ``backend`` selects the state representation the cycle loop runs on.
-    ``"object"`` (the default) is the per-flit object model described in
-    ``docs/ARCHITECTURE.md``; ``"batched"`` requests the struct-of-arrays
-    kernel (:mod:`repro.noc.kernel`), which holds flit/VC/credit/
-    retransmission state in preallocated flat arrays and processes routers
-    as batched index operations per pipeline stage.  It covers fault-free
-    and transient-link-fault configs (HBH/E2E/FEC/NONE); the rest (other
-    fault sites, permanent/intermittent faults, 3D or slow links,
-    source/table routing, deadlock recovery, payload ECC, invariant
-    checks) silently fall back to the object model, so results are always
-    bit-for-bit identical across backends (``docs/KERNEL.md``,
-    ``tests/noc/test_fast_path_equivalence.py``).
+    ``"batched"`` (the default) runs the struct-of-arrays kernel
+    (:mod:`repro.noc.kernel`) on every config inside ``kernel_supports``'
+    domain: any mesh or torus, fault-free or with transient link faults
+    and burst sites that cannot wear out, under any protection.  The rest
+    (other fault sites, link teardown, source/table routing, deadlock
+    recovery, payload ECC, invariant checks) runs the per-flit object
+    model of ``docs/ARCHITECTURE.md``; ``"object"`` asks for it on every
+    config, as the oracle.  Results are bit-for-bit identical either way
+    (``docs/KERNEL.md``, ``tests/noc/test_fast_path_equivalence.py``).
 
     ``checkpoint_interval`` / ``checkpoint_path`` enable periodic crash-safe
     checkpointing (:mod:`repro.checkpoint`): every ``checkpoint_interval``
@@ -477,7 +475,7 @@ class SimulationConfig:
     collect_utilization: bool = False
     payload_ecc_check: bool = False
     invariant_checks: bool = False
-    backend: str = "object"
+    backend: str = "batched"
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
     checkpoint_interval: Optional[int] = None
     checkpoint_path: Optional[str] = None

@@ -1,4 +1,5 @@
-"""The batched struct-of-arrays cycle kernel (``backend="batched"``).
+"""The batched struct-of-arrays cycle kernel (``backend="batched"``, the
+default).
 
 The object model in :mod:`repro.noc.router` spends most of a loaded cycle
 on attribute lookups and small-method dispatch.  This module replays the
@@ -8,15 +9,17 @@ visiting only routers that hold flits.  Checkpoints serialize those
 vectors as typed int64 ``array('q')`` buffers; at runtime they are plain
 flat lists, the fastest scalar-indexed container CPython has.  A
 :class:`~repro.noc.network.Network` runs on one kernel instead of router
-objects when ``SimulationConfig.backend == "batched"`` and
-:func:`kernel_supports` finds the config inside the batchable domain (2D
-unit-latency platforms, deterministic distributed routing, no faults or
-transient link faults only under any protection, no deadlock recovery /
-payload ECC / invariant sanitizer).  Outside it the network silently
-falls back to the object loop.  The kernel is built from config +
-topology (its network constructs no router or link) and shares one
-memoized :func:`route_table` per platform and process.  Transient link
-faults get a :class:`~repro.noc.kernel_faults.LinkFaultKernel`
+objects when :func:`kernel_supports` finds the config inside the
+batchable domain (any mesh or torus, 2D or 3D, any per-axis link
+latency; deterministic distributed routing, or the port-aware table
+routing of a wear-out config; no faults, or transient link faults and
+burst sites that cannot wear out, under any protection; no deadlock
+recovery / payload ECC / invariant sanitizer) and the config does not
+ask for ``backend="object"``.  Outside it the network falls back to the
+object loop.  The kernel is built from config, topology and the routing
+choice (its network constructs no router or link) and shares one
+memoized :func:`route_table` per platform and process.  Link upsets get
+a :class:`~repro.noc.kernel_faults.LinkFaultKernel`
 (:func:`build_kernel`), whose stage methods add the per-hop error
 handling, so this module's fault-free stages carry no fault branch.  The
 kernel keeps flits; every completed packet goes to its
@@ -35,21 +38,25 @@ Array layout, token encoding and the per-phase dataflow are specified in
 
 from __future__ import annotations
 
+import math
 from array import array
 from bisect import bisect_left, insort
-from functools import lru_cache
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.noc.flit import Flit
 from repro.noc.link import link_id
-from repro.noc.routing import resolve_routing_function
+from repro.noc.routing import FaultAwareRouting, resolve_routing_function
 from repro.noc.topology import make_topology
-from repro.types import Corruption, FaultSite, FlitType, RoutingAlgorithm
+from repro.telemetry.bus import sample_interfaces
+from repro.types import Corruption, Direction, FaultSite, FlitType, RoutingAlgorithm
 
-#: Port index of the local (NI-facing) port; matches ``Direction.LOCAL``.
-_LOCAL = 4
-#: Opposite port per port index (N<->S, E<->W), used for link endpoints.
-_OPP = (2, 3, 0, 1, 4)
+#: Port index of the local (NI-facing) port.
+_LOCAL = int(Direction.LOCAL)
+#: ``Direction`` per port index (mesh ports of every axis, and LOCAL).
+_DIRECTIONS = tuple(Direction)
+#: Opposite port per port index (N<->S, E<->W, UP<->DOWN), used for link
+#: endpoints.
+_OPP = tuple(int(d.opposite) for d in _DIRECTIONS)
 #: Flit tokens pack ``(packet_slot << 20) | flit_seq``; 20 bits of sequence
 #: bounds packets at ~1M flits, far beyond any configured flits_per_packet.
 _SEQ_BITS = 20
@@ -69,25 +76,23 @@ _SUPPORTED_ROUTING = (
 def kernel_supports(config: Any) -> Optional[str]:
     """Why the batched kernel cannot run this config, or None if it can.
 
-    The batchable domain is the fault-free pipeline plus transient link
-    faults, under HBH, E2E, FEC or NONE protection.  Everything else the
-    object model does (logic-fault sites, deadlock probing, table
-    rerouting, bit-level payload checks, the per-cycle sanitizer) is
-    control flow the flat arrays deliberately do not model.  ``Network``
-    falls back to the object loop when this returns a reason, so
-    ``backend="batched"`` is always safe to request.
+    The batchable domain is the fault-free pipeline on any mesh or torus
+    (2D or 3D, any per-axis link latency) plus transient link faults and
+    burst sites that cannot wear out, under HBH, E2E, FEC or NONE
+    protection.  Everything else the object model does (logic-fault
+    sites, link teardown, deadlock probing, bit-level payload checks, the
+    per-cycle sanitizer) is control flow the flat arrays deliberately do
+    not model.  ``Network`` falls back to the object loop when this
+    returns a reason, so any config is safe to run.
     """
-    noc = config.noc
-    if noc.ndim != 2:
-        return "the batched kernel models 2D meshes only"
-    if noc.max_link_latency != 1:
-        return "multi-cycle link latencies are outside the batched domain"
-    if any(rate for site, rate in config.faults.rates.items() if site is not FaultSite.LINK):
+    faults = config.faults
+    if any(rate for site, rate in faults.rates.items() if site is not FaultSite.LINK):
         return "transient fault rates at sites other than the link are nonzero"
-    if config.faults.permanent:
+    if faults.permanent:
         return "a permanent-fault schedule is configured"
-    if config.faults.intermittent:
-        return "an intermittent/wear-out fault lifecycle is configured"
+    if wear_out_horizon(faults.wear_out) <= config.workload.max_cycles:
+        return "an intermittent site can wear out into a link death within max_cycles"
+    noc = config.noc
     if noc.routing not in _SUPPORTED_ROUTING:
         return f"routing {noc.routing.value!r} is outside the batched domain"
     if noc.deadlock_recovery_enabled:
@@ -99,37 +104,106 @@ def kernel_supports(config: Any) -> Optional[str]:
     return None
 
 
-def build_kernel(config: Any, topo: Any) -> "BatchedKernel":
-    """An in-domain config's kernel; link faults import ``kernel_faults``."""
-    if not config.faults.rate(FaultSite.LINK):
-        return BatchedKernel(config, topo)
+def wear_out_horizon(wear: Any) -> float:
+    """The first cycle a burst site's stress can reach the wear-out
+    threshold (never without wear-out): a link carries at most one flit a
+    cycle, so stress grows by at most strike_weight + traversal_weight."""
+    if wear is None:
+        return math.inf
+    return wear.threshold / (wear.strike_weight + wear.traversal_weight)
+
+
+def build_kernel(config: Any, topo: Any, routing_fn: Any) -> "BatchedKernel":
+    """An in-domain config's kernel; link upsets (a nonzero rate or a
+    burst site) import ``kernel_faults``."""
+    faults = config.faults
+    if not (faults.rate(FaultSite.LINK) or faults.intermittent):
+        return BatchedKernel(config, topo, routing_fn)
     from repro.noc.kernel_faults import LinkFaultKernel
-    return LinkFaultKernel(config, topo)
+    return LinkFaultKernel(config, topo, routing_fn)
 
 
-def route_table(noc: Any) -> Tuple[Tuple[int, ...], ...]:
-    """Candidate ports of every ``(router, dst)``, flat at ``r*R + dst``."""
-    return _route_table(noc.topology, noc.shape, noc.link_latency, noc.routing)
+#: Route tables by platform, a few per process (``route_table``).
+_ROUTE_TABLES: Dict[Tuple[Any, ...], Tuple[Tuple[int, ...], ...]] = {}
+_ROUTE_TABLES_KEPT = 16
 
 
-@lru_cache(maxsize=16)
-def _route_table(
-    topology: str, shape: Tuple[int, ...], link_latency: Any, routing: Any
+def route_table(
+    noc: Any, port_aware: bool = False, routing_fn: Any = None
 ) -> Tuple[Tuple[int, ...], ...]:
-    # Keyed on every field make_topology and routing_for_config read in the
-    # batched domain, where no component can die and the latter reduces to
-    # resolve_routing_function: pure routing on a topology that never dies.
-    topo = make_topology(topology, shape, link_latency)
-    routing_fn = resolve_routing_function(routing, topo)
+    """Candidate ports of every ``(router, dst)``, flat at ``r*R + dst``;
+    of every ``(router, in-port, dst)``, flat at ``(r*P + p)*R + dst``,
+    under the port-aware routing a config that can lose components runs.
+
+    One memo per platform and process, keyed on every field
+    ``make_topology`` and ``routing_for_config`` read in the batched
+    domain, where no component dies.  A miss evaluates ``routing_fn``
+    (``routing_for_config``'s choice, which a network passes in), or the
+    same choice made afresh."""
+    key = (noc.topology, noc.shape, noc.link_latency, noc.routing, port_aware)
+    table = _ROUTE_TABLES.get(key)
+    if table is None:
+        if len(_ROUTE_TABLES) >= _ROUTE_TABLES_KEPT:
+            del _ROUTE_TABLES[next(iter(_ROUTE_TABLES))]
+        table = _ROUTE_TABLES[key] = _build_route_table(
+            make_topology(noc.topology, noc.shape, noc.link_latency),
+            noc.routing,
+            port_aware,
+            routing_fn,
+        )
+    return table
+
+
+def _build_route_table(
+    topo: Any, routing: Any, port_aware: bool, routing_fn: Any
+) -> Tuple[Tuple[int, ...], ...]:
+    R, P = topo.num_nodes, topo.num_ports
     probe = Flit(0, 0, FlitType.HEAD, 0, 0)
+    if port_aware:
+        # The table routing routing_for_config swaps XY for.
+        table_fn = routing_fn or FaultAwareRouting(topo)
+        rows = [(r, _DIRECTIONS[p]) for r in range(R) for p in range(P)]
+
+        def candidates(r: int, port: Direction) -> List[Direction]:
+            return table_fn.candidates_from(topo, r, port, probe)
+    else:
+        routing_fn = routing_fn or resolve_routing_function(routing, topo)
+        rows = [(r, _DIRECTIONS[_LOCAL]) for r in range(R)]
+
+        def candidates(r: int, port: Direction) -> List[Direction]:
+            return routing_fn.candidates(topo, r, probe)
+
     table = []
-    for r in range(topo.num_nodes):
+    for r, port in rows:
         valid = {_LOCAL, *map(int, topo.connected_directions(r))}
-        for dst in range(topo.num_nodes):
+        for dst in range(R):
             probe.dst = dst
-            cands = routing_fn.candidates(topo, r, probe)
-            table.append(tuple(int(d) for d in cands if int(d) in valid))
+            table.append(tuple(int(d) for d in candidates(r, port) if int(d) in valid))
+    _assert_routes_never_empty(table, topo, port_aware)
     return tuple(table)
+
+
+def _assert_routes_never_empty(
+    table: List[Tuple[int, ...]], topo: Any, port_aware: bool
+) -> None:
+    """On an intact topology a correctly addressed header never meets an
+    empty route: every injection route is non-empty, and (port-aware) so
+    is the route each hop hands to the next router.  Only a header whose
+    destination an upset rewrote can meet one (``LinkFaultKernel``)."""
+    R, P = topo.num_nodes, topo.num_ports
+    if not port_aware:
+        assert all(table), "a routing function left a route empty"
+        return
+    for r in range(R):
+        for dst in range(R):
+            assert table[(r * P + _LOCAL) * R + dst], (r, dst)
+    for row in range(R * P):
+        r = row // P
+        for dst in range(R):
+            for o in table[row * R + dst]:
+                if o != _LOCAL:
+                    nxt = topo.neighbor(r, _DIRECTIONS[o])
+                    assert table[(nxt * P + _OPP[o]) * R + dst], (r, o, dst)
 
 
 def _nearest(requesters: List[int], pointer: int) -> int:
@@ -190,7 +264,8 @@ def _flush_energy(stats: Any, **counts: int) -> None:
 class KernelSampler:
     """Telemetry sampler over kernel arrays.
 
-    Drop-in replacement for ``repro.telemetry.bus._NetworkSampler``: emits
+    Drop-in replacement for ``repro.telemetry.bus._NetworkSampler``, with
+    which it shares ``sample_interfaces`` for the NI rates: emits
     the same series, for the same components, in the same record order,
     with the same values — so NDJSON exports are byte-identical across
     backends (the bus records the global series after either sampler).
@@ -207,8 +282,7 @@ class KernelSampler:
             for d in topo.connected_directions(node)
         ]
         self._last_traversals = [0] * len(self._links)
-        self._last_sent = [0] * kernel.R
-        self._last_ejected = [0] * kernel.R
+        self._last_rates = ([0] * kernel.R, [0] * kernel.R)
 
     def sample(self, net: Any, record: Any, cycle: int, interval: float) -> None:
         k = self.kernel
@@ -227,16 +301,7 @@ class KernelSampler:
                 record("retx_pressure", node, cycle, k.retx_occupancy(r) / cap)
             else:  # pragma: no cover - every mesh router has links
                 record("retx_pressure", node, cycle, 0.0)
-        last_s = self._last_sent
-        last_e = self._last_ejected
-        for r, ni in enumerate(net.interfaces):
-            node = str(r)
-            sent = k.nsent[r]
-            record("injection_rate", node, cycle, (sent - last_s[r]) / interval)
-            last_s[r] = sent
-            ejected = ni.flits_ejected
-            record("ejection_rate", node, cycle, (ejected - last_e[r]) / interval)
-            last_e[r] = ejected
+        sample_interfaces(net, record, cycle, interval, self._last_rates)
 
 
 class BatchedKernel:
@@ -254,10 +319,14 @@ class BatchedKernel:
     #: Replay-queue flits: ``kernel_faults`` only.
     rq_total = 0
 
-    def __init__(self, config: Any, topo: Any):
+    def __init__(self, config: Any, topo: Any, routing_fn: Any):
+        """``routing_fn`` is the network's ``routing_for_config`` choice."""
         noc = config.noc
         #: The platform the shared route table is memoized for.
         self.noc = noc
+        #: Routes keyed by in-port too: the table routing
+        #: ``routing_for_config`` installs on a wear-out config.
+        self.port_aware = getattr(routing_fn, "port_aware", False)
         R = topo.num_nodes
         P = noc.num_ports
         V = noc.num_vcs
@@ -300,7 +369,6 @@ class BatchedKernel:
         new("nis_slot", R * V, -1)  # streaming packet slot per VC
         new("nis_next", R * V, 0)  # next flit seq of that stream
         new("nirr", R, 0)  # stream round-robin pointer
-        new("nsent", R, 0)  # flits pushed onto the injection link
         # -- per-router gauges ----------------------------------------------
         new("rbuf", R, 0)  # buffered flits (occupancy gauge)
         new("ln", R * P, 0)  # mesh-link flit traversals, by (src, port)
@@ -328,12 +396,31 @@ class BatchedKernel:
                 for v in range(V):
                     cred[base + p * V + v] = D
         self.nb = nb
+        #: Every port but LOCAL, ascending (the object router's visit order).
+        self.mesh_ports = tuple(p for p in range(P) if p != _LOCAL)
         self.rcap = [
-            sum(1 for p in range(4) if nb[r * P + p] >= 0)
+            sum(1 for p in self.mesh_ports if nb[r * P + p] >= 0)
             * V
             * self.retx_depth
             for r in range(R)
         ]
+        #: ``(port, latency)`` of each router's ports whose link takes more
+        #: than one cycle (3D TSVs); empty on unit-latency platforms.
+        #: Their line items wait in ``wheel``, by due cycle, until
+        #: ``_end_cycle`` lands them in the ``*_cur`` lines (``DelayLine``).
+        self.slow_ports = [
+            [
+                (int(d), topo.link_latency(r, d))
+                for d in topo.connected_directions(r)
+                if topo.link_latency(r, d) > 1
+            ]
+            for r in range(R)
+        ]
+        self.has_slow = any(self.slow_ports)
+        self.wheel: Dict[int, List[Tuple[Any, ...]]] = {}
+        #: Slow lines given an item other than a flit or a credit this
+        #: cycle (``kernel_faults``' NACKs and teardown credits).
+        self.marked_lines: Set[int] = set()
 
         # Python-side state.
         #: Per-input-VC routing candidates (tuple of ports) while a head
@@ -358,8 +445,7 @@ class BatchedKernel:
         self.pk_id: List[int] = []
         self.pk_src: List[int] = []
         self.pk_free: List[int] = []
-        #: Shared memo, so never checkpointed (re-bound by ``__setstate__``).
-        self.route_table = route_table(noc)
+        self._bind_routes(routing_fn)
         #: Flits buffered in routers / in flight on delay lines; together
         #: these are ``Network.in_flight_flits``.
         self.total_buffered = 0
@@ -373,7 +459,7 @@ class BatchedKernel:
     ARRAY_NAMES: Tuple[str, ...] = (
         "buf", "bh", "bc", "st", "op", "ov", "rtc", "vac", "varot",
         "va_arb", "sa_in", "sa_out", "cred", "alloc", "nseq",
-        "nic", "nis_slot", "nis_next", "nirr", "nsent",
+        "nic", "nis_slot", "nis_next", "nirr",
         "rbuf", "ln",
         "rxt_cur", "rxt_next", "rxv_cur", "rxv_next",
         "ejt_cur", "ejt_next", "crv_cur", "crv_next",
@@ -387,7 +473,7 @@ class BatchedKernel:
         # Pack each state table into a typed int64 buffer for the pickle
         # stream; it round-trips exactly and keeps checkpoints compact.
         state = dict(self.__dict__)
-        del state["route_table"]
+        del state["route_table"], state["rt_row"]
         for name in self.ARRAY_NAMES:
             state[name] = array("q", state[name])
         return state
@@ -396,7 +482,15 @@ class BatchedKernel:
         for name in self.ARRAY_NAMES:
             state[name] = state[name].tolist()
         self.__dict__.update(state)
-        self.route_table = route_table(self.noc)
+        self._bind_routes()
+
+    def _bind_routes(self, routing_fn: Any = None) -> None:
+        """Bind the shared route table (a memo, so never checkpointed) and
+        its row per input port ``r*P + p``: the router's, or under
+        port-aware routing the in-port's own."""
+        R, P = self.R, self.P
+        self.route_table = route_table(self.noc, self.port_aware, routing_fn)
+        self.rt_row = [(i if self.port_aware else i // P) * R for i in range(R * P)]
 
     # ------------------------------------------------------------------
     # packet descriptors
@@ -533,7 +627,7 @@ class BatchedKernel:
         cands = self.cands
         pk_dst, pk_nf, pk_hops = self.pk_dst, self.pk_nf, self.pk_hops
         nb, ln, nic, rbuf = self.nb, self.ln, self.nic, self.rbuf
-        route_table = self.route_table
+        route_table, rt_row = self.route_table, self.rt_row
         rxt_next, rxv_next = self.rxt_next, self.rxv_next
         crv_next, ejt_next = self.crv_next, self.ejt_next
         wr_next, wn_next = self.wr_next, self.wn_next
@@ -557,7 +651,7 @@ class BatchedKernel:
                 token = buf[idx * D + bh[idx]]
                 if token & _SEQ_MASK:
                     continue  # body flit; RT waits for a header
-                cands[idx] = route_table[r * R + pk_dst[token >> _SEQ_BITS]]
+                cands[idx] = route_table[rt_row[idx // V] + pk_dst[token >> _SEQ_BITS]]
                 st[idx] = 1
                 rtc[idx] = cycle
                 n_rt += 1
@@ -732,12 +826,16 @@ class BatchedKernel:
         ni_tx = net._ni_tx_active
         if not ni_tx:
             return
-        P, V, pk_nf, nirr, nsent = self.P, self.V, self.pk_nf, self.nirr, self.nsent
+        P, V, pk_nf, nirr = self.P, self.V, self.pk_nf, self.nirr
         nic, nis_slot, nis_next = self.nic, self.nis_slot, self.nis_next
         rxt_next, rxv_next, wr_next = self.rxt_next, self.rxv_next, self.wr_next
         pushed = 0
         drained: List[int] = []
-        for node in sorted(ni_tx):
+        nodes = sorted(ni_tx)
+        # NetworkInterface.inject's `degraded` reachability filter has
+        # nothing to refuse here: no component dies in the domain, and
+        # every injection route is non-empty (_assert_routes_never_empty).
+        for node in nodes:
             ni = net.interfaces[node]
             nbase = node * V
             sent = False
@@ -754,7 +852,7 @@ class BatchedKernel:
                     else:
                         nis_next[si] = seq + 1
                     nic[si] -= 1
-                    nsent[node] += 1
+                    ni.flits_sent += 1
                     i = node * P + _LOCAL
                     rxt_next[i] = (slot << _SEQ_BITS) | seq
                     rxv_next[i] = vc
@@ -774,7 +872,7 @@ class BatchedKernel:
                             nis_next[si] = 1
                             ni.open_streams += 1
                         nic[si] -= 1
-                        nsent[node] += 1
+                        ni.flits_sent += 1
                         i = node * P + _LOCAL
                         rxt_next[i] = slot << _SEQ_BITS
                         rxv_next[i] = vc
@@ -796,14 +894,59 @@ class BatchedKernel:
 
     def _end_cycle(self, net: Any, sends: int) -> None:
         """Phase 6: ``Network._end_cycle``, then the swaps that deliver
-        this cycle's sends next cycle (drained ``*_cur`` sides are empty)."""
+        this cycle's sends next cycle (drained ``*_cur`` sides are empty).
+        A slow port's items wait in the wheel instead: each lands in the
+        ``*_cur`` lines on its due cycle, as ``DelayLine.pop_due``."""
+        cycle = net.run_record.cycle
         net._end_cycle(sends)
+        if self.has_slow:
+            self._hold_slow(cycle)
+            self._swap_lines()
+            self._land_due(cycle + 1)
+        else:
+            self._swap_lines()
+
+    def _swap_lines(self) -> None:
         self.rxt_cur, self.rxt_next = self.rxt_next, self.rxt_cur
         self.rxv_cur, self.rxv_next = self.rxv_next, self.rxv_cur
         self.ejt_cur, self.ejt_next = self.ejt_next, self.ejt_cur
         self.crv_cur, self.crv_next = self.crv_next, self.crv_cur
         self.wr_cur, self.wr_next = self.wr_next, self.wr_cur
         self.wn_cur, self.wn_next = self.wn_next, self.wn_cur
+
+    def _hold_slow(self, cycle: int) -> None:
+        """Move the items this cycle put on slow ports' lines into the
+        wheel at ``cycle + latency``.  Every line write wakes the line's
+        router, so the wake set names every router to look at."""
+        slow_ports, wheel, P = self.slow_ports, self.wheel, self.P
+        rxt, crv, marked = self.rxt_next, self.crv_next, self.marked_lines
+        for r in self.wr_next:
+            for p, lat in slow_ports[r]:
+                i = r * P + p
+                if rxt[i] >= 0 or crv[i] >= 0 or i in marked:
+                    wheel.setdefault(cycle + lat, []).append(self._take_line(i))
+        marked.clear()
+
+    def _land_due(self, cycle: int) -> None:
+        """Land the wheel's items due at ``cycle`` and wake their routers."""
+        due = self.wheel.pop(cycle, None)
+        if due:
+            P, wr = self.P, self.wr_cur
+            for item in due:
+                self._put_line(item)
+                wr.add(item[0] // P)
+
+    def _take_line(self, i: int) -> Tuple[Any, ...]:
+        """Line ``i``'s items on the ``*_next`` side as ``(i, flit token,
+        its VC, credit VC)`` (−1 where absent), cleared there."""
+        item = (i, self.rxt_next[i], self.rxv_next[i], self.crv_next[i])
+        self.rxt_next[i] = self.rxv_next[i] = self.crv_next[i] = -1
+        return item
+
+    def _put_line(self, item: Tuple[Any, ...]) -> None:
+        """Write a ``_take_line`` item to the ``*_cur`` side."""
+        i = item[0]
+        self.rxt_cur[i], self.rxv_cur[i], self.crv_cur[i] = item[1:4]
 
     # ------------------------------------------------------------------
     # introspection
@@ -813,10 +956,16 @@ class BatchedKernel:
     def in_flight_flits(self) -> int:
         return self.total_buffered + self.line_flits
 
+    def mesh_channels(self, r: int) -> List[int]:
+        """Router ``r``'s output channels on mesh ports, in port order."""
+        V = self.V
+        base = r * self.P * V
+        return [base + p * V + v for p in self.mesh_ports for v in range(V)]
+
     def retx_occupancy(self, r: int) -> int:
         """Ring slots in use at router ``r``: min(flits sent, depth) each."""
-        base, depth = r * self.P * self.V, self.retx_depth
-        return sum(min(s, depth) for s in self.nseq[base:base + 4 * self.V])
+        nseq, depth = self.nseq, self.retx_depth
+        return sum(min(nseq[c], depth) for c in self.mesh_channels(r))
 
     def make_sampler(self, topo: Any) -> KernelSampler:
         return KernelSampler(self, topo)

@@ -1,13 +1,15 @@
-"""The batched kernel under transient link faults.
+"""The batched kernel under link upsets: transient faults and burst sites.
 
 :class:`LinkFaultKernel` is the :class:`~repro.noc.kernel.BatchedKernel`
-of a config whose only nonzero fault rate is ``FaultSite.LINK``, under any
-link protection (:func:`~repro.noc.kernel.kernel_supports`,
-``build_kernel``).  It adds the state the object model keeps for that case
-— expected link sequences, NACK counts, per-channel retransmission rings
-and replay queues, a NACK delay line, the transfer's sequence and upset on
-the flit lines, route-NACK rollback queues, NI reassemblies and the tags
-of corrupted packets — and overrides ``BatchedKernel.step``'s stage
+of a config whose only nonzero fault rate is ``FaultSite.LINK``, or that
+has burst sites which cannot wear out, under any link protection
+(:func:`~repro.noc.kernel.kernel_supports`, ``build_kernel``).  It adds
+the state the object model keeps for that case — expected link
+sequences, NACK counts, per-channel retransmission rings and replay
+queues, a NACK delay line, the transfer's sequence and upset on the flit
+lines, route-NACK rollback queues, NI reassemblies, the tags of corrupted
+packets and the drain and teardown-credit state of the unroutable
+teardown — and overrides ``BatchedKernel.step``'s stage
 methods to add the per-hop error handling at the object model's call
 sites, drawing from the injector's shared stream in the object model's
 order.  What a completed packet becomes stays with its NI, as on the
@@ -25,6 +27,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.schemes import apply_header_upset, pick_header_field
 from repro.noc.kernel import (
+    _DIRECTIONS,
     _LOCAL,
     _OPP,
     _SEQ_BITS,
@@ -34,10 +37,8 @@ from repro.noc.kernel import (
     _FlitView,
 )
 from repro.noc.routing import xy_arrival_is_legal
-from repro.types import Corruption, Direction, LinkProtection, RoutingAlgorithm
+from repro.types import Corruption, LinkProtection, RoutingAlgorithm
 
-#: ``Direction`` per port index, for ``FaultInjector.link_upset``.
-_DIRECTIONS = tuple(Direction(p) for p in range(5))
 #: NACK kinds on the NACK delay line (``NackSignal.kind``).
 _NACK_LINK = 0
 _NACK_ROUTE = 1
@@ -69,7 +70,8 @@ def _set_entries(
 
 
 class LinkFaultKernel(BatchedKernel):
-    """A :class:`BatchedKernel` that also models transient link faults."""
+    """A :class:`BatchedKernel` that also models link upsets: transient
+    ones and the strikes of burst sites (``FaultInjector.link_upset``)."""
 
     #: The fault-free tables, then the link-fault state (docs/KERNEL.md,
     #: "Link-fault state"), in checkpoint-payload order.
@@ -77,20 +79,23 @@ class LinkFaultKernel(BatchedKernel):
         "ex", "nackr", "lown",
         "rt_seq", "rt_tok", "rt_h", "rt_n", "rq_seq", "rq_tok", "rq_n", "rqr",
         "rxs_cur", "rxs_next", "rxc_cur", "rxc_next",
-        "nkn_cur", "nkn_next", "nk_cur", "nk_next",
+        "nkn_cur", "nkn_next", "nk_cur", "nk_next", "dr",
     )
 
-    def __init__(self, config: Any, topo: Any):
-        super().__init__(config, topo)
+    def __init__(self, config: Any, topo: Any, routing_fn: Any):
+        super().__init__(config, topo, routing_fn)
         noc = config.noc
         R, P, V = self.R, self.P, self.V
         depth = self.retx_depth
         self.protection = noc.link_protection
         self.max_nack_retries = noc.max_nack_retries
-        #: Section 4.2 receiver-side misroute detection (HBH + plain XY).
+        #: Section 4.2 receiver-side misroute detection (HBH + plain XY;
+        #: it stands down under port-aware table routing, as
+        #: ``Router._is_xy`` does).
         self.xy_check = (
             noc.link_protection is LinkProtection.HBH
             and noc.routing is RoutingAlgorithm.XY
+            and not self.port_aware
         )
         new = self._new_array
         new("ex", R * P * V, 0)  # input VC expected link sequence
@@ -112,6 +117,7 @@ class LinkFaultKernel(BatchedKernel):
         new("nkn_next", R * P, 0)
         new("nk_cur", R * P * (V + 1), 0)  # packed (seq, vc, kind)
         new("nk_next", R * P * (V + 1), 0)
+        new("dr", R * P * V, 0)  # draining a torn-down packet's flits
         #: Fault tags of corrupted packets only, by slot: ``[true_dst,
         #: dst_error, src_error, per-flit Corruption list]`` (``Flit``'s
         #: fields).
@@ -128,6 +134,11 @@ class LinkFaultKernel(BatchedKernel):
         self.ras: List[Dict[int, Dict[int, int]]] = [{} for _ in range(R)]
         #: Flits in replay queues (``Router.retx_pending_flits``, summed).
         self.rq_total = 0
+        #: Credit lines of the unroutable teardown (``_drop_unroutable``,
+        #: drained flits), which may credit a link several times a cycle:
+        #: line ``u*P + port`` -> the VCs credited.
+        self.xcr_cur: Dict[int, List[int]] = {}
+        self.xcr_next: Dict[int, List[int]] = {}
 
     def __getstate__(self) -> Dict[str, Any]:
         state = super().__getstate__()
@@ -141,16 +152,51 @@ class LinkFaultKernel(BatchedKernel):
     def retx_occupancy(self, r: int) -> int:
         """Replay-queue plus ring entries over router ``r``'s mesh output
         channels (``Router.retx_occupancy``)."""
-        base = r * self.P * self.V
         rt_n, rq_n = self.rt_n, self.rq_n
-        return sum(rt_n[c] + rq_n[c] for c in range(base, base + 4 * self.V))
+        return sum(rt_n[c] + rq_n[c] for c in self.mesh_channels(r))
 
-    def _end_cycle(self, net: Any, sends: int) -> None:
-        super()._end_cycle(net, sends)
+    def _swap_lines(self) -> None:
+        super()._swap_lines()
         self.rxs_cur, self.rxs_next = self.rxs_next, self.rxs_cur
         self.rxc_cur, self.rxc_next = self.rxc_next, self.rxc_cur
         self.nkn_cur, self.nkn_next = self.nkn_next, self.nkn_cur
         self.nk_cur, self.nk_next = self.nk_next, self.nk_cur
+        self.xcr_cur, self.xcr_next = self.xcr_next, self.xcr_cur
+
+    def _take_line(self, i: int) -> Tuple[Any, ...]:
+        """The base item plus the flit's sequence and upset, the line's
+        NACKs and its teardown credits."""
+        n = self.nkn_next[i]
+        self.nkn_next[i] = 0
+        W = self.V + 1
+        return super()._take_line(i) + (
+            self.rxs_next[i],
+            self.rxc_next[i],
+            tuple(self.nk_next[i * W:i * W + n]),
+            self.xcr_next.pop(i, None),
+        )
+
+    def _put_line(self, item: Tuple[Any, ...]) -> None:
+        super()._put_line(item)
+        i, seq, upset, nacks, credits = item[0], *item[4:]
+        self.rxs_cur[i] = seq
+        self.rxc_cur[i] = upset
+        W = self.V + 1
+        self.nkn_cur[i] = len(nacks)
+        self.nk_cur[i * W:i * W + len(nacks)] = nacks
+        if credits is not None:
+            self.xcr_cur[i] = credits
+
+    def _send_credits(self, r: int, port: int, vc: int, n: int) -> None:
+        """Return ``n`` credits for router ``r``'s mesh input ``(port, vc)``
+        to its sender, on the teardown credit line.  (A header on the PE
+        channel is never rewritten, so no teardown happens there.)"""
+        u = self.nb[r * self.P + port]
+        line = u * self.P + _OPP[port]
+        self.xcr_next.setdefault(line, []).extend([vc] * n)
+        self.wr_next.add(u)
+        if self.has_slow:
+            self.marked_lines.add(line)
 
     def _eject(self, net: Any, cycle: int) -> None:
         """Phase 1: NIs reassemble ejected flits (``PacketReassembler``),
@@ -225,7 +271,14 @@ class LinkFaultKernel(BatchedKernel):
         P, V, D = self.P, self.V, self.D
         W = V + 1
         buf, bh, bc = self.buf, self.bh, self.bc
-        cred, ex, nackr = self.cred, self.ex, self.nackr
+        cred, ex, nackr, dr = self.cred, self.ex, self.nackr, self.dr
+        xcr = self.xcr_cur
+        if xcr:  # teardown credits: pure additions, in any order
+            for line, vcs in xcr.items():
+                for v in vcs:
+                    cred[line * V + v] += 1
+            xcr.clear()
+        mesh_ports = self.mesh_ports
         rxt, rxv, crv = self.rxt_cur, self.rxv_cur, self.crv_cur
         rxs, rxc = self.rxs_cur, self.rxc_cur
         nkn, nk = self.nkn_cur, self.nk_cur
@@ -243,7 +296,7 @@ class LinkFaultKernel(BatchedKernel):
                 if v >= 0:
                     crv[base + p] = -1
                     cred[(base + p) * V + v] += 1
-            for p in range(4):  # the PE channel carries no NACKs
+            for p in mesh_ports:  # the PE channel carries no NACKs
                 n = nkn[base + p]
                 if n:
                     nkn[base + p] = 0
@@ -266,6 +319,9 @@ class LinkFaultKernel(BatchedKernel):
                 idx = (base + p) * V + v
                 if p != _LOCAL:  # PE-channel flits are never upset or late
                     seq = rxs[base + p]
+                    if dr[idx] and token & _SEQ_MASK:
+                        self._drain(net, cycle, r, p, v, seq, token)
+                        continue
                     c = rxc[base + p]
                     if hbh:
                         if c == 1:
@@ -314,6 +370,7 @@ class LinkFaultKernel(BatchedKernel):
                         continue
                     ex[idx] = seq + 1
                     nackr[idx] = 0
+                    dr[idx] = 0  # a draining VC accepts only a header
                 n = bc[idx]
                 buf[idx * D + (bh[idx] + n) % D] = token
                 if n == 0 and idx not in rbq:
@@ -328,6 +385,61 @@ class LinkFaultKernel(BatchedKernel):
         self.line_flits = lf
         _flush_energy(stats, buffer_write=n_bufw, nack=n_nack)
 
+    def _drain(
+        self, net: Any, cycle: int, r: int, port: int, vc: int, seq: int, token: int
+    ) -> None:
+        """A follower of a packet torn down at router ``r``'s input
+        ``(port, vc)`` arrived: consume it in window, credit its slot
+        straight back, and keep draining until a header is accepted
+        (``Router._accept_transfer``'s ``drain_until_head``)."""
+        stats = net.stats
+        if net.telemetry is not None:
+            net.telemetry.publish(
+                cycle, "flit_drop", r, reason="drain",
+                packet=self.pk_id[token >> _SEQ_BITS],
+            )
+        idx = (r * self.P + port) * self.V + vc
+        if seq == self.ex[idx]:
+            self.ex[idx] = seq + 1
+            self.nackr[idx] = 0
+            stats.count("permanent_fault_flits_dropped")
+            self._send_credits(r, port, vc, 1)
+        else:
+            stats.count("flits_dropped")
+
+    def _drop_unroutable(
+        self, net: Any, cycle: int, r: int, idx: int, slot: int
+    ) -> int:
+        """Router ``r``'s input VC ``idx`` holds a header whose rewritten
+        destination its port-aware route cannot reach from the arrival
+        port: tear the packet down (``Router._drop_unroutable``), crediting
+        the buffered flits back.  Returns the flits dropped; the caller
+        drops the VC from the occupancy index.  The packet's slot is never
+        reused, since ring copies of its flits may still replay."""
+        stats = net.stats
+        stats.count("packets_unroutable")
+        pid = self.pk_id[slot]
+        if net.telemetry is not None:
+            net.telemetry.publish(
+                cycle, "flit_drop", r, reason="unroutable", packet=pid
+            )
+        V, D = self.V, self.D
+        held = self.bc[idx]
+        tokens = self.rbq.pop(idx, [])
+        tokens += [self.buf[idx * D + (self.bh[idx] + k) % D] for k in range(held)]
+        self.bc[idx] = 0
+        if held:
+            p = idx // V % self.P
+            self._send_credits(r, p, idx % V, held)
+        stats.count("permanent_fault_flits_dropped", len(tokens))
+        nf = self.pk_nf
+        if not any((t & _SEQ_MASK) == nf[t >> _SEQ_BITS] - 1 for t in tokens):
+            self.dr[idx] = 1
+        net.run_record.note_casualty(pid)
+        self._reset_pipeline(idx)
+        self.rbuf[r] -= len(tokens)
+        return len(tokens)
+
     def _send_nack(self, r: int, port: int, vc: int, seq: int, kind: int) -> None:
         """NACK the sender of router ``r``'s input ``port`` (next cycle)."""
         P = self.P
@@ -337,6 +449,8 @@ class LinkFaultKernel(BatchedKernel):
         self.nk_next[line * (self.V + 1) + n] = ((seq * self.V + vc) << 1) | kind
         self.nkn_next[line] = n + 1
         self.wr_next.add(u)
+        if self.has_slow:
+            self.marked_lines.add(line)
 
     def _link_nack(
         self, net: Any, cycle: int, r: int, port: int, vc: int, seq: int
@@ -471,7 +585,7 @@ class LinkFaultKernel(BatchedKernel):
         pk_id, pk_dst, pk_nf = self.pk_id, self.pk_dst, self.pk_nf
         pk_hops = self.pk_hops
         nb, ln, nic, rbuf = self.nb, self.ln, self.nic, self.rbuf
-        route_table = self.route_table
+        route_table, rt_row = self.route_table, self.rt_row
         rxt_next, rxv_next = self.rxt_next, self.rxv_next
         rxs_next, rxc_next = self.rxs_next, self.rxc_next
         crv_next, ejt_next = self.crv_next, self.ejt_next
@@ -492,7 +606,7 @@ class LinkFaultKernel(BatchedKernel):
             # per mesh port (Router._output_stage); it spends no credit.
             busy = 0
             if rqr[r]:
-                for o in range(4):
+                for o in self.mesh_ports:
                     cbase = rbase + o * V
                     for cidx in range(cbase, cbase + V):
                         if not rq_n[cidx]:
@@ -559,10 +673,16 @@ class LinkFaultKernel(BatchedKernel):
                         )
                     cleared = (cleared or []) + [pv]
                     continue
-                cands[idx] = route_table[r * R + dst]
+                n_rt += 1
+                route = route_table[rt_row[idx // V] + dst]
+                if not route:
+                    # Only a rewritten header meets an empty route.
+                    tb -= self._drop_unroutable(net, cycle, r, idx, slot)
+                    cleared = (cleared or []) + [pv]
+                    continue
+                cands[idx] = route
                 st[idx] = 1
                 rtc[idx] = cycle
-                n_rt += 1
             if cleared:
                 occ_r[:] = [pv for pv in occ_r if pv not in cleared]
 

@@ -124,6 +124,8 @@ class NetworkInterface:
         self.open_streams = 0
         self._credits: List[int] = [self.config.vc_buffer_depth] * V
         self._next_seq: List[int] = [0] * V
+        #: Flits pushed onto the injection link, on either engine.
+        self.flits_sent = 0
         self._rr = 0
         self.reassembler = PacketReassembler()
         #: E2E source retransmission copies, held until the ACK returns.
@@ -209,6 +211,7 @@ class NetworkInterface:
         self._credits[vc] -= 1
         seq = self._next_seq[vc]
         self._next_seq[vc] += 1
+        self.flits_sent += 1
         self.inj_link.send_flit(cycle, vc, seq, flit)
         self.stats.energy_event("local_link")
 
@@ -248,15 +251,6 @@ class NetworkInterface:
     @property
     def queued_packets(self) -> int:
         return len(self.pending) + self.open_streams
-
-    @property
-    def flits_sent(self) -> int:
-        """Total flits this NI has pushed onto its injection link.
-
-        The per-VC sequence counters are exactly that tally; the invariant
-        sanitizer uses it as the inflow term of flit conservation.
-        """
-        return sum(self._next_seq)
 
     # -- destination side ----------------------------------------------------
 
@@ -447,19 +441,22 @@ class Network:
         #: Mesh links by ``(src_node, src_port)`` for fault application.
         self._link_map: Dict[Tuple[int, Direction], Link] = {}
         #: The batched struct-of-arrays cycle kernel (``repro.noc.kernel``),
-        #: or None when the object loops run.  Built only when the config
-        #: asks for it *and* sits inside the batchable domain; otherwise
-        #: ``backend="batched"`` silently falls back to the object model,
-        #: which alone models logic/hard faults (docs/KERNEL.md).
-        #: The kernel reads only config + topology: no router, no link.
-        #: Its module is imported only when asked for, so ``import
-        #: repro.api`` and object-loop runs never compile it.
+        #: or None when the object loops run.  Built when the config sits
+        #: inside the batchable domain, unless it asks for the object
+        #: oracle (``backend="object"``); outside the domain the object
+        #: model, which alone models logic/hard faults, runs
+        #: (docs/KERNEL.md).  The kernel reads only config, topology and
+        #: the routing choice: no router, no link.  Its module is imported
+        #: only here, so ``import repro.api`` never compiles it.
         self.kernel: Optional[BatchedKernel] = None
+        #: Where a kernel-served network stops: no site can wear out before.
+        self._wear_horizon = float("inf")
         if config.backend == "batched":
-            from repro.noc.kernel import build_kernel, kernel_supports
+            from repro.noc.kernel import build_kernel, kernel_supports, wear_out_horizon
 
             if kernel_supports(config) is None:
-                self.kernel = build_kernel(config, self.topology)
+                self.kernel = build_kernel(config, self.topology, routing_fn)
+                self._wear_horizon = wear_out_horizon(config.faults.wear_out)
         if self.kernel is not None:
             self.routers: Sequence[Router] = ()
             self.links: Sequence[Link] = ()
@@ -502,7 +499,7 @@ class Network:
         #: sites.  Built after wiring so it can hold the same Link objects
         #: as ``_link_map`` (the wear-out utilization gauge); advanced
         #: eagerly once per cycle at the top of :meth:`step`, identically
-        #: ahead of both object loops, from per-site RNG streams disjoint
+        #: ahead of both cycle loops, from per-site RNG streams disjoint
         #: from the injector's shared transient stream.
         self.lifecycle: Optional[IntermittentLifecycle] = None
         if intermittent:
@@ -511,8 +508,9 @@ class Network:
             )
             lifecycle.stats = self.stats
             lifecycle.telemetry = self.telemetry
-            for site in lifecycle.sites:
-                lifecycle.links[site.fault.key] = self._link_map[site.fault.key]
+            if self.kernel is None:  # a kernel network has no Link to gauge
+                for site in lifecycle.sites:
+                    lifecycle.links[site.fault.key] = self._link_map[site.fault.key]
             self.injector.lifecycle = lifecycle
             self.lifecycle = lifecycle
         self._pending_faults: List[PermanentFault] = (
@@ -601,8 +599,10 @@ class Network:
         the fast-path equivalence) is untouched."""
         lifecycle = self.lifecycle
         assert lifecycle is not None
-        due = lifecycle.advance(self.cycle)
-        for site in due:
+        if self.cycle >= self._wear_horizon:  # past max_cycles (kernel_supports)
+            raise RuntimeError(f"cycle {self.cycle}: a burst site could wear out "
+                               "here; run past max_cycles on backend='object'")
+        for site in lifecycle.advance(self.cycle):
             self._escalate_site(site)
 
     def _escalate_site(self, site: "_SiteState") -> None:
@@ -1002,7 +1002,9 @@ class Network:
         self.run_record.cycle += 1
 
     def run_cycles(self, cycles: int) -> None:
-        """Advance a fixed number of cycles (tests and scripted scenarios)."""
+        """Advance a fixed number of cycles (tests and scripted scenarios).
+        A kernel network with wear-out set raises ``RuntimeError`` past
+        ``max_cycles``, at the first cycle a burst site could wear out."""
         for _ in range(cycles):
             self.step()
 

@@ -193,7 +193,8 @@ class Simulator:
         save_checkpoint(self, target)
 
     def run_cycles(self, cycles: int, measure_from: int = 0) -> SimulationResult:
-        """Run a fixed number of cycles (open-loop experiments)."""
+        """Run a fixed number of cycles (open-loop experiments); past
+        ``max_cycles`` it may raise as ``Network.run_cycles`` does."""
         stats = self.network.stats
         for i in range(cycles):
             if i == measure_from:

@@ -159,7 +159,7 @@ def config_from_dict(data: Dict[str, Any]) -> SimulationConfig:
         collect_utilization=data.get("collect_utilization", False),
         payload_ecc_check=data.get("payload_ecc_check", False),
         invariant_checks=data.get("invariant_checks", False),
-        backend=data.get("backend", "object"),
+        backend=data.get("backend", SimulationConfig.backend),
         telemetry=TelemetryConfig.from_dict(data.get("telemetry")),
         checkpoint_interval=data.get("checkpoint_interval"),
         checkpoint_path=data.get("checkpoint_path"),

@@ -43,9 +43,10 @@ __all__ = [
 
 CACHE_ENVELOPE_COMMAND = "campaign-variant"
 
-#: Config keys that describe supervision infrastructure, not the
-#: experiment; they must not change a result's identity.
-_INFRA_CONFIG_KEYS = ("checkpoint_interval", "checkpoint_path")
+#: Config keys that describe supervision infrastructure or the engine
+#: (both engines give bit-for-bit equal results), not the experiment;
+#: they must not change a result's identity.
+_INFRA_CONFIG_KEYS = ("backend", "checkpoint_interval", "checkpoint_path")
 
 #: Counters that record supervision activity rather than simulated
 #: behaviour; stripped from cached rows so the envelope is identical

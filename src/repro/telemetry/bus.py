@@ -112,8 +112,7 @@ class _NetworkSampler:
         ]
         self._last_traversals = [0] * len(self._mesh_links)
         n = network.topology.num_nodes
-        self._last_sent = [0] * n
-        self._last_ejected = [0] * n
+        self._last_rates = ([0] * n, [0] * n)  # flits sent, ejected
 
     def sample(self, net: Any, record, cycle: int, interval: float) -> None:
         """Append one sample per series of ``net``; ``record(metric,
@@ -133,24 +132,19 @@ class _NetworkSampler:
             capacity = router.retx_capacity
             pressure = router.retx_occupancy / capacity if capacity else 0.0
             record("retx_pressure", node, cycle, pressure)
-        for ni in net.interfaces:
-            node = str(ni.node)
-            sent = ni.flits_sent
-            record(
-                "injection_rate",
-                node,
-                cycle,
-                (sent - self._last_sent[ni.node]) / interval,
-            )
-            self._last_sent[ni.node] = sent
-            ejected = ni.flits_ejected
-            record(
-                "ejection_rate",
-                node,
-                cycle,
-                (ejected - self._last_ejected[ni.node]) / interval,
-            )
-            self._last_ejected[ni.node] = ejected
+        sample_interfaces(net, record, cycle, interval, self._last_rates)
+
+
+def sample_interfaces(net: Any, record, cycle: int, interval: float, last) -> None:
+    """Each NI's injection and ejection rate since ``last``, the per-node
+    sent and ejected tallies it updates (both engines' samplers call it)."""
+    last_sent, last_ejected = last
+    for ni in net.interfaces:
+        node, i = str(ni.node), ni.node
+        sent, ejected = ni.flits_sent, ni.flits_ejected
+        record("injection_rate", node, cycle, (sent - last_sent[i]) / interval)
+        record("ejection_rate", node, cycle, (ejected - last_ejected[i]) / interval)
+        last_sent[i], last_ejected[i] = sent, ejected
 
 
 class TelemetryBus:

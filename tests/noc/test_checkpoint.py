@@ -297,7 +297,7 @@ class TestContainerFormat:
         """A file written before the config became canonical (version 1,
         legacy config in the header) is a typed error — raised from the
         header, so its stale object graph is never unpickled."""
-        assert CHECKPOINT_VERSION == 9
+        assert CHECKPOINT_VERSION == 10
         self._assert_refused_from_the_header(
             tmp_path, 1, {"noc": {"width": 4, "height": 4}, "activity_driven": True}
         )
@@ -361,6 +361,16 @@ class TestContainerFormat:
             tmp_path,
             8,
             {"noc": {"shape": [4, 4], "link_protection": "e2e"},
+             "backend": "batched", "faults": {"rates": {"link": 0.01}}},
+        )
+
+    def test_v9_checkpoint_is_refused_before_unpickling(self, tmp_path):
+        """Version 9 kernels count injected flits in an ``nsent`` table and
+        have no due-cycle wheel for slow links; same typed error."""
+        self._assert_refused_from_the_header(
+            tmp_path,
+            9,
+            {"noc": {"shape": [4, 4, 4], "link_latency": [1, 1, 2]},
              "backend": "batched", "faults": {"rates": {"link": 0.01}}},
         )
 

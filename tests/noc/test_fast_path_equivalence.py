@@ -27,7 +27,7 @@ from repro.faults.permanent import PermanentFault, PermanentFaultSchedule
 from repro.noc.flit import Flit
 from repro.noc.network import Network
 from repro.noc.packet import Packet
-from repro.noc.simulator import run_simulation
+from repro.noc.simulator import Simulator, run_simulation
 from repro.noc.trace import PacketTracer
 from repro.serialization import result_to_dict
 from repro.types import (
@@ -69,6 +69,8 @@ def _config(**kw):
             max_cycles=50_000,
         ),
         invariant_checks=kw.get("invariant_checks", False),
+        # The two object-model loops are what this module compares.
+        backend="object",
     )
 
 
@@ -188,14 +190,15 @@ def test_idle_components_are_actually_skipped(monkeypatch):
     monkeypatch.setattr(router_mod.Router, "compute", counting_compute)
     monkeypatch.setattr(router_mod.Router, "receive", counting_receive)
 
-    net = Network(SimulationConfig(noc=NoCConfig(shape=(4, 4))))
+    config = SimulationConfig(noc=NoCConfig(shape=(4, 4)), backend="object")
+    net = Network(config)
     for _ in range(100):
         net.step()
     assert calls == {"compute": 0, "receive": 0}
 
     # The full loop polls every router every cycle — the baseline the fast
     # path removes.
-    net_full = Network(SimulationConfig(noc=NoCConfig(shape=(4, 4))))
+    net_full = Network(config)
     with reference_loop():
         for _ in range(100):
             net_full.step()
@@ -233,7 +236,7 @@ def test_packet_tracer_sees_identical_itineraries():
     """PacketTracer rides on ``network.step()`` unchanged on both loops."""
 
     def traced_itinerary(activity_driven):
-        net = Network(SimulationConfig(noc=NoCConfig(shape=(4, 4))))
+        net = Network(SimulationConfig(noc=NoCConfig(shape=(4, 4)), backend="object"))
         net.interfaces[0].enqueue(Packet(0, 0, 15, 4, 0))
         net.interfaces[5].enqueue(Packet(1, 5, 2, 4, 0))
         tracer = PacketTracer(net, watch=[0, 1])
@@ -319,6 +322,18 @@ def test_telemetry_does_not_perturb_observables(activity_driven):
 from repro import api  # noqa: E402
 from repro.noc.kernel import kernel_supports  # noqa: E402
 
+#: Burst sites as ``faults`` dicts (``IntermittentFaultSchedule.to_dicts``).
+BURST_SITES = [
+    {"node": 5, "direction": "east", "rate": 0.5, "mean_on": 30, "mean_off": 60},
+    {"node": 9, "direction": "north", "rate": 0.5, "mean_on": 20, "mean_off": 50,
+     "start": 50},
+]
+BURST_SITES_3D = [
+    {"node": 5, "direction": "up", "rate": 0.6, "mean_on": 30, "mean_off": 60},
+    {"node": 21, "direction": "down", "rate": 0.6, "mean_on": 30, "mean_off": 60},
+    {"node": 9, "direction": "east", "rate": 0.5, "mean_on": 20, "mean_off": 50},
+]
+
 #: In-domain scenarios, expressed as api.load_config overrides on a 4x4
 #: baseline.  Together they cover every batchable axis: all three supported
 #: routing algorithms, both topologies, every pipeline depth, single-flit
@@ -376,6 +391,45 @@ BATCHED_SCENARIOS = {
     "torus_e2e_links": dict(
         topology="torus", scheme="e2e", link_error_rate=0.05, rate=0.15
     ),
+    # N-axis platforms and slow links: 7-port routers, and TSV lines whose
+    # flits, credits and NACKs wait in the kernel's due-cycle wheel.
+    "mesh3d_tsv": dict(shape="3x3x3", link_latency="1,1,2", retx_depth=5, rate=0.1),
+    "torus3d": dict(shape="3x3x3", topology="torus3d", rate=0.1),
+    "mesh3d_tsv_hbh_links": dict(
+        shape="3x3x3", link_latency="1,1,2", retx_depth=5, rate=0.1,
+        link_error_rate=0.05,
+    ),
+    "latency_2_hbh_links": dict(
+        link_latency=2, retx_depth=5, rate=0.15, link_error_rate=0.05
+    ),
+    # Burst sites that cannot wear out, with and without a transient link
+    # rate, under HBH and E2E.
+    **{
+        f"{scheme}_bursts{'_links' if rate else ''}": dict(
+            scheme=scheme, rate=0.15,
+            faults={"rates": {"link": rate}, "intermittent": BURST_SITES},
+        )
+        for scheme in ("hbh", "e2e")
+        for rate in (0.0, 0.01)
+    },
+    # A wear-out that never comes swaps XY for port-aware table routing;
+    # multi-bit upsets rewrite headers into turns the tables forbid, so
+    # packets are torn down as unroutable and their followers drained.
+    "wear_out_port_aware_e2e": dict(
+        scheme="e2e", rate=0.15, messages=200,
+        faults={
+            "rates": {"link": 0.08}, "link_multi_bit_fraction": 1.0,
+            "intermittent": BURST_SITES, "wear_out": {"threshold": 1e9},
+        },
+    ),
+    "mesh3d_wear_out_hbh_giveups": dict(
+        shape="3x3x3", link_latency="1,1,2", retx_depth=5, rate=0.1,
+        messages=200, max_nack_retries=0,
+        faults={
+            "rates": {"link": 0.1}, "link_multi_bit_fraction": 1.0,
+            "intermittent": BURST_SITES_3D, "wear_out": {"threshold": 1e9},
+        },
+    ),
 }
 
 
@@ -412,6 +466,36 @@ def test_batched_flag_never_changes_results(scenario):
     assert _observables(batched) == _observables(_config(**kw))
 
 
+def test_port_aware_scenarios_reach_the_unroutable_teardown():
+    """The wear-out scenarios above exercise what they are named for."""
+    for name in ("wear_out_port_aware_e2e", "mesh3d_wear_out_hbh_giveups"):
+        result = _backend_observables("batched", **BATCHED_SCENARIOS[name])
+        counters = result["counters"]
+        for counter in ("packets_unroutable", "intermittent_strikes"):
+            assert counters.get(counter, 0) > 0, (name, counter)
+
+
+def test_a_default_in_domain_config_builds_a_kernel():
+    """Nothing needs asking: the kernel serves every in-domain config."""
+    assert SimulationConfig().backend == "batched"
+    for kw in ({}, BATCHED_SCENARIOS["mesh3d_tsv"], BATCHED_SCENARIOS["hbh_bursts"]):
+        config = api.load_config(**{"shape": (4, 4), **kw})
+        assert kernel_supports(config) is None
+        assert Network(config).kernel is not None
+
+
+def test_flits_sent_is_counted_alike_on_both_engines():
+    """``NetworkInterface.flits_sent`` is the one injected-flit count: the
+    kernel advances it too (it read 0 on a kernel-served network)."""
+    sent = {}
+    for backend in ("object", "batched"):
+        sim = Simulator(_backend_config(backend, rate=0.2))
+        assert (sim.network.kernel is not None) == (backend == "batched")
+        sim.run_to_cycle(80)
+        sent[backend] = sum(ni.flits_sent for ni in sim.network.interfaces)
+    assert sent["batched"] == sent["object"] > 0
+
+
 def test_giveup_scenario_reaches_the_route_nack_rollback():
     """The multi-bit scenario above exercises what it is named for."""
     scenario = BATCHED_SCENARIOS["hbh_multi_bit_giveups"]
@@ -436,6 +520,16 @@ def test_kernel_supports_names_each_unsupported_feature():
     for rates in ({}, {FaultSite.LINK: 0.01}):  # E2E, clean or faulted
         e2e = _config(protection=LinkProtection.E2E, rates=rates)
         assert kernel_supports(e2e) is None
+    bursts = IntermittentFaultSchedule.of(
+        IntermittentFault(5, Direction.EAST, 0.4, 25.0, 60.0)
+    )
+    # Burst sites without wear-out, or whose wear-out max_cycles cannot
+    # reach (a link carries one flit a cycle), stay in the domain: stress
+    # grows by at most strike_weight + traversal_weight = 2 a cycle.
+    unreachable = WearOutConfig(threshold=2 * 50_000 + 1, traversal_weight=1.0)
+    for wear_out in (None, unreachable):
+        config = _config(intermittent=bursts, wear_out=wear_out)
+        assert kernel_supports(config) is None
     cases = [
         (dict(rates={FaultSite.ROUTING: 0.01}), "transient"),
         (
@@ -448,9 +542,8 @@ def test_kernel_supports_names_each_unsupported_feature():
         ),
         (
             dict(
-                intermittent=IntermittentFaultSchedule.of(
-                    IntermittentFault(5, Direction.EAST, 0.4, 25.0, 60.0)
-                )
+                intermittent=bursts,
+                wear_out=WearOutConfig(threshold=2 * 50_000, traversal_weight=1.0),
             ),
             "intermittent",
         ),
@@ -464,6 +557,31 @@ def test_kernel_supports_names_each_unsupported_feature():
     assert "ECC" in kernel_supports(ecc)
 
 
+def test_a_kernel_network_stops_where_a_burst_site_could_wear_out():
+    """In the domain a site cannot wear out within max_cycles; run past
+    it, a kernel-served network stops at the first cycle stress could
+    reach the threshold (threshold / (strike + traversal weight)) rather
+    than run a link death it does not model."""
+    bursts = IntermittentFaultSchedule.of(
+        IntermittentFault(5, Direction.EAST, 0.4, 25.0, 60.0)
+    )
+    config = _config(
+        intermittent=bursts,
+        wear_out=WearOutConfig(threshold=120.0, traversal_weight=1.0),
+    )
+    config = dataclasses.replace(
+        config,
+        workload=dataclasses.replace(config.workload, max_cycles=50),
+        backend="batched",
+    )
+    assert kernel_supports(config) is None
+    net = Network(config)
+    assert net.kernel is not None
+    net.run_cycles(60)  # past max_cycles, short of 120 / (1 + 1)
+    with pytest.raises(RuntimeError, match="cycle 60: a burst site could"):
+        net.step()
+
+
 @pytest.mark.parametrize(
     "scenario",
     [
@@ -474,6 +592,9 @@ def test_kernel_supports_names_each_unsupported_feature():
         "fec_links_1e-01",
         "e2e_links_1e-01",
         "hbh_multi_bit_giveups",
+        "mesh3d_tsv_hbh_links",
+        "e2e_bursts_links",
+        "wear_out_port_aware_e2e",
     ],
 )
 def test_batched_telemetry_is_byte_identical(scenario, tmp_path):
@@ -514,10 +635,10 @@ def test_serialization_round_trips_the_backend():
     for backend in ("object", "batched"):
         config = SimulationConfig(backend=backend)
         assert config_from_dict(config_to_dict(config)).backend == backend
-    # Older serialized configs (no key) default to the object backend.
-    legacy = config_to_dict(SimulationConfig())
+    # Older serialized configs (no key) take the dataclass default.
+    legacy = config_to_dict(SimulationConfig(backend="object"))
     legacy.pop("backend")
-    assert config_from_dict(legacy).backend == "object"
+    assert config_from_dict(legacy).backend == SimulationConfig().backend == "batched"
 
 
 # -- a kernel-served network builds no object graph --------------------------
@@ -589,7 +710,7 @@ def test_capacity_formula_equals_the_router_sums(topology, shape):
                 retx_buffer_depth=retx_depth,
                 num_vcs=vcs,
             )
-            net = Network(SimulationConfig(noc=noc))
+            net = Network(SimulationConfig(noc=noc, backend="object"))
             vc_slots = sum(
                 ivc.buffer.capacity
                 for r in net.routers

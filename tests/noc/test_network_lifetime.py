@@ -49,7 +49,9 @@ def assert_all_freed(refs):
 
 
 def small(**overrides):
-    base = dict(shape=(4, 4), rate=0.2, messages=60, warmup=10, seed=5)
+    base = dict(
+        shape=(4, 4), rate=0.2, messages=60, warmup=10, seed=5, backend="object"
+    )
     base.update(overrides)
     return api.load_config(**base)
 

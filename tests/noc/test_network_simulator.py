@@ -18,7 +18,7 @@ def sim_config(**workload_overrides) -> SimulationConfig:
 
 class TestNetworkWiring:
     def test_link_counts(self):
-        net = Network(SimulationConfig(noc=small_noc()))
+        net = Network(SimulationConfig(noc=small_noc(), backend="object"))
         # 4x4 mesh: 2 * (3*4 + 4*3) = 48 unidirectional mesh links
         # plus 2 local links per node.
         mesh_links = [l for l in net.links if not l.is_local]
@@ -27,7 +27,7 @@ class TestNetworkWiring:
         assert len(local_links) == 32
 
     def test_edge_ports_unwired(self):
-        net = Network(SimulationConfig(noc=small_noc()))
+        net = Network(SimulationConfig(noc=small_noc(), backend="object"))
         corner = net.routers[0]  # (0,0): no SOUTH, no WEST
         from repro.types import Direction
 
@@ -37,7 +37,9 @@ class TestNetworkWiring:
         assert int(Direction.SOUTH) not in corner.valid_out_ports
 
     def test_initial_credits_match_buffer_depth(self):
-        net = Network(SimulationConfig(noc=small_noc(vc_buffer_depth=6)))
+        net = Network(
+            SimulationConfig(noc=small_noc(vc_buffer_depth=6), backend="object")
+        )
         router = net.routers[5]
         from repro.types import Direction
 

@@ -13,7 +13,7 @@ from tests.conftest import inject_packet, run_until_delivered
 def build(**noc_overrides):
     defaults = dict(shape=(3, 1), num_vcs=1)
     defaults.update(noc_overrides)
-    return Network(SimulationConfig(noc=NoCConfig(**defaults)))
+    return Network(SimulationConfig(noc=NoCConfig(**defaults), backend="object"))
 
 
 class TestNackEdgeCases:

@@ -69,7 +69,7 @@ class TestWormholeSemantics:
     def test_flits_of_packet_arrive_contiguously_per_vc(self):
         """Wormhole + VC allocation: flits of two packets may interleave on
         a physical link but never within one VC stream."""
-        net = build_network(small_noc(shape=(2, 1)))
+        net = build_network(small_noc(shape=(2, 1)), backend="object")
         seen = []
         ni = net.interfaces[1]
         original = ni.reassembler.accept
@@ -82,6 +82,7 @@ class TestWormholeSemantics:
         for i in range(3):
             inject_packet(net, src=0, dst=1, packet_id=i)
         run_until_delivered(net, 3)
+        assert seen
         per_packet = {}
         for pid, seq in seen:
             per_packet.setdefault(pid, []).append(seq)
@@ -89,7 +90,7 @@ class TestWormholeSemantics:
             assert seqs == sorted(seqs), f"packet {pid} flits out of order"
 
     def test_tail_releases_output_vc(self):
-        net = build_network(small_noc(shape=(2, 1), num_vcs=1))
+        net = build_network(small_noc(shape=(2, 1), num_vcs=1), backend="object")
         inject_packet(net, src=0, dst=1)
         run_until_delivered(net, 1)
         router = net.routers[0]
@@ -98,7 +99,7 @@ class TestWormholeSemantics:
                 assert not channel.is_allocated
 
     def test_input_vcs_return_to_idle(self):
-        net = build_network(small_noc(shape=(2, 1)))
+        net = build_network(small_noc(shape=(2, 1)), backend="object")
         inject_packet(net, src=0, dst=1)
         run_until_delivered(net, 1)
         net.run_cycles(5)
@@ -113,7 +114,9 @@ class TestCreditFlowControl:
     def test_buffers_never_overflow_under_load(self):
         """Credit flow control is what prevents VCBuffer.push from raising;
         saturating a small network exercises it hard."""
-        net = build_network(small_noc(shape=(2, 2), vc_buffer_depth=2))
+        net = build_network(
+            small_noc(shape=(2, 2), vc_buffer_depth=2), backend="object"
+        )
         pid = 0
         for cycle in range(300):
             if cycle % 2 == 0:
@@ -123,7 +126,7 @@ class TestCreditFlowControl:
             net.step()  # OverflowError here means broken credit accounting
 
     def test_credits_restore_after_drain(self):
-        net = build_network(small_noc(shape=(2, 1)))
+        net = build_network(small_noc(shape=(2, 1)), backend="object")
         inject_packet(net, src=0, dst=1)
         run_until_delivered(net, 1)
         net.run_cycles(5)

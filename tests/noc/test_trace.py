@@ -8,7 +8,9 @@ from repro.types import Corruption
 
 
 def build(shape=(3, 1), **noc):
-    return Network(SimulationConfig(noc=NoCConfig(shape=shape, **noc)))
+    return Network(
+        SimulationConfig(noc=NoCConfig(shape=shape, **noc), backend="object")
+    )
 
 
 class TestTracer:

@@ -165,3 +165,45 @@ class TestE2EResume:
         write_ndjson(golden.telemetry, golden_path)
         write_ndjson(resumed.telemetry, resumed_path)
         assert golden_path.read_bytes() == resumed_path.read_bytes()
+
+
+class TestWheelResume:
+    def test_resume_with_a_slow_link_item_in_flight(self, tmp_path):
+        """A kernel checkpoint cut while a flit rides a 2-cycle TSV in the
+        due-cycle wheel, on a 3D stack with burst sites under port-aware
+        routing, resumes bit-for-bit (result and NDJSON), and the
+        uninterrupted run equals the object loop's."""
+        sites = [
+            {"node": 4, "direction": "up", "rate": 0.5, "mean_on": 30,
+             "mean_off": 60},
+            {"node": 13, "direction": "down", "rate": 0.5, "mean_on": 30,
+             "mean_off": 60},
+        ]
+        kw = dict(
+            shape="3x3x3", link_latency="1,1,2", retx_depth=5, rate=0.1,
+            faults={
+                "rates": {"link": 0.02}, "intermittent": sites,
+                "wear_out": {"threshold": 1e9},
+            },
+        )
+        sim = Simulator(_cfg("batched", **kw))
+        kernel = sim.network.kernel
+        assert isinstance(kernel, LinkFaultKernel) and kernel.port_aware
+        while not any(
+            item[1] >= 0 for items in kernel.wheel.values() for item in items
+        ):
+            assert sim.should_continue(), "no cycle with a flit on a TSV"
+            sim.advance()
+        path = tmp_path / "wheel.ckpt"
+        save_checkpoint(sim, path)
+        resumed = load_checkpoint(path).run()
+        golden = Simulator(_cfg("batched", **kw)).run()
+        assert golden.counter("intermittent_strikes") > 0
+        assert _observables(resumed) == _observables(golden)
+        on_objects = Simulator(_cfg("object", **kw)).run()
+        assert _observables(golden) == _observables(on_objects)
+        golden_path = tmp_path / "golden.ndjson"
+        resumed_path = tmp_path / "resumed.ndjson"
+        write_ndjson(golden.telemetry, golden_path)
+        write_ndjson(resumed.telemetry, resumed_path)
+        assert golden_path.read_bytes() == resumed_path.read_bytes()

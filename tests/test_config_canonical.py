@@ -133,6 +133,10 @@ def test_every_spelling_is_one_config(config):
         assert upgrade_config_dict(upgrade_config_dict(data)) == (
             upgrade_config_dict(data)
         )
+    # The engine is not the experiment: both give bit-for-bit equal runs.
+    for backend in ("object", "batched"):
+        engine = config_to_dict(config.replace(backend=backend))
+        assert cache_key(engine) == cache_key(canonical)
 
 
 def test_constructor_spellings_are_one_object():

@@ -6,8 +6,8 @@ PR 9 deprecation window is gone.  What earlier commits *wrote* (envelopes,
 config files, NDJSON headers, journals: ``noc.width``/``noc.height`` and
 an ``activity_driven`` key) still loads, through
 :func:`repro.serialization.upgrade_config_dict` and nowhere else.  3D
-shapes must fall back from the batched kernel with a named reason
-(docs/TOPOLOGY.md).  The all-spellings property lives in
+shapes and slow links run on the batched kernel; a wear-out that can
+escalate falls back with a named reason (docs/TOPOLOGY.md).  The all-spellings property lives in
 ``tests/test_config_canonical.py``.
 """
 
@@ -19,7 +19,13 @@ import pytest
 
 from repro import api
 from repro.analysis import lint_dict
-from repro.config import NoCConfig, SimulationConfig, WorkloadConfig
+from repro.config import FaultConfig, NoCConfig, SimulationConfig, WorkloadConfig
+from repro.faults.intermittent import (
+    IntermittentFault,
+    IntermittentFaultSchedule,
+    WearOutConfig,
+)
+from repro.noc.network import Network
 from repro.telemetry.config import TelemetryConfig
 from repro.noc.kernel import kernel_supports
 from repro.checkpoint import load_checkpoint
@@ -31,6 +37,7 @@ from repro.serialization import (
     upgrade_config_dict,
 )
 from repro.telemetry import write_ndjson
+from repro.types import Direction
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -303,7 +310,7 @@ class TestApiOverrides:
 
 
 class TestBatchedKernel3DFallback:
-    def test_3d_falls_back_with_a_named_reason(self):
+    def test_3d_is_batchable(self):
         config = SimulationConfig(
             noc=NoCConfig(
                 shape=(3, 3, 3),
@@ -312,15 +319,32 @@ class TestBatchedKernel3DFallback:
                 retx_buffer_depth=5,
             )
         )
-        reason = kernel_supports(config)
-        assert reason == "the batched kernel models 2D meshes only"
+        assert kernel_supports(config) is None
+        assert Network(config).kernel is not None
 
-    def test_multicycle_latency_falls_back_with_a_named_reason(self):
+    def test_multicycle_latency_is_batchable(self):
         config = SimulationConfig(
             noc=NoCConfig(shape=(4, 4), link_latency=2, retx_buffer_depth=5)
         )
+        assert kernel_supports(config) is None
+        assert Network(config).kernel is not None
+
+    def test_a_wear_out_that_can_escalate_falls_back_with_a_named_reason(self):
+        site = IntermittentFault(5, Direction.UP, 0.5, 30.0, 60.0)
+        config = SimulationConfig(
+            noc=NoCConfig(
+                shape=(3, 3, 3), link_latency=(1, 1, 2), retx_buffer_depth=5
+            ),
+            faults=FaultConfig(
+                intermittent=IntermittentFaultSchedule.of(site),
+                wear_out=WearOutConfig(threshold=40.0),
+            ),
+        )
         reason = kernel_supports(config)
-        assert reason == "multi-cycle link latencies are outside the batched domain"
+        assert reason == (
+            "an intermittent site can wear out into a link death within max_cycles"
+        )
+        assert Network(config).kernel is None
 
     def test_2d_unit_latency_is_still_batchable(self):
         config = SimulationConfig(noc=NoCConfig(shape=(4, 4)))

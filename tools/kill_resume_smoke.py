@@ -15,8 +15,9 @@ boundary with a real ``kill -9``):
 
 Both runs use the same checkpoint path, so the envelopes (which embed the
 config, checkpoint fields included) are comparable byte-for-byte.  The
-drill runs once per engine: the object loop and the batched kernel under
-transient link faults.
+drill runs once on the object loop, once on the batched kernel under
+transient link faults, and once on the kernel serving a 3D stack with
+slow TSVs and burst sites.
 
 Exit status 0 on success, 1 on any divergence or sequencing failure.
 """
@@ -42,15 +43,27 @@ from repro.checkpoint import CheckpointError, read_checkpoint_header  # noqa: E4
 #: checkpoints) that the SIGKILL reliably lands mid-run, with transient link
 #: faults so the resume is exercised on a stressed configuration, not a toy
 #: one.  The object loop's drill resumes a pickled router graph; the
-#: kernel's (HBH link faults inside its domain) resumes the flat tables mid-NACK/replay, and runs four times the
-#: messages because it simulates ~4x as many cycles per second.
+#: kernel's (HBH link faults inside its domain) resumes the flat tables
+#: mid-NACK/replay, and runs four times the messages because it simulates
+#: ~4x as many cycles per second.  The 3D drill resumes the kernel's
+#: due-cycle wheel (2-cycle TSVs), the burst sites' per-site streams and
+#: the port-aware routes a wear-out config runs.
 COMMON_FLAGS = [
     "--shape", "8x8", "--rate", "0.3", "--link-error-rate", "0.01", "--seed", "7",
 ]
 DRILLS = {
-    "object": [*COMMON_FLAGS, "--messages", "3000", "--warmup", "400"],
+    "object": [
+        *COMMON_FLAGS, "--messages", "3000", "--warmup", "400", "--backend", "object"
+    ],
     "batched": [
         *COMMON_FLAGS, "--messages", "12000", "--warmup", "1600", "--backend", "batched"
+    ],
+    "batched_3d_bursts": [
+        "--shape", "4x4x4", "--link-latency", "1,1,2", "--retx-depth", "5",
+        "--rate", "0.1", "--link-error-rate", "0.001", "--seed", "7",
+        "--intermittent-link", "5:up:0.4:30:200",
+        "--intermittent-link", "22:east:0.4:30:200",
+        "--wear-out-threshold", "1e9", "--messages", "12000", "--warmup", "1600",
     ],
 }
 CHECKPOINT_INTERVAL = 200

@@ -47,9 +47,10 @@ sys.setprofile(_profile)
 
 #: The non-pytest steps of ``.github/workflows/ci.yml``, run from the
 #: scratch directory so the files they write land there: both invariant-
-#: checked degradation smokes, the 3D certification, the telemetry export
-#: and its validator on each engine (CI's ``diff`` of the two streams runs
-#: no Python), the crash and chaos drills and the lint session.
+#: checked degradation smokes, the 3D certification, the telemetry exports
+#: (2D link faults, and a 3D stack with slow TSVs and burst sites) and
+#: their validator on each engine (CI's ``diff`` of each pair runs no
+#: Python), the crash and chaos drills and the lint session.
 CI_STEPS = [
     ["-m", "repro", "degrade", "--shape", "6x6", "--kills", "4",
      "--inject-cycles", "600", "--invariant-checks", "--no-chart"],
@@ -59,12 +60,29 @@ CI_STEPS = [
     ["-m", "repro", "verify", "--shape", "4x4x4", "--link-latency", "1,1,2",
      "--retx-depth", "5"],
     ["-m", "repro", "run", "--link-error-rate", "0.02", "--messages", "600",
-     "--telemetry", "telemetry.ndjson", "--metrics-interval", "50"],
+     "--telemetry", "telemetry.ndjson", "--metrics-interval", "50",
+     "--backend", "object"],
     [str(ROOT / "tools/validate_telemetry.py"), "telemetry.ndjson"],
     ["-m", "repro", "run", "--link-error-rate", "0.02", "--messages", "600",
      "--telemetry", "telemetry_batched.ndjson", "--metrics-interval", "50",
      "--backend", "batched"],
     [str(ROOT / "tools/validate_telemetry.py"), "telemetry_batched.ndjson"],
+    *(
+        step
+        for backend, out in (
+            ("object", "telemetry_3d.ndjson"),
+            ("batched", "telemetry_3d_batched.ndjson"),
+        )
+        for step in (
+            ["-m", "repro", "run", "--shape", "4x4x4", "--link-latency", "1,1,2",
+             "--retx-depth", "5", "--link-error-rate", "0.001",
+             "--intermittent-link", "5:up:0.4:30:200",
+             "--intermittent-link", "22:east:0.4:30:200",
+             "--wear-out-threshold", "1e9", "--messages", "600",
+             "--telemetry", out, "--metrics-interval", "50", "--backend", backend],
+            [str(ROOT / "tools/validate_telemetry.py"), out],
+        )
+    ),
     [str(ROOT / "tools/kill_resume_smoke.py")],
     [str(ROOT / "tools/chaos_campaign.py")],
     [str(ROOT / "tools/lint.py")],
