@@ -24,9 +24,8 @@ format as the static passes:
 * ``SIM104`` — **scheduler bookkeeping**: each router's occupancy index
   names every input VC that holds flits and its pending-output flag is set
   whenever a channel holds replay or absorption flits
-  (:meth:`Router.activity_index_problems`, the check
-  :meth:`Network.verify_activity_invariants` runs too).  A gap there would
-  make the pipeline skip flits it holds, on either cycle loop.
+  (:meth:`Router.activity_index_problems`).  A gap there would make the
+  object loop's pipeline skip flits it holds.
 
 Undetected switch-allocator faults (AC disabled) create stray flit copies
 *by design* — that is the failure mode the paper measures.  The first stray

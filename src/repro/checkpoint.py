@@ -2,13 +2,13 @@
 
 A checkpoint is a complete, versioned snapshot of a mid-run
 :class:`~repro.noc.simulator.Simulator` — every router's VC buffers and
-pipeline registers, the retransmission barrel buffers, link delay lines
-and wake sets, NI queues and ``e2e_copies``, the scheduled-event heap,
+pipeline registers, the retransmission barrel buffers, link delay lines,
+NI queues and ``e2e_copies``, the scheduled-event heap,
 permanent-fault cursors, probe/deadlock state, both RNGs (traffic and
 fault injection), stats counters and telemetry rings.  Resuming from a
 checkpoint continues the run **bit-for-bit**: the final result, every
 counter and the NDJSON telemetry stream are identical to an uninterrupted
-run on both cycle loops (``tests/noc/test_checkpoint.py`` is the oracle,
+run on either engine (``tests/noc/test_checkpoint.py`` is the oracle,
 docs/CHECKPOINTING.md the design note).
 
 File format (magic + versioned JSON header + pickle payload + checksum)::
@@ -54,7 +54,7 @@ MAGIC = b"REPRO-CKPT\n"
 #: Bumped whenever the pickled object graph changes shape incompatibly.
 #: Loaders accept exactly their own version — see docs/CHECKPOINTING.md
 #: for the compatibility policy.
-CHECKPOINT_VERSION = 10
+CHECKPOINT_VERSION = 11
 
 #: Pinned so checkpoints written by newer Pythons stay readable by the
 #: oldest supported interpreter (3.9 < protocol 5's default adoption).
@@ -71,7 +71,7 @@ def save_checkpoint(sim: Simulator, path: Union[str, Path]) -> Path:
     The simulator must be between cycles (which it always is outside
     ``Network.step``); the snapshot captures the entire object graph in a
     single pickle so shared references (stats collector, telemetry bus,
-    wake sets) survive intact.
+    run record) survive intact.
     """
     path = Path(path)
     payload = pickle.dumps(sim, protocol=PICKLE_PROTOCOL)

@@ -446,7 +446,7 @@ class SimulationConfig:
     (:mod:`repro.telemetry`): when enabled, components publish structured
     events to a shared bus and per-component gauges are sampled every
     ``metrics_interval`` cycles.  Disabled (the default) the network carries
-    no bus at all and the cycle loops pay a single ``None`` check per cycle.
+    no bus at all and both engines pay a single ``None`` check per cycle.
 
     ``backend`` selects the state representation the cycle loop runs on.
     ``"batched"`` (the default) runs the struct-of-arrays kernel

@@ -34,8 +34,8 @@ seeded by pure integer arithmetic from ``(FaultConfig.seed, node,
 direction)`` — never ``hash()``, whose string salting varies per process.
 The shared transient stream of :class:`~repro.faults.injector.FaultInjector`
 is untouched, burst toggles depend only on the cycle counter, and strike
-draws happen per flit traversal — identical on the polling and
-activity-driven loops, which traverse the same flits at the same cycles.
+draws happen per flit traversal — identical on the kernel and the object
+loop, which traverse the same flits at the same cycles.
 All lifecycle state (per-site RNGs, on/off phase, next-toggle cycle,
 stress tallies) lives on pickled objects, so checkpoint/resume is
 bit-for-bit (docs/CHECKPOINTING.md).  The full argument is written out in

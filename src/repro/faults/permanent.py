@@ -10,7 +10,7 @@ this failure model.
 
 A :class:`PermanentFaultSchedule` is carried by ``FaultConfig.permanent``
 and consumed by ``Network``, which applies each fault at the top of the
-scheduled cycle (identically in the polling and activity-driven loops) and
+scheduled cycle (before any flit moves that cycle) and
 triggers a routing reconfiguration — see ``Network._apply_due_faults``.
 
 The schedule is plain data: frozen, hashable, order-independent, and

@@ -312,8 +312,8 @@ class BatchedKernel:
     arrays); the only structured Python state is the per-router sorted
     occupancy lists, the wake sets, and the growable packet descriptor
     table.  ``step(network)`` advances one cycle in the same phase order as
-    ``Network._step_active``, one stage method per phase; the kernel keeps
-    no reference to its network.
+    the object loop in ``Network.step``, one stage method per phase; the
+    kernel keeps no reference to its network.
     """
 
     #: Replay-queue flits: ``kernel_faults`` only.
@@ -535,9 +535,9 @@ class BatchedKernel:
     # ------------------------------------------------------------------
 
     def step(self, net: Any) -> None:
-        """Advance ``net`` one cycle; phase order mirrors
-        ``Network._step_active``.  A subclass overrides the stages, never
-        this sequence."""
+        """Advance ``net`` one cycle; phase order mirrors the object loop
+        in ``Network.step``.  A subclass overrides the stages, never this
+        sequence."""
         cycle = net.run_record.cycle
         # Phase 1: NIs consume ejections delivered by the previous cycle.
         self._eject(net, cycle)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import sys
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Generic, List, Optional, Set, Tuple, TypeVar
+from typing import Deque, Generic, List, Tuple, TypeVar
 
 from repro.coding.parity import tmr_vote
 from repro.noc.flit import Flit
@@ -142,19 +142,9 @@ class FlitTransfer:
 class Link:
     """One direction of a channel between two routers (or a router and NI).
 
-    The network's activity-driven scheduler wires each link to two *wake
-    sets* via :meth:`wire_wakes`: sending anything on the forward channels
-    (flits, probes) registers the consumer of the link's forward traffic for
-    processing next cycle, and sending on the reverse channels (credits,
-    NACKs) registers the consumer of its reverse traffic.  On a 1-cycle
-    link (the historical case, and every planar link) a wake registered at
-    push time lands on precisely the cycle the item becomes due, so
-    nothing is ever consumed early or left lingering.  Slower links (the
-    3D TSV channels) instead append the wake to the scheduler's shared
-    *deferred-wake* map under the item's due cycle; the network applies
-    that bucket at the top of the due cycle's step, restoring the same
-    push-time-equals-due-time property.  Standalone links (unit tests)
-    leave the wake sets unwired and behave exactly as before.
+    Its four delay lines share the link's latency: a signal pushed at cycle
+    ``t`` is due at ``t + latency``, and the consumer's receive phase, which
+    runs every cycle, pops whatever is due.
     """
 
     __slots__ = (
@@ -170,11 +160,6 @@ class Link:
         "control",
         "flit_traversals",
         "dead",
-        "_fwd_wake_set",
-        "_fwd_wake_node",
-        "_rev_wake_set",
-        "_rev_wake_node",
-        "_deferred_wakes",
     )
 
     def __init__(
@@ -203,37 +188,6 @@ class Link:
         self.flit_traversals = 0
         #: Permanently failed: all channels silently drop (see :meth:`kill`).
         self.dead = False
-        self._fwd_wake_set: Optional[Set[int]] = None
-        self._fwd_wake_node = -1
-        self._rev_wake_set: Optional[Set[int]] = None
-        self._rev_wake_node = -1
-        self._deferred_wakes: Optional[Dict[int, List[Tuple[Set[int], int]]]] = None
-
-    def wire_wakes(
-        self,
-        fwd_set: Optional[Set[int]],
-        fwd_node: int,
-        rev_set: Optional[Set[int]],
-        rev_node: int,
-        deferred: Optional[Dict[int, List[Tuple[Set[int], int]]]] = None,
-    ) -> None:
-        """Attach the scheduler's wake sets (see class docstring).
-
-        ``deferred`` is the network's shared due-cycle -> wake-entry map;
-        it is required (and only consulted) when ``latency > 1``.
-        """
-        self._fwd_wake_set = fwd_set
-        self._fwd_wake_node = fwd_node
-        self._rev_wake_set = rev_set
-        self._rev_wake_node = rev_node
-        self._deferred_wakes = deferred
-
-    def _defer_wake(self, cycle: int, wake: Set[int], node: int) -> None:
-        """Register ``node`` for the cycle a signal pushed now becomes due
-        (slow links only — 1-cycle links add to the wake set directly)."""
-        deferred = self._deferred_wakes
-        assert deferred is not None, "slow link wired without a deferred map"
-        deferred.setdefault(cycle + self.latency, []).append((wake, node))
 
     # -- forward ----------------------------------------------------------
 
@@ -250,12 +204,6 @@ class Link:
         flit.link_seq = seq
         self.flits.push(cycle, FlitTransfer(vc, seq, flit, corruption))
         self.flit_traversals += 1
-        wake = self._fwd_wake_set
-        if wake is not None:
-            if self.latency == 1:
-                wake.add(self._fwd_wake_node)
-            else:
-                self._defer_wake(cycle, wake, self._fwd_wake_node)
 
     def flit_arrivals(self, cycle: int) -> List[FlitTransfer]:
         return self.flits.pop_due(cycle)
@@ -264,12 +212,6 @@ class Link:
         if self.dead:
             return
         self.control.push(cycle, probe)
-        wake = self._fwd_wake_set
-        if wake is not None:
-            if self.latency == 1:
-                wake.add(self._fwd_wake_node)
-            else:
-                self._defer_wake(cycle, wake, self._fwd_wake_node)
 
     def probe_arrivals(self, cycle: int) -> List[ProbeSignal]:
         return self.control.pop_due(cycle)
@@ -280,12 +222,6 @@ class Link:
         if self.dead:
             return
         self.credits.push(cycle, CreditSignal(vc))
-        wake = self._rev_wake_set
-        if wake is not None:
-            if self.latency == 1:
-                wake.add(self._rev_wake_node)
-            else:
-                self._defer_wake(cycle, wake, self._rev_wake_node)
 
     def credit_arrivals(self, cycle: int) -> List[CreditSignal]:
         return self.credits.pop_due(cycle)
@@ -294,12 +230,6 @@ class Link:
         if self.dead:
             return
         self.nacks.push(cycle, nack)
-        wake = self._rev_wake_set
-        if wake is not None:
-            if self.latency == 1:
-                wake.add(self._rev_wake_node)
-            else:
-                self._defer_wake(cycle, wake, self._rev_wake_node)
 
     def nack_arrivals(self, cycle: int) -> List[NackSignal]:
         return self.nacks.pop_due(cycle)
@@ -309,10 +239,10 @@ class Link:
 
         All four channels are flushed (a hard open drops whatever was on
         the wire) and every later send becomes a silent no-op — the flit is
-        never delivered and never wakes the consumer.  Returns the number
-        of *forward flits* that were in flight and lost, so the caller can
-        account them (reverse-channel signals vanish without accounting:
-        the dead link's flow-control state is torn down anyway).
+        never delivered.  Returns the number of *forward flits* that were
+        in flight and lost, so the caller can account them (reverse-channel
+        signals vanish without accounting: the dead link's flow-control
+        state is torn down anyway).
         """
         self.dead = True
         lost_flits = self.flits.clear()

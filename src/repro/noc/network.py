@@ -18,15 +18,12 @@ Because every channel is a fixed-latency delay line (1 cycle for planar
 links; TSV links in a 3D stack may take longer), the order of routers
 within a phase cannot change outcomes.
 
-The object model's cycle loop is *activity-driven*: it maintains explicit
-active sets — routers holding flits or pending output, interfaces with
-queued packets, and per-cycle wake sets fed by the links — and only visits
-components that have work.  :meth:`Network._step_full`, which polls every
-component every cycle, is kept as the reference the equivalence suites
-compare it against; nothing in the package selects it.  The two are
-bit-for-bit equivalent; the scheduling invariants that make the skip sound
-are documented in ``docs/PERFORMANCE.md`` and enforced by
-:meth:`Network.verify_activity_invariants`.
+The object model's cycle loop polls: every phase visits every interface or
+router, in ascending node order, every cycle.  It is the engine for every
+config outside the kernel's domain and the oracle the kernel is compared
+against (docs/KERNEL.md).  An idle router's visit stays cheap because its
+occupancy index and pending-output flag answer "nothing to do" without a
+scan (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -111,7 +108,7 @@ class NetworkInterface:
         self.telemetry = network.telemetry
         self.payload_checker = network.payload_checker
         self.run_record = network.run_record
-        #: The network's injection active set (membership by queued work).
+        #: The kernel's injection set (see ``Network._ni_tx_active``).
         self._tx_active = network._ni_tx_active
         #: Flits consumed by completed reassemblies (the telemetry sampler's
         #: ejection-rate numerator; mirrors the ``flits_ejected`` counter).
@@ -150,7 +147,7 @@ class NetworkInterface:
             self.pending.append(packet)
         # All packet arrivals funnel through here (fresh injections,
         # E2E retransmissions, misdelivery re-forwards), so this is the one
-        # activation point the injection active set needs.
+        # activation point the kernel's injection set needs.
         self._tx_active.add(self.node)
 
     def inject(self, cycle: int, network: "Network") -> None:
@@ -418,22 +415,10 @@ class Network:
 
             self.payload_checker = PayloadChecker()
 
-        # Activity-driven scheduling state.  The two *pending* sets are
-        # cycle-scoped wake lists fed by the links (a push at cycle t lands
-        # the consumer here for cycle t+1, matching the 1-cycle channel
-        # latency exactly); the two *active* sets are sticky membership by
-        # state (a member stays until it is observed drained).  They are
-        # maintained whichever loop runs — cheap set adds — so tests can
-        # assert the invariants under the reference loop too.
-        self._ni_rx_pending: Set[int] = set()
-        self._router_rx_pending: Set[int] = set()
+        #: The kernel's injection set: NIs that may have queued work.  Every
+        #: ``enqueue`` adds its node and ``BatchedKernel._inject`` prunes the
+        #: drained; the object loop polls every NI and never reads it.
         self._ni_tx_active: Set[int] = set()
-        self._router_active: Set[int] = set()
-        #: Wake entries from links slower than one cycle, bucketed by the
-        #: cycle the pushed signal becomes due; :meth:`step` applies and
-        #: discards the current cycle's bucket before dispatching.  Always
-        #: empty on all-unit-latency platforms (every historical config).
-        self._deferred_wakes: Dict[int, List[Tuple[Set[int], int]]] = {}
 
         self.interfaces: List[NetworkInterface] = [
             NetworkInterface(node, self) for node in self.topology.nodes()
@@ -441,7 +426,7 @@ class Network:
         #: Mesh links by ``(src_node, src_port)`` for fault application.
         self._link_map: Dict[Tuple[int, Direction], Link] = {}
         #: The batched struct-of-arrays cycle kernel (``repro.noc.kernel``),
-        #: or None when the object loops run.  Built when the config sits
+        #: or None when the object loop runs.  Built when the config sits
         #: inside the batchable domain, unless it asks for the object
         #: oracle (``backend="object"``); outside the domain the object
         #: model, which alone models logic/hard faults, runs
@@ -498,9 +483,9 @@ class Network:
         #: The intermittent/wear-out lifecycle, or None without burst
         #: sites.  Built after wiring so it can hold the same Link objects
         #: as ``_link_map`` (the wear-out utilization gauge); advanced
-        #: eagerly once per cycle at the top of :meth:`step`, identically
-        #: ahead of both cycle loops, from per-site RNG streams disjoint
-        #: from the injector's shared transient stream.
+        #: eagerly once per cycle at the top of :meth:`step`, ahead of
+        #: either engine, from per-site RNG streams disjoint from the
+        #: injector's shared transient stream.
         self.lifecycle: Optional[IntermittentLifecycle] = None
         if intermittent:
             lifecycle = IntermittentLifecycle(
@@ -538,14 +523,6 @@ class Network:
                     direction.opposite,
                     latency=self.topology.link_latency(node, direction),
                 )
-                # Forward traffic (flits, probes) is consumed by the
-                # neighbor's receive phase; reverse traffic (credits,
-                # NACKs) by this router's.
-                link.wire_wakes(
-                    self._router_rx_pending, neighbor,
-                    self._router_rx_pending, node,
-                    deferred=self._deferred_wakes,
-                )
                 links.append(link)
                 self._link_map[(node, direction)] = link
                 self.routers[node].attach_output_link(int(direction), link)
@@ -560,15 +537,6 @@ class Network:
         for node in self.topology.nodes():
             inj = Link(node, local, node, local, is_local=True)
             ej = Link(node, local, node, local, is_local=True)
-            # Injection flits wake the router; ejection flits wake the NI.
-            # Neither local link needs a reverse wake: the ejection channel
-            # never carries credits (the NI sinks flits immediately), and
-            # credits returning to the NI on the injection link are a pure
-            # accumulation the NI reads whenever it next has something to
-            # send — an NI with queued packets stays in the injection
-            # active set until drained, so it observes them on time.
-            inj.wire_wakes(self._router_rx_pending, node, None, -1)
-            ej.wire_wakes(self._ni_rx_pending, node, None, -1)
             links.extend((inj, ej))
             self.interfaces[node].inj_link = inj
             self.routers[node].attach_input_link(int(local), inj)
@@ -594,9 +562,8 @@ class Network:
     def _advance_lifecycle(self) -> None:
         """Advance every burst process by one cycle and escalate worn-out
         sites.  Runs at the top of :meth:`step` right after scheduled
-        faults — identically ahead of both cycle loops — and draws only
-        from per-site streams, so the shared transient stream (and with it
-        the fast-path equivalence) is untouched."""
+        faults, ahead of either engine, and draws only from per-site
+        streams, so the shared transient stream is untouched."""
         lifecycle = self.lifecycle
         assert lifecycle is not None
         if self.cycle >= self._wear_horizon:  # past max_cycles (kernel_supports)
@@ -651,9 +618,8 @@ class Network:
 
     def _apply_due_faults(self) -> None:
         """Apply every fault scheduled at or before the current cycle, then
-        reconfigure routing once.  Runs at the top of :meth:`step` —
-        identically ahead of both cycle loops — and draws no randomness, so
-        the fast path stays bit-for-bit equivalent to the polling loop."""
+        reconfigure routing once.  Runs at the top of :meth:`step`, before
+        the receive phase, and draws no randomness."""
         applied = False
         while (
             self._next_fault_cycle is not None
@@ -810,33 +776,19 @@ class Network:
     # -- the cycle loop ---------------------------------------------------------
 
     def step(self) -> None:
-        """Advance the whole system by one cycle."""
+        """Advance the whole system by one cycle: on the kernel when one
+        was built, else on the object model, polling every interface and
+        router in ascending node order (the phase order above)."""
         cycle = self.run_record.cycle
         next_fault = self._next_fault_cycle
         if next_fault is not None and next_fault <= cycle:
             self._apply_due_faults()
         if self.lifecycle is not None:
             self._advance_lifecycle()
-        if self._deferred_wakes:
-            # Signals pushed onto slow (multi-cycle) links become due now:
-            # land their consumers in the wake sets before dispatch, exactly
-            # as a 1-cycle link would have done at push time.
-            bucket = self._deferred_wakes.pop(cycle, None)
-            if bucket is not None:
-                for wake_set, node in bucket:
-                    wake_set.add(node)
         kernel = self.kernel
         if kernel is not None:
             kernel.step(self)
-        else:
-            self._step_active()
-
-    def _step_full(self) -> None:
-        """The reference loop: poll every component every cycle.
-
-        Never called from ``src/``: the equivalence suites rebind
-        ``_step_active`` to it (``tests/conftest.py``)."""
-        cycle = self.run_record.cycle
+            return
         for ni in self.interfaces:
             ni.receive(cycle)
         self._run_due_events()
@@ -849,134 +801,8 @@ class Network:
             sends += router.compute(cycle)
         self._end_cycle(sends)
 
-    def _step_active(self) -> None:
-        """The activity-driven loop: visit only components with work.
-
-        Equivalence argument (details in ``docs/PERFORMANCE.md``): a
-        skipped component performs no state change and draws no fault-
-        injector randomness in the full loop, because every phase of
-        :class:`NetworkInterface` and :class:`Router` is a no-op without
-        link arrivals or buffered work.  Active components are visited in
-        ascending node order — the same order the full loop uses — so the
-        shared RNG stream, and therefore every injected fault, is
-        identical.  The one deliberate deferral is credit consumption by a
-        fully drained NI: credits accumulate on the injection link until
-        the NI next has a packet, and ``pop_due`` then delivers the same
-        total (credit arithmetic is order- and time-insensitive, and the
-        NI's credit path draws no randomness).
-        """
-        cycle = self.run_record.cycle
-        interfaces = self.interfaces
-        routers = self.routers
-
-        ni_rx = self._ni_rx_pending
-        if ni_rx:
-            todo = sorted(ni_rx)
-            ni_rx.clear()
-            for node in todo:
-                interfaces[node].receive(cycle)
-        self._run_due_events()
-
-        router_rx = self._router_rx_pending
-        active = self._router_active
-        if router_rx:
-            todo = sorted(router_rx)
-            router_rx.clear()
-            for node in todo:
-                routers[node].receive(cycle)
-                # Added unconditionally: compute on a traffic-less router
-                # (e.g. after a credit-only receive) is a near-free no-op —
-                # its occupancy index is empty and its pending-output flag
-                # clear — and the compute phase prunes it again.
-                active.add(node)
-
-        ni_tx = self._ni_tx_active
-        if ni_tx:
-            drained: List[int] = []
-            for node in sorted(ni_tx):
-                ni = interfaces[node]
-                ni.inject(cycle, self)
-                if ni.queued_packets == 0:
-                    drained.append(node)
-            if drained:
-                ni_tx.difference_update(drained)
-
-        sends = 0
-        if active:
-            quiescent: List[int] = []
-            for node in sorted(active):
-                router = routers[node]
-                sends += router.compute(cycle)
-                if not router.has_traffic:
-                    quiescent.append(node)
-            if quiescent:
-                active.difference_update(quiescent)
-
-        self._end_cycle(sends)
-
-    def verify_activity_invariants(self) -> None:
-        """Assert the active sets cover every component that has work,
-        and every router's occupancy index and pending-output flag cover
-        its own (``Router.activity_index_problems``).
-
-        Called between steps (tests, the equivalence suite).  Violations
-        mean the activity-driven loop could skip live work — exactly the
-        bug class the fast path must never exhibit.
-        """
-        if self.kernel is not None:
-            raise RuntimeError(
-                "the object loop's activity invariants do not apply to a "
-                "kernel-served network: it has no routers or links"
-            )
-        for router in self.routers:
-            problems = router.activity_index_problems()
-            if problems:
-                raise AssertionError(f"router {router.node}: {'; '.join(problems)}")
-            if router.has_traffic and router.node not in self._router_active:
-                raise AssertionError(
-                    f"router {router.node} has traffic but is not in the "
-                    "compute active set"
-                )
-        for ni in self.interfaces:
-            if ni.queued_packets and ni.node not in self._ni_tx_active:
-                raise AssertionError(
-                    f"NI {ni.node} has queued packets but is not in the "
-                    "injection active set"
-                )
-        def _wake_scheduled(wake_set: Set[int], node: int) -> bool:
-            if node in wake_set:
-                return True
-            # Slow links park their wakes in the deferred buckets until the
-            # pushed signal's due cycle.
-            return any(
-                entry[0] is wake_set and entry[1] == node
-                for bucket in self._deferred_wakes.values()
-                for entry in bucket
-            )
-
-        for link in self.links:
-            if len(link.flits) or len(link.control):
-                wake_set = link._fwd_wake_set
-                if wake_set is not None and not _wake_scheduled(
-                    wake_set, link._fwd_wake_node
-                ):
-                    raise AssertionError(
-                        f"{link!r} has in-flight forward traffic but its "
-                        "consumer is not in the receive wake set"
-                    )
-            if len(link.credits) or len(link.nacks):
-                wake_set = link._rev_wake_set
-                if wake_set is not None and not _wake_scheduled(
-                    wake_set, link._rev_wake_node
-                ):
-                    raise AssertionError(
-                        f"{link!r} has in-flight reverse traffic but its "
-                        "consumer is not in the receive wake set"
-                    )
-
     def _end_cycle(self, sends: int) -> None:
-        """Phase 6 of every loop, the kernel's too: bookkeeping, then the
-        clock."""
+        """Phase 6 of both engines: bookkeeping, then the clock."""
         self._send_history.append(sends)
         if self.config.collect_utilization:
             kernel = self.kernel

@@ -206,7 +206,7 @@ class Router:
         self._is_source_routed = isinstance(routing_fn, SourceRouting)
         self._probe_hop_limit = 4 * topology.num_nodes
         #: Permanently failed (the whole router died); receive/compute are
-        #: no-ops so both cycle loops skip it identically.
+        #: no-ops.
         self.dead = False
         #: Called with a packet id when a permanent fault destroys one of
         #: its flits; wired by the Network to ``RunRecord.note_casualty``.
@@ -583,6 +583,8 @@ class Router:
         # entry whose VC was emptied outside the pipeline is dropped here.
         ivcs = self._ivcs
         self._occ = occ = [i for i in self._occ if not ivcs[i].buffer.is_empty]
+        if not occ and not self._pending_output:
+            return 0  # idle: every stage below would be a no-op
         occupied = [ivcs[index] for index in occ]
         ports_link_busy = (
             self._output_stage(cycle) if self._pending_output else _NO_PORTS
@@ -1414,14 +1416,6 @@ class Router:
             if port != int(Direction.LOCAL) and self.out_links[port] is not None
         )
         return ports * self._V * self.config.retx_buffer_depth
-
-    @property
-    def has_traffic(self) -> bool:
-        # Hot on the activity-driven path (checked once per active router
-        # per cycle): the index and the flag answer without a scan.
-        return bool(self._occ) or (
-            self._pending_output and self._scan_pending_output()
-        )
 
     def __repr__(self) -> str:
         return f"Router(node={self.node}, buffered={self.buffered_flits})"

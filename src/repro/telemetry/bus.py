@@ -8,10 +8,11 @@ every ``metrics_interval`` cycles the bus samples per-component gauges into
 bounded ring buffers.
 
 Determinism: the bus draws no randomness and publishes only from state
-changes that are themselves bit-for-bit identical between the two cycle
-loops (see ``docs/PERFORMANCE.md``), so with telemetry enabled the
-activity-driven and full loops produce *identical* event streams and
-samples — ``tests/noc/test_fast_path_equivalence.py`` enforces this.
+changes that are themselves bit-for-bit identical between the two engines
+(see ``docs/KERNEL.md``), so with telemetry enabled the kernel and the
+object loop produce *identical* event streams and samples, and telemetry
+on or off leaves every other observable alone —
+``tests/noc/test_fast_path_equivalence.py`` enforces both.
 
 When telemetry is disabled no bus exists at all (``Network.telemetry is
 None``); every publish site is guarded by a single ``is not None`` check.
@@ -206,7 +207,7 @@ class TelemetryBus:
             self._sampler = _NetworkSampler(network)
 
     def on_cycle_end(self, network: Any) -> None:
-        """Called by both cycle loops at the end of every cycle (before the
+        """Called by both engines at the end of every cycle (before the
         cycle counter increments)."""
         sampler = self._sampler
         if sampler is None:

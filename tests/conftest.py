@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import pytest
 
@@ -11,37 +10,6 @@ from repro.config import FaultConfig, NoCConfig, SimulationConfig, WorkloadConfi
 from repro.noc.network import Network
 from repro.noc.packet import Packet
 from repro.types import Direction, RoutingAlgorithm
-
-
-@contextmanager
-def reference_loop(enabled: bool = True) -> Iterator[None]:
-    """Inside the block every object-model :class:`Network` steps with
-    ``Network._step_full`` (poll every component every cycle) instead of
-    the activity-driven loop.
-
-    The package has no switch for the reference loop — this rebinding is
-    the one way to run it, and only tests use it (nothing under
-    ``benchmarks/``, ``tools/`` or ``src/`` imports ``tests``).
-    ``enabled=False`` leaves the default loop in place, so a
-    ``[True, False]`` parametrisation can wrap both cases.
-    """
-    if not enabled:
-        yield
-        return
-    active = Network._step_active
-    Network._step_active = Network._step_full
-    try:
-        yield
-    finally:
-        Network._step_active = active
-
-
-@pytest.fixture(params=[True, False])
-def activity_driven(request) -> Iterator[bool]:
-    """Run the test once per object-model cycle loop: the activity-driven
-    one (``True``) and, via :func:`reference_loop`, the reference."""
-    with reference_loop(not request.param):
-        yield request.param
 
 
 def small_noc(**overrides) -> NoCConfig:

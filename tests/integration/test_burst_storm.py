@@ -5,9 +5,11 @@ saturation-level run with the whole soft→hard lifecycle active at once —
 several intermittent sites bursting hard, a wear-out policy escalating the
 most-stressed of them into permanent deaths mid-run, background transient
 upsets — with ``invariant_checks=True`` so the per-cycle sanitizer audits
-every cycle on both loops.  The storm must terminate cleanly, replay
-bit-identically on the polling and activity-driven loops, and survive a
-checkpoint taken mid-burst with a bit-for-bit identical resume.
+every cycle.  The storm must terminate cleanly and survive a checkpoint
+taken mid-burst with a bit-for-bit identical resume.  Wear-out, logic
+faults and the sanitizer all sit outside the kernel's domain; the config
+asks for ``backend="object"`` anyway, so the storm runs on the object
+loop by construction.
 """
 
 import dataclasses
@@ -24,7 +26,6 @@ from repro.faults.intermittent import (
 from repro.noc.simulator import Simulator, run_simulation
 from repro.serialization import result_to_dict
 from repro.types import Direction, FaultSite, RoutingAlgorithm
-from tests.conftest import reference_loop
 
 BURST_SITES = IntermittentFaultSchedule.of(
     IntermittentFault(1, Direction.EAST, 0.7, 60.0, 30.0),
@@ -57,6 +58,7 @@ def storm_config(**overrides) -> SimulationConfig:
             seed=8,
         ),
         invariant_checks=True,
+        backend="object",
     )
     return config.replace(**overrides) if overrides else config
 
@@ -67,9 +69,8 @@ def _observables(result):
     return out
 
 
-def test_burst_storm_survives_with_invariants(activity_driven):
-    """Bursts + escalations + transients at saturation: clean termination
-    (on both cycle loops: the ``activity_driven`` fixture)."""
+def test_burst_storm_survives_with_invariants():
+    """Bursts + escalations + transients at saturation: clean termination."""
     result = run_simulation(storm_config())
     assert not result.hit_cycle_limit
     assert result.packets_delivered + result.packets_lost >= 1200
@@ -84,15 +85,7 @@ def test_burst_storm_survives_with_invariants(activity_driven):
     assert result.counter("reroute_recomputations") >= escalations
 
 
-def test_burst_storm_loops_bit_identical():
-    """The storm replays identically on the fast and polling loops."""
-    fast = run_simulation(storm_config())
-    with reference_loop():
-        full = run_simulation(storm_config())
-    assert _observables(fast) == _observables(full)
-
-
-def test_checkpoint_mid_burst_resumes_bit_for_bit(activity_driven, tmp_path):
+def test_checkpoint_mid_burst_resumes_bit_for_bit(tmp_path):
     """Interrupting inside an open burst window loses nothing.
 
     The snapshot must carry every per-site stream, phase, next-toggle

@@ -3,10 +3,12 @@
 The contract under test (docs/CHECKPOINTING.md): interrupting a run at any
 cycle boundary, discarding the process, and resuming from the checkpoint
 file yields the *identical* run — same ``SimulationResult`` serialization,
-same counters, byte-identical NDJSON telemetry — on both cycle loops,
-under transient fault storms, permanent-fault schedules and deadlock
-recovery.  The scenario matrix is shared with the fast-path equivalence
-suite, which is the repo's canonical stress catalogue.
+same counters, byte-identical NDJSON telemetry — under transient fault
+storms, permanent-fault schedules and deadlock recovery.  The scenario
+matrix is shared with the engine equivalence suite, which is the repo's
+canonical stress catalogue; its ``_config`` builds ``backend="object"``,
+so every test here snapshots the object graph (kernel checkpoints:
+``tests/test_checkpoint_backends.py``).
 """
 
 import json
@@ -31,12 +33,6 @@ from repro.types import FaultSite
 
 from tests.noc.test_fast_path_equivalence import SCENARIOS, _config
 
-#: Both object-model cycle loops, through the ``activity_driven`` fixture
-#: (``False`` swaps in the reference polling loop for the whole test).
-both_loops = pytest.mark.parametrize(
-    "activity_driven", [False, True], ids=["full", "active"], indirect=True
-)
-
 #: The stress catalogue, minus the fault-free warmups (they exercise
 #: nothing the faulted ones don't).
 RESUME_SCENARIOS = [
@@ -60,6 +56,7 @@ def _interrupted_run(config, checkpoint_path, at_cycle):
     """Run to ``at_cycle``, snapshot, destroy the simulator ("crash"),
     then resume from the file and finish."""
     sim = Simulator(config)
+    assert sim.network.kernel is None  # the object graph is what resumes
     sim.run_to_cycle(at_cycle)
     save_checkpoint(sim, checkpoint_path)
     del sim  # the crash: no live state survives
@@ -70,8 +67,7 @@ def _interrupted_run(config, checkpoint_path, at_cycle):
 
 class TestResumeEquivalence:
     @pytest.mark.parametrize("name", RESUME_SCENARIOS)
-    @both_loops
-    def test_midpoint_resume_is_bit_for_bit(self, name, activity_driven, tmp_path):
+    def test_midpoint_resume_is_bit_for_bit(self, name, tmp_path):
         config = _config(**SCENARIOS[name])
         golden = Simulator(config).run()
         midpoint = max(1, golden.cycles // 2)
@@ -80,14 +76,14 @@ class TestResumeEquivalence:
         )
         assert _observables(resumed) == _observables(golden)
 
-    @both_loops
-    def test_double_interruption(self, activity_driven, tmp_path):
+    def test_double_interruption(self, tmp_path):
         """Crashing a run that was itself resumed still converges to the
         golden result — checkpoints chain."""
         config = _config(**SCENARIOS["xy_link_faults"])
         golden = Simulator(config).run()
         first, second = golden.cycles // 3, 2 * golden.cycles // 3
         sim = Simulator(config)
+        assert sim.network.kernel is None
         sim.run_to_cycle(first)
         save_checkpoint(sim, tmp_path / "a.ckpt")
         del sim
@@ -99,8 +95,7 @@ class TestResumeEquivalence:
         assert resumed.resumed_from_cycle == second
         assert _observables(resumed.run()) == _observables(golden)
 
-    @both_loops
-    def test_resume_with_invariant_checks(self, activity_driven, tmp_path):
+    def test_resume_with_invariant_checks(self, tmp_path):
         """The sanitizer rides along in the snapshot and keeps auditing
         every cycle after the resume."""
         config = _config(
@@ -133,8 +128,7 @@ class TestResumeEquivalence:
 
 
 class TestTelemetryByteEquality:
-    @both_loops
-    def test_ndjson_stream_is_byte_identical(self, activity_driven, tmp_path):
+    def test_ndjson_stream_is_byte_identical(self, tmp_path):
         config = _config(
             **SCENARIOS["permanent_router_kill_with_transients"]
         ).replace(telemetry=TelemetryConfig(enabled=True, metrics_interval=25))
@@ -168,8 +162,7 @@ class TestAutoCheckpointing:
         header = read_checkpoint_header(tmp_path / "auto.ckpt")
         assert header["cycle"] == (result.cycles // 100) * 100
 
-    @both_loops
-    def test_kill_and_resume_matches_uninterrupted(self, activity_driven, tmp_path):
+    def test_kill_and_resume_matches_uninterrupted(self, tmp_path):
         """The whole point: run with auto-checkpointing, 'crash' between
         checkpoints, resume from the file — counters included
         (``checkpoints_written`` agrees because the cycle-based schedule
@@ -178,6 +171,7 @@ class TestAutoCheckpointing:
         golden = Simulator(config).run()
         assert golden.counter("checkpoints_written") > 1
         sim = Simulator(config)
+        assert sim.network.kernel is None
         sim.run_to_cycle(250)  # dies between the cycle-200 and -300 snapshots
         del sim
         resumed_sim = load_checkpoint(config.checkpoint_path)
@@ -297,7 +291,7 @@ class TestContainerFormat:
         """A file written before the config became canonical (version 1,
         legacy config in the header) is a typed error — raised from the
         header, so its stale object graph is never unpickled."""
-        assert CHECKPOINT_VERSION == 10
+        assert CHECKPOINT_VERSION == 11
         self._assert_refused_from_the_header(
             tmp_path, 1, {"noc": {"width": 4, "height": 4}, "activity_driven": True}
         )
@@ -372,6 +366,19 @@ class TestContainerFormat:
             9,
             {"noc": {"shape": [4, 4, 4], "link_latency": [1, 1, 2]},
              "backend": "batched", "faults": {"rates": {"link": 0.01}}},
+        )
+
+    def test_v10_checkpoint_is_refused_before_unpickling(self, tmp_path):
+        """Version 10 links carry the activity loop's five wake slots, so
+        unpickling one would raise a bare ``AttributeError``; same typed
+        error, from the header."""
+        self._assert_refused_from_the_header(
+            tmp_path,
+            10,
+            {"noc": {"shape": [6, 6], "routing": "west_first"},
+             "backend": "object",
+             "faults": {"permanent": [{"kind": "link", "node": 22,
+                                       "direction": "south", "cycle": 400}]}},
         )
 
     def test_overwrite_is_atomic_no_tmp_left_behind(self, tmp_path):

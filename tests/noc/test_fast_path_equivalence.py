@@ -1,16 +1,15 @@
-"""Bit-for-bit equivalence of the activity-driven cycle loop.
+"""Bit-for-bit equivalence of the two engines, and the object oracle.
 
-The activity-driven fast path (``Network._step_active``) must be a pure
-scheduling optimization relative to the reference polling loop
-(``Network._step_full``, swapped in by ``tests.conftest.reference_loop``): skipping idle components may never change
-*any* observable of a run.  Because the fault injector draws from one shared
-RNG stream, even a single extra or missing draw diverges every subsequent
-fault — so these tests compare full :class:`SimulationResult` serializations
-(every counter, latency, hop, energy event) between the two loops across
-routing algorithms, fault sites, deadlock recovery and protection schemes.
-
-They are the guard the reference loop exists for: any change to the hot path must keep
-this module green (see docs/PERFORMANCE.md).
+The batched kernel (``repro.noc.kernel``) must be a pure speed
+optimization relative to the object model's polling loop, the oracle:
+swapping engines may never change *any* observable of a run.  Because the
+fault injector draws from one shared RNG stream, even a single extra or
+missing draw diverges every subsequent fault — so these tests compare full
+:class:`SimulationResult` serializations (every counter, latency, hop,
+energy event) and telemetry exports byte for byte.  ``SCENARIOS`` is the
+repo's stress catalogue for the object loop (routing algorithms, fault
+sites, deadlock recovery, protection schemes, permanent and intermittent
+faults); ``BATCHED_SCENARIOS`` covers the kernel's domain.
 """
 
 import dataclasses
@@ -37,7 +36,6 @@ from repro.types import (
     LinkProtection,
     RoutingAlgorithm,
 )
-from tests.conftest import reference_loop
 
 ALL_SITES = {site: 0.002 for site in FaultSite}
 
@@ -69,22 +67,17 @@ def _config(**kw):
             max_cycles=50_000,
         ),
         invariant_checks=kw.get("invariant_checks", False),
-        # The two object-model loops are what this module compares.
+        # The object loop: the oracle, and the engine out of the kernel's
+        # domain.
         backend="object",
     )
 
 
-def _observables(config, activity_driven=True):
+def _observables(config):
     """Everything a run reports, minus the config echo."""
-    with reference_loop(not activity_driven):
-        result = result_to_dict(run_simulation(config))
+    result = result_to_dict(run_simulation(config))
     result.pop("config")
     return result
-
-
-def assert_equivalent(**kw):
-    config = _config(**kw)
-    assert _observables(config, True) == _observables(config, False)
 
 
 SCENARIOS = {
@@ -109,8 +102,8 @@ SCENARIOS = {
         protection=LinkProtection.FEC, rates={FaultSite.LINK: 0.01}
     ),
     "xy_all_sites_alt_seed": dict(rates=ALL_SITES, seed=7, rate=0.15),
-    # Permanent faults must not perturb the RNG stream or activity sets:
-    # the teardown draws no randomness and wakes the same components.
+    # Permanent faults must not perturb the RNG stream: the teardown draws
+    # no randomness.
     "permanent_link_kill_mid_run": dict(
         permanent=PermanentFaultSchedule.of(
             PermanentFault("link", 5, Direction.EAST, cycle=200)
@@ -137,7 +130,7 @@ SCENARIOS = {
         messages=250,
     ),
     # Intermittent bursts draw from per-site RNG streams; the shared
-    # injector stream and the activity sets must be untouched by them.
+    # injector stream must be untouched by them.
     "intermittent_bursts": dict(
         intermittent=IntermittentFaultSchedule.of(
             IntermittentFault(5, Direction.EAST, 0.4, 25.0, 60.0),
@@ -159,116 +152,99 @@ SCENARIOS = {
 }
 
 
-@pytest.mark.parametrize("scenario", SCENARIOS)
-def test_fast_path_is_bit_for_bit_equivalent(scenario):
-    assert_equivalent(**SCENARIOS[scenario])
-
-
 def test_equivalence_holds_under_invariant_sanitizer():
-    """The SIM10x sanitizer sees identical legal state on both loops."""
-    assert_equivalent(
-        rates={FaultSite.LINK: 0.01}, invariant_checks=True, messages=60
+    """The SIM10x sanitizer only reads: a run it audits every cycle
+    reports exactly what the unaudited run does."""
+    kw = dict(rates={FaultSite.LINK: 0.01}, messages=60)
+    assert _observables(_config(invariant_checks=True, **kw)) == _observables(
+        _config(**kw)
     )
 
 
-def test_idle_components_are_actually_skipped(monkeypatch):
-    """On an empty mesh the fast path must not poll a single router."""
-    from repro.noc import router as router_mod
+def test_permanent_link_kill_west_first_returns_credits_on_time():
+    """A credit returned by a permanent kill's teardown is consumed the
+    cycle it falls due.
 
-    calls = {"compute": 0, "receive": 0}
-    real_compute = router_mod.Router.compute
-    real_receive = router_mod.Router.receive
-
-    def counting_compute(self, cycle):
-        calls["compute"] += 1
-        return real_compute(self, cycle)
-
-    def counting_receive(self, cycle):
-        calls["receive"] += 1
-        return real_receive(self, cycle)
-
-    monkeypatch.setattr(router_mod.Router, "compute", counting_compute)
-    monkeypatch.setattr(router_mod.Router, "receive", counting_receive)
-
-    config = SimulationConfig(noc=NoCConfig(shape=(4, 4)), backend="object")
-    net = Network(config)
-    for _ in range(100):
-        net.step()
-    assert calls == {"compute": 0, "receive": 0}
-
-    # The full loop polls every router every cycle — the baseline the fast
-    # path removes.
-    net_full = Network(config)
-    with reference_loop():
-        for _ in range(100):
-            net_full.step()
-    assert calls["compute"] == 100 * 16
-
-
-def test_activity_invariants_hold_every_cycle():
-    """Active sets always cover live work, even under heavy faults."""
-    config = _config(
-        routing=RoutingAlgorithm.FULLY_ADAPTIVE,
-        deadlock_recovery=True,
-        deadlock_threshold=16,
-        retx_depth=8,
-        rates=ALL_SITES,
-        rate=0.25,
+    The scenario is ``RESIL_noc``'s west-first degradation level with two
+    kills.  At cycle 400 the kill of link 22.SOUTH flushes router 22's
+    WEST input VCs and returns their credits to router 21 on link
+    21.EAST->22.WEST, due at 401.  A loop that woke routers only on
+    pushes missed them: the kill runs before the receive phase, which
+    cleared the wake, so the credits sat past due until cycle 409 and the
+    level delivered 508 packets instead of 507.
+    """
+    config = SimulationConfig(
+        noc=NoCConfig(shape=(6, 6), routing=RoutingAlgorithm.WEST_FIRST),
+        faults=FaultConfig(
+            permanent=PermanentFaultSchedule.of(
+                PermanentFault("link", 10, Direction.SOUTH),
+                PermanentFault("link", 22, Direction.SOUTH, cycle=400),
+            ),
+        ),
+        workload=WorkloadConfig(
+            injection_rate=0.08, num_messages=1, warmup_messages=0,
+            max_cycles=15_800, seed=2006,
+        ),
+        backend="object",
     )
-    net = Network(config)
-    import random
-
-    rng = random.Random(3)
-    pid = 0
-    for node in range(16):
-        for _ in range(4):
-            dst = rng.randrange(15)
-            dst = dst if dst < node else dst + 1
-            net.interfaces[node].enqueue(Packet(pid, node, dst, 4, 0))
-            pid += 1
-    for _ in range(600):
+    with pytest.warns(UserWarning, match="NOC013"):
+        sim = Simulator(config)
+    net = sim.network
+    assert net.kernel is None
+    credits = net._link_map[(21, Direction.EAST)].credits
+    returned = []
+    while net.cycle < 406:
+        sim._generate_traffic(net.cycle)
         net.step()
-        net.verify_activity_invariants()
-    assert net.completed > 0
+        due = [cycle for cycle, _ in credits._queue]
+        if net.cycle == 401:
+            returned = due
+        assert all(cycle >= net.cycle for cycle in due), (net.cycle, due)
+    assert returned == [401] * 4  # the teardown's credits, as recorded
+    assert [cycle for cycle, _ in credits._queue] == [406]
 
 
 def test_packet_tracer_sees_identical_itineraries():
-    """PacketTracer rides on ``network.step()`` unchanged on both loops."""
+    """PacketTracer only reads: each packet's itinerary is the same
+    whether it is watched alone or beside another, and the traced run
+    delivers on the cycle an untraced run does."""
 
-    def traced_itinerary(activity_driven):
+    def network():
         net = Network(SimulationConfig(noc=NoCConfig(shape=(4, 4)), backend="object"))
+        assert net.kernel is None
         net.interfaces[0].enqueue(Packet(0, 0, 15, 4, 0))
         net.interfaces[5].enqueue(Packet(1, 5, 2, 4, 0))
-        tracer = PacketTracer(net, watch=[0, 1])
-        with reference_loop(not activity_driven):
-            assert tracer.run_until_delivered(2) is not None
-        return [
-            [
+        return net
+
+    def traced_itineraries(watch):
+        tracer = PacketTracer(network(), watch=watch)
+        done = tracer.run_until_delivered(2)
+        assert done is not None
+        itineraries = {
+            pid: [
                 (s.cycle, s.flit_seq, s.location)
                 for s in tracer.trace(pid).sightings
             ]
-            for pid in (0, 1)
-        ]
+            for pid in watch
+        }
+        return done, itineraries
 
-    assert traced_itinerary(True) == traced_itinerary(False)
+    untraced = network()
+    while untraced.completed < 2:
+        untraced.step()
+    done, both = traced_itineraries([0, 1])
+    assert done == untraced.cycle
+    assert all(both.values())
+    for pid in (0, 1):
+        assert traced_itineraries([pid]) == (done, {pid: both[pid]})
 
 
-# -- telemetry equivalence ---------------------------------------------------
+# -- telemetry ---------------------------------------------------------------
 #
-# With telemetry enabled, both loops must produce (a) the same simulation
-# observables as each other AND as the telemetry-off run, and (b) identical
-# event streams and sampled series.  Events fire only inside state changes
-# that are themselves loop-invariant, and sampling is a pure read at fixed
-# cycles, so any divergence here means a publish site leaked into scheduling.
+# Events fire only inside state changes and sampling is a pure read at fixed
+# cycles, so telemetry on or off may not move any observable.
 
 from repro.telemetry import TelemetryConfig  # noqa: E402
-
-TELEMETRY_SCENARIOS = [
-    "xy_link_faults",
-    "west_first_all_fault_sites",
-    "adaptive_deadlock_recovery",
-    "permanent_storm_doa_and_vc",
-]
 
 
 def _telemetry_config(**kw):
@@ -278,37 +254,12 @@ def _telemetry_config(**kw):
     )
 
 
-def _telemetry_streams(config, activity_driven=True):
-    with reference_loop(not activity_driven):
-        result = run_simulation(config)
-    report = result.telemetry
-    observables = result_to_dict(result)
-    observables.pop("config")
-    observables.pop("telemetry", None)
-    events = [
-        (e.cycle, e.kind, e.node, tuple(sorted(e.data.items())))
-        for e in report.events
-    ]
-    return observables, events, report.series
-
-
-@pytest.mark.parametrize("scenario", TELEMETRY_SCENARIOS)
-def test_telemetry_streams_are_loop_invariant(scenario):
-    kw = SCENARIOS[scenario]
-    fast = _telemetry_streams(_telemetry_config(**kw), True)
-    full = _telemetry_streams(_telemetry_config(**kw), False)
-    assert fast[0] == full[0]  # observables
-    assert fast[1] == full[1]  # event stream
-    assert fast[2] == full[2]  # sampled series
-
-
-@pytest.mark.parametrize("activity_driven", [True, False])
-def test_telemetry_does_not_perturb_observables(activity_driven):
-    """Telemetry on vs off: identical results on either loop."""
+def test_telemetry_does_not_perturb_observables():
+    """Telemetry on vs off: identical results on the object loop."""
     kw = SCENARIOS["xy_all_sites_alt_seed"]
-    with_tel = _telemetry_streams(_telemetry_config(**kw), activity_driven)[0]
-    without = _observables(_config(**kw), activity_driven)
-    assert with_tel == without
+    with_tel = _observables(_telemetry_config(**kw))
+    assert with_tel.pop("telemetry")["events"]
+    assert with_tel == _observables(_config(**kw))
 
 
 # -- batched-kernel equivalence ----------------------------------------------
@@ -687,13 +638,6 @@ def test_out_of_domain_batched_config_still_builds_the_object_graph(monkeypatch)
     assert built["Router"] == len(net.routers) == 64
     assert built["Link"] == len(net.links) > 0
     assert built["VCBuffer"] > 0 and built["RetransmissionBuffer"] > 0
-
-
-def test_activity_invariants_refuse_a_kernel_served_network():
-    net = Network(dataclasses.replace(_config(), backend="batched"))
-    assert net.kernel is not None and net.routers == () and net.links == ()
-    with pytest.raises(RuntimeError, match="kernel-served"):
-        net.verify_activity_invariants()
 
 
 @pytest.mark.filterwarnings("ignore:NOC008")

@@ -179,7 +179,8 @@ SPELLING_MODULES = [
 def test_second_spelling_lives_only_in_the_upgrade():
     """``activity_driven`` anywhere in the package, or ``width``/``height``
     as a config key or keyword in the modules that spell geometry, may
-    appear only inside ``upgrade_config_dict``."""
+    appear only inside ``upgrade_config_dict``; the second object loop it
+    once selected, and its wake plumbing, appear nowhere."""
     lines, first = inspect.getsourcelines(upgrade_config_dict)
     home = (SRC / "serialization.py", range(first, first + len(lines)))
 
@@ -199,4 +200,6 @@ def test_second_spelling_lives_only_in_the_upgrade():
         for path in ([SRC / name] if name.endswith(".py") else (SRC / name).rglob("*.py"))
     ]
     assert offenders(SRC.rglob("*.py"), r"activity_driven") == []
+    for gone in (r"_step_active", r"wire_wakes", r"reference_loop"):
+        assert offenders(SRC.rglob("*.py"), gone) == []
     assert offenders(geometry, r"""["'](width|height)["']|\b(width|height)=""") == []
