@@ -45,7 +45,11 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.noc.flit import Flit
 from repro.noc.link import link_id
-from repro.noc.routing import FaultAwareRouting, resolve_routing_function
+from repro.noc.routing import (
+    FaultAwareRouting,
+    resolve_routing_function,
+    substitutes_table_routing,
+)
 from repro.noc.topology import make_topology
 from repro.telemetry.bus import sample_interfaces
 from repro.types import Corruption, Direction, FaultSite, FlitType, RoutingAlgorithm
@@ -113,14 +117,14 @@ def wear_out_horizon(wear: Any) -> float:
     return wear.threshold / (wear.strike_weight + wear.traversal_weight)
 
 
-def build_kernel(config: Any, topo: Any, routing_fn: Any) -> "BatchedKernel":
+def build_kernel(config: Any, topo: Any) -> "BatchedKernel":
     """An in-domain config's kernel; link upsets (a nonzero rate or a
     burst site) import ``kernel_faults``."""
     faults = config.faults
     if not (faults.rate(FaultSite.LINK) or faults.intermittent):
-        return BatchedKernel(config, topo, routing_fn)
+        return BatchedKernel(config, topo)
     from repro.noc.kernel_faults import LinkFaultKernel
-    return LinkFaultKernel(config, topo, routing_fn)
+    return LinkFaultKernel(config, topo)
 
 
 #: Route tables by platform, a few per process (``route_table``).
@@ -129,7 +133,7 @@ _ROUTE_TABLES_KEPT = 16
 
 
 def route_table(
-    noc: Any, port_aware: bool = False, routing_fn: Any = None
+    noc: Any, port_aware: bool = False
 ) -> Tuple[Tuple[int, ...], ...]:
     """Candidate ports of every ``(router, dst)``, flat at ``r*R + dst``;
     of every ``(router, in-port, dst)``, flat at ``(r*P + p)*R + dst``,
@@ -137,9 +141,8 @@ def route_table(
 
     One memo per platform and process, keyed on every field
     ``make_topology`` and ``routing_for_config`` read in the batched
-    domain, where no component dies.  A miss evaluates ``routing_fn``
-    (``routing_for_config``'s choice, which a network passes in), or the
-    same choice made afresh."""
+    domain, where no component dies.  Only a miss builds a routing
+    function: ``routing_for_config``'s choice, made afresh."""
     key = (noc.topology, noc.shape, noc.link_latency, noc.routing, port_aware)
     table = _ROUTE_TABLES.get(key)
     if table is None:
@@ -149,25 +152,24 @@ def route_table(
             make_topology(noc.topology, noc.shape, noc.link_latency),
             noc.routing,
             port_aware,
-            routing_fn,
         )
     return table
 
 
 def _build_route_table(
-    topo: Any, routing: Any, port_aware: bool, routing_fn: Any
+    topo: Any, routing: Any, port_aware: bool
 ) -> Tuple[Tuple[int, ...], ...]:
     R, P = topo.num_nodes, topo.num_ports
     probe = Flit(0, 0, FlitType.HEAD, 0, 0)
     if port_aware:
         # The table routing routing_for_config swaps XY for.
-        table_fn = routing_fn or FaultAwareRouting(topo)
+        table_fn = FaultAwareRouting(topo)
         rows = [(r, _DIRECTIONS[p]) for r in range(R) for p in range(P)]
 
         def candidates(r: int, port: Direction) -> List[Direction]:
             return table_fn.candidates_from(topo, r, port, probe)
     else:
-        routing_fn = routing_fn or resolve_routing_function(routing, topo)
+        routing_fn = resolve_routing_function(routing, topo)
         rows = [(r, _DIRECTIONS[_LOCAL]) for r in range(R)]
 
         def candidates(r: int, port: Direction) -> List[Direction]:
@@ -310,23 +312,23 @@ class BatchedKernel:
     All per-VC / per-channel / per-NI state lives in flat integer vectors
     (see ``docs/KERNEL.md`` for the full inventory; pickled as ``int64``
     arrays); the only structured Python state is the per-router sorted
-    occupancy lists, the wake sets, and the growable packet descriptor
-    table.  ``step(network)`` advances one cycle in the same phase order as
-    the object loop in ``Network.step``, one stage method per phase; the
-    kernel keeps no reference to its network.
+    occupancy lists, the line keys and ejection wake sets, and the
+    growable packet descriptor table.  ``step(network)`` advances one
+    cycle in the same phase order as the object loop in ``Network.step``,
+    one stage method per phase; the kernel keeps no reference to its
+    network.
     """
 
     #: Replay-queue flits: ``kernel_faults`` only.
     rq_total = 0
 
-    def __init__(self, config: Any, topo: Any, routing_fn: Any):
-        """``routing_fn`` is the network's ``routing_for_config`` choice."""
+    def __init__(self, config: Any, topo: Any):
         noc = config.noc
         #: The platform the shared route table is memoized for.
         self.noc = noc
         #: Routes keyed by in-port too: the table routing
         #: ``routing_for_config`` installs on a wear-out config.
-        self.port_aware = getattr(routing_fn, "port_aware", False)
+        self.port_aware = substitutes_table_routing(config)
         R = topo.num_nodes
         P = noc.num_ports
         V = noc.num_vcs
@@ -404,23 +406,17 @@ class BatchedKernel:
             * self.retx_depth
             for r in range(R)
         ]
-        #: ``(port, latency)`` of each router's ports whose link takes more
-        #: than one cycle (3D TSVs); empty on unit-latency platforms.
-        #: Their line items wait in ``wheel``, by due cycle, until
-        #: ``_end_cycle`` lands them in the ``*_cur`` lines (``DelayLine``).
-        self.slow_ports = [
-            [
-                (int(d), topo.link_latency(r, d))
-                for d in topo.connected_directions(r)
-                if topo.link_latency(r, d) > 1
-            ]
-            for r in range(R)
-        ]
-        self.has_slow = any(self.slow_ports)
+        #: Cycles line ``r*P + p`` takes (router ``r``'s port ``p``, both
+        #: ways); above 1 only on slow ports (3D TSVs).  A slow line's
+        #: items wait in ``wheel``, by due cycle, until ``_end_cycle`` lands
+        #: them in the ``*_cur`` lines (``DelayLine``).
+        line_lat = [1] * (R * P)
+        for r in range(R):
+            for d in topo.connected_directions(r):
+                line_lat[r * P + int(d)] = topo.link_latency(r, d)
+        self.line_lat = line_lat
+        self.has_slow = max(line_lat) > 1
         self.wheel: Dict[int, List[Tuple[Any, ...]]] = {}
-        #: Slow lines given an item other than a flit or a credit this
-        #: cycle (``kernel_faults``' NACKs and teardown credits).
-        self.marked_lines: Set[int] = set()
 
         # Python-side state.
         #: Per-input-VC routing candidates (tuple of ports) while a head
@@ -431,9 +427,14 @@ class BatchedKernel:
         self.occ: List[List[int]] = [[] for _ in range(R)]
         #: Routers holding at least one buffered flit.
         self.live: Set[int] = set()
-        #: Wake sets fed by the delay lines (swapped with the lines).
-        self.wr_cur: Set[int] = set()
-        self.wr_next: Set[int] = set()
+        #: Line keys: the lines ``r*P + p`` written with a credit (``cl``)
+        #: or a flit (``fl``), swapped with the lines, so the receive phase
+        #: visits items, not ports.  Derived state (``_derive_line_keys``).
+        self.cl_cur: List[int] = []
+        self.cl_next: List[int] = []
+        self.fl_cur: List[int] = []
+        self.fl_next: List[int] = []
+        #: Ejection wake sets: routers whose NI-facing line holds a flit.
         self.wn_cur: Set[int] = set()
         self.wn_next: Set[int] = set()
         # Growable packet descriptor table, slots recycled LIFO: what a
@@ -445,7 +446,7 @@ class BatchedKernel:
         self.pk_id: List[int] = []
         self.pk_src: List[int] = []
         self.pk_free: List[int] = []
-        self._bind_routes(routing_fn)
+        self._bind_routes()
         #: Flits buffered in routers / in flight on delay lines; together
         #: these are ``Network.in_flight_flits``.
         self.total_buffered = 0
@@ -465,6 +466,9 @@ class BatchedKernel:
         "ejt_cur", "ejt_next", "crv_cur", "crv_next",
     )
 
+    #: The line-key lists, rebuilt from the lines on load, never pickled.
+    LINE_KEYS: Tuple[str, ...] = ("cl_cur", "cl_next", "fl_cur", "fl_next")
+
     def _new_array(self, name: str, n: int, fill: int) -> None:
         assert name in self.ARRAY_NAMES
         setattr(self, name, [fill] * n)
@@ -474,6 +478,8 @@ class BatchedKernel:
         # stream; it round-trips exactly and keeps checkpoints compact.
         state = dict(self.__dict__)
         del state["route_table"], state["rt_row"]
+        for name in self.LINE_KEYS:
+            del state[name]
         for name in self.ARRAY_NAMES:
             state[name] = array("q", state[name])
         return state
@@ -483,13 +489,23 @@ class BatchedKernel:
             state[name] = state[name].tolist()
         self.__dict__.update(state)
         self._bind_routes()
+        self._derive_line_keys()
 
-    def _bind_routes(self, routing_fn: Any = None) -> None:
+    def _derive_line_keys(self) -> None:
+        """The line keys of the ``*_cur`` lines.  A checkpoint is taken
+        between cycles, when every ``*_next`` line is empty."""
+        lines = range(self.R * self.P)
+        crv, rxt = self.crv_cur, self.rxt_cur
+        self.cl_cur = [i for i in lines if crv[i] >= 0]
+        self.fl_cur = [i for i in lines if rxt[i] >= 0]
+        self.cl_next, self.fl_next = [], []
+
+    def _bind_routes(self) -> None:
         """Bind the shared route table (a memo, so never checkpointed) and
         its row per input port ``r*P + p``: the router's, or under
         port-aware routing the in-port's own."""
         R, P = self.R, self.P
-        self.route_table = route_table(self.noc, self.port_aware, routing_fn)
+        self.route_table = route_table(self.noc, self.port_aware)
         self.rt_row = [(i if self.port_aware else i // P) * R for i in range(R * P)]
 
     # ------------------------------------------------------------------
@@ -571,40 +587,44 @@ class BatchedKernel:
         wn.clear()
 
     def _receive(self, net: Any, cycle: int) -> None:
-        """Phase 3: routers consume link deliveries (credits, then flits,
-        both in port order — the object model's ``receive()`` ordering)."""
-        wr = self.wr_cur
-        if not wr:
+        """Phase 3: routers consume link deliveries, the credit lines then
+        the flit lines this cycle brought (the line keys).  Fault-free,
+        neither needs the object model's order (router, then port): a
+        credit is an addition, a flit lands in its own input VC (one flit
+        per line a cycle) and ``occ`` stays sorted, and nothing here draws
+        a random number or publishes an event."""
+        V = self.V
+        cl = self.cl_cur
+        if cl:
+            crv, cred = self.crv_cur, self.cred
+            for i in cl:
+                cred[i * V + crv[i]] += 1
+                crv[i] = -1
+            cl.clear()
+        fl = self.fl_cur
+        if not fl:
             return
-        P, V, D = self.P, self.V, self.D
-        buf, bh, bc, cred = self.buf, self.bh, self.bc, self.cred
-        rxt, rxv, crv = self.rxt_cur, self.rxv_cur, self.crv_cur
+        P, D = self.P, self.D
+        PV = P * V
+        buf, bh, bc = self.buf, self.bh, self.bc
+        rxt, rxv = self.rxt_cur, self.rxv_cur
         occ, rbuf, live = self.occ, self.rbuf, self.live
-        n_bufw = 0
-        for r in sorted(wr):
-            base = r * P
-            for p in range(P):
-                v = crv[base + p]
-                if v >= 0:
-                    crv[base + p] = -1
-                    cred[(base + p) * V + v] += 1
-            for p in range(P):
-                token = rxt[base + p]
-                if token >= 0:
-                    rxt[base + p] = -1
-                    v = rxv[base + p]
-                    rxv[base + p] = -1
-                    idx = (base + p) * V + v
-                    n = bc[idx]
-                    buf[idx * D + (bh[idx] + n) % D] = token
-                    if n == 0:
-                        insort(occ[r], p * V + v)
-                    bc[idx] = n + 1
-                    rbuf[r] += 1
-                    n_bufw += 1
-                    live.add(r)
-        wr.clear()
+        for i in fl:
+            token = rxt[i]
+            rxt[i] = -1
+            idx = i * V + rxv[i]
+            rxv[i] = -1
+            n = bc[idx]
+            buf[idx * D + (bh[idx] + n) % D] = token
+            r = i // P
+            if n == 0:
+                insort(occ[r], idx - r * PV)
+            bc[idx] = n + 1
+            rbuf[r] += 1
+            live.add(r)
         # Every accepted flit moved from a delay line into a buffer.
+        n_bufw = len(fl)
+        fl.clear()
         self.total_buffered += n_bufw
         self.line_flits -= n_bufw
         _flush_energy(net.stats, buffer_write=n_bufw)
@@ -630,7 +650,7 @@ class BatchedKernel:
         route_table, rt_row = self.route_table, self.rt_row
         rxt_next, rxv_next = self.rxt_next, self.rxv_next
         crv_next, ejt_next = self.crv_next, self.ejt_next
-        wr_next, wn_next = self.wr_next, self.wn_next
+        cl_next, fl_next, wn_next = self.cl_next, self.fl_next, self.wn_next
         va_gate = cycle - self._va_delay
         sa_gate = cycle - self._sa_delay
         # Flit-conservation gauges, kept in locals for the hot loop and
@@ -700,9 +720,9 @@ class BatchedKernel:
                         # next cycle — 1-cycle latency.
                         nic[r * V + w] += 1
                     else:
-                        u = nb[r * P + wp]
-                        crv_next[u * P + _OPP[wp]] = w
-                        wr_next.add(u)
+                        line = nb[r * P + wp] * P + _OPP[wp]
+                        crv_next[line] = w
+                        cl_next.append(line)
                     n_credit += 1
                     out_vc = ov[idx]
                     cidx = rbase + o * V + out_vc
@@ -719,11 +739,10 @@ class BatchedKernel:
                             pk_hops[slot] += 1
                         ln[r * P + o] += 1
                         n_mesh += 1
-                        d_ = nb[r * P + o]
-                        di = d_ * P + _OPP[o]
+                        di = nb[r * P + o] * P + _OPP[o]
                         rxt_next[di] = token
                         rxv_next[di] = out_vc
-                        wr_next.add(d_)
+                        fl_next.append(di)
                     lf += 1
                     sends += 1
                     if fseq == pk_nf[slot] - 1:
@@ -828,7 +847,7 @@ class BatchedKernel:
             return
         P, V, pk_nf, nirr = self.P, self.V, self.pk_nf, self.nirr
         nic, nis_slot, nis_next = self.nic, self.nis_slot, self.nis_next
-        rxt_next, rxv_next, wr_next = self.rxt_next, self.rxv_next, self.wr_next
+        rxt_next, rxv_next, fl_next = self.rxt_next, self.rxv_next, self.fl_next
         pushed = 0
         drained: List[int] = []
         nodes = sorted(ni_tx)
@@ -856,7 +875,7 @@ class BatchedKernel:
                     i = node * P + _LOCAL
                     rxt_next[i] = (slot << _SEQ_BITS) | seq
                     rxv_next[i] = vc
-                    wr_next.add(node)
+                    fl_next.append(i)
                     pushed += 1
                     nirr[node] = (vc + 1) % V
                     sent = True
@@ -876,7 +895,7 @@ class BatchedKernel:
                         i = node * P + _LOCAL
                         rxt_next[i] = slot << _SEQ_BITS
                         rxv_next[i] = vc
-                        wr_next.add(node)
+                        fl_next.append(i)
                         pushed += 1
                         break
             if not ni.queued_packets:
@@ -911,30 +930,35 @@ class BatchedKernel:
         self.rxv_cur, self.rxv_next = self.rxv_next, self.rxv_cur
         self.ejt_cur, self.ejt_next = self.ejt_next, self.ejt_cur
         self.crv_cur, self.crv_next = self.crv_next, self.crv_cur
-        self.wr_cur, self.wr_next = self.wr_next, self.wr_cur
+        self.cl_cur, self.cl_next = self.cl_next, self.cl_cur
+        self.fl_cur, self.fl_next = self.fl_next, self.fl_cur
         self.wn_cur, self.wn_next = self.wn_next, self.wn_cur
 
+    def _next_keys(self) -> Tuple[List[int], ...]:
+        """The line-key lists of the ``*_next`` side."""
+        return self.cl_next, self.fl_next
+
     def _hold_slow(self, cycle: int) -> None:
-        """Move the items this cycle put on slow ports' lines into the
-        wheel at ``cycle + latency``.  Every line write wakes the line's
-        router, so the wake set names every router to look at."""
-        slow_ports, wheel, P = self.slow_ports, self.wheel, self.P
-        rxt, crv, marked = self.rxt_next, self.crv_next, self.marked_lines
-        for r in self.wr_next:
-            for p, lat in slow_ports[r]:
-                i = r * P + p
-                if rxt[i] >= 0 or crv[i] >= 0 or i in marked:
-                    wheel.setdefault(cycle + lat, []).append(self._take_line(i))
-        marked.clear()
+        """Move the items this cycle wrote on slow lines into the wheel at
+        ``cycle + latency`` and drop their keys: the keys name every line
+        written, so only they are looked at."""
+        lat = self.line_lat
+        keys = self._next_keys()
+        slow = {i for lines in keys for i in lines if lat[i] > 1}
+        if not slow:
+            return
+        for lines in keys:
+            lines[:] = [i for i in lines if lat[i] == 1]
+        wheel = self.wheel
+        for i in sorted(slow):
+            wheel.setdefault(cycle + lat[i], []).append(self._take_line(i))
 
     def _land_due(self, cycle: int) -> None:
-        """Land the wheel's items due at ``cycle`` and wake their routers."""
+        """Land the wheel's items due at ``cycle``, with their keys."""
         due = self.wheel.pop(cycle, None)
         if due:
-            P, wr = self.P, self.wr_cur
             for item in due:
                 self._put_line(item)
-                wr.add(item[0] // P)
 
     def _take_line(self, i: int) -> Tuple[Any, ...]:
         """Line ``i``'s items on the ``*_next`` side as ``(i, flit token,
@@ -944,9 +968,16 @@ class BatchedKernel:
         return item
 
     def _put_line(self, item: Tuple[Any, ...]) -> None:
-        """Write a ``_take_line`` item to the ``*_cur`` side."""
-        i = item[0]
-        self.rxt_cur[i], self.rxv_cur[i], self.crv_cur[i] = item[1:4]
+        """Write a ``_take_line`` item to the ``*_cur`` side and key what
+        it carries."""
+        i, token, vc, credit = item[:4]
+        if token >= 0:
+            self.rxt_cur[i] = token
+            self.rxv_cur[i] = vc
+            self.fl_cur.append(i)
+        if credit >= 0:
+            self.crv_cur[i] = credit
+            self.cl_cur.append(i)
 
     # ------------------------------------------------------------------
     # introspection

@@ -81,9 +81,11 @@ class LinkFaultKernel(BatchedKernel):
         "rxs_cur", "rxs_next", "rxc_cur", "rxc_next",
         "nkn_cur", "nkn_next", "nk_cur", "nk_next", "dr",
     )
+    #: The fault-free line keys, then the lines written with NACKs.
+    LINE_KEYS = BatchedKernel.LINE_KEYS + ("nl_cur", "nl_next")
 
-    def __init__(self, config: Any, topo: Any, routing_fn: Any):
-        super().__init__(config, topo, routing_fn)
+    def __init__(self, config: Any, topo: Any):
+        super().__init__(config, topo)
         noc = config.noc
         R, P, V = self.R, self.P, self.V
         depth = self.retx_depth
@@ -139,6 +141,10 @@ class LinkFaultKernel(BatchedKernel):
         #: line ``u*P + port`` -> the VCs credited.
         self.xcr_cur: Dict[int, List[int]] = {}
         self.xcr_next: Dict[int, List[int]] = {}
+        #: Line keys of the NACK lines (``cl``, the credit keys, also name
+        #: each teardown credit line).
+        self.nl_cur: List[int] = []
+        self.nl_next: List[int] = []
 
     def __getstate__(self) -> Dict[str, Any]:
         state = super().__getstate__()
@@ -155,6 +161,13 @@ class LinkFaultKernel(BatchedKernel):
         rt_n, rq_n = self.rt_n, self.rq_n
         return sum(rt_n[c] + rq_n[c] for c in self.mesh_channels(r))
 
+    def _derive_line_keys(self) -> None:
+        super()._derive_line_keys()
+        self.cl_cur += self.xcr_cur
+        nkn = self.nkn_cur
+        self.nl_cur = [i for i in range(self.R * self.P) if nkn[i]]
+        self.nl_next = []
+
     def _swap_lines(self) -> None:
         super()._swap_lines()
         self.rxs_cur, self.rxs_next = self.rxs_next, self.rxs_cur
@@ -162,6 +175,10 @@ class LinkFaultKernel(BatchedKernel):
         self.nkn_cur, self.nkn_next = self.nkn_next, self.nkn_cur
         self.nk_cur, self.nk_next = self.nk_next, self.nk_cur
         self.xcr_cur, self.xcr_next = self.xcr_next, self.xcr_cur
+        self.nl_cur, self.nl_next = self.nl_next, self.nl_cur
+
+    def _next_keys(self) -> Tuple[List[int], ...]:
+        return super()._next_keys() + (self.nl_next,)
 
     def _take_line(self, i: int) -> Tuple[Any, ...]:
         """The base item plus the flit's sequence and upset, the line's
@@ -181,22 +198,25 @@ class LinkFaultKernel(BatchedKernel):
         i, seq, upset, nacks, credits = item[0], *item[4:]
         self.rxs_cur[i] = seq
         self.rxc_cur[i] = upset
-        W = self.V + 1
-        self.nkn_cur[i] = len(nacks)
-        self.nk_cur[i * W:i * W + len(nacks)] = nacks
+        if nacks:
+            W = self.V + 1
+            self.nkn_cur[i] = len(nacks)
+            self.nk_cur[i * W:i * W + len(nacks)] = nacks
+            self.nl_cur.append(i)
         if credits is not None:
             self.xcr_cur[i] = credits
+            self.cl_cur.append(i)
 
     def _send_credits(self, r: int, port: int, vc: int, n: int) -> None:
         """Return ``n`` credits for router ``r``'s mesh input ``(port, vc)``
         to its sender, on the teardown credit line.  (A header on the PE
         channel is never rewritten, so no teardown happens there.)"""
-        u = self.nb[r * self.P + port]
-        line = u * self.P + _OPP[port]
-        self.xcr_next.setdefault(line, []).extend([vc] * n)
-        self.wr_next.add(u)
-        if self.has_slow:
-            self.marked_lines.add(line)
+        line = self.nb[r * self.P + port] * self.P + _OPP[port]
+        credits = self.xcr_next.get(line)
+        if credits is None:
+            credits = self.xcr_next[line] = []
+            self.cl_next.append(line)
+        credits.extend([vc] * n)
 
     def _eject(self, net: Any, cycle: int) -> None:
         """Phase 1: NIs reassemble ejected flits (``PacketReassembler``),
@@ -259,27 +279,48 @@ class LinkFaultKernel(BatchedKernel):
         tag[3][seq] = flit.corruption
 
     def _receive(self, net: Any, cycle: int) -> None:
-        """Phase 3: credits, then NACKs in port order
-        (``Router._handle_nack``), then flits through the per-hop check and
-        the sequence filter (``Router._accept_transfer``)."""
-        wr = self.wr_cur
-        if not wr:
-            return
-        stats = net.stats
-        tel = net.telemetry
-        rng = net.injector.rng
+        """Phase 3: the credits (additions, in any order), then each
+        router's NACKs in port order (``Router._handle_nack``), then its
+        flits in port order through the per-hop check and the sequence
+        filter (``Router._accept_transfer``).  The NACK and flit keys,
+        sorted once, give the object model's router-by-router order, so
+        the RNG draws and telemetry events come in its order too."""
         P, V, D = self.P, self.V, self.D
-        W = V + 1
-        buf, bh, bc = self.buf, self.bh, self.bc
-        cred, ex, nackr, dr = self.cred, self.ex, self.nackr, self.dr
+        cred = self.cred
+        cl = self.cl_cur
+        if cl:
+            crv = self.crv_cur
+            for i in cl:
+                v = crv[i]
+                if v >= 0:  # a teardown credit line may carry none
+                    crv[i] = -1
+                    cred[i * V + v] += 1
+            cl.clear()
         xcr = self.xcr_cur
-        if xcr:  # teardown credits: pure additions, in any order
+        if xcr:  # teardown credits, several a line
             for line, vcs in xcr.items():
                 for v in vcs:
                     cred[line * V + v] += 1
             xcr.clear()
-        mesh_ports = self.mesh_ports
-        rxt, rxv, crv = self.rxt_cur, self.rxv_cur, self.crv_cur
+        nl, fl = self.nl_cur, self.fl_cur
+        if not (nl or fl):
+            return
+        # Key r*2P + kind*P + p: router r's NACK lines (kind 0), then its
+        # flit lines (kind 1), each in port order.
+        keys = [i + (i // P + 1) * P for i in fl]
+        fl.clear()
+        if nl:
+            keys += [i + i // P * P for i in nl]
+            nl.clear()
+        keys.sort()
+        stats = net.stats
+        tel = net.telemetry
+        rng = net.injector.rng
+        W = V + 1
+        PP = 2 * P
+        buf, bh, bc = self.buf, self.bh, self.bc
+        ex, nackr, dr = self.ex, self.nackr, self.dr
+        rxt, rxv = self.rxt_cur, self.rxv_cur
         rxs, rxc = self.rxs_cur, self.rxc_cur
         nkn, nk = self.nkn_cur, self.nk_cur
         occ, rbuf, live, rbq = self.occ, self.rbuf, self.live, self.rbq
@@ -289,98 +330,92 @@ class LinkFaultKernel(BatchedKernel):
         tb = self.total_buffered
         lf = self.line_flits
         n_bufw = n_nack = 0
-        for r in sorted(wr):
-            base = r * P
-            for p in range(P):
-                v = crv[base + p]
-                if v >= 0:
-                    crv[base + p] = -1
-                    cred[(base + p) * V + v] += 1
-            for p in mesh_ports:  # the PE channel carries no NACKs
-                n = nkn[base + p]
-                if n:
-                    nkn[base + p] = 0
-                    start = (base + p) * W
-                    for packed in nk[start:start + n]:
-                        vc = (packed >> 1) % V
-                        seq = (packed >> 1) // V
-                        if packed & 1:
-                            tb += self._route_nack(net, cycle, r, p, vc, seq)
-                        else:
-                            self._link_nack(net, cycle, r, p, vc, seq)
-            for p in range(P):
-                token = rxt[base + p]
-                if token < 0:
+        for key in keys:
+            r, p = divmod(key, PP)
+            if p < P:
+                i = r * P + p
+                n = nkn[i]
+                nkn[i] = 0
+                start = i * W
+                for packed in nk[start:start + n]:
+                    vc = (packed >> 1) % V
+                    seq = (packed >> 1) // V
+                    if packed & 1:
+                        tb += self._route_nack(net, cycle, r, p, vc, seq)
+                    else:
+                        self._link_nack(net, cycle, r, p, vc, seq)
+                continue
+            p -= P
+            i = r * P + p
+            token = rxt[i]
+            rxt[i] = -1
+            v = rxv[i]
+            rxv[i] = -1
+            lf -= 1
+            idx = i * V + v
+            if p != _LOCAL:  # PE-channel flits are never upset or late
+                seq = rxs[i]
+                if dr[idx] and token & _SEQ_MASK:
+                    self._drain(net, cycle, r, p, v, seq, token)
                     continue
-                rxt[base + p] = -1
-                v = rxv[base + p]
-                rxv[base + p] = -1
-                lf -= 1
-                idx = (base + p) * V + v
-                if p != _LOCAL:  # PE-channel flits are never upset or late
-                    seq = rxs[base + p]
-                    if dr[idx] and token & _SEQ_MASK:
-                        self._drain(net, cycle, r, p, v, seq, token)
-                        continue
-                    c = rxc[base + p]
-                    if hbh:
-                        if c == 1:
-                            # The SEC stage corrects single-bit upsets.
-                            c = 0
-                            stats.count("fec_corrections")
-                        if c == 2:
-                            if seq != ex[idx]:
-                                stats.count("flits_dropped")
-                                if tel is not None:
-                                    tel.publish(
-                                        cycle, "flit_drop", r,
-                                        reason="out_of_window",
-                                        packet=pk_id[token >> _SEQ_BITS],
-                                    )
-                                continue
-                            nackr[idx] += 1
-                            if nackr[idx] <= max_retries:
-                                self._send_nack(r, p, v, seq, _NACK_LINK)
-                                n_nack += 1
-                                stats.count("flits_dropped")
-                                if tel is not None:
-                                    tel.publish(
-                                        cycle, "nack", r, kind="link", port=p,
-                                        vc=v, seq=seq, retry=nackr[idx],
-                                    )
-                                continue
-                            # Endless-retransmission escape (Section 4.5).
-                            stats.count("retransmission_giveups")
+                c = rxc[i]
+                if hbh:
+                    if c == 1:
+                        # The SEC stage corrects single-bit upsets.
+                        c = 0
+                        stats.count("fec_corrections")
+                    if c == 2:
+                        if seq != ex[idx]:
+                            stats.count("flits_dropped")
                             if tel is not None:
                                 tel.publish(
-                                    cycle, "retransmission_giveup", r, port=p,
-                                    vc=v, packet=pk_id[token >> _SEQ_BITS],
+                                    cycle, "flit_drop", r,
+                                    reason="out_of_window",
+                                    packet=pk_id[token >> _SEQ_BITS],
                                 )
-                            self._materialize(rng, token, Corruption.MULTI)
-                    elif c:
-                        # Unchecked schemes: the upset lands in the fields.
-                        self._materialize(rng, token, Corruption(c))
-                    if seq != ex[idx]:
-                        stats.count("flits_dropped")
+                            continue
+                        nackr[idx] += 1
+                        if nackr[idx] <= max_retries:
+                            self._send_nack(r, p, v, seq, _NACK_LINK)
+                            n_nack += 1
+                            stats.count("flits_dropped")
+                            if tel is not None:
+                                tel.publish(
+                                    cycle, "nack", r, kind="link", port=p,
+                                    vc=v, seq=seq, retry=nackr[idx],
+                                )
+                            continue
+                        # Endless-retransmission escape (Section 4.5).
+                        stats.count("retransmission_giveups")
                         if tel is not None:
                             tel.publish(
-                                cycle, "flit_drop", r, reason="out_of_window",
-                                packet=pk_id[token >> _SEQ_BITS],
+                                cycle, "retransmission_giveup", r, port=p,
+                                vc=v, packet=pk_id[token >> _SEQ_BITS],
                             )
-                        continue
-                    ex[idx] = seq + 1
-                    nackr[idx] = 0
-                    dr[idx] = 0  # a draining VC accepts only a header
-                n = bc[idx]
-                buf[idx * D + (bh[idx] + n) % D] = token
-                if n == 0 and idx not in rbq:
-                    insort(occ[r], p * V + v)
-                bc[idx] = n + 1
-                rbuf[r] += 1
-                tb += 1
-                live.add(r)
-                n_bufw += 1
-        wr.clear()
+                        self._materialize(rng, token, Corruption.MULTI)
+                elif c:
+                    # Unchecked schemes: the upset lands in the fields.
+                    self._materialize(rng, token, Corruption(c))
+                if seq != ex[idx]:
+                    stats.count("flits_dropped")
+                    if tel is not None:
+                        tel.publish(
+                            cycle, "flit_drop", r, reason="out_of_window",
+                            packet=pk_id[token >> _SEQ_BITS],
+                        )
+                    continue
+                ex[idx] = seq + 1
+                nackr[idx] = 0
+                dr[idx] = 0  # a draining VC accepts only a header
+            n = bc[idx]
+            buf[idx * D + (bh[idx] + n) % D] = token
+            if n == 0 and idx not in rbq:
+                insort(occ[r], p * V + v)
+            bc[idx] = n + 1
+            rbuf[r] += 1
+            tb += 1
+            live.add(r)
+            n_bufw += 1
         self.total_buffered = tb
         self.line_flits = lf
         _flush_energy(stats, buffer_write=n_bufw, nack=n_nack)
@@ -442,15 +477,12 @@ class LinkFaultKernel(BatchedKernel):
 
     def _send_nack(self, r: int, port: int, vc: int, seq: int, kind: int) -> None:
         """NACK the sender of router ``r``'s input ``port`` (next cycle)."""
-        P = self.P
-        u = self.nb[r * P + port]
-        line = u * P + _OPP[port]
+        line = self.nb[r * self.P + port] * self.P + _OPP[port]
         n = self.nkn_next[line]
         self.nk_next[line * (self.V + 1) + n] = ((seq * self.V + vc) << 1) | kind
         self.nkn_next[line] = n + 1
-        self.wr_next.add(u)
-        if self.has_slow:
-            self.marked_lines.add(line)
+        if not n:
+            self.nl_next.append(line)
 
     def _link_nack(
         self, net: Any, cycle: int, r: int, port: int, vc: int, seq: int
@@ -589,7 +621,7 @@ class LinkFaultKernel(BatchedKernel):
         rxt_next, rxv_next = self.rxt_next, self.rxv_next
         rxs_next, rxc_next = self.rxs_next, self.rxc_next
         crv_next, ejt_next = self.crv_next, self.ejt_next
-        wr_next, wn_next = self.wr_next, self.wn_next
+        cl_next, fl_next, wn_next = self.cl_next, self.fl_next, self.wn_next
         xy_check, xy_legal, topo = self.xy_check, self.xy_legal, net.topology
         va_gate = cycle - self._va_delay
         sa_gate = cycle - self._sa_delay
@@ -615,13 +647,12 @@ class LinkFaultKernel(BatchedKernel):
                         self._restore(cidx, seq, token)
                         upset = link_upset(cycle, r, _DIRECTIONS[o])
                         ln[r * P + o] += 1
-                        d_ = nb[r * P + o]
-                        di = d_ * P + _OPP[o]
+                        di = nb[r * P + o] * P + _OPP[o]
                         rxt_next[di] = token
                         rxv_next[di] = cidx - cbase
                         rxs_next[di] = seq
                         rxc_next[di] = 0 if upset is None else int(upset)
-                        wr_next.add(d_)
+                        fl_next.append(di)
                         lf += 1
                         n_retx_read += 1
                         n_mesh += 1
@@ -738,9 +769,9 @@ class LinkFaultKernel(BatchedKernel):
                         if wp == _LOCAL:
                             nic[r * V + w] += 1
                         else:
-                            u = nb[r * P + wp]
-                            crv_next[u * P + _OPP[wp]] = w
-                            wr_next.add(u)
+                            line = nb[r * P + wp] * P + _OPP[wp]
+                            crv_next[line] = w
+                            cl_next.append(line)
                         n_credit += 1
                     rbuf[r] -= 1
                     tb -= 1
@@ -774,13 +805,12 @@ class LinkFaultKernel(BatchedKernel):
                         upset = link_upset(cycle, r, _DIRECTIONS[o])
                         ln[r * P + o] += 1
                         n_mesh += 1
-                        d_ = nb[r * P + o]
-                        di = d_ * P + _OPP[o]
+                        di = nb[r * P + o] * P + _OPP[o]
                         rxt_next[di] = token
                         rxv_next[di] = out_vc
                         rxs_next[di] = seq
                         rxc_next[di] = 0 if upset is None else int(upset)
-                        wr_next.add(d_)
+                        fl_next.append(di)
                     lf += 1
                     sends += 1
                     if fseq == pk_nf[slot] - 1:

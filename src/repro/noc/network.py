@@ -44,7 +44,9 @@ from repro.noc.packet import Packet, PacketReassembler
 from repro.noc.router import Router
 from repro.noc.routing import (
     FaultAwareRouting,
+    RoutingFunction,
     SourceRouting,
+    check_fault_sites,
     routing_for_config,
 )
 from repro.noc.topology import MeshTopology, make_topology
@@ -371,12 +373,37 @@ class Network:
         self.run_record = RunRecord(self.stats, self.telemetry)
         self.injector = FaultInjector(config.faults)
         self.injector.telemetry = self.telemetry
-        routing_fn = routing_for_config(config, self.topology)
+        #: The batched struct-of-arrays cycle kernel (``repro.noc.kernel``),
+        #: or None when the object loop runs.  Built when the config sits
+        #: inside the batchable domain, unless it asks for the object
+        #: oracle (``backend="object"``); outside the domain the object
+        #: model, which alone models logic/hard faults, runs
+        #: (docs/KERNEL.md).  The kernel reads only config and topology:
+        #: no router, no link, no routing function (it routes by the
+        #: memoized route table).  Its module is imported only here, so
+        #: ``import repro.api`` never compiles it.
+        self.kernel: Optional[BatchedKernel] = None
+        #: Where a kernel-served network stops: no site can wear out before.
+        self._wear_horizon = float("inf")
+        if config.backend == "batched":
+            from repro.noc.kernel import build_kernel, kernel_supports, wear_out_horizon
+
+            if kernel_supports(config) is None:
+                check_fault_sites(config, self.topology)
+                self.kernel = build_kernel(config, self.topology)
+                self._wear_horizon = wear_out_horizon(config.faults.wear_out)
+        #: What ``routing_fn`` returns; None on a kernel network until asked.
+        self._routing_fn: Optional[RoutingFunction] = None
+        if self.kernel is None:
+            self._routing_fn = routing_for_config(config, self.topology)
         intermittent = config.faults.intermittent
         may_lose_components = config.faults.can_lose_components
-        if may_lose_components and not isinstance(
-            routing_fn, (FaultAwareRouting, SourceRouting)
-        ):
+        reroutes = (
+            self.kernel.port_aware
+            if self.kernel is not None
+            else isinstance(self._routing_fn, (FaultAwareRouting, SourceRouting))
+        )
+        if may_lose_components and not reroutes:
             warnings.warn(
                 "NOC013: hard faults (a permanent-fault schedule or "
                 "wear-out escalation) are configured but "
@@ -386,9 +413,6 @@ class Network:
                 "fault-aware rerouting)",
                 stacklevel=2,
             )
-        #: The routing function every router shares; a FaultAwareRouting
-        #: instance here is rebuilt on each permanent-fault event.
-        self.routing_fn = routing_fn
         if (
             noc.is_torus
             and noc.routing is RoutingAlgorithm.XY
@@ -425,30 +449,13 @@ class Network:
         ]
         #: Mesh links by ``(src_node, src_port)`` for fault application.
         self._link_map: Dict[Tuple[int, Direction], Link] = {}
-        #: The batched struct-of-arrays cycle kernel (``repro.noc.kernel``),
-        #: or None when the object loop runs.  Built when the config sits
-        #: inside the batchable domain, unless it asks for the object
-        #: oracle (``backend="object"``); outside the domain the object
-        #: model, which alone models logic/hard faults, runs
-        #: (docs/KERNEL.md).  The kernel reads only config, topology and
-        #: the routing choice: no router, no link.  Its module is imported
-        #: only here, so ``import repro.api`` never compiles it.
-        self.kernel: Optional[BatchedKernel] = None
-        #: Where a kernel-served network stops: no site can wear out before.
-        self._wear_horizon = float("inf")
-        if config.backend == "batched":
-            from repro.noc.kernel import build_kernel, kernel_supports, wear_out_horizon
-
-            if kernel_supports(config) is None:
-                self.kernel = build_kernel(config, self.topology, routing_fn)
-                self._wear_horizon = wear_out_horizon(config.faults.wear_out)
         if self.kernel is not None:
             self.routers: Sequence[Router] = ()
             self.links: Sequence[Link] = ()
         else:
             self.routers = [
                 Router(
-                    node, noc, self.topology, routing_fn, self.injector,
+                    node, noc, self.topology, self.routing_fn, self.injector,
                     self.stats, payload_checker=self.payload_checker,
                 )
                 for node in self.topology.nodes()
@@ -728,6 +735,15 @@ class Network:
             # Last VC gone: the channel is useless; kill the link so the
             # routing tables stop steering packets into it.
             self._kill_link(node, direction)
+
+    @property
+    def routing_fn(self) -> RoutingFunction:
+        """The routing function ``routing_for_config`` chose, which every
+        router shares; a FaultAwareRouting instance here is rebuilt on each
+        permanent-fault event.  A kernel network builds it on first use."""
+        if self._routing_fn is None:
+            self._routing_fn = routing_for_config(self.config, self.topology)
+        return self._routing_fn
 
     def _reconfigure_routing(self) -> None:
         """Rebuild fault-aware tables and flush every router's memoized

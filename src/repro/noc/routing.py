@@ -513,10 +513,18 @@ def routing_for_config(
     analyses certify this function's result, not a copy of the rule.
     """
     check_fault_sites(config, topology)
-    routing = config.noc.routing
-    if routing is RoutingAlgorithm.XY and config.faults.can_lose_components:
+    if substitutes_table_routing(config):
         return FaultAwareRouting(topology)
-    return resolve_routing_function(routing, topology)
+    return resolve_routing_function(config.noc.routing, topology)
+
+
+def substitutes_table_routing(config: SimulationConfig) -> bool:
+    """Whether :func:`routing_for_config` swaps XY for the fault-aware
+    table routing: XY on a platform that can lose components."""
+    return (
+        config.noc.routing is RoutingAlgorithm.XY
+        and config.faults.can_lose_components
+    )
 
 
 def xy_arrival_is_legal(

@@ -110,9 +110,7 @@ class Simulator:
     def _generate_traffic(self, cycle: int) -> None:
         if cycle < self._traffic_due:
             return
-        for node in range(self.config.noc.num_nodes):
-            if not self.injection.fires(node, cycle, self.rng):
-                continue
+        for node in self.injection.fire_due(cycle, self.rng):
             dst = self.pattern.destination(node, self.rng)
             if dst is None:
                 continue

@@ -19,12 +19,21 @@ Format (one JSON object per line, keys sorted, compact separators):
 Everything is deterministic for a seeded run (no timestamps, no floats
 beyond what the simulator itself computed), so a committed golden file can
 assert the whole stream byte-for-byte across Python versions.
+
+Every line is the canonical dump of its object,
+``json.dumps(obj, sort_keys=True, separators=(",", ":"))``, and the
+validator refuses any other spelling.  Samples are written one series at a
+time: each series' constant text (``{"component":X,"cycle":`` and
+``,"metric":M,"type":"sample","value":``) is built once, and each point
+adds only its cycle and value, spelled as ``json.dumps`` spells them
+(``repr`` of an ``int`` or a finite ``float``, ``json.dumps`` for anything
+else).  ``write_ndjson`` never holds more than one series' text.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.telemetry.report import TelemetryReport
 
@@ -36,31 +45,50 @@ def _dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _number(value: Any) -> str:
+    """``value`` as ``_dumps`` spells it: ``repr`` for an ``int`` or a
+    finite ``float`` (what ``json`` itself calls), ``json.dumps`` for
+    anything else (``NaN``, ``Infinity``, ``true``, a subclass)."""
+    kind = type(value)
+    if kind is int or (kind is float and value - value == 0.0):
+        return repr(value)
+    return json.dumps(value)
+
+
+def _series_lines(
+    metric: str, component: str, points: List[Tuple[int, Any]]
+) -> List[str]:
+    """One series' sample lines (no newlines), from its constant text."""
+    head = '{"component":' + json.dumps(component) + ',"cycle":'
+    mid = ',"metric":' + json.dumps(metric) + ',"type":"sample","value":'
+    return [
+        head + _number(cycle) + mid + _number(value) + "}" for cycle, value in points
+    ]
+
+
+def _record_chunks(
+    report: TelemetryReport, config: Optional[Dict[str, Any]]
+) -> Iterator[List[str]]:
+    """The stream's lines, a chunk at a time: the header and the events,
+    then one chunk per series in sorted ``(metric, component)`` order."""
+    header = {
+        "schema": SCHEMA_VERSION,
+        "command": "telemetry",
+        "config": config,
+        "result": report.summary(),
+    }
+    yield [_dumps(header)] + [_dumps(event.to_dict()) for event in report.events]
+    series = report.series
+    for metric, component in sorted(series):
+        yield _series_lines(metric, component, series[(metric, component)])
+
+
 def ndjson_lines(
     report: TelemetryReport, config: Optional[Dict[str, Any]] = None
 ) -> Iterator[str]:
     """Yield the NDJSON lines for a report (no trailing newlines)."""
-    yield _dumps(
-        {
-            "schema": SCHEMA_VERSION,
-            "command": "telemetry",
-            "config": config,
-            "result": report.summary(),
-        }
-    )
-    for event in report.events:
-        yield _dumps(event.to_dict())
-    for metric, component in sorted(report.series):
-        for cycle, value in report.series[(metric, component)]:
-            yield _dumps(
-                {
-                    "type": "sample",
-                    "cycle": cycle,
-                    "metric": metric,
-                    "component": component,
-                    "value": value,
-                }
-            )
+    for chunk in _record_chunks(report, config):
+        yield from chunk
 
 
 def write_ndjson(
@@ -68,19 +96,23 @@ def write_ndjson(
     path: str,
     config: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Write a report's NDJSON stream to ``path``; returns the summary."""
+    """Write a report's NDJSON stream to ``path``, one chunk (the header
+    and events, then a series) per write; returns the summary."""
     with open(path, "w", encoding="utf-8") as handle:
-        for line in ndjson_lines(report, config):
-            handle.write(line)
-            handle.write("\n")
+        for chunk in _record_chunks(report, config):
+            if chunk:
+                handle.write("\n".join(chunk))
+                handle.write("\n")
     return report.summary()
 
 
 def validate_ndjson_lines(lines: Iterable[str]) -> List[str]:
     """Validate an NDJSON stream against the event/sample schema.
 
-    Returns a list of human-readable problems (empty means valid).  Used by
-    the golden-file tests and ``tools/validate_telemetry.py`` (the CI
+    Returns a list of human-readable problems (empty means valid).  Every
+    line must also be spelled canonically, as ``write_ndjson`` spells it,
+    so a check of a real stream checks the formatter too.  Used by the
+    golden-file tests and ``tools/validate_telemetry.py`` (the CI
     telemetry smoke job).
     """
     from repro.telemetry.bus import EVENT_KINDS
@@ -100,6 +132,11 @@ def validate_ndjson_lines(lines: Iterable[str]) -> List[str]:
         if not isinstance(obj, dict):
             problems.append(f"line {lineno}: expected a JSON object")
             continue
+        if raw != _dumps(obj):
+            problems.append(
+                f"line {lineno}: not the canonical dump of its object "
+                "(sorted keys, compact separators)"
+            )
         if count == 1:
             if obj.get("schema") != SCHEMA_VERSION:
                 problems.append(

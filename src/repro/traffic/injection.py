@@ -57,6 +57,16 @@ class PeriodicInjection(InjectionProcess):
             return True
         return False
 
+    def fire_due(self, cycle: int, rng: random.Random) -> List[int]:
+        """The nodes that fire at ``cycle``, ascending, in one pass over the
+        accumulators: what ``fires`` answers node by node."""
+        self._ensure_init(rng)
+        next_fire, interval = self._next_fire, self.interval
+        due = [node for node, at in enumerate(next_fire) if cycle >= at]
+        for node in due:
+            next_fire[node] += interval
+        return due
+
     def next_fire(self) -> float:
         """The earliest cycle any node fires at (``fires`` draws nothing)."""
         return min(self._next_fire)

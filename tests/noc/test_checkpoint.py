@@ -291,7 +291,7 @@ class TestContainerFormat:
         """A file written before the config became canonical (version 1,
         legacy config in the header) is a typed error — raised from the
         header, so its stale object graph is never unpickled."""
-        assert CHECKPOINT_VERSION == 11
+        assert CHECKPOINT_VERSION == 12
         self._assert_refused_from_the_header(
             tmp_path, 1, {"noc": {"width": 4, "height": 4}, "activity_driven": True}
         )
@@ -379,6 +379,18 @@ class TestContainerFormat:
              "backend": "object",
              "faults": {"permanent": [{"kind": "link", "node": 22,
                                        "direction": "south", "cycle": 400}]}},
+        )
+
+    def test_v11_checkpoint_is_refused_before_unpickling(self, tmp_path):
+        """Version 11 kernels carry router wake sets and networks carry a
+        ``routing_fn`` attribute, which ``Network.routing_fn`` (a property
+        over ``_routing_fn``) would shadow; same typed error, from the
+        header."""
+        self._assert_refused_from_the_header(
+            tmp_path,
+            11,
+            {"noc": {"shape": [4, 4, 4], "link_latency": [1, 1, 2]},
+             "backend": "batched", "faults": {"rates": {"link": 0.01}}},
         )
 
     def test_overwrite_is_atomic_no_tmp_left_behind(self, tmp_path):

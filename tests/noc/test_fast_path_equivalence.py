@@ -546,6 +546,8 @@ def test_a_kernel_network_stops_where_a_burst_site_could_wear_out():
         "mesh3d_tsv_hbh_links",
         "e2e_bursts_links",
         "wear_out_port_aware_e2e",
+        "mesh3d_wear_out_hbh_giveups",
+        "hbh_bursts_links",
     ],
 )
 def test_batched_telemetry_is_byte_identical(scenario, tmp_path):
@@ -570,6 +572,28 @@ def test_batched_telemetry_is_byte_identical(scenario, tmp_path):
         write_ndjson(result.telemetry, path)
         exports[backend] = path.read_bytes()
     assert exports["object"] == exports["batched"]
+
+
+@pytest.mark.parametrize(
+    "scenario", ["mesh3d_wear_out_hbh_giveups", "hbh_bursts_links"]
+)
+def test_byte_identical_exports_cover_several_receiving_routers_a_cycle(scenario):
+    """The NDJSON byte test pins the receive phase's event order only where
+    routers publish receive-phase events (NACKs, replays, out-of-window
+    drops, give-ups) in the same cycle; these scenarios do."""
+    base = dict(
+        shape=(4, 4), rate=0.1, messages=150, warmup=20, seed=23,
+        telemetry=True, metrics_interval=20,
+    )
+    config = api.load_config(
+        backend="batched", **{**base, **BATCHED_SCENARIOS[scenario]}
+    )
+    receive_kinds = {"nack", "flit_replay", "flit_drop", "retransmission_giveup"}
+    routers = {}
+    for event in api.run(config).telemetry.events:
+        if event.kind in receive_kinds:
+            routers.setdefault(event.cycle, set()).add(event.node)
+    assert any(len(nodes) > 1 for nodes in routers.values())
 
 
 def test_packet_tracer_refuses_a_batched_network():
@@ -708,3 +732,32 @@ def test_route_table_is_shared_per_platform_and_only_per_platform():
     assert table(routing=RoutingAlgorithm.WEST_FIRST) is not base
     assert table(shape=(4, 5)) is not base
     assert table(topology="torus") is not base
+
+
+def test_a_memoized_port_aware_table_builds_no_table_routing(monkeypatch):
+    """A kernel-served wear-out network routes by the memoized port-aware
+    table: only the memo's miss builds a FaultAwareRouting, and the
+    network builds its own only when asked for it."""
+    from repro.noc import kernel
+    from repro.noc.routing import FaultAwareRouting
+
+    monkeypatch.setattr(kernel, "_ROUTE_TABLES", {})
+    rebuild = FaultAwareRouting.rebuild
+    calls = []
+
+    def counted(self, *args, **kw):
+        calls.append(self)
+        return rebuild(self, *args, **kw)
+
+    monkeypatch.setattr(FaultAwareRouting, "rebuild", counted)
+    config = api.load_config(
+        shape=(4, 4), backend="batched",
+        faults={"intermittent": BURST_SITES, "wear_out": {"threshold": 1e9}},
+    )
+    first, second = Network(config), Network(config)
+    assert first.kernel.port_aware and second.kernel is not None
+    assert second.kernel.route_table is first.kernel.route_table
+    assert len(calls) <= 1
+    # Asked for, the network's routing function is routing_for_config's.
+    assert isinstance(second.routing_fn, FaultAwareRouting)
+    assert second.routing_fn is second.routing_fn

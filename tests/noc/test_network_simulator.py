@@ -124,6 +124,20 @@ class TestInjectionProcesses:
         first_cycle_fires = sum(process.fires(n, 0, rng) for n in range(16))
         assert first_cycle_fires < 16  # not in lockstep
 
+    def test_fire_due_is_fires_node_by_node(self):
+        """One pass over the accumulators names the nodes a per-node poll
+        would, ascending, and leaves the same state and RNG behind."""
+        import random
+
+        polled = PeriodicInjection(num_nodes=16, rate=0.3, flits_per_packet=4)
+        swept = PeriodicInjection(num_nodes=16, rate=0.3, flits_per_packet=4)
+        rng_polled, rng_swept = random.Random(5), random.Random(5)
+        for cycle in range(400):
+            expected = [n for n in range(16) if polled.fires(n, cycle, rng_polled)]
+            assert swept.fire_due(cycle, rng_swept) == expected
+        assert swept.__dict__ == polled.__dict__
+        assert rng_swept.getstate() == rng_polled.getstate()
+
     def test_invalid_rates_rejected(self):
         with pytest.raises(ValueError):
             PeriodicInjection(4, 0.0, 4)

@@ -4,8 +4,10 @@
 Reads one or more NDJSON files produced by ``repro run --telemetry`` (or
 stdin when no paths are given) and checks every line against the
 ``repro/v1`` schema: a well-formed header envelope, known event kinds,
-integer cycles and node ids, numeric sample values.  Exits non-zero and
-prints one problem per line when anything is off.
+integer cycles and node ids, numeric sample values, and every line spelled
+as the canonical dump of its object (sorted keys, compact separators), as
+the exporter writes it.  Exits non-zero and prints one problem per line
+when anything is off.
 
 Usage::
 
