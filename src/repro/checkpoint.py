@@ -54,7 +54,7 @@ MAGIC = b"REPRO-CKPT\n"
 #: Bumped whenever the pickled object graph changes shape incompatibly.
 #: Loaders accept exactly their own version — see docs/CHECKPOINTING.md
 #: for the compatibility policy.
-CHECKPOINT_VERSION = 12
+CHECKPOINT_VERSION = 13
 
 #: Pinned so checkpoints written by newer Pythons stay readable by the
 #: oldest supported interpreter (3.9 < protocol 5's default adoption).

@@ -100,10 +100,6 @@ class Flit:
     def is_tail(self) -> bool:
         return self.ftype in (FlitType.TAIL, FlitType.HEAD_TAIL)
 
-    @property
-    def is_corrupted(self) -> bool:
-        return self.corruption is not Corruption.NONE
-
     def corrupt(self, severity: Corruption) -> None:
         """Accumulate corruption.
 

@@ -44,14 +44,12 @@ from bisect import bisect_left, insort
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.noc.flit import Flit
-from repro.noc.link import link_id
 from repro.noc.routing import (
     FaultAwareRouting,
     resolve_routing_function,
     substitutes_table_routing,
 )
 from repro.noc.topology import make_topology
-from repro.telemetry.bus import sample_interfaces
 from repro.types import Corruption, Direction, FaultSite, FlitType, RoutingAlgorithm
 
 #: Port index of the local (NI-facing) port.
@@ -263,49 +261,6 @@ def _flush_energy(stats: Any, **counts: int) -> None:
                 energy[name] += n
 
 
-class KernelSampler:
-    """Telemetry sampler over kernel arrays.
-
-    Drop-in replacement for ``repro.telemetry.bus._NetworkSampler``, with
-    which it shares ``sample_interfaces`` for the NI rates: emits
-    the same series, for the same components, in the same record order,
-    with the same values — so NDJSON exports are byte-identical across
-    backends (the bus records the global series after either sampler).
-    Selected by ``TelemetryBus.attach`` when the network carries a kernel.
-    """
-
-    def __init__(self, kernel: "BatchedKernel", topo: Any):
-        self.kernel = kernel
-        # Same enumeration order as _NetworkSampler: the mesh links in the
-        # object network's wiring order (Network._wire_mesh).
-        self._links: List[Tuple[int, str]] = [
-            (node * kernel.P + int(d), link_id(node, d))
-            for node in topo.nodes()
-            for d in topo.connected_directions(node)
-        ]
-        self._last_traversals = [0] * len(self._links)
-        self._last_rates = ([0] * kernel.R, [0] * kernel.R)
-
-    def sample(self, net: Any, record: Any, cycle: int, interval: float) -> None:
-        k = self.kernel
-        ln = k.ln
-        last_t = self._last_traversals
-        for i, (li, tid) in enumerate(self._links):
-            total = ln[li]
-            record("link_utilization", tid, cycle, (total - last_t[i]) / interval)
-            last_t[i] = total
-        rcap = k.rcap
-        for r in range(k.R):
-            node = str(r)
-            record("vc_occupancy", node, cycle, float(k.rbuf[r]))
-            cap = rcap[r]
-            if cap:
-                record("retx_pressure", node, cycle, k.retx_occupancy(r) / cap)
-            else:  # pragma: no cover - every mesh router has links
-                record("retx_pressure", node, cycle, 0.0)
-        sample_interfaces(net, record, cycle, interval, self._last_rates)
-
-
 class BatchedKernel:
     """Struct-of-arrays replay of the object model's cycle.
 
@@ -398,6 +353,11 @@ class BatchedKernel:
                 for v in range(V):
                     cred[base + p * V + v] = D
         self.nb = nb
+        #: Mesh lines ``r*P + p`` in the object network's link order
+        #: (``Network._wire_mesh``): the order of ``link_traversals``.
+        self.mesh_lines = [
+            r * P + int(d) for r in range(R) for d in topo.connected_directions(r)
+        ]
         #: Every port but LOCAL, ascending (the object router's visit order).
         self.mesh_ports = tuple(p for p in range(P) if p != _LOCAL)
         self.rcap = [
@@ -998,8 +958,15 @@ class BatchedKernel:
         nseq, depth = self.nseq, self.retx_depth
         return sum(min(nseq[c], depth) for c in self.mesh_channels(r))
 
-    def make_sampler(self, topo: Any) -> KernelSampler:
-        return KernelSampler(self, topo)
+    def link_traversals(self) -> List[int]:
+        """Flits each mesh link has carried, in ``mesh_lines`` order."""
+        ln = self.ln
+        return [ln[i] for i in self.mesh_lines]
+
+    def router_gauges(self) -> List[Tuple[int, int, int]]:
+        """Per router: buffered flits, ring slots in use, ring capacity."""
+        rbuf, rcap = self.rbuf, self.rcap
+        return [(rbuf[r], self.retx_occupancy(r), rcap[r]) for r in range(self.R)]
 
     def __repr__(self) -> str:
         return (

@@ -12,6 +12,9 @@ direction) and carries, with single-cycle latency each way by default
 * **reverse**: credits and NACKs.  These are the "handshaking signals" of
   Section 4.6, protected by TMR voting per sample.
 
+Each channel is a :class:`DelayLine` that its consumer pops directly
+(``link.credits.pop_due(cycle)``).
+
 Local links (NI <-> router) use the same machinery but are exempt from link
 fault injection, like the paper's PE channel.
 """
@@ -37,11 +40,6 @@ _SLOTTED = {"slots": True} if sys.version_info >= (3, 10) else {}
 #: Shared empty result for the (dominant) no-delivery case; callers only
 #: ever iterate the returned list, never mutate it.
 _NOTHING_DUE: List = []
-
-
-def link_id(node: int, direction: Direction) -> str:
-    """Time-series key of the link leaving ``node`` by ``direction``."""
-    return f"{node}:{direction.name.lower()}"
 
 
 class DelayLine(Generic[T]):
@@ -205,16 +203,10 @@ class Link:
         self.flits.push(cycle, FlitTransfer(vc, seq, flit, corruption))
         self.flit_traversals += 1
 
-    def flit_arrivals(self, cycle: int) -> List[FlitTransfer]:
-        return self.flits.pop_due(cycle)
-
     def send_probe(self, cycle: int, probe: ProbeSignal) -> None:
         if self.dead:
             return
         self.control.push(cycle, probe)
-
-    def probe_arrivals(self, cycle: int) -> List[ProbeSignal]:
-        return self.control.pop_due(cycle)
 
     # -- reverse ----------------------------------------------------------
 
@@ -223,16 +215,10 @@ class Link:
             return
         self.credits.push(cycle, CreditSignal(vc))
 
-    def credit_arrivals(self, cycle: int) -> List[CreditSignal]:
-        return self.credits.pop_due(cycle)
-
     def send_nack(self, cycle: int, nack: NackSignal) -> None:
         if self.dead:
             return
         self.nacks.push(cycle, nack)
-
-    def nack_arrivals(self, cycle: int) -> List[NackSignal]:
-        return self.nacks.pop_due(cycle)
 
     def kill(self) -> int:
         """Permanently fail the link.
@@ -250,11 +236,6 @@ class Link:
         self.nacks.clear()
         self.control.clear()
         return lost_flits
-
-    @property
-    def telemetry_id(self) -> str:
-        """Stable component key for time-series (``"<src>:<dir>"``)."""
-        return link_id(self.src_node, self.src_port)
 
     @property
     def is_idle(self) -> bool:
@@ -288,24 +269,14 @@ class HandshakeChannel:
         self.glitches_masked = 0
         self.signals_lost = 0
 
-    def sample(self, signal_present: bool, glitch: bool) -> bool:
-        """Deliver one signal sample through the (possibly glitched) lines.
-
-        Returns whether the signal is seen at the receiver.
-        """
+    def sample(self, glitch: bool) -> bool:
+        """Deliver one arriving signal through the (possibly glitched)
+        lines; returns whether the receiver sees it."""
         if not glitch:
-            return signal_present
+            return True
         if self.tmr_enabled:
-            # One line flips; the other two carry the true value.
-            voted = tmr_vote([not signal_present, signal_present, signal_present])
-            assert voted == signal_present
+            # One line flips; the other two outvote it.
             self.glitches_masked += 1
-            return voted
-        if signal_present:
-            self.signals_lost += 1
-            return False
-        # A glitch on an idle line would fabricate a spurious signal; the
-        # receiver-side sequence filter makes spurious NACKs/credits benign,
-        # and we account them as lost-sample events as well.
+            return tmr_vote([False, True, True])
         self.signals_lost += 1
         return False

@@ -156,7 +156,7 @@ class NetworkInterface:
         if self.dead:
             return
         assert self.inj_link is not None
-        for credit in self.inj_link.credit_arrivals(cycle):
+        for credit in self.inj_link.credits.pop_due(cycle):
             self._credits[credit.vc] += 1
         if network.degraded and self.pending:
             # Undeliverable-destination detection: refuse packets the
@@ -255,7 +255,7 @@ class NetworkInterface:
 
     def receive(self, cycle: int) -> None:
         assert self.ej_link is not None
-        for transfer in self.ej_link.flit_arrivals(cycle):
+        for transfer in self.ej_link.flits.pop_due(cycle):
             flit = transfer.flit
             corruption = transfer.corruption
             if corruption is not Corruption.NONE:
@@ -746,8 +746,8 @@ class Network:
         return self._routing_fn
 
     def _reconfigure_routing(self) -> None:
-        """Rebuild fault-aware tables and flush every router's memoized
-        routing decisions (the PR-2 caches) after a topology change."""
+        """Rebuild fault-aware tables after a topology change and send
+        every router's not-yet-allocated headers back to the RT stage."""
         fn = self.routing_fn
         if isinstance(fn, FaultAwareRouting):
             fn.rebuild(self._dead_links, self._dead_routers)
@@ -761,7 +761,7 @@ class Network:
                 )
         for router in self.routers:
             if not router.dead:
-                router.invalidate_route_cache()
+                router.reroute_waiting_heads()
 
     def is_reachable(self, src: int, dst: int) -> bool:
         """Whether the current routing can deliver ``src -> dst``."""
@@ -883,6 +883,25 @@ class Network:
         on_links = sum(len(link.flits) for link in self.links)
         pending_out = sum(r.retx_pending_flits for r in self.routers)
         return buffered + on_links + pending_out
+
+    # -- telemetry gauges: the engine's half of the sampler -----------------
+
+    def link_traversals(self) -> List[int]:
+        """Flits each mesh link has carried so far, in ``_wire_mesh``'s
+        order (nodes ascending, then ``connected_directions``)."""
+        if self.kernel is not None:
+            return self.kernel.link_traversals()
+        return [link.flit_traversals for link in self._link_map.values()]
+
+    def router_gauges(self) -> List[Tuple[int, int, int]]:
+        """Per node, ascending: buffered flits, occupied retransmission
+        slots and retransmission capacity."""
+        if self.kernel is not None:
+            return self.kernel.router_gauges()
+        return [
+            (router.buffered_flits, router.retx_occupancy, router.retx_capacity)
+            for router in self.routers
+        ]
 
     def __repr__(self) -> str:
         shape = "x".join(str(d) for d in self.topology.shape)

@@ -12,6 +12,13 @@ Each cycle a router runs two phases, driven by the network:
   Section 4.2 misroute detection), VA stage, and the combined SA/ST stage
   (speculative for the 3-stage configuration, per Section 2.1).
 
+Each stage has one implementation whatever the fault configuration: the
+RT stage asks the routing function for every header it routes, and the
+SA/ST stage drives every grant through one switch traversal, whose crossbar
+hook and AC check engage only on a cycle an SA fault or a crossbar rate
+could strike.  This model is the oracle the batched kernel is checked
+against (docs/KERNEL.md), so it keeps no second, faster copy of a stage.
+
 Fault injection happens where the corresponding hardware operates: the RT
 fault perturbs the candidate set, VA/SA faults perturb grants, crossbar and
 link upsets ride on the transfer record.  Detection uses only
@@ -211,15 +218,6 @@ class Router:
         #: Called with a packet id when a permanent fault destroys one of
         #: its flits; wired by the Network to ``RunRecord.note_casualty``.
         self.casualty_hook: Optional[Callable[[int], None]] = None
-        #: Cached routing decisions: ``dst -> (Direction list, port-index
-        #: list)``, keyed ``(in_port, dst)`` for port-aware functions.  Only
-        #: for routing functions whose candidate set is a pure function of
-        #: the key — see ``RoutingFunction.cacheable``.  The cached lists
-        #: are never mutated (every consumer rebinds or builds a fresh
-        #: list), so sharing them across calls is safe.
-        self._route_cache: Optional[Dict[object, Tuple[List[Direction], List[int]]]] = (
-            {} if getattr(routing_fn, "cacheable", False) else None
-        )
 
     # ------------------------------------------------------------------
     # wiring (called by the Network)
@@ -252,15 +250,15 @@ class Router:
         for port, link in enumerate(self.out_links):
             if link is None:
                 continue
-            for credit in link.credit_arrivals(cycle):
+            for credit in link.credits.pop_due(cycle):
                 if check_glitch and not self.handshake.sample(
-                    True, self.injector.handshake_glitch(cycle, self.node)
+                    self.injector.handshake_glitch(cycle, self.node)
                 ):
                     continue  # lost credit (TMR disabled and glitched)
                 self.outputs[port][credit.vc].credits += 1
-            for nack in link.nack_arrivals(cycle):
+            for nack in link.nacks.pop_due(cycle):
                 if check_glitch and not self.handshake.sample(
-                    True, self.injector.handshake_glitch(cycle, self.node)
+                    self.injector.handshake_glitch(cycle, self.node)
                 ):
                     continue
                 self._handle_nack(cycle, port, nack)
@@ -328,7 +326,7 @@ class Router:
         for port, link in enumerate(self.in_links):
             if link is None:
                 continue
-            for probe in link.probe_arrivals(cycle):
+            for probe in link.control.pop_due(cycle):
                 self._handle_probe(cycle, port, probe)
 
     def _resolve_probe_route(self, ivc: InputVC) -> Optional[Tuple[int, int]]:
@@ -420,7 +418,7 @@ class Router:
         for port, link in enumerate(self.in_links):
             if link is None:
                 continue
-            for transfer in link.flit_arrivals(cycle):
+            for transfer in link.flits.pop_due(cycle):
                 self._accept_transfer(cycle, port, link, transfer)
 
     def _accept_transfer(self, cycle: int, port: int, link: Link, transfer) -> None:
@@ -760,18 +758,8 @@ class Router:
         return True
 
     def _route(self, cycle: int, ivc: InputVC, head: Flit) -> None:
-        cache = self._route_cache
-        key: object = (ivc.port, head.dst) if self._is_port_aware else head.dst
-        if cache is not None:
-            entry = cache.get(key)
-            if entry is None:
-                directions = self._compute_candidates(ivc, head)
-                entry = (directions, [int(d) for d in directions])
-                cache[key] = entry
-            directions, candidates = entry
-        else:
-            directions = self._compute_candidates(ivc, head)
-            candidates = [int(d) for d in directions]
+        directions = self._compute_candidates(ivc, head)
+        candidates = [int(d) for d in directions]
         self.stats.energy_event("rt_op")
         if self._is_port_aware and not candidates:
             # The fault-aware tables have no legal continuation for this
@@ -976,7 +964,6 @@ class Router:
             return 0
         grants = self.sa.allocate(bids)
         pairs: List[Tuple[Tuple[int, int], int]] = list(grants.items())
-        clean = not faulted and not self.injector._rate_xbar
         if faulted:
             pairs = self._perturb_sa_grants(pairs, faulted)
 
@@ -984,7 +971,7 @@ class Router:
         # comparisons provably pass (the allocator grants one output per
         # port, agreeing with the VA state), so the simulator only evaluates
         # it when a fault could have struck this cycle.
-        if self.ac is not None and pairs and not clean:
+        if self.ac is not None and pairs and (faulted or self.injector._rate_xbar):
             self.stats.energy_event("ac_check")
             errors = self.ac.check_sa(pairs, bids)
             if errors:
@@ -992,8 +979,6 @@ class Router:
                 self.stats.count("sa_errors_corrected", len(flagged))
                 pairs = [p for p in pairs if p[0] not in flagged]
 
-        if clean:
-            return self._switch_traversal_fast(cycle, pairs, ports_link_busy, in_recovery)
         return self._switch_traversal(cycle, pairs, ports_link_busy, in_recovery)
 
     def _channel_of(self, ivc: InputVC) -> Optional[OutputChannel]:
@@ -1048,56 +1033,6 @@ class Router:
                 result.append((requester, extra))  # type: ignore[arg-type]
         return result
 
-    def _switch_traversal_fast(
-        self,
-        cycle: int,
-        pairs: List[Tuple[Tuple[int, int], int]],
-        ports_link_busy: AbstractSet[int],
-        in_recovery: bool,
-    ) -> int:
-        """Fault-free switch traversal: no collisions, no strays, no hook.
-
-        Semantically identical to :meth:`_switch_traversal` when no
-        SA/crossbar fault fired this cycle; kept separate because this is
-        the simulator's hottest path.
-        """
-        sends = 0
-        energy = self.stats.energy_event
-        local = int(Direction.LOCAL)
-        for requester, out_port in pairs:
-            in_port, in_vc = requester
-            ivc = self.inputs[in_port][in_vc]
-            channel = self.outputs[out_port][ivc.out_vc]
-            link = self.out_links[out_port]
-            flit, from_fifo = ivc.buffer.pop_with_origin()
-            energy("buffer_read")
-            energy("sa_grant")
-            energy("xbar")
-            self.crossbar.traversals += 1
-            if from_fifo:
-                in_link = self.in_links[in_port]
-                if in_link is not None:
-                    in_link.send_credit(cycle, in_vc)
-                    energy("credit")
-            if channel.credits > 0 and link is not None and out_port not in ports_link_busy:
-                channel.credits -= 1
-                self._transmit(cycle, link, channel, flit, channel.take_seq())
-                sends += 1
-            elif in_recovery and out_port != local and channel.absorption_capacity > 0:
-                channel.absorb(flit)
-                self._pending_output = True
-                self.stats.count("recovery_forwards")
-                energy("retx_write")
-            else:
-                ivc.buffer.push_rollback([flit])
-                continue
-            ivc.sent_this_cycle = True
-            ivc.blocked_cycles = 0
-            if flit.is_tail:
-                channel.release()
-                ivc.reset_pipeline()
-        return sends
-
     def _switch_traversal(
         self,
         cycle: int,
@@ -1108,32 +1043,33 @@ class Router:
         """Pop winners' flits, traverse the crossbar, drive the outputs."""
         if not pairs:
             return 0
+        energy = self.stats.energy_event
         # Pop each winning flit exactly once; multicast faults reuse it.
-        popped: Dict[Tuple[int, int], Tuple[Flit, bool]] = {}
+        popped: Dict[Tuple[int, int], Flit] = {}
         moves: List[Tuple[int, int, Flit]] = []
         intended: Dict[int, Tuple[Tuple[int, int], int]] = {}
         for requester, out_port in pairs:
             ivc = self.inputs[requester[0]][requester[1]]
-            if requester not in popped:
+            flit = popped.get(requester)
+            if flit is None:
                 flit, from_fifo = ivc.buffer.pop_with_origin()
-                popped[requester] = (flit, from_fifo)
-                self.stats.energy_event("buffer_read")
+                popped[requester] = flit
+                energy("buffer_read")
                 if from_fifo:
                     in_link = self.in_links[requester[0]]
                     if in_link is not None:
                         in_link.send_credit(cycle, requester[1])
-                        self.stats.energy_event("credit")
-            flit = popped[requester][0]
+                        energy("credit")
             moves.append((requester[0], out_port, flit))
-            if out_port == self.inputs[requester[0]][requester[1]].out_port:
+            if out_port == ivc.out_port:
                 intended[id(flit)] = (requester, out_port)
-            self.stats.energy_event("sa_grant")
+            energy("sa_grant")
 
         hook = None
         if self.injector._rate_xbar:
             hook = lambda f: self.injector.crossbar_upset(cycle, self.node)
         driven = self.crossbar.traverse(moves, hook)
-        self.stats.energy_event("xbar", len(driven))
+        energy("xbar", len(driven))
 
         sends = 0
         for out_port, flit, corruption in driven:
@@ -1160,7 +1096,7 @@ class Router:
                     channel.absorb(flit)
                     self._pending_output = True
                     self.stats.count("recovery_forwards")
-                    self.stats.energy_event("retx_write")
+                    energy("retx_write")
                 else:
                     # Port stolen by a replay this cycle (or credit raced
                     # away): the flit must not be lost — put it back.
@@ -1189,15 +1125,12 @@ class Router:
 
     # -- permanent-fault teardown ------------------------------------------
 
-    def invalidate_route_cache(self) -> None:
-        """Discard memoized routing decisions after a reconfiguration.
-
-        Headers already routed but not yet granted a VC re-enter the RT
-        stage so they route against the rebuilt tables — their snapshot
-        candidate lists may point at channels that no longer exist.
+    def reroute_waiting_heads(self) -> None:
+        """Send headers routed but not yet granted a VC back to the RT
+        stage after a reconfiguration, so they route against the rebuilt
+        tables — their candidate lists may point at channels that no
+        longer exist.
         """
-        if self._route_cache is not None:
-            self._route_cache.clear()
         for port_vcs in self.inputs:
             for ivc in port_vcs:
                 if ivc.state is VCState.WAITING_VA:

@@ -43,21 +43,17 @@ if TYPE_CHECKING:
 class RoutingFunction(Protocol):
     """Computes candidate output directions for a header flit.
 
-    Implementations whose candidate set is a pure function of
-    ``(current, flit.dst)`` set ``cacheable = True``; routers then memoize
-    the result in a per-node routing-decision table keyed by destination
-    (see :class:`repro.noc.router.Router`).  Functions that read any other
-    flit state (source routing consumes ``flit.source_route``) must leave
-    it False.
+    A router asks on every header it routes; nothing memoizes the answer,
+    so a function may read any flit state (source routing consumes
+    ``flit.source_route``) and a rebuilt table is seen at once.  The
+    batched kernel routes by its own memoized table instead
+    (``repro.noc.kernel.route_table``).
     """
-
-    cacheable: bool = False
 
     #: Port-aware functions route on ``(current, in_port, dst)`` rather than
     #: ``(current, dst)`` — the extra input lets turn-model table routing
     #: (up*/down*) know which channel the packet currently holds.  Routers
-    #: call :meth:`FaultAwareRouting.candidates_from` for these and key
-    #: their decision caches by ``(in_port, dst)``.
+    #: call :meth:`FaultAwareRouting.candidates_from` for these.
     port_aware: bool = False
 
     def candidates(
@@ -77,8 +73,6 @@ class XYRouting:
     """Dimension-ordered routing (DOR): correct the lowest uncorrected axis
     first — X, then Y, then Z (deterministic).  Deadlock-free on meshes of
     any dimension; the 2D case is the paper's XY."""
-
-    cacheable = True
 
     def candidates(
         self, topology: MeshTopology, current: int, flit: Flit
@@ -105,8 +99,6 @@ class TorusXYRouting:
     dependencies, which is exactly why torus networks use dateline VC
     classes — or, here, the paper's deadlock recovery scheme.
     """
-
-    cacheable = True
 
     def candidates(
         self, topology: MeshTopology, current: int, flit: Flit
@@ -141,8 +133,6 @@ class WestFirstRouting:
     forbidden turn class; the CDG verifier certifies both forms.
     """
 
-    cacheable = True
-
     def candidates(
         self, topology: MeshTopology, current: int, flit: Flit
     ) -> List[Direction]:
@@ -165,8 +155,6 @@ class FullyAdaptiveRouting:
     recovery scheme (Section 3.2) for forward progress.
     """
 
-    cacheable = True
-
     def candidates(
         self, topology: MeshTopology, current: int, flit: Flit
     ) -> List[Direction]:
@@ -180,11 +168,8 @@ class SourceRouting:
 
     Each header flit carries the remaining direction list; the RT unit pops
     one entry per hop.  Used to script deterministic scenarios such as the
-    Figure 10/11 deadlock configurations.  Not cacheable: the candidate set
-    depends on per-flit route state, not on ``(current, dst)``.
+    Figure 10/11 deadlock configurations.
     """
-
-    cacheable = False
 
     def candidates(
         self, topology: MeshTopology, current: int, flit: Flit
@@ -251,7 +236,6 @@ class FaultAwareRouting:
     so the fault-free latency matches XY.
     """
 
-    cacheable = True
     port_aware = True
 
     def __init__(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.report import TelemetryReport
@@ -101,51 +101,52 @@ class TelemetryEvent:
         return out
 
 
-class _NetworkSampler:
-    """Snapshots per-component gauges; pure reads, no state changes.
+class Sampler:
+    """Snapshots every series each sampling tick; pure reads.
 
-    Holds the network's mesh links but not the network, which the bus
-    hands to :meth:`sample` at each call."""
+    The one sampler for both engines: it names the components and fixes
+    the record order, and asks the network only for its gauges
+    (``Network.link_traversals`` and ``Network.router_gauges``, which each
+    engine answers from its own state), so an object run and a kernel run
+    write byte-identical series.  It holds no reference to the network,
+    which the bus hands to :meth:`sample` at each call."""
 
-    def __init__(self, network: Any):
-        self._mesh_links = [
-            link for link in network.links if not link.is_local
+    def __init__(self, topology: Any):
+        #: ``link_utilization`` components, in ``Network._wire_mesh`` order.
+        self._links = [
+            f"{node}:{direction.name.lower()}"
+            for node in topology.nodes()
+            for direction in topology.connected_directions(node)
         ]
-        self._last_traversals = [0] * len(self._mesh_links)
-        n = network.topology.num_nodes
-        self._last_rates = ([0] * n, [0] * n)  # flits sent, ejected
+        self._nodes = [str(node) for node in topology.nodes()]
+        self._last_traversals = [0] * len(self._links)
+        n = len(self._nodes)
+        self._last_sent = [0] * n
+        self._last_ejected = [0] * n
 
     def sample(self, net: Any, record, cycle: int, interval: float) -> None:
         """Append one sample per series of ``net``; ``record(metric,
         component, cycle, value)`` is the bus's ring-buffer writer."""
-        for i, link in enumerate(self._mesh_links):
-            total = link.flit_traversals
-            record(
-                "link_utilization",
-                link.telemetry_id,
-                cycle,
-                (total - self._last_traversals[i]) / interval,
-            )
-            self._last_traversals[i] = total
-        for router in net.routers:
-            node = str(router.node)
-            record("vc_occupancy", node, cycle, float(router.buffered_flits))
-            capacity = router.retx_capacity
-            pressure = router.retx_occupancy / capacity if capacity else 0.0
-            record("retx_pressure", node, cycle, pressure)
-        sample_interfaces(net, record, cycle, interval, self._last_rates)
-
-
-def sample_interfaces(net: Any, record, cycle: int, interval: float, last) -> None:
-    """Each NI's injection and ejection rate since ``last``, the per-node
-    sent and ejected tallies it updates (both engines' samplers call it)."""
-    last_sent, last_ejected = last
-    for ni in net.interfaces:
-        node, i = str(ni.node), ni.node
-        sent, ejected = ni.flits_sent, ni.flits_ejected
-        record("injection_rate", node, cycle, (sent - last_sent[i]) / interval)
-        record("ejection_rate", node, cycle, (ejected - last_ejected[i]) / interval)
-        last_sent[i], last_ejected[i] = sent, ejected
+        last = self._last_traversals
+        for i, total in enumerate(net.link_traversals()):
+            record("link_utilization", self._links[i], cycle, (total - last[i]) / interval)
+            last[i] = total
+        for node, (buffered, retx, capacity) in zip(self._nodes, net.router_gauges()):
+            record("vc_occupancy", node, cycle, float(buffered))
+            record("retx_pressure", node, cycle, retx / capacity if capacity else 0.0)
+        last_sent, last_ejected = self._last_sent, self._last_ejected
+        for ni in net.interfaces:
+            node, i = self._nodes[ni.node], ni.node
+            sent, ejected = ni.flits_sent, ni.flits_ejected
+            record("injection_rate", node, cycle, (sent - last_sent[i]) / interval)
+            record("ejection_rate", node, cycle, (ejected - last_ejected[i]) / interval)
+            last_sent[i], last_ejected[i] = sent, ejected
+        record("in_flight_flits", "global", cycle, float(net.in_flight_flits))
+        record("delivered_packets", "global", cycle, float(net.delivered))
+        record("lost_packets", "global", cycle, float(net.lost))
+        counters = net.stats.snapshot(("flits_retransmitted", "flits_dropped"))
+        for name, value in counters.items():
+            record(f"ctr_{name}", "global", cycle, float(value))
 
 
 class TelemetryBus:
@@ -164,7 +165,7 @@ class TelemetryBus:
         self._max_snapshots = 4
         self._series: Dict[Tuple[str, str], Deque[Tuple[int, float]]] = {}
         self._interval = config.metrics_interval
-        self._sampler: Any = None
+        self._sampler: Optional[Sampler] = None
 
     # -- publishing ---------------------------------------------------------
 
@@ -194,17 +195,9 @@ class TelemetryBus:
     # -- sampling -----------------------------------------------------------
 
     def attach(self, network: Any) -> None:
-        """Bind the sampler to a fully wired network (called once by
-        ``Network.__init__`` after links and interfaces exist).
-
-        A network carrying a batched kernel gets the kernel's own sampler,
-        which reads the flat arrays but emits byte-identical series
-        (``repro.noc.kernel.KernelSampler``)."""
-        kernel = getattr(network, "kernel", None)
-        if kernel is not None:
-            self._sampler = kernel.make_sampler(network.topology)
-        else:
-            self._sampler = _NetworkSampler(network)
+        """Bind a sampler to a fully wired network's topology (called once
+        by ``Network.__init__``, on either engine)."""
+        self._sampler = Sampler(network.topology)
 
     def on_cycle_end(self, network: Any) -> None:
         """Called by both engines at the end of every cycle (before the
@@ -214,15 +207,7 @@ class TelemetryBus:
             return
         cycle = network.cycle + 1
         if cycle % self._interval == 0:
-            record = self._record
-            sampler.sample(network, record, cycle, float(self._interval))
-            # The global series, after either sampler's per-component ones.
-            record("in_flight_flits", "global", cycle, float(network.in_flight_flits))
-            record("delivered_packets", "global", cycle, float(network.delivered))
-            record("lost_packets", "global", cycle, float(network.lost))
-            counters = network.stats.snapshot(("flits_retransmitted", "flits_dropped"))
-            for name, value in counters.items():
-                record(f"ctr_{name}", "global", cycle, float(value))
+            sampler.sample(network, self._record, cycle, float(self._interval))
 
     def _record(self, metric: str, component: str, cycle: int, value: float) -> None:
         key = (metric, component)

@@ -64,9 +64,6 @@ class TelemetryReport:
     def num_samples(self) -> int:
         return sum(len(points) for points in self.series.values())
 
-    def series_keys(self) -> List[Tuple[str, str]]:
-        return sorted(self.series)
-
     def metrics(self) -> List[str]:
         return sorted({metric for metric, _ in self.series})
 

@@ -287,110 +287,11 @@ class TestContainerFormat:
         with pytest.raises(CheckpointError, match=message):
             read_checkpoint_header(path)
 
-    def test_v1_checkpoint_is_refused_before_unpickling(self, tmp_path):
-        """A file written before the config became canonical (version 1,
-        legacy config in the header) is a typed error — raised from the
-        header, so its stale object graph is never unpickled."""
-        assert CHECKPOINT_VERSION == 12
-        self._assert_refused_from_the_header(
-            tmp_path, 1, {"noc": {"width": 4, "height": 4}, "activity_driven": True}
-        )
-
-    def test_v2_checkpoint_is_refused_before_unpickling(self, tmp_path):
-        """Version 2 graphs carry ``FaultInjector.log``; same typed error."""
-        self._assert_refused_from_the_header(
-            tmp_path, 2, {"noc": {"shape": [4, 4]}, "backend": "batched"}
-        )
-
-    def test_v3_checkpoint_is_refused_before_unpickling(self, tmp_path):
-        """Version 3 graphs hold the network in its interfaces, samplers and
-        kernel; same typed error."""
-        self._assert_refused_from_the_header(
-            tmp_path, 3, {"noc": {"shape": [4, 4]}, "backend": "object"}
-        )
-
-    def test_v4_checkpoint_is_refused_before_unpickling(self, tmp_path):
-        """Version 4 routers carry no occupancy index or pending-output
-        flag; same typed error."""
-        self._assert_refused_from_the_header(
-            tmp_path, 4, {"noc": {"shape": [4, 4]}, "backend": "object"}
-        )
-
-    def test_v5_checkpoint_is_refused_before_unpickling(self, tmp_path):
-        """Version 5 configs and telemetry buses still carry the knobs that
-        became constants (``collect_power``, ``TelemetryConfig.events``,
-        ...); same typed error."""
-        self._assert_refused_from_the_header(
-            tmp_path,
-            5,
-            {"noc": {"shape": [4, 4], "flit_width_bits": 64}, "collect_power": True},
-        )
-
-    def test_v6_checkpoint_is_refused_before_unpickling(self, tmp_path):
-        """Version 6 kernels carry no link-fault tables (expected
-        sequences, retransmission rings, replay queues, the NACK line);
-        same typed error."""
-        self._assert_refused_from_the_header(
-            tmp_path,
-            6,
-            {"noc": {"shape": [4, 4]}, "backend": "batched",
-             "faults": {"rates": {"link": 0.01}}},
-        )
-
-    def test_v7_checkpoint_is_refused_before_unpickling(self, tmp_path):
-        """Version 7 kernels carry no ``pk_src`` table and E2E configs ran
-        on the object loop; same typed error."""
-        self._assert_refused_from_the_header(
-            tmp_path,
-            7,
-            {"noc": {"shape": [4, 4], "link_protection": "e2e"},
-             "backend": "batched", "faults": {"rates": {"link": 0.01}}},
-        )
-
-    def test_v8_checkpoint_is_refused_before_unpickling(self, tmp_path):
-        """Version 8 kernels count ejected flits in an ``nej`` table and
-        keep packet ids and sources outside the descriptor table; same
-        typed error."""
-        self._assert_refused_from_the_header(
-            tmp_path,
-            8,
-            {"noc": {"shape": [4, 4], "link_protection": "e2e"},
-             "backend": "batched", "faults": {"rates": {"link": 0.01}}},
-        )
-
-    def test_v9_checkpoint_is_refused_before_unpickling(self, tmp_path):
-        """Version 9 kernels count injected flits in an ``nsent`` table and
-        have no due-cycle wheel for slow links; same typed error."""
-        self._assert_refused_from_the_header(
-            tmp_path,
-            9,
-            {"noc": {"shape": [4, 4, 4], "link_latency": [1, 1, 2]},
-             "backend": "batched", "faults": {"rates": {"link": 0.01}}},
-        )
-
-    def test_v10_checkpoint_is_refused_before_unpickling(self, tmp_path):
-        """Version 10 links carry the activity loop's five wake slots, so
-        unpickling one would raise a bare ``AttributeError``; same typed
-        error, from the header."""
-        self._assert_refused_from_the_header(
-            tmp_path,
-            10,
-            {"noc": {"shape": [6, 6], "routing": "west_first"},
-             "backend": "object",
-             "faults": {"permanent": [{"kind": "link", "node": 22,
-                                       "direction": "south", "cycle": 400}]}},
-        )
-
-    def test_v11_checkpoint_is_refused_before_unpickling(self, tmp_path):
-        """Version 11 kernels carry router wake sets and networks carry a
-        ``routing_fn`` attribute, which ``Network.routing_fn`` (a property
-        over ``_routing_fn``) would shadow; same typed error, from the
-        header."""
-        self._assert_refused_from_the_header(
-            tmp_path,
-            11,
-            {"noc": {"shape": [4, 4, 4], "link_latency": [1, 1, 2]},
-             "backend": "batched", "faults": {"rates": {"link": 0.01}}},
+    def test_every_older_version_has_a_refusal_row(self):
+        """A version bump that forgets its ``REFUSED_VERSIONS`` row fails
+        here, so every retired version keeps a refusal test."""
+        assert [row[0] for row in REFUSED_VERSIONS] == list(
+            range(1, CHECKPOINT_VERSION)
         )
 
     def test_overwrite_is_atomic_no_tmp_left_behind(self, tmp_path):
@@ -415,6 +316,75 @@ class TestContainerFormat:
         assert again.checkpoint_interval == 250
         assert again.checkpoint_path == str(tmp_path / "rt.ckpt")
         assert again == config
+
+
+#: Every checkpoint version this build refuses: ``(version, a header
+#: config of its era, what its object graph holds that this build cannot
+#: load)``.  Each row becomes one ``TestContainerFormat`` test named
+#: ``test_v<version>_checkpoint_is_refused_before_unpickling``.
+REFUSED_VERSIONS = [
+    (1, {"noc": {"width": 4, "height": 4}, "activity_driven": True},
+     "written before the config became canonical, with a legacy config "
+     "in the header"),
+    (2, {"noc": {"shape": [4, 4]}, "backend": "batched"},
+     "its graph carries ``FaultInjector.log``"),
+    (3, {"noc": {"shape": [4, 4]}, "backend": "object"},
+     "its graph holds the network in its interfaces, samplers and kernel"),
+    (4, {"noc": {"shape": [4, 4]}, "backend": "object"},
+     "its routers carry no occupancy index or pending-output flag"),
+    (5, {"noc": {"shape": [4, 4], "flit_width_bits": 64}, "collect_power": True},
+     "its configs and telemetry buses still carry the knobs that became "
+     "constants (``collect_power``, ``TelemetryConfig.events``, ...)"),
+    (6, {"noc": {"shape": [4, 4]}, "backend": "batched",
+         "faults": {"rates": {"link": 0.01}}},
+     "its kernels carry no link-fault tables (expected sequences, "
+     "retransmission rings, replay queues, the NACK line)"),
+    (7, {"noc": {"shape": [4, 4], "link_protection": "e2e"},
+         "backend": "batched", "faults": {"rates": {"link": 0.01}}},
+     "its kernels carry no ``pk_src`` table and E2E configs ran on the "
+     "object loop"),
+    (8, {"noc": {"shape": [4, 4], "link_protection": "e2e"},
+         "backend": "batched", "faults": {"rates": {"link": 0.01}}},
+     "its kernels count ejected flits in an ``nej`` table and keep packet "
+     "ids and sources outside the descriptor table"),
+    (9, {"noc": {"shape": [4, 4, 4], "link_latency": [1, 1, 2]},
+         "backend": "batched", "faults": {"rates": {"link": 0.01}}},
+     "its kernels count injected flits in an ``nsent`` table and have no "
+     "due-cycle wheel for slow links"),
+    (10, {"noc": {"shape": [6, 6], "routing": "west_first"},
+          "backend": "object",
+          "faults": {"permanent": [{"kind": "link", "node": 22,
+                                    "direction": "south", "cycle": 400}]}},
+     "its links carry the activity loop's five wake slots, so unpickling "
+     "one would raise a bare ``AttributeError``"),
+    (11, {"noc": {"shape": [4, 4, 4], "link_latency": [1, 1, 2]},
+          "backend": "batched", "faults": {"rates": {"link": 0.01}}},
+     "its kernels carry router wake sets and its networks a ``routing_fn`` "
+     "attribute, which ``Network.routing_fn`` (a property over "
+     "``_routing_fn``) would shadow"),
+    (12, {"noc": {"shape": [6, 6], "routing": "west_first"},
+          "backend": "object", "telemetry": {"enabled": True},
+          "faults": {"rates": {"sa": 0.001}}},
+     "its routers carry a ``_route_cache`` and its telemetry bus a "
+     "per-engine sampler class that no longer exists"),
+]
+
+
+def _refusal_test(version, config, why):
+    def test(self, tmp_path):
+        self._assert_refused_from_the_header(tmp_path, version, config)
+
+    test.__name__ = f"test_v{version}_checkpoint_is_refused_before_unpickling"
+    test.__doc__ = (
+        f"A version-{version} file ({why}) is a typed error raised from the "
+        "header, so its stale object graph is never unpickled."
+    )
+    return test
+
+
+for _row in REFUSED_VERSIONS:
+    _test = _refusal_test(*_row)
+    setattr(TestContainerFormat, _test.__name__, _test)
 
 
 class TestHeaderTruncation:

@@ -552,7 +552,7 @@ def test_a_kernel_network_stops_where_a_burst_site_could_wear_out():
 )
 def test_batched_telemetry_is_byte_identical(scenario, tmp_path):
     """Events, sampled series and the NDJSON export itself must match the
-    object backend byte for byte (KernelSampler contract)."""
+    object backend byte for byte (one sampler, two gauge sources)."""
     from repro.telemetry import write_ndjson
 
     base = dict(

@@ -60,7 +60,7 @@ class TestLink:
         flit = make_flit()
         link.send_flit(0, vc=2, seq=7, flit=flit, corruption=Corruption.SINGLE)
         assert flit.link_seq == 7
-        (transfer,) = link.flit_arrivals(1)
+        (transfer,) = link.flits.pop_due(1)
         assert transfer.vc == 2 and transfer.seq == 7
         assert transfer.corruption is Corruption.SINGLE
         assert link.flit_traversals == 1
@@ -69,16 +69,16 @@ class TestLink:
         link = Link(0, Direction.EAST, 1, Direction.WEST)
         link.send_credit(0, vc=1)
         link.send_nack(0, NackSignal(vc=1, seq=3, kind="link"))
-        assert link.credit_arrivals(0) == []
-        (credit,) = link.credit_arrivals(1)
+        assert link.credits.pop_due(0) == []
+        (credit,) = link.credits.pop_due(1)
         assert credit.vc == 1
-        (nack,) = link.nack_arrivals(1)
+        (nack,) = link.nacks.pop_due(1)
         assert nack.seq == 3 and nack.kind == "link"
 
     def test_probe_channel(self):
         link = Link(0, Direction.EAST, 1, Direction.WEST)
         link.send_probe(0, ProbeSignal(origin=5, target_vc=2))
-        (probe,) = link.probe_arrivals(1)
+        (probe,) = link.control.pop_due(1)
         assert probe.origin == 5 and probe.target_vc == 2 and probe.kind == "probe"
 
     def test_is_idle(self):
@@ -86,23 +86,23 @@ class TestLink:
         assert link.is_idle
         link.send_credit(0, 0)
         assert not link.is_idle
-        link.credit_arrivals(1)
+        link.credits.pop_due(1)
         assert link.is_idle
 
 
 class TestHandshakeChannel:
     def test_clean_sample_passes(self):
         hs = HandshakeChannel(tmr_enabled=True)
-        assert hs.sample(True, glitch=False)
+        assert hs.sample(glitch=False)
         assert hs.glitches_masked == 0
 
     def test_tmr_masks_glitch(self):
         hs = HandshakeChannel(tmr_enabled=True)
-        assert hs.sample(True, glitch=True)
+        assert hs.sample(glitch=True)
         assert hs.glitches_masked == 1
         assert hs.signals_lost == 0
 
     def test_without_tmr_signal_lost(self):
         hs = HandshakeChannel(tmr_enabled=False)
-        assert not hs.sample(True, glitch=True)
+        assert not hs.sample(glitch=True)
         assert hs.signals_lost == 1

@@ -8,6 +8,7 @@ stale from violated from missing on a two-claim fake artefact.
 import importlib.util
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -97,7 +98,10 @@ def test_check_tells_missing_current_stale_and_violated_apart(tmp_path, capsys):
 
     assert run_fake(tmp_path, check=False) == 0
     assert run_fake(tmp_path, check=True) == 0
-    capsys.readouterr()
+    verdict = capsys.readouterr().err.splitlines()[-1]
+    assert re.fullmatch(
+        r"FAKE: up to date, every expectation holds \(\d+\.\d s wall\)", verdict
+    )
 
     # One byte of drift in the committed file.
     artefact = tmp_path / "FAKE.json"

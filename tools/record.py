@@ -20,6 +20,8 @@ Usage::
 ``--check`` regenerates in memory and fails when a file differs by a byte
 from what is committed, when a certificate target violates its ``expect``
 block, or when a claim does not hold and is not a listed known deviation.
+Each artefact's build time is printed to stderr beside its verdict; it is
+never written into a file.
 A change that moves a number therefore shows up as a reviewable diff, and
 one that breaks a claim cannot be hidden by regenerating.
 """
@@ -31,6 +33,7 @@ import json
 import pathlib
 import re
 import sys
+import time
 from typing import Any, Callable, Dict, List
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -108,8 +111,11 @@ def record(
     root: pathlib.Path,
     check: bool,
 ) -> int:
-    """Build one artefact; write its files, or with ``check`` compare them."""
+    """Build one artefact; write its files, or with ``check`` compare them.
+    Its build's wall time goes to stderr with the verdict, out of band."""
+    start = time.perf_counter()
     payload = build()
+    wall = f"{time.perf_counter() - start:.1f} s wall"
     problems = failures(payload)
     for path, text in files_of(name, payload, root).items():
         if not check:
@@ -125,7 +131,7 @@ def record(
     for problem in problems:
         print(f"FAIL: {name}: {problem}", file=sys.stderr)
     if check and not problems:
-        print(f"{name}: up to date, every expectation holds", file=sys.stderr)
+        print(f"{name}: up to date, every expectation holds ({wall})", file=sys.stderr)
     return 1 if problems else 0
 
 
